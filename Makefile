@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-all smoke-bench test-metrics check-planner cover check
+.PHONY: all build test vet race bench bench-all smoke-bench test-metrics check-planner cover loc check
 
 all: check
 
@@ -120,8 +120,16 @@ cover:
 	@echo "per-package:"
 	@$(GO) test -cover ./... 2>/dev/null | grep -v 'no test files' | awk '{print "  " $$2 "\t" $$5}'
 
+# Non-test Go lines outside bench/ — the number ROADMAP aim 2 tracks — in
+# total and per internal/* package. Plain wc -l: comments and blank lines
+# count, so the figure moves only when code is written or deleted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l \
+		| awk '$$2 != "total" { n += $$1; split($$2, p, "/"); if (p[2] == "internal") pkg[p[2] "/" p[3]] += $$1 } \
+		END { for (k in pkg) printf "%7d  %s\n", pkg[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total non-test Go lines outside bench/\n", n }'
+
 # The full verification gate: compile everything, vet, run the suite with
 # the race detector (all collectives and the ft subsystem exercise real
-# cross-goroutine communication), run the measured-vs-modeled gate, and
-# smoke the kernel benchmarks' correctness guards.
-check: build vet race test-metrics smoke-bench check-planner
+# cross-goroutine communication), run the measured-vs-modeled gate, smoke
+# the kernel benchmarks' correctness guards, and report the code size.
+check: build vet race test-metrics smoke-bench check-planner loc

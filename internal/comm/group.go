@@ -55,6 +55,10 @@ func (w *World) NewGroup(ranks []int) *Group {
 	return g
 }
 
+// World returns the world the group's ranks live in — the point-to-point
+// transport next to the group's collectives.
+func (g *Group) World() *World { return g.world }
+
 // Size returns the number of ranks in the group.
 func (g *Group) Size() int { return len(g.ranks) }
 
@@ -344,7 +348,7 @@ func (g *Group) Broadcast(globalRank, rootLocal int, x *tensor.Tensor) *tensor.T
 		bytes = int64(x.Len()) * 4
 		g.world.stats.BroadcastBytes.Add(bytes)
 	}
-	hier := g.hierOn()
+	hier := g.hier != nil
 	if hier {
 		g.account(globalRank, "broadcast.intra", bytes)
 		if g.LocalRank(globalRank) == rootLocal {

@@ -25,10 +25,6 @@ func newHierState(l HostLayout) *hierState {
 	return hs
 }
 
-// hierOn reports whether this group's collectives run hierarchically: the
-// world gave it a tiered host layout and the global toggle is on.
-func (g *Group) hierOn() bool { return g.hier != nil && hierarchicalOn.Load() }
-
 // hierEnter is the two-level counterpart of enter: contributions rendezvous
 // intra-host first, each host's last arriver ("carrier") escalates its
 // host's contributions to the inter-host rendezvous, and the last carrier
@@ -128,7 +124,7 @@ func (g *Group) collEnter(globalRank int, op string, hier bool, contrib *tensor.
 // host's first member), never to the runtime carrier, which is whichever
 // member happened to arrive last.
 func (g *Group) collAccount(globalRank int, op string, elems, flatBytes int64) bool {
-	if !g.hierOn() {
+	if g.hier == nil {
 		g.account(globalRank, op, flatBytes)
 		return false
 	}

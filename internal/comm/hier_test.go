@@ -181,36 +181,37 @@ func assertVolumes(t *testing.T, impl string, lr int, got, want map[string]metri
 	}
 }
 
-// TestHierarchicalOracleToggle pins SetHierarchical as the oracle switch:
-// with the toggle off, a topology world meters flat volumes and matches the
-// flat prediction, and flipping it back restores tiered accounting.
-func TestHierarchicalOracleToggle(t *testing.T) {
-	const world, hostSize = 16, 4
+// TestFlatOracleIsAWorldValue pins where the flat oracle lives: not behind a
+// process toggle but in a world's own Topology. The same group on a
+// HostSize-0 world meters flat volumes matching the flat prediction, on a
+// HostSize-4 world it meters the tiered keys, and both produce the same bits.
+func TestFlatOracleIsAWorldValue(t *testing.T) {
+	const world = 16
 	ranks := strideRanks(world, 1)
-
-	prev := comm.SetHierarchical(false)
-	defer comm.SetHierarchical(prev)
-
-	w := comm.NewWorld(world)
-	w.Topo = comm.Topology{HostSize: hostSize}
-	m := newVolumeMeter(world)
-	w.Meter = m
-	g := w.NewGroup(ranks)
-	g.Label = "grid"
-	runCollective(t, w, g, "allreduce", 2, 1)
-	want := xval.PredictCollective(ranks, hostSize, "allreduce", 2)
-	for lr, r := range ranks {
-		assertVolumes(t, "toggled-off", lr, m.byRank[r], want[lr])
-		if _, tiered := m.byRank[r]["allreduce.intra"]; tiered {
-			t.Fatalf("rank %d metered tiered keys with hierarchy disabled", r)
-		}
+	run := func(hostSize int) ([]*tensor.Tensor, *volumeMeter) {
+		w := comm.NewWorld(world)
+		w.Topo = comm.Topology{HostSize: hostSize}
+		m := newVolumeMeter(world)
+		w.Meter = m
+		g := w.NewGroup(ranks)
+		g.Label = "grid"
+		return runCollective(t, w, g, "allreduce", 2, 1), m
 	}
-
-	comm.SetHierarchical(true)
-	runCollective(t, w, g, "allreduce", 2, 1)
-	for _, r := range ranks {
-		if _, tiered := m.byRank[r]["allreduce.intra"]; !tiered {
-			t.Fatalf("rank %d missing tiered keys with hierarchy re-enabled", r)
+	flat, flatM := run(0)
+	hier, hierM := run(4)
+	wantFlat := xval.PredictCollective(ranks, 0, "allreduce", 2)
+	wantHier := xval.PredictCollective(ranks, 4, "allreduce", 2)
+	for lr, r := range ranks {
+		assertVolumes(t, "flat", lr, flatM.byRank[r], wantFlat[lr])
+		assertVolumes(t, "hier", lr, hierM.byRank[r], wantHier[lr])
+		if _, tiered := flatM.byRank[r]["allreduce.intra"]; tiered {
+			t.Fatalf("rank %d metered tiered keys on a world without hosts", r)
+		}
+		if _, tiered := hierM.byRank[r]["allreduce.intra"]; !tiered {
+			t.Fatalf("rank %d missing tiered keys on a HostSize-4 world", r)
+		}
+		if !tensor.BitwiseEqual(flat[lr], hier[lr]) {
+			t.Fatalf("member %d: hierarchical result differs from the flat oracle", lr)
 		}
 	}
 }

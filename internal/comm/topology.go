@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Topology describes the physical layout of a world's ranks: HostSize
 // consecutive global ranks share one host (an NVLink island in the paper's
@@ -134,21 +131,3 @@ func (l HostLayout) TierVolumes(op string, lr int, elems int64) (intra, inter in
 	}
 	panic("comm: no tier volumes for op " + op)
 }
-
-// hierarchicalOn gates the hierarchical transport globally, keeping the flat
-// path reachable as the bitwise oracle (the same role SetPooling plays for
-// the tensor arena). Toggle it only while no ranks are running: ranks that
-// disagree on the setting would rendezvous in different slot spaces and
-// deadlock.
-var hierarchicalOn atomic.Bool
-
-func init() { hierarchicalOn.Store(true) }
-
-// SetHierarchical enables or disables the hierarchical collective path for
-// groups with a tiered host layout, returning the previous setting. With it
-// off, every collective runs (and is accounted) flat — the oracle the
-// conformance grid compares against bit for bit.
-func SetHierarchical(on bool) bool { return hierarchicalOn.Swap(on) }
-
-// HierarchicalEnabled reports whether the hierarchical path is active.
-func HierarchicalEnabled() bool { return hierarchicalOn.Load() }

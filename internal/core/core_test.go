@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"llama4d/internal/cp"
 	"llama4d/internal/data"
 	"llama4d/internal/fsdp"
 	"llama4d/internal/model"
@@ -253,6 +255,50 @@ func TestConfigValidateRejectsBadShapes(t *testing.T) {
 	}
 	if base.Validate() != nil {
 		t.Fatalf("base config must validate: %v", base.Validate())
+	}
+}
+
+// TestConfigValidateRejectsUnaddressableCP: an unknown CPStrategy, a ring
+// group larger than the tag layout's step field, or more exchanges per
+// instance than its call field must come back from NewCluster as an error —
+// the tag shapes as a *cp.TagRangeError — never as a message delivered to the
+// wrong exchange mid-step. The same shapes under the all-gather strategy use
+// no tags and stay valid.
+func TestConfigValidateRejectsUnaddressableCP(t *testing.T) {
+	base := tinyCoreCfg(Topology{TP: 1, CP: 2, PP: 1, DP: 1}, 1, 2, 2, fsdp.ZeRO1, false)
+	for _, tc := range []struct {
+		name     string
+		edit     func(*Config)
+		ok, tags bool
+	}{
+		{"ring at the tag ceilings", func(c *Config) {
+			c.CPStrategy, c.Topo.CP, c.Seq, c.Model.NLayers = cp.StrategyRing, 256, 512, 2048
+		}, true, false},
+		{"strategy below range", func(c *Config) { c.CPStrategy = -1 }, false, false},
+		{"strategy above range", func(c *Config) { c.CPStrategy = cp.StrategyAdaptive + 1 }, false, false},
+		{"ring group too large", func(c *Config) {
+			c.CPStrategy, c.Topo.CP, c.Seq = cp.StrategyRing, 257, 514
+		}, false, true},
+		{"adaptive, too many layers", func(c *Config) {
+			c.CPStrategy, c.Model.NLayers = cp.StrategyAdaptive, 2049
+		}, false, true},
+		{"ring, recompute doubles the exchanges", func(c *Config) {
+			c.CPStrategy, c.Model.NLayers, c.Recompute = cp.StrategyRing, 1025, model.RecomputeFull
+		}, false, true},
+		{"all-gather needs no tags", func(c *Config) {
+			c.Topo.CP, c.Seq, c.Model.NLayers = 257, 514, 2049
+		}, true, false},
+	} {
+		cfg := base
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		if !tc.ok {
+			_, err = NewCluster(cfg) // Validate is the only thing that can fail there
+		}
+		var tre *cp.TagRangeError
+		if (err == nil) != tc.ok || errors.As(err, &tre) != tc.tags {
+			t.Errorf("%s: got %v", tc.name, err)
+		}
 	}
 }
 

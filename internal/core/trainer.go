@@ -141,6 +141,20 @@ func (c Config) Validate() error {
 	if c.Topo.CP > 1 && c.Seq%(2*c.Topo.CP) != 0 {
 		return fmt.Errorf("core: seq %d not divisible by 2*cp", c.Seq)
 	}
+	if c.CPStrategy < cp.StrategyAllGather || c.CPStrategy > cp.StrategyAdaptive {
+		return fmt.Errorf("core: unknown CP strategy %v", c.CPStrategy)
+	}
+	if c.Topo.CP > 1 && c.CPStrategy != cp.StrategyAllGather {
+		// One exchange per owned layer, replayed once under recomputation;
+		// a rank owns at most every layer.
+		exchanges := c.Model.NLayers
+		if c.Recompute != model.RecomputeNone {
+			exchanges *= 2
+		}
+		if err := cp.CheckRingTags(c.Topo.CP, exchanges); err != nil {
+			return err
+		}
+	}
 	if c.Topo.TP > 1 && (c.Model.NHeads%c.Topo.TP != 0 || c.Model.NKVHeads%c.Topo.TP != 0) {
 		return fmt.Errorf("core: heads not divisible by tp %d", c.Topo.TP)
 	}
@@ -361,29 +375,18 @@ func (r *Rank) buildMicrobatches(src data.Batcher, step int64) []*pp.Microbatch 
 			totalValid := validTargets(full.Targets)
 
 			if cfg.Topo.CP > 1 {
-				var local *model.Sample
-				var env *model.Env
-				var layout cp.Layout
+				// Every CP rank derives the same layout, per-document plan and
+				// tag slot from the sample and its schedule position, so the
+				// exchange needs no coordination.
+				var layout cp.Layout = r.cpShard
 				if cfg.ShardPlanner != nil {
-					rs := cp.NewRaggedSharding(cfg.Seq, cfg.ShardPlanner(full, cfg.Topo.CP))
-					local = cp.RaggedLocalSample(rs, full, r.Groups.CP.LocalRank(r.ID))
-					env = cp.RaggedEnv(rs, mask, r.Groups.CP, r.ID)
-					layout = rs
-				} else {
-					local = cp.LocalSample(r.cpShard, full, r.Groups.CP.LocalRank(r.ID))
-					env = cp.Env(r.cpShard, mask, r.Groups.CP, r.ID)
-					layout = r.cpShard
+					layout = cp.NewRaggedSharding(cfg.Seq, cfg.ShardPlanner(full, cfg.Topo.CP))
 				}
-				if cfg.CPStrategy != cp.StrategyAllGather {
-					// Ring/adaptive exchange: every CP rank derives the same
-					// per-document plan and tag namespace from the sample's
-					// schedule slot, so the ring needs no coordination.
-					plan := cp.PlanFor(cfg.CPStrategy, cfg.cpCostModel(), r.Groups.CP.Ranks(), cfg.Seq,
-						full.DocIDs, cfg.UseDocMask,
-						cfg.Model.NHeads/cfg.Topo.TP, cfg.Model.NKVHeads/cfg.Topo.TP, cfg.Model.HeadDim())
-					env.KV = cp.NewStrategyKV(layout, plan, r.Groups.CP, r.cluster.World, r.ID,
-						cp.RingTagBase(i*mbsSamples+j))
-				}
+				plan := cp.PlanFor(cfg.CPStrategy, cfg.cpCostModel(), r.Groups.CP.Ranks(), cfg.Seq,
+					full.DocIDs, cfg.UseDocMask,
+					cfg.Model.NHeads/cfg.Topo.TP, cfg.Model.NKVHeads/cfg.Topo.TP, cfg.Model.HeadDim())
+				env := cp.NewKV(layout, plan, r.Groups.CP, r.ID, i*mbsSamples+j).Env(mask)
+				local := cp.LocalSample(layout, full, r.Groups.CP.LocalRank(r.ID))
 				localValid := validTargets(local.Targets)
 				env.Rec = rec
 				mb.Samples = append(mb.Samples, local)

@@ -1,24 +1,36 @@
-// Package cp implements the paper's context parallelism (§4): the input
-// sequence is split along its length across a CP group, attention all-gathers
-// the key/value tensors (fully exposed communication, by design), and every
-// rank evaluates the attention mask in global coordinates — which is what
-// makes irregular document masks work where ring-style tiling is error-prone.
+// Package cp implements the paper's context parallelism (§4, §7.2): the input
+// sequence is split along its length across a CP group, attention exchanges
+// the key/value tensors, and every rank evaluates the attention mask in
+// global coordinates — which is what makes irregular document masks work
+// where ring-style tiling is error-prone.
 //
-// Sharding follows the paper's load-balancing scheme: the sequence is split
-// into 2×cp chunks and rank i owns chunks i and 2×cp−i−1, equalising causal
-// attention work across ranks. The package also provides a RingAttention
-// baseline (the TransformerEngine-style comparator of §7.2) built from the
-// attention package's partial-result merging.
+// The package is one algorithm in three parts. A Layout says which global
+// rows each local rank owns: Sharding is the paper's load-balancing scheme
+// (the sequence is split into 2×cp chunks and rank i owns chunks i and
+// 2×cp−i−1, equalising causal attention work across ranks), RaggedSharding
+// an arbitrary planned partition. A Plan says, per document, whether its
+// K/V rows move in the grouped all-gather of §4 (fully exposed
+// communication, by design) or circulate the ring of §7.2 behind the
+// attention compute; PlanFor derives it from a Strategy. KV is the one
+// exchanger: it runs a Plan over a Layout and implements model.KVComm.
 package cp
 
 import (
 	"fmt"
 
 	"llama4d/internal/attention"
-	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
 )
+
+// Layout is a CP row partition: which global positions each local rank
+// owns, over what sequence length. Both Sharding (even zigzag) and
+// RaggedSharding (planned shards) implement it; everything downstream — row
+// selection, the exchanger, the environment — is written against it once.
+type Layout interface {
+	SeqLen() int
+	LocalPositions(lr int) []int
+}
 
 // Sharding describes the 2×cp chunk assignment for one sequence length.
 type Sharding struct {
@@ -33,6 +45,9 @@ func NewSharding(seq, cp int) Sharding {
 	}
 	return Sharding{Seq: seq, CP: cp}
 }
+
+// SeqLen implements Layout.
+func (s Sharding) SeqLen() int { return s.Seq }
 
 // ChunkLen returns the token count of one chunk.
 func (s Sharding) ChunkLen() int { return s.Seq / (2 * s.CP) }
@@ -57,37 +72,6 @@ func (s Sharding) LocalPositions(localRank int) []int {
 	return pos
 }
 
-// LocalRows returns this rank's rows of a full-sequence tensor (copy).
-func (s Sharding) LocalRows(full *tensor.Tensor, localRank int) *tensor.Tensor {
-	pos := s.LocalPositions(localRank)
-	out := tensor.GetUninit(len(pos), full.Cols())
-	for i, p := range pos {
-		copy(out.Row(i), full.Row(p))
-	}
-	return out
-}
-
-// LocalInts selects this rank's entries of a full-sequence int slice.
-func (s Sharding) LocalInts(full []int, localRank int) []int {
-	pos := s.LocalPositions(localRank)
-	out := make([]int, len(pos))
-	for i, p := range pos {
-		out[i] = full[p]
-	}
-	return out
-}
-
-// ScatterLocal adds local rows back into their global positions of dst.
-func (s Sharding) ScatterLocal(dst, local *tensor.Tensor, localRank int) {
-	pos := s.LocalPositions(localRank)
-	for i, p := range pos {
-		di, li := dst.Row(p), local.Row(i)
-		for j := range di {
-			di[j] += li[j]
-		}
-	}
-}
-
 // CausalWorkBalanced verifies the defining property of the 2×cp sharding:
 // every rank gets the same number of causal attention pairs. Returns the
 // per-rank pair counts.
@@ -99,70 +83,41 @@ func (s Sharding) CausalWorkBalanced() []int {
 	return counts
 }
 
-// KV implements model.KVComm over a comm.Group: the all-gather-based CP
-// attention of §4. Gathered chunks are reassembled into global position
-// order, so downstream attention sees "a full K and V tensor after
-// all-gather" exactly as the paper describes.
-type KV struct {
-	Sharding Sharding
-	Group    *comm.Group
-	Rank     int // global rank
-}
-
-// GatherKV implements model.KVComm.
-func (kv *KV) GatherKV(k, v *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return kv.gatherGlobal(k), kv.gatherGlobal(v)
-}
-
-func (kv *KV) gatherGlobal(local *tensor.Tensor) *tensor.Tensor {
-	// AllGather concatenates by local rank: rank lr's rows sit at
-	// [lr·rows, (lr+1)·rows). Permute them straight into global position
-	// order — no per-part intermediate clones.
-	rows := local.Rows()
-	gathered := kv.Group.AllGather(kv.Rank, local)
-	full := tensor.GetUninit(kv.Sharding.Seq, local.Cols())
-	for lr := 0; lr < kv.Group.Size(); lr++ {
-		pos := kv.Sharding.LocalPositions(lr)
-		for i, p := range pos {
-			copy(full.Row(p), gathered.Row(lr*rows+i))
-		}
+// packRows copies the idx-selected rows of t into a fresh packed tensor.
+func packRows(t *tensor.Tensor, idx []int) *tensor.Tensor {
+	out := tensor.GetUninit(len(idx), t.Cols())
+	for i, r := range idx {
+		copy(out.Row(i), t.Row(r))
 	}
-	tensor.Put(gathered)
-	return full
+	return out
 }
 
-// ReduceKVGrad implements model.KVComm: the backward-pass reduction of the
-// full-sequence K/V gradients back to local chunks. Implemented as a
-// deterministic all-reduce followed by local selection (numerically
-// identical to a permuted reduce-scatter; the cost model accounts for the
-// reduce-scatter volume).
-func (kv *KV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	rk := kv.Group.AllReduce(kv.Rank, dK)
-	rv := kv.Group.AllReduce(kv.Rank, dV)
-	lr := kv.Group.LocalRank(kv.Rank)
-	localDK, localDV := kv.Sharding.LocalRows(rk, lr), kv.Sharding.LocalRows(rv, lr)
-	tensor.Put(rk, rv)
-	return localDK, localDV
+// LocalRows returns local rank lr's rows of a full-sequence tensor (copy).
+func LocalRows(l Layout, full *tensor.Tensor, lr int) *tensor.Tensor {
+	return packRows(full, l.LocalPositions(lr))
 }
 
-// Env builds the model environment for a CP rank: the full-sequence mask
-// (each rank computes its own mask from the entire sequence, per §4
-// "CP ranks"), this rank's global positions, and the KV hook.
-func Env(sh Sharding, mask attention.Mask, group *comm.Group, globalRank int) *model.Env {
-	return &model.Env{
-		Mask: mask,
-		QPos: sh.LocalPositions(group.LocalRank(globalRank)),
-		KV:   &KV{Sharding: sh, Group: group, Rank: globalRank},
+// pickInts returns the idx-selected entries of full.
+func pickInts(full, idx []int) []int {
+	out := make([]int, len(idx))
+	for i, p := range idx {
+		out[i] = full[p]
 	}
+	return out
+}
+
+// LocalInts selects local rank lr's entries of a full-sequence int slice.
+func LocalInts(l Layout, full []int, lr int) []int {
+	return pickInts(full, l.LocalPositions(lr))
 }
 
 // LocalSample carves one rank's shard out of a full-sequence sample: local
 // tokens and targets in local row order. The document ids stay full-length —
 // the mask needs the whole sequence (§4 "Dataloaders").
-func LocalSample(sh Sharding, s *model.Sample, localRank int) *model.Sample {
+func LocalSample(l Layout, s *model.Sample, lr int) *model.Sample {
 	return &model.Sample{
-		Tokens:  sh.LocalInts(s.Tokens, localRank),
+		Tokens:  LocalInts(l, s.Tokens, lr),
 		DocIDs:  s.DocIDs, // full sequence: mask computation needs it all
-		Targets: sh.LocalInts(s.Targets, localRank),
+		Targets: LocalInts(l, s.Targets, lr),
 	}
 }

@@ -74,16 +74,19 @@ func TestNaiveContiguousShardingIsUnbalanced(t *testing.T) {
 	}
 }
 
-func TestLocalRowsAndScatterRoundTrip(t *testing.T) {
+func TestLocalRowsRoundTrip(t *testing.T) {
 	s := NewSharding(8, 2)
 	rng := rand.New(rand.NewSource(1))
 	full := tensor.RandN(rng, 1, 8, 3)
-	sum := tensor.New(8, 3)
+	back := tensor.New(8, 3)
 	for r := 0; r < 2; r++ {
-		s.ScatterLocal(sum, s.LocalRows(full, r), r)
+		local := LocalRows(s, full, r)
+		for i, p := range s.LocalPositions(r) {
+			copy(back.Row(p), local.Row(i))
+		}
 	}
-	if !tensor.BitwiseEqual(sum, full) {
-		t.Fatal("LocalRows+ScatterLocal must reconstruct the full tensor")
+	if !tensor.BitwiseEqual(back, full) {
+		t.Fatal("LocalRows scattered back by LocalPositions must reconstruct the full tensor")
 	}
 }
 
@@ -105,8 +108,8 @@ func TestGatherKVGlobalOrder(t *testing.T) {
 	fullV := tensor.RandN(rng, 1, seq, 3)
 	results := make([]*tensor.Tensor, cpSize)
 	comm.RunSPMD(cpSize, func(rank int) {
-		kv := &KV{Sharding: s, Group: g, Rank: rank}
-		gk, gv := kv.GatherKV(s.LocalRows(fullK, rank), s.LocalRows(fullV, rank))
+		kv := NewKV(s, Plan{}, g, rank, 0)
+		gk, gv := kv.GatherKV(LocalRows(s, fullK, rank), LocalRows(s, fullV, rank))
 		if !tensor.BitwiseEqual(gv, fullV) {
 			panic("gathered V out of order")
 		}
@@ -157,8 +160,8 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 			}
 			comm.RunSPMD(cpSize, func(rank int) {
 				env := Env(s, mask, g, rank)
-				xl := s.LocalRows(x, rank)
-				dyl := s.LocalRows(dy, rank)
+				xl := LocalRows(s, x, rank)
+				dyl := LocalRows(s, dy, rank)
 				y, cc := replicas[rank].Forward(xl, env)
 				outs[rank] = y
 				dxs[rank] = replicas[rank].Backward(cc, dyl)
@@ -166,10 +169,10 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 			})
 			// Outputs/input-grads: local rows of the sequential result.
 			for r := 0; r < cpSize; r++ {
-				if d := tensor.MaxDiff(outs[r], s.LocalRows(want, r)); d > 1e-4 {
+				if d := tensor.MaxDiff(outs[r], LocalRows(s, want, r)); d > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d fwd diff %v", name, cpSize, r, d)
 				}
-				if d := tensor.MaxDiff(dxs[r], s.LocalRows(wantDx, r)); d > 1e-4 {
+				if d := tensor.MaxDiff(dxs[r], LocalRows(s, wantDx, r)); d > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dx diff %v", name, cpSize, r, d)
 				}
 			}
@@ -210,19 +213,38 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 	outs := make([]*tensor.Tensor, cpSize)
 	comm.RunSPMD(cpSize, func(rank int) {
 		env := Env(s, mask, g, rank)
-		y, _ := reps[rank].Forward(s.LocalRows(x, rank), env)
+		y, _ := reps[rank].Forward(LocalRows(s, x, rank), env)
 		outs[rank] = y
 	})
 	for r := 0; r < cpSize; r++ {
-		if d := tensor.MaxDiff(outs[r], s.LocalRows(want, r)); d > 1e-4 {
+		if d := tensor.MaxDiff(outs[r], LocalRows(s, want, r)); d > 1e-4 {
 			t.Fatalf("rank %d block-under-CP diff %v", r, d)
 		}
 	}
 }
 
+// ringPlan routes the whole sequence, as one document, through the ring.
+func ringPlan(seq int) Plan { return Plan{Seq: seq, DocStarts: []int{0}, Ring: []bool{true}} }
+
+// attendVia runs one rank's single-head CP attention through the exchanger:
+// K/V exchanged by kv's plan, one dense masked kernel over the assembled
+// sequence, and the full-sequence dK/dV reduced back to the rank's rows.
+// dO may be nil (forward only).
+func attendVia(kv *KV, q, k, v, dO *tensor.Tensor, mask attention.Mask) (o, dq, dk, dv *tensor.Tensor) {
+	qPos := kv.pos[kv.group.LocalRank(kv.rank)]
+	fullK, fullV := kv.GatherKV(k, v)
+	out := attention.Forward(q, fullK, fullV, mask, qPos, 0)
+	if dO == nil {
+		return out.O, nil, nil, nil
+	}
+	dq, dKFull, dVFull := attention.Backward(q, fullK, fullV, out.P, dO, mask, qPos, 0)
+	dk, dv = kv.ReduceKVGrad(dKFull, dVFull)
+	return out.O, dq, dk, dv
+}
+
 func TestRingMatchesAllGatherAndSequential(t *testing.T) {
-	// Ring attention (the §7.2 baseline) must agree with both the all-gather
-	// CP attention and the sequential oracle on a single head.
+	// The all-ring plan (the §7.2 comparator) must agree with the all-gather
+	// plan bit for bit, and both with the sequential oracle, on a single head.
 	seq, d := 24, 8
 	rng := rand.New(rand.NewSource(6))
 	q := tensor.RandN(rng, 0.5, seq, d)
@@ -235,29 +257,21 @@ func TestRingMatchesAllGatherAndSequential(t *testing.T) {
 	for name, mask := range masks {
 		want := attention.Forward(q, k, v, mask, attention.Iota(seq), 0).O
 		for _, cpSize := range []int{2, 3} {
-			if seq%(2*cpSize) != 0 {
-				continue
-			}
 			s := NewSharding(seq, cpSize)
-			w, g := newCPWorld(cpSize)
+			_, g := newCPWorld(cpSize)
 			ringOuts := make([]*tensor.Tensor, cpSize)
 			agOuts := make([]*tensor.Tensor, cpSize)
 			comm.RunSPMD(cpSize, func(rank int) {
-				ql := s.LocalRows(q, rank)
-				kl := s.LocalRows(k, rank)
-				vl := s.LocalRows(v, rank)
-				ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-				ringOuts[rank] = ring.Forward(ql, kl, vl, mask)
-				kv := &KV{Sharding: s, Group: g, Rank: rank}
-				agOuts[rank] = AllGatherAttention(kv, ql, kl, vl, mask)
+				ql, kl, vl := LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank)
+				ringOuts[rank], _, _, _ = attendVia(NewKV(s, ringPlan(seq), g, rank, 0), ql, kl, vl, nil, mask)
+				agOuts[rank], _, _, _ = attendVia(NewKV(s, Plan{}, g, rank, 0), ql, kl, vl, nil, mask)
 			})
 			for r := 0; r < cpSize; r++ {
-				wantLocal := s.LocalRows(want, r)
-				if dd := tensor.MaxDiff(ringOuts[r], wantLocal); dd > 1e-4 {
-					t.Fatalf("%s cp=%d rank %d ring diff %v", name, cpSize, r, dd)
+				if !tensor.BitwiseEqual(ringOuts[r], agOuts[r]) {
+					t.Fatalf("%s cp=%d rank %d: ring plan differs from all-gather plan", name, cpSize, r)
 				}
-				if dd := tensor.MaxDiff(agOuts[r], wantLocal); dd > 1e-4 {
-					t.Fatalf("%s cp=%d rank %d all-gather diff %v", name, cpSize, r, dd)
+				if dd := tensor.MaxDiff(agOuts[r], LocalRows(s, want, r)); dd > 1e-4 {
+					t.Fatalf("%s cp=%d rank %d diff vs sequential %v", name, cpSize, r, dd)
 				}
 			}
 		}
@@ -357,11 +371,10 @@ func TestShardingValidation(t *testing.T) {
 	NewSharding(10, 4)
 }
 
-func BenchmarkAllGatherCPAttention(b *testing.B) {
+func benchmarkCPAttention(b *testing.B, plan Plan) {
 	seq, d, cpSize := 128, 32, 4
 	s := NewSharding(seq, cpSize)
-	w, g := newCPWorld(cpSize)
-	_ = w
+	_, g := newCPWorld(cpSize)
 	rng := rand.New(rand.NewSource(1))
 	q := tensor.RandN(rng, 0.5, seq, d)
 	k := tensor.RandN(rng, 0.5, seq, d)
@@ -369,33 +382,19 @@ func BenchmarkAllGatherCPAttention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comm.RunSPMD(cpSize, func(rank int) {
-			kv := &KV{Sharding: s, Group: g, Rank: rank}
-			AllGatherAttention(kv, s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), attention.Causal{})
+			attendVia(NewKV(s, plan, g, rank, 0), LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), nil, attention.Causal{})
 		})
 	}
 }
 
-func BenchmarkRingCPAttention(b *testing.B) {
-	seq, d, cpSize := 128, 32, 4
-	s := NewSharding(seq, cpSize)
-	w, g := newCPWorld(cpSize)
-	rng := rand.New(rand.NewSource(1))
-	q := tensor.RandN(rng, 0.5, seq, d)
-	k := tensor.RandN(rng, 0.5, seq, d)
-	v := tensor.RandN(rng, 0.5, seq, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comm.RunSPMD(cpSize, func(rank int) {
-			ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-			ring.Forward(s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), attention.Causal{})
-		})
-	}
-}
+func BenchmarkAllGatherCPAttention(b *testing.B) { benchmarkCPAttention(b, Plan{}) }
+
+func BenchmarkRingCPAttention(b *testing.B) { benchmarkCPAttention(b, ringPlan(128)) }
 
 func TestRingBackwardMatchesOracle(t *testing.T) {
-	// Ring attention's backward (flash D-trick over the ring) must produce
-	// the same gradients as the naive oracle on the gathered sequence, for
-	// causal and document masks — making the TE-style baseline trainable.
+	// The all-ring plan's backward (local dQ, all-reduced dK/dV selected at
+	// the rank's rows) must produce the same gradients as the naive oracle on
+	// the full sequence, for causal and document masks.
 	seq, d := 24, 8
 	rng := rand.New(rand.NewSource(16))
 	q := tensor.RandN(rng, 0.5, seq, d)
@@ -413,81 +412,24 @@ func TestRingBackwardMatchesOracle(t *testing.T) {
 
 		for _, cpSize := range []int{2, 3} {
 			s := NewSharding(seq, cpSize)
-			w, g := newCPWorld(cpSize)
+			_, g := newCPWorld(cpSize)
 			dqs := make([]*tensor.Tensor, cpSize)
 			dks := make([]*tensor.Tensor, cpSize)
 			dvs := make([]*tensor.Tensor, cpSize)
 			comm.RunSPMD(cpSize, func(rank int) {
-				ql := s.LocalRows(q, rank)
-				kl := s.LocalRows(k, rank)
-				vl := s.LocalRows(v, rank)
-				dol := s.LocalRows(dO, rank)
-				ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-				o, lse := ring.ForwardWithStats(ql, kl, vl, mask)
-				dqs[rank], dks[rank], dvs[rank] = ring.Backward(ql, kl, vl, o, lse, dol, mask)
+				_, dqs[rank], dks[rank], dvs[rank] = attendVia(NewKV(s, ringPlan(seq), g, rank, 0),
+					LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), LocalRows(s, dO, rank), mask)
 			})
 			for r := 0; r < cpSize; r++ {
-				if dd := tensor.MaxDiff(dqs[r], s.LocalRows(wantDQ, r)); dd > 1e-4 {
+				if dd := tensor.MaxDiff(dqs[r], LocalRows(s, wantDQ, r)); dd > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dQ diff %v", name, cpSize, r, dd)
 				}
-				if dd := tensor.MaxDiff(dks[r], s.LocalRows(wantDK, r)); dd > 1e-4 {
+				if dd := tensor.MaxDiff(dks[r], LocalRows(s, wantDK, r)); dd > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dK diff %v", name, cpSize, r, dd)
 				}
-				if dd := tensor.MaxDiff(dvs[r], s.LocalRows(wantDV, r)); dd > 1e-4 {
+				if dd := tensor.MaxDiff(dvs[r], LocalRows(s, wantDV, r)); dd > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dV diff %v", name, cpSize, r, dd)
 				}
-			}
-		}
-	}
-}
-
-func TestRingForwardWithStatsLSE(t *testing.T) {
-	// The returned log-sum-exp must match a direct computation on the
-	// gathered sequence.
-	seq, d, cpSize := 16, 4, 2
-	rng := rand.New(rand.NewSource(17))
-	q := tensor.RandN(rng, 0.5, seq, d)
-	k := tensor.RandN(rng, 0.5, seq, d)
-	v := tensor.RandN(rng, 0.5, seq, d)
-	s := NewSharding(seq, cpSize)
-	w, g := newCPWorld(cpSize)
-	mask := attention.Causal{}
-
-	// Direct LSE per row.
-	scale := 1 / math.Sqrt(float64(d))
-	want := make([]float64, seq)
-	for i := 0; i < seq; i++ {
-		maxv := math.Inf(-1)
-		var scores []float64
-		for j := 0; j <= i; j++ {
-			var dot float64
-			for c := 0; c < d; c++ {
-				dot += float64(q.At(i, c)) * float64(k.At(j, c))
-			}
-			sc := dot * scale
-			scores = append(scores, sc)
-			if sc > maxv {
-				maxv = sc
-			}
-		}
-		var sum float64
-		for _, sc := range scores {
-			sum += math.Exp(sc - maxv)
-		}
-		want[i] = maxv + math.Log(sum)
-	}
-
-	lses := make([][]float64, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
-		ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-		_, lse := ring.ForwardWithStats(s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), mask)
-		lses[rank] = lse
-	})
-	for r := 0; r < cpSize; r++ {
-		pos := s.LocalPositions(r)
-		for i, p := range pos {
-			if math.Abs(lses[r][i]-want[p]) > 1e-4 {
-				t.Fatalf("rank %d row %d lse %v want %v", r, i, lses[r][i], want[p])
 			}
 		}
 	}

@@ -1,13 +1,6 @@
 package cp
 
-import (
-	"fmt"
-
-	"llama4d/internal/attention"
-	"llama4d/internal/comm"
-	"llama4d/internal/model"
-	"llama4d/internal/tensor"
-)
+import "fmt"
 
 // RaggedSharding is a CP row partition chosen per sequence instead of the
 // fixed 2×cp zigzag: each local rank owns an arbitrary (strictly increasing)
@@ -15,7 +8,7 @@ import (
 // The balance planner (internal/balance.PlanShards) emits equal-size
 // cost-balanced partitions for document-masked sequences whose causal skew
 // the zigzag scheme cannot equalise; the type itself accepts unequal shard
-// sizes too — the all-gather reassembles by per-rank offsets, not by a
+// sizes too — KV reassembles the all-gather by per-rank offsets, not by a
 // common chunk length.
 //
 // Bitwise contract: attention is row-independent given the gathered full
@@ -25,8 +18,8 @@ import (
 // bit-identical to the dense full-sequence kernel and hence to the even
 // zigzag baseline; ragged_test.go property-tests exactly this across mask
 // types × shard layouts. What a layout change does regroup is the cross-rank
-// *sum* order of dK/dV contributions and of per-token loss terms — the same
-// non-associativity caveat the existing KV.ReduceKVGrad already carries.
+// *sum* order of dK/dV contributions and of per-token loss terms — the
+// non-associativity caveat KV.ReduceKVGrad carries under any layout.
 type RaggedSharding struct {
 	Seq int
 	Pos [][]int // Pos[lr] = global row positions owned by local rank lr
@@ -72,88 +65,8 @@ func ZigzagRagged(sh Sharding) RaggedSharding {
 	return RaggedSharding{Seq: sh.Seq, Pos: pos}
 }
 
+// SeqLen implements Layout.
+func (rs RaggedSharding) SeqLen() int { return rs.Seq }
+
 // LocalPositions returns local rank lr's global row positions.
 func (rs RaggedSharding) LocalPositions(lr int) []int { return rs.Pos[lr] }
-
-// LocalRows returns lr's rows of a full-sequence tensor (copy).
-func (rs RaggedSharding) LocalRows(full *tensor.Tensor, lr int) *tensor.Tensor {
-	pos := rs.Pos[lr]
-	out := tensor.GetUninit(len(pos), full.Cols())
-	for i, p := range pos {
-		copy(out.Row(i), full.Row(p))
-	}
-	return out
-}
-
-// LocalInts selects lr's entries of a full-sequence int slice.
-func (rs RaggedSharding) LocalInts(full []int, lr int) []int {
-	pos := rs.Pos[lr]
-	out := make([]int, len(pos))
-	for i, p := range pos {
-		out[i] = full[p]
-	}
-	return out
-}
-
-// RaggedKV implements model.KVComm over a RaggedSharding: the same
-// all-gather-then-permute as KV, but reassembly walks per-rank row offsets
-// (prefix sums of shard sizes) instead of assuming one common chunk length,
-// so unequal shards gather correctly.
-type RaggedKV struct {
-	Sharding RaggedSharding
-	Group    *comm.Group
-	Rank     int // global rank
-}
-
-// GatherKV implements model.KVComm.
-func (kv *RaggedKV) GatherKV(k, v *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return kv.gatherGlobal(k), kv.gatherGlobal(v)
-}
-
-func (kv *RaggedKV) gatherGlobal(local *tensor.Tensor) *tensor.Tensor {
-	gathered := kv.Group.AllGather(kv.Rank, local)
-	full := tensor.GetUninit(kv.Sharding.Seq, local.Cols())
-	off := 0
-	for lr := 0; lr < kv.Group.Size(); lr++ {
-		for _, p := range kv.Sharding.Pos[lr] {
-			copy(full.Row(p), gathered.Row(off))
-			off++
-		}
-	}
-	tensor.Put(gathered)
-	return full
-}
-
-// ReduceKVGrad implements model.KVComm: deterministic all-reduce of the
-// full-sequence gradients, then local row selection — identical in
-// structure (and in cross-rank sum order) to the even-shard KV path.
-func (kv *RaggedKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	rk := kv.Group.AllReduce(kv.Rank, dK)
-	rv := kv.Group.AllReduce(kv.Rank, dV)
-	lr := kv.Group.LocalRank(kv.Rank)
-	localDK, localDV := kv.Sharding.LocalRows(rk, lr), kv.Sharding.LocalRows(rv, lr)
-	tensor.Put(rk, rv)
-	return localDK, localDV
-}
-
-// RaggedEnv builds the model environment for one CP rank under a ragged
-// sharding: full-sequence mask, this rank's planned positions, ragged KV
-// hook.
-func RaggedEnv(rs RaggedSharding, mask attention.Mask, group *comm.Group, globalRank int) *model.Env {
-	return &model.Env{
-		Mask: mask,
-		QPos: rs.LocalPositions(group.LocalRank(globalRank)),
-		KV:   &RaggedKV{Sharding: rs, Group: group, Rank: globalRank},
-	}
-}
-
-// RaggedLocalSample carves one rank's planned shard out of a full-sequence
-// sample; document ids stay full-length for mask computation, like
-// LocalSample.
-func RaggedLocalSample(rs RaggedSharding, s *model.Sample, lr int) *model.Sample {
-	return &model.Sample{
-		Tokens:  rs.LocalInts(s.Tokens, lr),
-		DocIDs:  s.DocIDs,
-		Targets: rs.LocalInts(s.Targets, lr),
-	}
-}

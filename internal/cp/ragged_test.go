@@ -60,8 +60,8 @@ func TestRaggedGatherReassembles(t *testing.T) {
 	}
 	_, group := newCPWorld(cpSize)
 	comm.RunSPMD(cpSize, func(rank int) {
-		kv := &RaggedKV{Sharding: rs, Group: group, Rank: rank}
-		local := rs.LocalRows(full, rank)
+		kv := NewKV(rs, Plan{}, group, rank, 0)
+		local := LocalRows(rs, full, rank)
 		gk, gv := kv.GatherKV(local, local)
 		for _, g := range []*tensor.Tensor{gk, gv} {
 			for i := range full.Data {
@@ -70,7 +70,7 @@ func TestRaggedGatherReassembles(t *testing.T) {
 				}
 			}
 		}
-		want := rs.LocalRows(group.AllReduce(rank, grads[rank]), rank)
+		want := LocalRows(rs, group.AllReduce(rank, grads[rank]), rank)
 		got, _ := kv.ReduceKVGrad(grads[rank], grads[rank])
 		for i := range want.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -124,8 +124,8 @@ func TestRaggedBitwiseVsEvenBaseline(t *testing.T) {
 			for lname, rs := range layouts {
 				for lr := 0; lr < cpSize; lr++ {
 					pos := rs.LocalPositions(lr)
-					ql := rs.LocalRows(q, lr)
-					dOl := rs.LocalRows(dO, lr)
+					ql := LocalRows(rs, q, lr)
+					dOl := LocalRows(rs, dO, lr)
 					out := attention.Forward(ql, k, v, mask, pos, 0)
 					dq, _, _ := attention.Backward(ql, k, v, out.P, dOl, mask, pos, 0)
 					for i, p := range pos {

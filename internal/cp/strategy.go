@@ -38,20 +38,6 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Layout is the row-partition view the exchange strategies need: which
-// global positions each local rank owns, over what sequence length. Both
-// Sharding (even zigzag) and RaggedSharding (planned shards) implement it.
-type Layout interface {
-	SeqLen() int
-	LocalPositions(lr int) []int
-}
-
-// SeqLen implements Layout.
-func (s Sharding) SeqLen() int { return s.Seq }
-
-// SeqLen implements Layout.
-func (rs RaggedSharding) SeqLen() int { return rs.Seq }
-
 // DocBounds returns the ascending document start offsets of a sample from
 // its per-position document ids (nil or empty ids mean one document). The
 // first entry is always 0.

@@ -3,9 +3,11 @@ package cp
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"llama4d/internal/attention"
+	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
 )
@@ -27,7 +29,11 @@ import (
 //     order — selected at the rank's rows;
 //   - dx (which folds dQ, dK, dV through the projections) is
 //     Float32bits-equal across every strategy for a fixed layout, so the
-//     exchange schedule is bitwise invisible end to end.
+//     exchange schedule is bitwise invisible end to end;
+//   - under the pure all-gather plan the zigzag Sharding and its
+//     ZigzagRagged form assemble identical K/V bits and issue identical
+//     per-(group, op) bytes and message counts: the exchanger has no
+//     per-layout-type path left to diverge on.
 
 const (
 	gridHeads   = 4
@@ -55,15 +61,28 @@ func (c *identityKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tenso
 	return dK.Clone(), dV.Clone()
 }
 
-// captureKV wraps a CP exchange and records what crosses the seam.
+// captureKV wraps the CP exchanger and records what crosses the seam. It
+// forwards the streaming interface, so the attention layer makes the same
+// fused-vs-streamed choice it would make on the bare exchanger.
 type captureKV struct {
-	inner            model.KVComm
+	inner            *KV
+	fullK, fullV     *tensor.Tensor // assembled full-sequence K/V
 	dK, dV           *tensor.Tensor // pre-reduce contributions
 	localDK, localDV *tensor.Tensor // post-reduce local rows
 }
 
 func (c *captureKV) GatherKV(k, v *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return c.inner.GatherKV(k, v)
+	return c.StreamKV(k, v, nil)
+}
+
+func (c *captureKV) Streams() bool { return c.inner.Streams() }
+
+func (c *captureKV) SeqLen() int { return c.inner.SeqLen() }
+
+func (c *captureKV) StreamKV(k, v *tensor.Tensor, onBlock func(kBlk, vBlk *tensor.Tensor, runs []model.PosRun)) (*tensor.Tensor, *tensor.Tensor) {
+	fk, fv := c.inner.StreamKV(k, v, onBlock)
+	c.fullK, c.fullV = fk.Clone(), fv.Clone()
+	return fk, fv
 }
 
 func (c *captureKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
@@ -71,18 +90,6 @@ func (c *captureKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor
 	lk, lv := c.inner.ReduceKVGrad(dK, dV)
 	c.localDK, c.localDV = lk.Clone(), lv.Clone()
 	return lk, lv
-}
-
-// captureStream additionally forwards the streaming interface, so the
-// blocked streaming fast path stays active under capture.
-type captureStream struct {
-	captureKV
-}
-
-func (c *captureStream) SeqLen() int { return c.inner.(model.KVStreamer).SeqLen() }
-
-func (c *captureStream) StreamKV(k, v *tensor.Tensor, onBlock func(kBlk, vBlk *tensor.Tensor, runs []model.PosRun)) (*tensor.Tensor, *tensor.Tensor) {
-	return c.inner.(model.KVStreamer).StreamKV(k, v, onBlock)
 }
 
 // denseOracle runs the dense full-sequence layer once per CP rank with dY
@@ -149,6 +156,8 @@ func allRing(starts []int) []bool {
 	return r
 }
 
+func noRing(starts []int) []bool { return make([]bool, len(starts)) }
+
 func alternate(starts []int) []bool {
 	r := make([]bool, len(starts))
 	for i := range r {
@@ -160,7 +169,8 @@ func alternate(starts []int) []bool {
 func TestStrategyBitwisePropertyGrid(t *testing.T) {
 	layouts := func(seq, cpSize int) map[string]Layout {
 		m := map[string]Layout{
-			"zigzag": NewSharding(seq, cpSize),
+			"zigzag":        NewSharding(seq, cpSize),
+			"zigzag-ragged": ZigzagRagged(NewSharding(seq, cpSize)),
 		}
 		// Contiguous ragged with unequal shard sizes.
 		sizes := make([]int, cpSize)
@@ -208,7 +218,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 		name   string
 		mkPlan func([]int) []bool
 	}{
-		{"allgather", nil}, // must run first: it is the cross-strategy baseline
+		{"allgather", noRing}, // must run first: it is the cross-strategy baseline
 		{"ring", allRing},
 		{"mixed", alternate},
 	}
@@ -226,6 +236,12 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 		if docIDs != nil {
 			starts = DocBounds(docIDs, tc.seq)
 		}
+		// What the pure all-gather plan assembled and issued, per layout.
+		type agRun struct {
+			fullK, fullV []*tensor.Tensor
+			perOp        map[comm.OpKey]comm.OpStats
+		}
+		agRuns := map[string]agRun{}
 		for layoutName, layout := range layouts(tc.seq, tc.cpSize) {
 			pos := make([][]int, tc.cpSize)
 			for lr := range pos {
@@ -243,24 +259,11 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 				caps := make([]*captureKV, tc.cpSize)
 				err := world.RunSPMD(func(rank int) {
 					attn := newGridAttn()
-					env := &model.Env{Mask: mask, QPos: pos[rank]}
-					if mkPlan == nil {
-						switch l := layout.(type) {
-						case Sharding:
-							env.KV = &KV{Sharding: l, Group: group, Rank: rank}
-						case RaggedSharding:
-							env.KV = &RaggedKV{Sharding: l, Group: group, Rank: rank}
-						}
-						cap := &captureKV{inner: env.KV}
-						env.KV = cap
-						caps[rank] = cap
-					} else {
-						plan := Plan{Seq: tc.seq, DocStarts: starts, Ring: mkPlan(starts)}
-						skv := NewStrategyKV(layout, plan, group, world, rank, RingTagBase(0))
-						cap := &captureStream{captureKV{inner: skv}}
-						env.KV = cap
-						caps[rank] = &cap.captureKV
-					}
+					plan := Plan{Seq: tc.seq, DocStarts: starts, Ring: mkPlan(starts)}
+					cap := &captureKV{inner: NewKV(layout, plan, group, rank, 0)}
+					env := cap.inner.Env(mask)
+					env.KV = cap
+					caps[rank] = cap
 					xl := packRows(x, pos[rank])
 					dyl := packRows(dY, pos[rank])
 					y, ctx := attn.Forward(xl, env)
@@ -278,6 +281,9 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 				}
 				for rank := 0; rank < tc.cpSize; rank++ {
 					cap := caps[rank]
+					if cap.Streams() != (planName != "allgather") {
+						t.Fatalf("%s rank %d: Streams() = %v; only a plan with a ring document streams", name, rank, cap.Streams())
+					}
 					if !tensor.BitwiseEqual(cap.dK, oracle.dKs[rank]) || !tensor.BitwiseEqual(cap.dV, oracle.dVs[rank]) {
 						t.Fatalf("%s rank %d: pre-reduce dK/dV differ from masked-dY dense oracle", name, rank)
 					}
@@ -289,6 +295,11 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 				}
 				if planName == "allgather" {
 					baseDX = dxs
+					run := agRun{perOp: world.Stats().PerOp()}
+					for _, cap := range caps {
+						run.fullK, run.fullV = append(run.fullK, cap.fullK), append(run.fullV, cap.fullV)
+					}
+					agRuns[layoutName] = run
 				} else {
 					for rank := 0; rank < tc.cpSize; rank++ {
 						if !tensor.BitwiseEqual(dxs[rank], baseDX[rank]) {
@@ -297,6 +308,15 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 					}
 				}
 			}
+		}
+		even, ragged := agRuns["zigzag"], agRuns["zigzag-ragged"]
+		for rank := 0; rank < tc.cpSize; rank++ {
+			if !tensor.BitwiseEqual(even.fullK[rank], ragged.fullK[rank]) || !tensor.BitwiseEqual(even.fullV[rank], ragged.fullV[rank]) {
+				t.Fatalf("seq%d_cp%d rank %d: all-gather K/V differ between Sharding and ZigzagRagged", tc.seq, tc.cpSize, rank)
+			}
+		}
+		if !reflect.DeepEqual(even.perOp, ragged.perOp) {
+			t.Fatalf("seq%d_cp%d: all-gather traffic differs between Sharding %v and ZigzagRagged %v", tc.seq, tc.cpSize, even.perOp, ragged.perOp)
 		}
 	}
 }

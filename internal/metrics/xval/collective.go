@@ -1,7 +1,6 @@
 package xval
 
 import (
-	"llama4d/internal/comm"
 	"llama4d/internal/metrics"
 )
 
@@ -100,8 +99,8 @@ func flatCollBytes(op string, elems, n int64) int64 {
 // collective issue over a group of the given global ranks on a world with
 // hosts of hostSize consecutive ranks: a map keyed like the metrics
 // registry's Comm entries but without the group-label prefix (e.g.
-// "allreduce.intra", or plain "allreduce" when the layout is untiered or
-// hierarchical collectives are globally disabled), indexed by local rank.
+// "allreduce.intra", or plain "allreduce" when the layout is untiered),
+// indexed by local rank.
 //
 // elems is each member's contribution element count. For "broadcast" it is
 // the root's (local rank 0's) element count: the flat convention attributes
@@ -110,17 +109,15 @@ func flatCollBytes(op string, elems, n int64) int64 {
 // members recording a zero-byte intra message.
 func PredictCollective(groupRanks []int, hostSize int, op string, elems int64) []map[string]metrics.OpVolume {
 	out := make([]map[string]metrics.OpVolume, len(groupRanks))
-	hier := comm.HierarchicalEnabled()
 	for lr, r := range groupRanks {
 		m := make(map[string]metrics.OpVolume)
 		ro := roleOf(groupRanks, r, hostSize)
-		tiered := hier && ro.tiered
 		if op == "broadcast" {
 			var b int64
 			if lr == 0 {
 				b = elems * 4
 			}
-			if tiered {
+			if ro.tiered {
 				m["broadcast.intra"] = metrics.OpVolume{Bytes: b, Msgs: 1}
 				if lr == 0 {
 					m["broadcast.inter"] = metrics.OpVolume{Bytes: b, Msgs: 1}
@@ -128,7 +125,7 @@ func PredictCollective(groupRanks []int, hostSize int, op string, elems int64) [
 			} else {
 				m["broadcast"] = metrics.OpVolume{Bytes: b, Msgs: 1}
 			}
-		} else if tiered {
+		} else if ro.tiered {
 			intra, inter := tierBytes(op, elems, ro)
 			m[op+".intra"] = metrics.OpVolume{Bytes: intra, Msgs: 1}
 			if ro.leader {

@@ -15,7 +15,7 @@ import (
 // makes the adaptive strategy's per-document routing (and therefore every
 // byte count) sample-dependent. Per sample it rebuilds the trainer's exact
 // decisions: the same layout (zigzag or ShardPlanner shards), the same
-// cp.PlanFor plan, the same StrategyKV circulation schedule. Returned maps
+// cp.PlanFor plan, the same cp.KV circulation schedule. Returned maps
 // hold only the exchange keys — "cp.ring/send", "cp.ring/recv", and the CP
 // group's "<label>/allgather" and "<label>/allreduce" — with flat (non-
 // hierarchical) collective accounting; indexed by rank id. The conformance

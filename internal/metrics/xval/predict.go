@@ -3,7 +3,6 @@ package xval
 import (
 	"fmt"
 
-	"llama4d/internal/comm"
 	"llama4d/internal/core"
 	"llama4d/internal/cp"
 	"llama4d/internal/fsdp"
@@ -103,7 +102,7 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 	// With a host topology, blocking bulk collectives run hierarchically and
 	// meter under tier-split keys; nonblocking (overlap-engine) issues and
 	// the non-hierarchical ops keep flat keys.
-	hier := cfg.HostSize > 0 && comm.HierarchicalEnabled()
+	hier := cfg.HostSize > 0
 
 	rp := &RankPrediction{
 		Comm:       make(map[string]metrics.OpVolume),
@@ -198,17 +197,14 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 	}
 	ppPeer := func(g int) int { return rv.ppRanks[g%len(rv.ppRanks)] }
 
-	// CP exchange strategy. The ring and adaptive strategies replace the
-	// forward K/V all-gather with the StrategyKV block circulation, metered
-	// under "cp.ring". Without a document mask every sample is one causal
-	// document, so the per-sample plan is config-derivable and this branch is
-	// exact; per-document plans under UseDocMask are data-dependent —
+	// CP exchange plan. A plan with a ring document replaces the forward K/V
+	// all-gather with cp.KV's block circulation, metered under "cp.ring".
+	// Without a document mask every sample is one causal document, so the
+	// per-sample plan is config-derivable and this branch is exact;
+	// per-document plans under UseDocMask are data-dependent —
 	// PredictCPPerRank covers those from the sample stream.
-	cpRing := false
-	if cpN > 1 && cfg.CPStrategy != cp.StrategyAllGather {
-		cpRing = cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), rv.cp.ranks, cfg.Seq,
-			nil, false, int(nHl), int(nKVl), int(hd)).HasRing()
-	}
+	cpRing := cpN > 1 && cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), rv.cp.ranks, cfg.Seq,
+		nil, false, int(nHl), int(nKVl), int(hd)).HasRing()
 	ringNext, ringPrev := rv.id, rv.id
 	if cpRing {
 		lr := 0

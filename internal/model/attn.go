@@ -95,11 +95,11 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	ctx.qRot = q
 
 	if env.KV != nil {
-		if ks, ok := env.KV.(KVStreamer); ok && attention.BlockedEnabled() {
-			// Ring/adaptive context parallelism: stream score columns as
-			// K/V blocks arrive, hiding each block's transfer behind the
-			// previous block's compute. Bitwise identical to gather-then-
-			// attend (attention.StreamScores/StreamFinish).
+		if ks, ok := env.KV.(KVStreamer); ok && ks.Streams() && attention.BlockedEnabled() {
+			// The exchange rings at least one document: stream score
+			// columns as K/V blocks arrive, hiding each block's transfer
+			// behind the previous block's compute. Bitwise identical to
+			// gather-then-attend (attention.StreamScores/StreamFinish).
 			return a.forwardStreamed(x, q, k, v, ks, env, ctx)
 		}
 		// Context parallelism: all-gather the full-sequence K/V (§4).

@@ -78,6 +78,11 @@ type PosRun struct {
 // with runs that exactly cover the sequence across all calls.
 type KVStreamer interface {
 	KVComm
+	// Streams reports whether this exchange delivers blocks over time (it
+	// routes something through a ring). When it does not, the full K/V
+	// arrive at once and the fused gather-then-attend kernel is the cheaper
+	// path; the attention layer picks between the two from this alone.
+	Streams() bool
 	// SeqLen returns the full sequence length the exchange assembles.
 	SeqLen() int
 	// StreamKV performs the exchange, calling onBlock (which may be nil) as

@@ -140,12 +140,7 @@ func slowFastRatio(sorted []float64) float64 {
 // quantity the per-rank attention.Recorder measures and balance.PlanShards
 // minimises, so measured and modeled skew compare directly.
 func ShardSkew(shards [][]int, starts []int, seq int) float64 {
-	loads := make([]int64, len(shards))
-	for r, pos := range shards {
-		g := attention.BuildGridFromStarts(pos, starts, 0, seq)
-		loads[r] = g.TotalPairs() - g.EmptyPairs
-	}
-	return balance.MaxMeanRatio(loads)
+	return balance.MaxMeanRatio(balance.ShardCosts(starts, seq, shards))
 }
 
 func mean(xs []float64) float64 {
