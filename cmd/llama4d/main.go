@@ -809,7 +809,7 @@ func balanceStudy() {
 		match = "MISMATCH (bug!)"
 	}
 	fmt.Printf("measured vs modeled imbalance summary: %s\n", match)
-	fmt.Println("(BenchmarkBalance sweeps three length distributions with bitwise placement guards)")
+	fmt.Println("(internal/balance's live-cluster test sweeps three length distributions with bitwise placement guards)")
 }
 
 // cpStudy sweeps the per-document Fig 13 crossover with the shared strategy
@@ -884,7 +884,7 @@ func cpStudy() {
 		1e3*agT, 1e3*ringT, 1e3*adT)
 
 	// Live toy run: a 4-rank document-masked step under the adaptive strategy
-	// with a crossover-scaled cost model (see BenchmarkCP), confirming the
+	// with a crossover-scaled cost model (xval's toyCPCost), confirming the
 	// routing genuinely splits and every ring transfer is issued nonblocking.
 	toy := cost.Default()
 	toy.AttnMFU = 1e-12

@@ -5,7 +5,7 @@
 // full-forward oracle, and continuous batching covers the identical workload
 // in a fraction of the engine steps without changing a single token. (The
 // wall-clock side of that claim needs a model whose weights dwarf the cache;
-// BenchmarkServe measures it on one.)
+// the serve-decode workload of bench/ measures it on one.)
 package main
 
 import (

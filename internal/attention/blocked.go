@@ -3,7 +3,6 @@ package attention
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"llama4d/internal/tensor"
 )
@@ -33,32 +32,20 @@ const (
 	defaultTileCols = 64
 )
 
-// Engine configuration. Plain variables, not atomics: they are set during
+// Tile geometry. Plain variables, not atomics: they are set during
 // single-goroutine setup (before a cluster's rank goroutines are spawned —
 // goroutine creation publishes the write) and read-only while kernels run.
 var (
-	blockedEnabled = true
-	tileRows       = defaultTileRows
-	tileCols       = defaultTileCols
+	tileRows = defaultTileRows
+	tileCols = defaultTileCols
 )
-
-// SetBlocked toggles the blocked engine for Forward, Backward and
-// PartialForwardInto; off means the dense reference kernels run. Returns the
-// previous setting. Blocked and dense are bitwise identical, so the toggle
-// exists for benchmarking and property tests, not correctness.
-func SetBlocked(on bool) bool {
-	prev := blockedEnabled
-	blockedEnabled = on
-	return prev
-}
-
-// BlockedEnabled reports whether the blocked engine is active.
-func BlockedEnabled() bool { return blockedEnabled }
 
 // SetTiling sets the blocked engine's tile geometry and returns the previous
 // one. Small tiles resolve finer mask structure (more empty tiles) at higher
 // classification overhead; the tiling never changes results, only which work
-// is provably skippable.
+// is provably skippable. It stays process-wide because the balance planner,
+// the data packer, the simulator and xval must classify with the kernels'
+// geometry, and none of them shares a value with the kernels to carry it.
 func SetTiling(rows, cols int) (prevRows, prevCols int) {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("attention: invalid tiling %dx%d", rows, cols))
@@ -257,11 +244,10 @@ func BuildGridFromStarts(qPos []int, starts []int, kOff, sk int) *Grid {
 	return g
 }
 
-// Stats is the blocked engine's cumulative work accounting: one Calls
-// increment plus the underlying grid's pair/tile counts per engine
-// invocation (Forward, Backward, or PartialForwardInto). Like the tensor
-// FLOP counters it is world-global; internal/metrics attributes it to steps
-// via StatsSnapshot deltas.
+// Stats is the blocked engine's work accounting: one Calls increment plus
+// the underlying grid's pair/tile counts per recorded engine invocation. A
+// Recorder accumulates it per rank; internal/metrics sums the ranks into the
+// step's profile.
 type Stats struct {
 	Calls        int64 `json:"calls"`
 	TotalPairs   int64 `json:"total_pairs"`
@@ -270,19 +256,6 @@ type Stats struct {
 	FullTiles    int64 `json:"full_tiles"`
 	PartialTiles int64 `json:"partial_tiles"`
 	EmptyTiles   int64 `json:"empty_tiles"`
-}
-
-// Sub returns s - prev, field-wise: the delta between two snapshots.
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Calls:        s.Calls - prev.Calls,
-		TotalPairs:   s.TotalPairs - prev.TotalPairs,
-		AllowedPairs: s.AllowedPairs - prev.AllowedPairs,
-		EmptyPairs:   s.EmptyPairs - prev.EmptyPairs,
-		FullTiles:    s.FullTiles - prev.FullTiles,
-		PartialTiles: s.PartialTiles - prev.PartialTiles,
-		EmptyTiles:   s.EmptyTiles - prev.EmptyTiles,
-	}
 }
 
 // Add returns s + o, field-wise.
@@ -312,46 +285,6 @@ func (s Stats) Scale(n int64) Stats {
 	}
 }
 
-var (
-	statCalls, statTotalPairs, statAllowedPairs, statEmptyPairs atomic.Int64
-	statFullTiles, statPartialTiles, statEmptyTiles             atomic.Int64
-)
-
-// StatsSnapshot returns the cumulative blocked-engine stats since process
-// start (or the last ResetStats).
-func StatsSnapshot() Stats {
-	return Stats{
-		Calls:        statCalls.Load(),
-		TotalPairs:   statTotalPairs.Load(),
-		AllowedPairs: statAllowedPairs.Load(),
-		EmptyPairs:   statEmptyPairs.Load(),
-		FullTiles:    statFullTiles.Load(),
-		PartialTiles: statPartialTiles.Load(),
-		EmptyTiles:   statEmptyTiles.Load(),
-	}
-}
-
-// ResetStats zeroes the cumulative blocked-engine stats.
-func ResetStats() {
-	statCalls.Store(0)
-	statTotalPairs.Store(0)
-	statAllowedPairs.Store(0)
-	statEmptyPairs.Store(0)
-	statFullTiles.Store(0)
-	statPartialTiles.Store(0)
-	statEmptyTiles.Store(0)
-}
-
-func recordGrid(g *Grid) {
-	statCalls.Add(1)
-	statTotalPairs.Add(g.TotalPairs())
-	statAllowedPairs.Add(g.AllowedPairs)
-	statEmptyPairs.Add(g.EmptyPairs)
-	statFullTiles.Add(g.FullTiles)
-	statPartialTiles.Add(g.PartialTiles)
-	statEmptyTiles.Add(g.EmptyTiles)
-}
-
 // effFLOPs returns the effective FLOP count of one matmul-shaped sweep over
 // the grid with inner dimension d: 2·d per swept pair, empty tiles skipped.
 func effFLOPs(g *Grid, d int) int64 {
@@ -373,7 +306,6 @@ func blockedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *R
 	sk := k.Rows()
 	scale := float32(1 / math.Sqrt(float64(d)))
 	g := BuildGrid(m, qPos, kOff, sk)
-	recordGrid(g)
 	rec.Record(g, 2, d)
 	eff := effFLOPs(g, d)
 	tensor.CountMatMulFLOPs(sq, d, sk, eff) // scores q@kᵀ
@@ -710,7 +642,6 @@ func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int
 	sk := k.Rows()
 	scale := float32(1 / math.Sqrt(float64(d)))
 	g := BuildGrid(m, qPos, kOff, sk)
-	recordGrid(g)
 	rec.Record(g, 4, d)
 	eff := effFLOPs(g, d)
 	tensor.CountMatMulFLOPs(sk, sq, d, eff) // dV = pᵀ@dO
@@ -810,7 +741,6 @@ func blockedPartialInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int
 	sk := k.Rows()
 	scale := float32(1 / math.Sqrt(float64(d)))
 	g := BuildGrid(m, qPos, kOff, sk)
-	recordGrid(g)
 	tensor.CountMatMulFLOPs(sq, d, sk, effFLOPs(g, d))
 	s := tensor.GetUninit(sq, sk)
 	out = preparePartial(out, sq, d)

@@ -63,8 +63,6 @@ func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, 
 // bitwise against the dense references.
 func TestBlockedMatchesDenseGrid(t *testing.T) {
 	const d = 8
-	prevOn := SetBlocked(true)
-	defer SetBlocked(prevOn)
 	pr, pc := Tiling()
 	defer SetTiling(pr, pc)
 
@@ -108,6 +106,36 @@ func TestBlockedMatchesDenseGrid(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// docLengths draws a deterministic packed-document length distribution with
+// the given mean (uniform on 1..2·avg−1), covering at least seq tokens.
+func docLengths(avg, seq int, seed int64) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var out []int
+	for total := 0; total < seq; {
+		n := 1 + rng.Intn(2*avg-1)
+		out = append(out, n)
+		total += n
+	}
+	return out
+}
+
+// TestBlockedMatchesDensePerDistribution is the training-shape complement of
+// the grid above: one 1024-token head at d=64 under the default 64×64 tiling
+// — large enough that the row-parallel split and the 4-wide unrolled inner
+// loops run — for document masks of mean length 64 to 512 plus plain causal.
+// Forward, backward and the partial kernel must match the dense oracles
+// bitwise on every distribution.
+func TestBlockedMatchesDensePerDistribution(t *testing.T) {
+	const seq, d = 1024, 64
+	for di, avgLen := range []int{64, 128, 256, 512, 0} { // 0 = plain causal
+		var m Mask = Causal{}
+		if avgLen > 0 {
+			m = Document{DocID: DocIDsFromLengths(docLengths(avgLen, seq, int64(1000+di)), seq)}
+		}
+		checkBlockedVsDense(t, fmt.Sprintf("docs%d", avgLen), int64(2000+di), seq, seq, d, m, Iota(seq), 0)
 	}
 }
 
@@ -209,8 +237,9 @@ func contiguous(qPos []int) bool {
 // TestBlockedFLOPAndStatsAccounting pins the effective-FLOP counter and the
 // sparsity stats to their contracts: Forward counts 2 matmuls and Backward 4
 // at nominal 2·m·k·n each, the effective counter subtracts exactly
-// 2·d·EmptyPairs per matmul, and each engine call records exactly one grid
-// summary into the package stats.
+// 2·d·EmptyPairs per matmul, and each recorded engine call folds exactly one
+// grid summary — and the same FLOPs the tensor counters saw — into the
+// caller's Recorder.
 func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	pr, pc := Tiling()
 	defer SetTiling(pr, pc)
@@ -226,8 +255,8 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	}
 
 	tensor.ResetFLOPCount()
-	s0 := StatsSnapshot()
-	out := Forward(q, k, v, m, qPos, 0)
+	rec := &Recorder{}
+	out := ForwardRecorded(q, k, v, m, qPos, 0, rec)
 	nominalFwd := int64(2 * 2 * sq * sk * d)
 	if got := tensor.FLOPCount(); got != nominalFwd {
 		t.Fatalf("forward nominal FLOPs %d, want %d", got, nominalFwd)
@@ -235,14 +264,18 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	if got, want := tensor.EffectiveFLOPCount(), nominalFwd-2*2*int64(d)*g.EmptyPairs; got != want {
 		t.Fatalf("forward effective FLOPs %d, want %d", got, want)
 	}
-	delta := StatsSnapshot().Sub(s0)
-	if delta.Calls != 1 || delta != g.Summary() {
-		t.Fatalf("forward stats delta %+v != grid summary %+v", delta, g.Summary())
+	if rec.Stats.Calls != 1 || rec.Stats != g.Summary() {
+		t.Fatalf("forward recorded %+v != grid summary %+v", rec.Stats, g.Summary())
+	}
+	if rec.NominalFLOPs != tensor.FLOPCount() || rec.EffFLOPs != tensor.EffectiveFLOPCount() {
+		t.Fatalf("forward recorder FLOPs %d/%d != tensor counters %d/%d",
+			rec.EffFLOPs, rec.NominalFLOPs, tensor.EffectiveFLOPCount(), tensor.FLOPCount())
 	}
 
 	tensor.ResetFLOPCount()
+	rec.Reset()
 	dO := tensor.RandN(rand.New(rand.NewSource(516)), 1, sq, d)
-	Backward(q, k, v, out.P, dO, m, qPos, 0)
+	BackwardRecorded(q, k, v, out.P, dO, m, qPos, 0, rec)
 	nominalBwd := int64(4 * 2 * sq * sk * d)
 	if got := tensor.FLOPCount(); got != nominalBwd {
 		t.Fatalf("backward nominal FLOPs %d, want %d", got, nominalBwd)
@@ -250,9 +283,12 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	if got, want := tensor.EffectiveFLOPCount(), nominalBwd-4*2*int64(d)*g.EmptyPairs; got != want {
 		t.Fatalf("backward effective FLOPs %d, want %d", got, want)
 	}
+	if rec.Stats != g.Summary() || rec.NominalFLOPs != nominalBwd || rec.EffFLOPs != tensor.EffectiveFLOPCount() {
+		t.Fatalf("backward recorded %+v eff %d nominal %d, want one grid summary %+v and the tensor counters",
+			rec.Stats, rec.EffFLOPs, rec.NominalFLOPs, g.Summary())
+	}
 
 	tensor.ResetFLOPCount()
-	s1 := StatsSnapshot()
 	p := PartialForwardInto(nil, q, k, v, m, qPos, 0)
 	ReleasePartial(p)
 	nominalPart := int64(2 * sq * sk * d) // the scores matmul; the dense partial's PV sweep is uncounted
@@ -262,15 +298,11 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	if got, want := tensor.EffectiveFLOPCount(), nominalPart-2*int64(d)*g.EmptyPairs; got != want {
 		t.Fatalf("partial effective FLOPs %d, want %d", got, want)
 	}
-	if delta := StatsSnapshot().Sub(s1); delta.Calls != 1 {
-		t.Fatalf("partial recorded %d calls, want 1", delta.Calls)
-	}
 	tensor.ResetFLOPCount()
 }
 
-// TestSetTilingValidation covers the toggle API: SetTiling rejects
-// non-positive tiles, and SetBlocked/SetTiling return the previous values
-// for restoration.
+// TestSetTilingValidation covers the tiling API: SetTiling rejects
+// non-positive tiles and returns the previous values for restoration.
 func TestSetTilingValidation(t *testing.T) {
 	pr, pc := Tiling()
 	defer SetTiling(pr, pc)
@@ -283,10 +315,5 @@ func TestSetTilingValidation(t *testing.T) {
 	if r1, c1 := SetTiling(r0, c0); r1 != 32 || c1 != 16 {
 		t.Fatalf("SetTiling returned (%d,%d), want (32,16)", r1, c1)
 	}
-	on := SetBlocked(false)
-	if BlockedEnabled() {
-		t.Fatal("SetBlocked(false) left the engine enabled")
-	}
-	SetBlocked(on)
 	SetTiling(0, 4)
 }

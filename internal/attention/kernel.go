@@ -17,50 +17,31 @@ type Output struct {
 // global position of each query row; keys occupy global positions
 // kOff..kOff+sk-1.
 //
-// By default the mask-structured blocked engine runs (blocked.go): score
-// tiles with no allowed pair are skipped in every sweep and fully-allowed
-// tiles run without per-element mask checks — bitwise identical to the dense
-// reference path (DenseForward), which SetBlocked(false) selects. The
-// mask/softmax sweep is row-parallel above the tensor package's FLOP
-// threshold: each query row is masked and normalised independently, so the
-// split is bitwise invisible (the §6.2 determinism contract).
+// The mask-structured blocked engine runs (blocked.go): score tiles with no
+// allowed pair are skipped in every sweep and fully-allowed tiles run without
+// per-element mask checks — bitwise identical to the dense reference
+// (DenseForward), which tests call directly as the oracle. The mask/softmax
+// sweep is row-parallel above the tensor package's FLOP threshold: each query
+// row is masked and normalised independently, so the split is bitwise
+// invisible (the §6.2 determinism contract).
 func Forward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 	return ForwardRecorded(q, k, v, m, qPos, kOff, nil)
 }
 
-// ForwardRecorded is Forward with a per-rank census recorder: when the
-// blocked engine runs, the call's tile grid is folded into rec (2 sweeps —
-// scores and P·V). A nil rec records nothing; the dense path never records,
-// matching the global Stats counters.
+// ForwardRecorded is Forward with a per-rank census recorder: the call's
+// tile grid is folded into rec (2 sweeps — scores and P·V). A nil rec
+// records nothing.
 func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) *Output {
 	checkShapes(q, k, v, qPos)
-	if blockedEnabled {
-		return blockedForward(q, k, v, m, qPos, kOff, rec)
-	}
-	return denseForward(q, k, v, m, qPos, kOff)
+	return blockedForward(q, k, v, m, qPos, kOff, rec)
 }
 
 // DenseForward is the dense reference kernel: the full score matrix is
 // materialised and swept with per-row masking regardless of mask structure.
-// It is the oracle the blocked engine is property-tested against and the
-// baseline the attention benchmarks compare with.
+// It is the oracle the blocked engine is property-tested against; no
+// training or serving path calls it.
 func DenseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 	checkShapes(q, k, v, qPos)
-	return denseForward(q, k, v, m, qPos, kOff)
-}
-
-func checkShapes(q, k, v *tensor.Tensor, qPos []int) {
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	if len(qPos) != sq {
-		panic(fmt.Sprintf("attention: %d qPos for %d query rows", len(qPos), sq))
-	}
-	if k.Cols() != d || v.Rows() != sk {
-		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v", q.Shape, k.Shape, v.Shape))
-	}
-}
-
-func denseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 	sq, d := q.Rows(), q.Cols()
 	sk := k.Rows()
 	scale := float32(1 / math.Sqrt(float64(d)))
@@ -73,6 +54,17 @@ func denseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output 
 		})
 	}
 	return &Output{O: tensor.MatMul(s, v), P: s}
+}
+
+func checkShapes(q, k, v *tensor.Tensor, qPos []int) {
+	sq, d := q.Rows(), q.Cols()
+	sk := k.Rows()
+	if len(qPos) != sq {
+		panic(fmt.Sprintf("attention: %d qPos for %d query rows", len(qPos), sq))
+	}
+	if k.Cols() != d || v.Rows() != sk {
+		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v", q.Shape, k.Shape, v.Shape))
+	}
 }
 
 // maskedSoftmaxRows scales and softmaxes score rows [lo, hi) in place,
@@ -107,19 +99,16 @@ func Backward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int) (dQ, 
 	return BackwardRecorded(q, k, v, p, dO, m, qPos, kOff, nil)
 }
 
-// BackwardRecorded is Backward with a per-rank census recorder: when the
-// blocked engine runs, the call's tile grid is folded into rec (4 sweeps —
-// dV, dP, dQ, dK). A nil rec records nothing.
+// BackwardRecorded is Backward with a per-rank census recorder: the call's
+// tile grid is folded into rec (4 sweeps — dV, dP, dQ, dK). A nil rec
+// records nothing.
 func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
-	if blockedEnabled {
-		return blockedBackward(q, k, v, p, dO, m, qPos, kOff, rec)
-	}
-	return DenseBackward(q, k, v, p, dO)
+	return blockedBackward(q, k, v, p, dO, m, qPos, kOff, rec)
 }
 
 // DenseBackward is the dense reference backward pass: every gradient product
 // sweeps the full score plane, relying only on the exact zeros of masked
-// probabilities. Oracle and benchmark baseline for the blocked engine.
+// probabilities. Oracle for the blocked engine.
 func DenseBackward(q, k, v, p, dO *tensor.Tensor) (dQ, dK, dV *tensor.Tensor) {
 	d := q.Cols()
 	scale := float32(1 / math.Sqrt(float64(d)))
@@ -181,20 +170,16 @@ func PartialForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Parti
 // another can stream through the same scratch Partial (ring attention). A
 // nil out allocates a fresh Partial from the tensor pool.
 //
-// Like Forward it runs the blocked engine unless SetBlocked(false); the
-// per-row online-softmax sweep is row-parallel above the FLOP threshold and
-// rows are independent, so neither the worker split nor the tile skipping
-// ever changes bits.
+// Like Forward it runs the blocked engine; the per-row online-softmax sweep
+// is row-parallel above the FLOP threshold and rows are independent, so
+// neither the worker split nor the tile skipping ever changes bits.
 func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
 	checkShapes(q, k, v, qPos)
-	if blockedEnabled {
-		return blockedPartialInto(out, q, k, v, m, qPos, kOff)
-	}
-	return DensePartialForwardInto(out, q, k, v, m, qPos, kOff)
+	return blockedPartialInto(out, q, k, v, m, qPos, kOff)
 }
 
-// DensePartialForwardInto is the dense reference partial kernel (oracle and
-// benchmark baseline for the blocked one).
+// DensePartialForwardInto is the dense reference partial kernel (oracle for
+// the blocked one).
 func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
 	checkShapes(q, k, v, qPos)
 	sq, d := q.Rows(), q.Cols()

@@ -230,3 +230,91 @@ func TestStreamedForwardParallelBitwise(t *testing.T) {
 		t.Fatal("blocked Forward differs across GOMAXPROCS")
 	}
 }
+
+// seedPartialForward is a frozen copy of the seed's partial kernel: a
+// single-accumulator MatMulT, per-element interface-dispatched mask calls in
+// the score loop, and fresh allocations for every buffer. It is the oracle
+// the optimised kernel's accumulation order is pinned against.
+func seedPartialForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
+	sq, d := q.Rows(), q.Cols()
+	sk := k.Rows()
+	scale := float32(1 / math.Sqrt(float64(d)))
+	s := seedMatMulT(q, k)
+	out := &Partial{O: tensor.New(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
+	for i := 0; i < sq; i++ {
+		row := s.Row(i)
+		maxv := float32(math.Inf(-1))
+		for j := 0; j < sk; j++ {
+			if m.Allowed(qPos[i], kOff+j) {
+				row[j] *= scale
+				if row[j] > maxv {
+					maxv = row[j]
+				}
+			} else {
+				row[j] = float32(math.Inf(-1))
+			}
+		}
+		out.M[i] = maxv
+		if math.IsInf(float64(maxv), -1) {
+			continue
+		}
+		oi := out.O.Row(i)
+		var l float32
+		for j := 0; j < sk; j++ {
+			if math.IsInf(float64(row[j]), -1) {
+				continue
+			}
+			e := float32(math.Exp(float64(row[j] - maxv)))
+			l += e
+			vj := v.Row(j)
+			for c := 0; c < d; c++ {
+				oi[c] += e * vj[c]
+			}
+		}
+		out.L[i] = l
+	}
+	return out
+}
+
+func seedMatMulT(a, b *tensor.Tensor) *tensor.Tensor {
+	m, k := a.Rows(), a.Cols()
+	n := b.Rows()
+	out := tensor.New(m, n)
+	for i := 0; i < m; i++ {
+		ai := a.Data[i*k : (i+1)*k]
+		oi := out.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			bj := b.Data[j*k : (j+1)*k]
+			var s float32
+			for p := range ai {
+				s += ai[p] * bj[p]
+			}
+			oi[j] = s
+		}
+	}
+	return out
+}
+
+// TestPartialForwardMatchesSeedBitwise runs the flash-style partial kernel
+// on one 256-key block at head dim 64 under a document mask — the shape and
+// mask a CP rank sees per head. The live kernel and the seed copy visit
+// allowed keys in the same order with the same scaling, so output and
+// softmax statistics must agree bitwise.
+func TestPartialForwardMatchesSeedBitwise(t *testing.T) {
+	const sq, sk, d = 256, 256, 64
+	q, k, v := randQKV(77, sq, sk, d)
+	m := Document{DocID: DocIDsFromLengths([]int{100, 77, 200}, 512)}
+	qPos := Iota(sq)
+	want := seedPartialForward(q, k, v, m, qPos, 0)
+	got := PartialForward(q, k, v, m, qPos, 0)
+	if !tensor.BitwiseEqual(want.O, got.O) {
+		t.Fatal("partial O differs from the seed kernel")
+	}
+	for i := range want.M {
+		if math.Float32bits(want.M[i]) != math.Float32bits(got.M[i]) ||
+			math.Float32bits(want.L[i]) != math.Float32bits(got.L[i]) {
+			t.Fatalf("partial stats differ from the seed kernel at row %d", i)
+		}
+	}
+	ReleasePartial(got)
+}

@@ -2,18 +2,16 @@ package attention
 
 // Recorder accumulates the blocked engine's per-call census for one consumer
 // — in practice one cluster rank, so the workload-balance planner and the
-// metrics registry can attribute effective attention work to individual ranks
-// instead of only to the world-global atomic counters (StatsSnapshot).
+// metrics registry attribute effective attention work to individual ranks;
+// the step's world total is the sum of its ranks' recorders.
 //
 // A Recorder is NOT safe for concurrent use: each rank goroutine owns its
 // own, and the registry reads it only after the step's goroutines have joined
 // (RunSPMD's join publishes the writes). A nil *Recorder is a valid no-op
 // receiver, so un-instrumented call sites pass nil at zero cost.
 //
-// Recording mirrors the global counters exactly: it fires only on the blocked
-// engine paths, once per Forward/Backward invocation, with the same Grid the
-// kernels classify with — so a rank's Stats sum equals the StatsSnapshot
-// delta whenever every recorded call site belongs to that rank.
+// Recording fires once per ForwardRecorded/BackwardRecorded/StreamFinish
+// invocation, with the same Grid the kernels classify with.
 type Recorder struct {
 	// Stats is the unscaled census sum: one Summary() per recorded call.
 	Stats Stats

@@ -107,7 +107,6 @@ func StreamFinish(s, v *tensor.Tensor, m Mask, qPos []int, g *Grid, rec *Recorde
 	sq, sk := s.Rows(), s.Cols()
 	d := v.Cols()
 	scale := float32(1 / math.Sqrt(float64(d)))
-	recordGrid(g)
 	rec.Record(g, 2, d)
 	eff := effFLOPs(g, d)
 	tensor.CountMatMulFLOPs(sq, d, sk, eff) // scores q@kᵀ (streamed)

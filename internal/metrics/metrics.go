@@ -80,12 +80,11 @@ type RankReport struct {
 
 	// Attn is this rank's own blocked-attention census for the step (the
 	// per-rank attention.Recorder threaded through the model environments),
-	// with the rank's effective and nominal attention-matmul FLOPs. Unlike
-	// StepReport.Attn — a world-global counter delta — this attributes the
-	// sparsity-adjusted work to individual ranks, which is what the
-	// workload-balance planner equalises and the imbalance summary ranks.
-	// All-zero when the rank ran no recorded attention (dense engine, or a
-	// pipeline stage with no transformer layers).
+	// with the rank's effective and nominal attention-matmul FLOPs.
+	// StepReport.Attn is the sum of these over ranks; the per-rank view is
+	// what the workload-balance planner equalises and the imbalance summary
+	// ranks. All-zero when the rank ran no attention (a pipeline stage with
+	// no transformer layers).
 	Attn             attention.Stats `json:"rank_attn"`
 	AttnEffFLOPs     int64           `json:"attn_eff_flops"`
 	AttnNominalFLOPs int64           `json:"attn_nominal_flops"`
@@ -151,9 +150,10 @@ type StepReport struct {
 	// block-skipped; xval asserts it against the closed-form tile prediction.
 	EffectiveFLOPs int64 `json:"effective_flops"`
 
-	// Attn is the step's attention-sparsity profile (attention.StatsSnapshot
-	// delta): kernel calls, allowed/total score pairs under the mask, and the
-	// full/partial/empty tile census of the blocked engine.
+	// Attn is the step's attention-sparsity profile, summed over this
+	// registry's per-rank recorders: kernel calls, allowed/total score pairs
+	// under the mask, and the full/partial/empty tile census of the blocked
+	// engine. Another cluster's calls in the same process never appear here.
 	Attn attention.Stats `json:"attn"`
 
 	// Pool is the tensor arena traffic of the step (DefaultPoolStats delta).
@@ -191,19 +191,20 @@ type rankState struct {
 // goroutines never contend on one mutex; BeginStep/EndStep must be called
 // while no ranks are running (between steps).
 type Registry struct {
-	col      trace.Collector
 	start    time.Time
 	ranks    []*rankState
 	attnRecs []*attention.Recorder
 
-	stepStart  time.Time
-	stepOffset float64 // seconds since start at BeginStep
-	step       int64
-	flops0     int64
-	effFlops0  int64
-	attn0      attention.Stats
-	pool0      tensor.PoolStats
-	poolTags0  map[string]tensor.PoolStats
+	evMu       sync.Mutex
+	events     []trace.Event // every step's events, in record order
+	stepEvent0 int           // len(events) at BeginStep: EndStep folds events[stepEvent0:]
+
+	stepStart time.Time
+	step      int64
+	flops0    int64
+	effFlops0 int64
+	pool0     tensor.PoolStats
+	poolTags0 map[string]tensor.PoolStats
 }
 
 // NewRegistry creates a registry for a world of nRanks ranks.
@@ -244,10 +245,16 @@ func (r *Registry) rank(rank int) *rankState {
 // now returns seconds since the registry was created — the trace timebase.
 func (r *Registry) now() float64 { return time.Since(r.start).Seconds() }
 
+func (r *Registry) recordEvent(e trace.Event) {
+	r.evMu.Lock()
+	r.events = append(r.events, e)
+	r.evMu.Unlock()
+}
+
 // RecordComm implements comm.Recorder: one collective's wall time lands on
 // the shared trace as a comm event.
 func (r *Registry) RecordComm(rank int, label string, dur float64) {
-	r.col.RecordEvent(trace.Event{
+	r.recordEvent(trace.Event{
 		Rank: rank, Kind: trace.Comm, Group: label, Name: label + ".collective",
 		Start: r.now() - dur, Dur: dur,
 	})
@@ -261,7 +268,7 @@ func (r *Registry) RecordComm(rank int, label string, dur float64) {
 // configuration's predicted split.
 func (r *Registry) RecordOverlap(rank int, group, op string, bytes int64, total, exposed float64) {
 	end := r.now()
-	r.col.RecordEvent(trace.Event{
+	r.recordEvent(trace.Event{
 		Rank: rank, Kind: trace.Overlap, Group: group, Name: group + "." + op + ".async",
 		Start: end - total, Dur: total,
 	})
@@ -299,12 +306,12 @@ func (r *Registry) OpExecuted(rank int, op pp.Op, dur, p2pWait float64, liveByte
 	end := r.now()
 	name := fmt.Sprintf("%s s%d mb%d", op.Kind, op.Stage, op.MB)
 	if p2pWait > 0 {
-		r.col.RecordEvent(trace.Event{
+		r.recordEvent(trace.Event{
 			Rank: rank, Kind: trace.Idle, Group: "pp", Name: name + " wait",
 			Start: end - dur, Dur: p2pWait,
 		})
 	}
-	r.col.RecordEvent(trace.Event{
+	r.recordEvent(trace.Event{
 		Rank: rank, Kind: trace.Compute, Name: name,
 		Start: end - dur + p2pWait, Dur: dur - p2pWait,
 	})
@@ -323,17 +330,22 @@ func (r *Registry) OpExecuted(rank int, op pp.Op, dur, p2pWait float64, liveByte
 }
 
 // Trace returns a snapshot of the collected event trace (all steps).
-func (r *Registry) Trace() *trace.Trace { return r.col.Snapshot() }
+func (r *Registry) Trace() *trace.Trace {
+	r.evMu.Lock()
+	defer r.evMu.Unlock()
+	return &trace.Trace{Events: append([]trace.Event(nil), r.events...)}
+}
 
 // BeginStep resets the per-step state and snapshots the world-global
 // counters (FLOPs, pool) so EndStep can report deltas.
 func (r *Registry) BeginStep(step int64) {
 	r.step = step
 	r.stepStart = time.Now()
-	r.stepOffset = r.now()
+	r.evMu.Lock()
+	r.stepEvent0 = len(r.events)
+	r.evMu.Unlock()
 	r.flops0 = tensor.FLOPCount()
 	r.effFlops0 = tensor.EffectiveFLOPCount()
-	r.attn0 = attention.StatsSnapshot()
 	r.pool0 = tensor.DefaultPoolStats()
 	r.poolTags0 = tensor.DefaultPoolTagStats()
 	for _, rec := range r.attnRecs {
@@ -362,7 +374,6 @@ func (r *Registry) EndStep() *StepReport {
 		WallSeconds:    wall,
 		FLOPs:          tensor.FLOPCount() - r.flops0,
 		EffectiveFLOPs: tensor.EffectiveFLOPCount() - r.effFlops0,
-		Attn:           attention.StatsSnapshot().Sub(r.attn0),
 		Pool: tensor.PoolStats{
 			Gets: pool.Gets - r.pool0.Gets, Hits: pool.Hits - r.pool0.Hits,
 			Puts: pool.Puts - r.pool0.Puts, Rejects: pool.Rejects - r.pool0.Rejects,
@@ -382,11 +393,29 @@ func (r *Registry) EndStep() *StepReport {
 		}
 		rep.PoolTags[tag] = d
 	}
-	tr := r.col.Snapshot()
+	// Fold wall time in from this step's trace events only, one pass
+	// bucketed by rank: the cost is this step's events, not the registry's
+	// lifetime.
+	commSec := make([]float64, len(r.ranks))
+	computeSec := make([]float64, len(r.ranks))
+	r.evMu.Lock()
+	for _, e := range r.events[r.stepEvent0:] {
+		if e.Rank < 0 || e.Rank >= len(r.ranks) {
+			continue
+		}
+		switch e.Kind {
+		case trace.Comm:
+			commSec[e.Rank] += e.Dur
+		case trace.Compute:
+			computeSec[e.Rank] += e.Dur
+		}
+	}
+	r.evMu.Unlock()
 	effs := make([]int64, len(r.ranks))
 	for rank, rs := range r.ranks {
 		rec := r.attnRecs[rank]
 		effs[rank] = rec.EffFLOPs
+		rep.Attn = rep.Attn.Add(rec.Stats)
 		rs.mu.Lock()
 		rr := RankReport{
 			Rank:                rank,
@@ -397,6 +426,8 @@ func (r *Registry) EndStep() *StepReport {
 			PeakActivationBytes: rs.peakByte,
 			PeakLiveContexts:    rs.peakCtx,
 			Ops:                 append([]pp.Op(nil), rs.ops...),
+			CommSeconds:         commSec[rank],
+			ComputeSeconds:      computeSec[rank],
 			Attn:                rec.Stats,
 			AttnEffFLOPs:        rec.EffFLOPs,
 			AttnNominalFLOPs:    rec.NominalFLOPs,
@@ -411,18 +442,6 @@ func (r *Registry) EndStep() *StepReport {
 			}
 		}
 		rs.mu.Unlock()
-		// Fold wall time in from this step's trace events.
-		for _, e := range tr.Events {
-			if e.Rank != rank || e.End() <= r.stepOffset {
-				continue
-			}
-			switch e.Kind {
-			case trace.Comm:
-				rr.CommSeconds += e.Dur
-			case trace.Compute:
-				rr.ComputeSeconds += e.Dur
-			}
-		}
 		idle := wall - rr.ComputeSeconds - rr.P2PWaitSeconds
 		if idle < 0 {
 			idle = 0

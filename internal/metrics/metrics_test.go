@@ -58,6 +58,47 @@ func TestRegistryAccumulation(t *testing.T) {
 	}
 }
 
+// TestEndStepFoldsOnlyItsOwnEvents steps one 4-rank registry 50 times and
+// checks two things against 50 fresh registries fed the same calls: every
+// rank's comm and compute seconds match exactly (earlier steps' events never
+// leak into a later fold), and the slice EndStep folds — events[stepEvent0:]
+// — stays the size of one step while the full trace keeps every step.
+func TestEndStepFoldsOnlyItsOwnEvents(t *testing.T) {
+	const ranks, steps = 4, 50
+	feed := func(r *Registry, step int) {
+		for rank := 0; rank < ranks; rank++ {
+			r.RecordComm(rank, "tp", 1e-3*float64(step+rank+1))
+			r.OpExecuted(rank, pp.Op{Kind: pp.Fwd, MB: step}, 3e-3*float64(rank+1), 1e-3, 0, 1)
+			r.OpExecuted(rank, pp.Op{Kind: pp.Bwd, MB: step}, 5e-3*float64(step+1), 0, 0, 1)
+		}
+	}
+	const perStep = ranks * 4 // one comm, two compute, one P2P-wait idle event per rank
+	long := NewRegistry(ranks)
+	for step := 0; step < steps; step++ {
+		long.BeginStep(int64(step))
+		feed(long, step)
+		if visited := len(long.events) - long.stepEvent0; visited != perStep {
+			t.Fatalf("step %d: EndStep would fold %d events, want %d", step, visited, perStep)
+		}
+		got := long.EndStep()
+
+		fresh := NewRegistry(ranks)
+		fresh.BeginStep(int64(step))
+		feed(fresh, step)
+		want := fresh.EndStep()
+		for rank := range want.Ranks {
+			g, w := got.Ranks[rank], want.Ranks[rank]
+			if g.CommSeconds != w.CommSeconds || g.ComputeSeconds != w.ComputeSeconds || g.P2PWaitSeconds != w.P2PWaitSeconds {
+				t.Fatalf("step %d rank %d: comm/compute/p2p %v/%v/%v, fresh registry says %v/%v/%v", step, rank,
+					g.CommSeconds, g.ComputeSeconds, g.P2PWaitSeconds, w.CommSeconds, w.ComputeSeconds, w.P2PWaitSeconds)
+			}
+		}
+	}
+	if got := len(long.Trace().Events); got != steps*perStep {
+		t.Fatalf("Trace() holds %d events, want all %d", got, steps*perStep)
+	}
+}
+
 // TestRegistryRejectsUnknownRank documents the hard failure on
 // out-of-registry ranks — a mis-wired cluster should crash, not corrupt a
 // neighbouring rank's numbers.

@@ -155,3 +155,53 @@ func TestCPSampleTrafficExact(t *testing.T) {
 		})
 	}
 }
+
+// TestCPExchangePriceOrdering pins the Fig 13 ordering of the shared cost
+// model on three document-length corpora (toy cost, so the crossover sits
+// near 10-token documents): priced per document over one global batch, ring
+// is cheaper than all-gather on full-sequence documents, all-gather cheaper
+// than ring on 4-token ones, and the adaptive per-document minimum is never
+// above the better pure strategy — strictly below both on the mixed corpus,
+// where at least one sample must route documents both ways.
+func TestCPExchangePriceOrdering(t *testing.T) {
+	const seq, gbs = 64, 4
+	m := toyCPCost()
+	mc := sweepModel()
+	qh, kvh, hd := mc.NHeads, mc.NKVHeads, mc.HeadDim()
+	ranks := []int{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name   string
+		avgDoc int
+		long   float64
+	}{
+		{"short", 4, 0},
+		{"mixed", 8, 0.25},
+		{"long", 4 * seq, 0}, // clipped: one full-sequence document
+	} {
+		gen := &data.Generator{Vocab: mc.Vocab, Seq: seq, Seed: 5, AvgDocLen: tc.avgDoc, LongDocFrac: tc.long}
+		var ag, ring, adaptive float64
+		mixed := false
+		for _, s := range gen.GlobalBatch(0, gbs) {
+			p := cp.PlanFor(cp.StrategyAdaptive, *m, ranks, seq, s.DocIDs, true, qh, kvh, hd)
+			mixed = mixed || (p.HasRing() && p.HasAllGather())
+			for d := range p.DocStarts {
+				n := p.DocEnd(d) - p.DocStarts[d]
+				a, r := m.CPAllGatherTime(ranks, n, kvh, hd), m.CPRingTime(ranks, n, qh, kvh, hd)
+				ag, ring, adaptive = ag+a, ring+r, adaptive+math.Min(a, r)
+			}
+		}
+		best := math.Min(ag, ring)
+		if tc.name == "long" && ring >= ag {
+			t.Errorf("long docs: ring %gs not below all-gather %gs", ring, ag)
+		}
+		if tc.name == "short" && ag >= ring {
+			t.Errorf("short docs: all-gather %gs not below ring %gs", ag, ring)
+		}
+		if adaptive > best {
+			t.Errorf("%s: adaptive %gs above best pure strategy %gs", tc.name, adaptive, best)
+		}
+		if tc.name == "mixed" && (adaptive >= best || !mixed) {
+			t.Errorf("mixed docs: adaptive %gs not strictly below best pure %gs (some sample routed both ways: %v)", adaptive, best, mixed)
+		}
+	}
+}

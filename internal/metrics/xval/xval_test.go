@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"llama4d/internal/attention"
@@ -80,14 +81,14 @@ func sweepCases() []sweepCase {
 
 func (sc sweepCase) config() core.Config {
 	return core.Config{
-		Model:     sweepModel(),
-		Topo:      sc.topo,
-		V:         sc.v,
-		NMB:       sc.nmb,
-		NC:        sc.nc,
-		ZeRO:      sc.zero,
-		Balanced:  sc.balanced,
-		Recompute: sc.rec,
+		Model:      sweepModel(),
+		Topo:       sc.topo,
+		V:          sc.v,
+		NMB:        sc.nmb,
+		NC:         sc.nc,
+		ZeRO:       sc.zero,
+		Balanced:   sc.balanced,
+		Recompute:  sc.rec,
 		Seq:        16,
 		GBS:        sc.gbs,
 		LR:         0.01,
@@ -98,23 +99,11 @@ func (sc sweepCase) config() core.Config {
 }
 
 // runMeasuredSteps builds the cluster, attaches a registry, runs two
-// training steps, and returns the cluster with both step reports.
+// training steps under the causal mask, and returns the cluster with both
+// step reports.
 func runMeasuredSteps(t *testing.T, sc sweepCase) (*core.Cluster, []*metrics.StepReport) {
 	t.Helper()
-	cfg := sc.config()
-	cl, err := core.NewCluster(cfg)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	reg := metrics.NewRegistry(cfg.Topo.World())
-	cl.Attach(reg)
-	gen := &data.Generator{Vocab: cfg.Model.Vocab, Seq: cfg.Seq, AvgDocLen: 8, Seed: 7}
-	var reps []*metrics.StepReport
-	for step := int64(0); step < 2; step++ {
-		reg.BeginStep(step)
-		cl.Step(gen, step)
-		reps = append(reps, reg.EndStep())
-	}
+	cl, reps, _ := runMaskedSteps(t, sc, false)
 	return cl, reps
 }
 
@@ -386,9 +375,9 @@ func TestSweepOverlapBitwiseAndVolumes(t *testing.T) {
 }
 
 // runMaskedSteps is runMeasuredSteps with the document mask selectable,
-// returning the per-step losses, reports, and the data generator (so the
-// attention predictor can rebuild the exact sample stream).
-func runMaskedSteps(t *testing.T, sc sweepCase, docMask bool) (*core.Cluster, []float64, []*metrics.StepReport, *data.Generator) {
+// returning the reports and the data generator (so the attention predictor
+// can rebuild the exact sample stream).
+func runMaskedSteps(t *testing.T, sc sweepCase, docMask bool) (*core.Cluster, []*metrics.StepReport, *data.Generator) {
 	t.Helper()
 	cfg := sc.config()
 	cfg.UseDocMask = docMask
@@ -399,25 +388,23 @@ func runMaskedSteps(t *testing.T, sc sweepCase, docMask bool) (*core.Cluster, []
 	reg := metrics.NewRegistry(cfg.Topo.World())
 	cl.Attach(reg)
 	gen := &data.Generator{Vocab: cfg.Model.Vocab, Seq: cfg.Seq, AvgDocLen: 8, Seed: 7}
-	var losses []float64
 	var reps []*metrics.StepReport
 	for step := int64(0); step < 2; step++ {
 		reg.BeginStep(step)
-		losses = append(losses, cl.Step(gen, step))
+		cl.Step(gen, step)
 		reps = append(reps, reg.EndStep())
 	}
-	return cl, losses, reps, gen
+	return cl, reps, gen
 }
 
 // TestSweepBlockedAttentionExact is the blocked-attention half of the
 // conformance sweep, for both masks (causal and document) over every 4D
 // configuration, at a 4×4 tiling so the 16-token sweep sequence actually
-// tiles. It asserts the §6.2 determinism contract end to end — the blocked
-// engine's per-step losses and final weights are bitwise identical to the
-// dense reference — and the accounting contract: the measured attention
-// tile census and effective FLOPs equal PredictAttention's closed-form
-// values exactly, while the dense run records no tile stats and an
-// effective count equal to nominal.
+// tiles. It asserts the accounting contract: the measured attention tile
+// census and effective FLOPs equal PredictAttention's closed-form values
+// exactly, world-total and per rank. (Bitwise equality with the dense
+// kernels is pinned where the oracles live: attention's
+// TestBlockedMatchesDenseGrid.)
 func TestSweepBlockedAttentionExact(t *testing.T) {
 	prevR, prevC := attention.SetTiling(4, 4)
 	defer attention.SetTiling(prevR, prevC)
@@ -428,21 +415,9 @@ func TestSweepBlockedAttentionExact(t *testing.T) {
 				name = sc.name + "/docmask"
 			}
 			t.Run(name, func(t *testing.T) {
-				blkCl, blkLoss, blkReps, gen := runMaskedSteps(t, sc, docMask)
-				prev := attention.SetBlocked(false)
-				denseCl, denseLoss, denseReps, _ := runMaskedSteps(t, sc, docMask)
-				attention.SetBlocked(prev)
-
-				for step := range blkLoss {
-					if math.Float64bits(blkLoss[step]) != math.Float64bits(denseLoss[step]) {
-						t.Errorf("step %d: blocked loss %v != dense loss %v (not bitwise equal)",
-							step, blkLoss[step], denseLoss[step])
-					}
-				}
-				assertClustersBitwiseEqual(t, denseCl, blkCl, "blocked vs dense weights")
-
-				for step, rep := range blkReps {
-					wantStats, skipped := PredictAttention(blkCl, gen, int64(step))
+				cl, reps, gen := runMaskedSteps(t, sc, docMask)
+				for step, rep := range reps {
+					wantStats, skipped := PredictAttention(cl, gen, int64(step))
 					if rep.Attn != wantStats {
 						t.Errorf("step %d: measured attention stats %+v != predicted %+v",
 							step, rep.Attn, wantStats)
@@ -451,7 +426,7 @@ func TestSweepBlockedAttentionExact(t *testing.T) {
 					// closed-form per-rank prediction exactly, and the report's
 					// imbalance summary equals the modeled one (same arithmetic
 					// over the same effective-FLOP loads).
-					perRank := PredictAttentionPerRank(blkCl, gen, int64(step))
+					perRank := PredictAttentionPerRank(cl, gen, int64(step))
 					for _, rr := range rep.Ranks {
 						want := perRank[rr.Rank]
 						if rr.Attn != want.Stats {
@@ -478,30 +453,57 @@ func TestSweepBlockedAttentionExact(t *testing.T) {
 						t.Errorf("step %d: measured effective FLOPs %d != nominal %d - skipped %d = %d",
 							step, got, rep.FLOPs, skipped, want)
 					}
-					if ex := Predict(blkCl, step > 0); rep.FLOPs != ex.FLOPs {
+					if ex := Predict(cl, step > 0); rep.FLOPs != ex.FLOPs {
 						t.Errorf("step %d: blocked run nominal FLOPs %d != predicted %d", step, rep.FLOPs, ex.FLOPs)
-					}
-				}
-				for step, rep := range denseReps {
-					if rep.Attn.Calls != 0 {
-						t.Errorf("step %d: dense run recorded %d blocked-kernel calls", step, rep.Attn.Calls)
-					}
-					if rep.Imbalance != nil {
-						t.Errorf("step %d: dense run reported an imbalance summary %+v", step, rep.Imbalance)
-					}
-					for _, rr := range rep.Ranks {
-						if rr.Attn.Calls != 0 || rr.AttnEffFLOPs != 0 || rr.AttnNominalFLOPs != 0 {
-							t.Errorf("step %d rank %d: dense run recorded a per-rank census", step, rr.Rank)
-						}
-					}
-					if rep.EffectiveFLOPs != rep.FLOPs {
-						t.Errorf("step %d: dense run effective FLOPs %d != nominal %d",
-							step, rep.EffectiveFLOPs, rep.FLOPs)
 					}
 				}
 			})
 		}
 	}
+}
+
+// TestConcurrentClustersReportOwnAttention steps two different clusters at
+// the same time in one process, each with its own registry, and holds every
+// step's window open until the other cluster has finished stepping. Each
+// report's census must still be exactly its own cluster's closed form: the
+// registry sums its per-rank recorders, not a process-wide counter.
+func TestConcurrentClustersReportOwnAttention(t *testing.T) {
+	prevR, prevC := attention.SetTiling(4, 4)
+	defer attention.SetTiling(prevR, prevC)
+	cases := sweepCases()
+	arms := []struct {
+		sc      sweepCase
+		docMask bool
+	}{{cases[2], true}, {cases[11], false}} // cp2 under a document mask, tp2_pp2 causal
+	var begun, stepped, done sync.WaitGroup
+	begun.Add(len(arms))
+	stepped.Add(len(arms))
+	for _, arm := range arms {
+		cfg := arm.sc.config()
+		cfg.UseDocMask = arm.docMask
+		cl, err := core.NewCluster(cfg)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		reg := metrics.NewRegistry(cfg.Topo.World())
+		cl.Attach(reg)
+		gen := &data.Generator{Vocab: cfg.Model.Vocab, Seq: cfg.Seq, AvgDocLen: 8, Seed: 7}
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			reg.BeginStep(0)
+			begun.Done()
+			begun.Wait()
+			cl.Step(gen, 0)
+			stepped.Done()
+			stepped.Wait()
+			rep := reg.EndStep()
+			if want, _ := PredictAttention(cl, gen, 0); rep.Attn != want || want.Calls == 0 {
+				t.Errorf("%s: measured attention stats %+v != its own prediction %+v", arm.sc.name, rep.Attn, want)
+			}
+		}()
+	}
+	done.Wait()
 }
 
 // TestPrefetchDepthProperty is the prefetch-depth property test: on the full

@@ -95,7 +95,7 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	ctx.qRot = q
 
 	if env.KV != nil {
-		if ks, ok := env.KV.(KVStreamer); ok && ks.Streams() && attention.BlockedEnabled() {
+		if ks, ok := env.KV.(KVStreamer); ok && ks.Streams() {
 			// The exchange rings at least one document: stream score
 			// columns as K/V blocks arrive, hiding each block's transfer
 			// behind the previous block's compute. Bitwise identical to

@@ -3,7 +3,6 @@ package planner
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPaperPlanReproducesTable2Short(t *testing.T) {
@@ -148,28 +147,6 @@ func TestPlanString(t *testing.T) {
 	if !strings.Contains(s, "tp=8") || !strings.Contains(s, "pp=16") {
 		t.Fatalf("plan string %q", s)
 	}
-}
-
-// BenchmarkPlannerSearch times the full-space production search and reports
-// the enumeration census alongside the wall time — the `make bench`
-// BENCH_planner.json columns.
-func BenchmarkPlannerSearch(b *testing.B) {
-	req := Production405B(8192)
-	var st Stats
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		var plans []Plan
-		plans, st = SearchWithStats(req)
-		if len(plans) == 0 {
-			b.Fatal("no feasible plans")
-		}
-	}
-	wall := time.Since(start)
-	b.ReportMetric(float64(st.Enumerated), "enumerated")
-	b.ReportMetric(float64(st.PrunedShape), "pruned-shape")
-	b.ReportMetric(float64(st.PrunedMemory), "pruned-mem")
-	b.ReportMetric(float64(st.Feasible), "feasible")
-	b.ReportMetric(wall.Seconds()*1000/float64(b.N), "search-ms")
 }
 
 func TestTPCapacityStudySection81(t *testing.T) {

@@ -198,6 +198,42 @@ func TestDecodeBitwiseContract(t *testing.T) {
 	}
 }
 
+// TestBatchedMatchesSerialTokens is the continuous-batching contract at a
+// model wide enough that the two schedulers take different kernel paths: at
+// batch 16 the vocabulary projection (16·256·2048) crosses the tensor
+// package's parallel threshold and runs row-split, one request at a time it
+// stays serial. The
+// same requests served with MaxBatch 1 and MaxBatch 16 must still emit
+// identical token streams — batching is pure scheduling, not numerics.
+func TestBatchedMatchesSerialTokens(t *testing.T) {
+	cfg := model.Config{
+		Vocab: 2048, Dim: 256, Hidden: 768, NHeads: 8, NKVHeads: 4,
+		NLayers: 2, MaxSeq: 32, RopeBase: 10000,
+	}
+	m := model.New(cfg, rand.New(rand.NewSource(17)))
+	const batch, prompt, maxNew = 16, 4, 8
+	rng := rand.New(rand.NewSource(23))
+	reqs := make([]*Request, batch)
+	for i := range reqs {
+		reqs[i] = &Request{ID: i, Prompt: randPrompt(rng, prompt, cfg.Vocab), MaxNew: maxNew}
+	}
+	for _, tp := range []int{1, 2} {
+		_, serial, _ := serveOnce(t, m, reqs, tp, 16, 1<<20, 1)
+		_, batched, _ := serveOnce(t, m, reqs, tp, 16, 1<<20, batch)
+		for _, r := range reqs {
+			so, bo := serial[r.ID], batched[r.ID]
+			if len(so) != maxNew || len(bo) != maxNew {
+				t.Fatalf("tp%d request %d generated %d/%d tokens, want %d", tp, r.ID, len(so), len(bo), maxNew)
+			}
+			for j := range so {
+				if so[j] != bo[j] {
+					t.Fatalf("tp%d request %d token %d: serial %d != batched %d", tp, r.ID, j, so[j], bo[j])
+				}
+			}
+		}
+	}
+}
+
 // TestPreemptionBitwise forces eviction pressure with a tight page budget
 // and asserts the decode stream — tokens and every logits row — is
 // unchanged relative to an unconstrained run: deterministic re-prefill of
@@ -269,13 +305,11 @@ func TestPageAccounting(t *testing.T) {
 	if got := e.KV.Alloc.Leased(); got != 0 {
 		t.Fatalf("%d pages still leased at drain", got)
 	}
-	if tensor.PoolingEnabled() {
-		if rep.KVPool.Gets == 0 {
-			t.Fatal("no KV-tagged pool traffic recorded")
-		}
-		if rep.LeakedPages != 0 {
-			t.Fatalf("leaked %d page frames (gets=%d puts=%d)", rep.LeakedPages, rep.KVPool.Gets, rep.KVPool.Puts)
-		}
+	if rep.KVPool.Gets == 0 {
+		t.Fatal("no KV-tagged pool traffic recorded")
+	}
+	if rep.LeakedPages != 0 {
+		t.Fatalf("leaked %d page frames (gets=%d puts=%d)", rep.LeakedPages, rep.KVPool.Gets, rep.KVPool.Puts)
 	}
 	if rep.TotalTokens == 0 || rep.Requests != 8 {
 		t.Fatalf("bad report: %+v", rep)

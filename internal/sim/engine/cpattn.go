@@ -41,7 +41,7 @@ type CPAttnResult struct {
 
 	// Tiles is the tile census of the CP group's attention under the blocked
 	// training engine's classifier (one grid per rank, summed): the sweep
-	// point's modeled counterpart of the measured attention.StatsSnapshot. The
+	// point's modeled counterpart of the measured StepReport.Attn census. The
 	// ring comparator leaves it zero — its fragmented per-step kernels are
 	// modeled by pair counts, not grids.
 	Tiles attention.Stats

@@ -224,8 +224,8 @@ func (t *Tensor) setShape(shape []int) {
 }
 
 // defaultPool is the arena behind the package-level Get/GetUninit/Put used
-// by the kernels and the model hot paths. poolingOn gates it so benchmarks
-// and bisection runs can measure the unpooled baseline.
+// by the kernels and the model hot paths. poolingOn gates it so the
+// pooled-vs-unpooled bitwise tests can run the no-recycle reference.
 var (
 	defaultPool = NewPool()
 	poolingOn   atomic.Bool
@@ -234,15 +234,12 @@ var (
 func init() { poolingOn.Store(true) }
 
 // SetPooling enables or disables the default pool, returning the previous
-// setting. With pooling disabled Get degrades to New and Put discards —
-// the pre-arena allocation behaviour, kept reachable so the benchmark suite
-// can report before/after allocation counts from one binary.
+// setting. With pooling disabled Get degrades to New and Put discards — it
+// stays because a run that never recycles a buffer is the only reference the
+// pooled-vs-unpooled bitwise tests can compare the arena against.
 func SetPooling(on bool) bool {
 	return poolingOn.Swap(on)
 }
-
-// PoolingEnabled reports whether the default pool is active.
-func PoolingEnabled() bool { return poolingOn.Load() }
 
 // Get returns a zeroed tensor from the default pool (or New when pooling is
 // disabled).
