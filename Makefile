@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race test-metrics check-planner bench-e2e cover loc check
+.PHONY: all build test vet race purego test-metrics check-planner bench-e2e cover loc check
 
 all: check
 
@@ -15,6 +15,12 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The pure-Go build of the one vector kernel (internal/tensor axpy4): the
+# packages whose bitwise contracts sit on it must pass without the assembly,
+# which is also what every non-amd64 host runs.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/serve ./internal/core
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models
@@ -56,6 +62,7 @@ loc:
 # The full verification gate: compile everything, vet, run the whole suite
 # with the race detector (all collectives and the ft subsystem exercise real
 # cross-goroutine communication; the measured-vs-modeled sweep and the
-# kernels' bitwise-vs-oracle guards are ordinary tests inside it), replay the
-# planner loop-closure guard, and report the code size.
-check: build vet race check-planner loc
+# kernels' bitwise-vs-oracle guards are ordinary tests inside it), rerun the
+# kernel-bound packages on the pure-Go build, replay the planner loop-closure
+# guard, and report the code size.
+check: build vet race purego check-planner loc

@@ -329,9 +329,9 @@ func blockedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *R
 // every non-empty tile. Each element is one running sum over the head dim in
 // increasing order — the same rounding sequence as the dense MatMulT kernel.
 // Empty-tile entries are left untouched. The loop nest is tile-outer,
-// row-inner so one tile's key slab stays cache-resident across the row band
-// (the dense kernel's tileJ blocking); nesting order never changes any
-// element's reduction sequence, so it is bitwise invisible.
+// row-inner so one tile's key slab stays cache-resident across the row band;
+// nesting order never changes any element's reduction sequence, so it is
+// bitwise invisible.
 func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
 	d := q.Cols()
 	n := s.Cols()
@@ -483,7 +483,7 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 // blockedPVRows accumulates o[i] += Σ_j p[i][j]·v[j] for rows [lo, hi),
 // skipping empty tiles and, like the dense MatMul kernel, every exact-zero
 // probability — one separately-rounded add per nonzero term in increasing
-// key order.
+// key order (tensor.AccumRows, the kernel under MatMul itself).
 func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 	d := v.Cols()
 	n := p.Cols()
@@ -500,56 +500,7 @@ func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 			}
 			c0, c1 := g.colBand(ct)
 			for i := r0; i < r1; i++ {
-				pi := pd[i*n : (i+1)*n]
-				oi := od[i*d : (i+1)*d]
-				j := c0
-				for ; j+3 < c1; j += 4 {
-					a0, a1, a2, a3 := pi[j], pi[j+1], pi[j+2], pi[j+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := vd[j*d : (j+1)*d]
-					b1 := vd[(j+1)*d : (j+2)*d]
-					b2 := vd[(j+2)*d : (j+3)*d]
-					b3 := vd[(j+3)*d : (j+4)*d]
-					if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-						for c := range oi {
-							x := oi[c]
-							x += a0 * b0[c]
-							x += a1 * b1[c]
-							x += a2 * b2[c]
-							x += a3 * b3[c]
-							oi[c] = x
-						}
-						continue
-					}
-					for c := range oi {
-						x := oi[c]
-						if a0 != 0 {
-							x += a0 * b0[c]
-						}
-						if a1 != 0 {
-							x += a1 * b1[c]
-						}
-						if a2 != 0 {
-							x += a2 * b2[c]
-						}
-						if a3 != 0 {
-							x += a3 * b3[c]
-						}
-						oi[c] = x
-					}
-				}
-				for ; j < c1; j++ {
-					av := pi[j]
-					if av == 0 {
-						continue
-					}
-					bj := vd[j*d : (j+1)*d]
-					for c := range oi {
-						oi[c] += av * bj[c]
-					}
-				}
+				tensor.AccumRows(od[i*d:(i+1)*d], pd[i*n+c0:i*n+c1], vd[c0*d:c1*d])
 			}
 		}
 	}
@@ -576,56 +527,7 @@ func blockedKeyRows(out, sT, b *tensor.Tensor, g *Grid, lo, hi int) {
 			}
 			r0, r1 := g.rowBand(rt)
 			for j := c0; j < c1; j++ {
-				sj := sd[j*n : (j+1)*n]
-				oj := od[j*d : (j+1)*d]
-				i := r0
-				for ; i+3 < r1; i += 4 {
-					a0, a1, a2, a3 := sj[i], sj[i+1], sj[i+2], sj[i+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := bd[i*d : (i+1)*d]
-					b1 := bd[(i+1)*d : (i+2)*d]
-					b2 := bd[(i+2)*d : (i+3)*d]
-					b3 := bd[(i+3)*d : (i+4)*d]
-					if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-						for c := range oj {
-							x := oj[c]
-							x += a0 * b0[c]
-							x += a1 * b1[c]
-							x += a2 * b2[c]
-							x += a3 * b3[c]
-							oj[c] = x
-						}
-						continue
-					}
-					for c := range oj {
-						x := oj[c]
-						if a0 != 0 {
-							x += a0 * b0[c]
-						}
-						if a1 != 0 {
-							x += a1 * b1[c]
-						}
-						if a2 != 0 {
-							x += a2 * b2[c]
-						}
-						if a3 != 0 {
-							x += a3 * b3[c]
-						}
-						oj[c] = x
-					}
-				}
-				for ; i < r1; i++ {
-					av := sj[i]
-					if av == 0 {
-						continue
-					}
-					bi := bd[i*d : (i+1)*d]
-					for c := range oj {
-						oj[c] += av * bi[c]
-					}
-				}
+				tensor.AccumRows(od[j*d:(j+1)*d], sd[j*n+r0:j*n+r1], bd[r0*d:r1*d])
 			}
 		}
 	}

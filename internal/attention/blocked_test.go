@@ -139,6 +139,119 @@ func TestBlockedMatchesDensePerDistribution(t *testing.T) {
 	}
 }
 
+// scalarAttention is attention by its definition: textbook triple loops over
+// plain slices, one running float32 sum per element in increasing reduction
+// index, no tensor product and no zero-skip anywhere. The dense oracles and
+// the blocked engine share tensor's inner kernel, so blocked == dense cannot
+// see a fault in it; this can.
+func scalarAttention(q, k, v, dO *tensor.Tensor, m Mask, qPos []int, kOff int) (o, p, dQ, dK, dV *tensor.Tensor) {
+	sq, sk, d := q.Rows(), k.Rows(), q.Cols()
+	scale := float32(1 / math.Sqrt(float64(d)))
+	o, p = tensor.New(sq, d), tensor.New(sq, sk)
+	for i := 0; i < sq; i++ {
+		row := p.Row(i)
+		maxv := float32(math.Inf(-1))
+		for j := 0; j < sk; j++ {
+			var s float32
+			for c := 0; c < d; c++ {
+				s += q.At(i, c) * k.At(j, c)
+			}
+			row[j] = float32(math.Inf(-1))
+			if m.Allowed(qPos[i], kOff+j) {
+				row[j] = s * scale
+			}
+			maxv = max(maxv, row[j])
+		}
+		if math.IsInf(float64(maxv), -1) { // no allowed key: the row attends nothing
+			for j := range row {
+				row[j] = 0
+			}
+			continue
+		}
+		var sum float32
+		for j := range row {
+			row[j] = float32(math.Exp(float64(row[j] - maxv)))
+			sum += row[j]
+		}
+		inv := 1 / sum
+		for j := range row {
+			row[j] *= inv
+		}
+		for c := 0; c < d; c++ {
+			var s float32
+			for j := 0; j < sk; j++ {
+				s += row[j] * v.At(j, c)
+			}
+			o.Set(i, c, s)
+		}
+	}
+
+	dS := tensor.New(sq, sk)
+	for i := 0; i < sq; i++ {
+		dP := make([]float32, sk)
+		var dot float32
+		for j := 0; j < sk; j++ {
+			for c := 0; c < d; c++ {
+				dP[j] += dO.At(i, c) * v.At(j, c)
+			}
+			dot += p.At(i, j) * dP[j]
+		}
+		for j := 0; j < sk; j++ {
+			dS.Set(i, j, p.At(i, j)*(dP[j]-dot))
+		}
+	}
+	dQ, dK, dV = tensor.New(sq, d), tensor.New(sk, d), tensor.New(sk, d)
+	for c := 0; c < d; c++ {
+		for i := 0; i < sq; i++ {
+			var s float32
+			for j := 0; j < sk; j++ {
+				s += dS.At(i, j) * k.At(j, c)
+			}
+			dQ.Set(i, c, s*scale)
+		}
+		for j := 0; j < sk; j++ {
+			var gk, gv float32
+			for i := 0; i < sq; i++ {
+				gk += dS.At(i, j) * q.At(i, c)
+				gv += p.At(i, j) * dO.At(i, c)
+			}
+			dK.Set(j, c, gk*scale)
+			dV.Set(j, c, gv)
+		}
+	}
+	return o, p, dQ, dK, dV
+}
+
+// TestBlockedMatchesScalarDefinition holds Forward and Backward bitwise equal
+// to scalarAttention on a document mask (empty, partial and full tiles at the
+// default tiling; head dim one 32-lane block plus one 8-lane block) and a
+// causal mask whose head dim and lengths leave every kind of vector tail.
+func TestBlockedMatchesScalarDefinition(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		sq, sk, d int
+		m         Mask
+	}{
+		{"document", 150, 150, 40, Document{DocID: DocIDsFromLengths([]int{70, 3, 50, 27}, 150)}},
+		{"causal", 97, 101, 13, Causal{}},
+	} {
+		q, k, v := randQKV(77, tc.sq, tc.sk, tc.d)
+		dO := tensor.RandN(rand.New(rand.NewSource(78)), 1, tc.sq, tc.d)
+		qPos := Iota(tc.sq)
+		wo, wp, wdq, wdk, wdv := scalarAttention(q, k, v, dO, tc.m, qPos, 0)
+		out := Forward(q, k, v, tc.m, qPos, 0)
+		dq, dk, dv := Backward(q, k, v, out.P, dO, tc.m, qPos, 0)
+		for _, c := range []struct {
+			what      string
+			want, got *tensor.Tensor
+		}{{"O", wo, out.O}, {"P", wp, out.P}, {"dQ", wdq, dq}, {"dK", wdk, dk}, {"dV", wdv, dv}} {
+			if !tensor.BitwiseEqual(c.want, c.got) {
+				t.Errorf("%s: %s differs from the scalar definition", tc.name, c.what)
+			}
+		}
+	}
+}
+
 func labelFor(mask string, til [2]int, sq, kOff int) string {
 	return fmt.Sprintf("%s/%dx%d/sq=%d/kOff=%d", mask, til[0], til[1], sq, kOff)
 }

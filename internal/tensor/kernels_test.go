@@ -37,7 +37,7 @@ func TestMatMulForcedWorkersBitwise(t *testing.T) {
 		a := randMat(int64(sh.m*1000+sh.n), sh.m, sh.k)
 		b := randMat(int64(sh.k*1000+sh.m), sh.k, sh.n)
 		ref := New(sh.m, sh.n)
-		matMulRows(ref, a, b, 1)
+		matMulRows(ref, a, b, 1, true)
 
 		// The serial tiled kernel must also match the textbook i-j-k triple
 		// loop exactly: per element, both sum a[i][p]·b[p][j] in increasing p.
@@ -56,7 +56,7 @@ func TestMatMulForcedWorkersBitwise(t *testing.T) {
 
 		for _, w := range forcedWorkers[1:] {
 			out := New(sh.m, sh.n)
-			matMulRows(out, a, b, w)
+			matMulRows(out, a, b, w, true)
 			if !BitwiseEqual(ref, out) {
 				t.Fatalf("m=%d k=%d n=%d workers=%d: MatMul not bitwise equal to serial", sh.m, sh.k, sh.n, w)
 			}
@@ -159,7 +159,7 @@ func TestPublicOpsParallelBitwise(t *testing.T) {
 	b := randMat(2, s, s)
 
 	ref := New(s, s)
-	matMulRows(ref, a, b, 1)
+	matMulRows(ref, a, b, 1, true)
 	if got := MatMul(a, b); !BitwiseEqual(ref, got) {
 		t.Fatal("parallel MatMul differs from serial")
 	}

@@ -25,7 +25,6 @@ const copyThreshold = 1 << 20
 // keeps tiled, untiled, and row-parallel runs bitwise identical.
 const (
 	tileK = 128 // reduction-dim tile of the i-k-j MatMul kernel
-	tileJ = 64  // output-column tile of the dot-product MatMulT/TMatMul kernels
 	tileT = 32  // square tile edge of the blocked Transpose kernel
 )
 
@@ -81,7 +80,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	countMatMul(m, k, n)
 	out := Get(m, n)
-	matMulRows(out, a, b, Workers(m, m*k*n))
+	matMulRows(out, a, b, Workers(m, m*k*n), true)
 	return out
 }
 
@@ -95,90 +94,35 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	countMatMul(m, k, n)
 	dst.Zero()
-	matMulRows(dst, a, b, Workers(m, m*k*n))
+	matMulRows(dst, a, b, Workers(m, m*k*n), true)
 }
 
-// matMulRows runs the serial MatMul kernel over row chunks. out must be
-// zeroed: the kernel accumulates.
-func matMulRows(out, a, b *Tensor, workers int) {
+// matMulRows accumulates out += a @ b (callers zero out for the overwrite
+// semantics), running the serial kernel over row chunks. Every product in the
+// package ends here.
+func matMulRows(out, a, b *Tensor, workers int, skip bool) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Cols()
 	if workers <= 1 { // skip the closure: it heap-allocates even when unused
-		matmulInto(out.Data, a.Data, b.Data, m, k, n)
+		matmulInto(out.Data, a.Data, b.Data, m, k, n, skip)
 		return
 	}
 	ParallelRows(m, workers, func(lo, hi int) {
-		matmulInto(out.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n)
+		matmulInto(out.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n, skip)
 	})
 }
 
 // matmulInto accumulates out[m,n] += a[m,k] @ b[k,n] with an i-k-j loop
 // order, blocked over k so a tileK-row slab of b stays cache-resident while
-// each output row sweeps it. Four reduction indices are fused per output-row
-// sweep, quartering the out load/store traffic; within a fused group the
-// adds still land in increasing-p order as four separately rounded +=, and
-// a term is skipped exactly when its a value is zero, so the result is
-// bitwise identical to the one-p-at-a-time kernel.
-func matmulInto(out, a, b []float32, m, k, n int) {
+// each output row sweeps it. Every output row is one accumRows call per
+// slab: the adds land in increasing-p order as separately rounded +=, and
+// with skip a term is dropped exactly when its a value is zero, so the result
+// is bitwise identical to the one-p-at-a-time scalar kernel.
+func matmulInto(out, a, b []float32, m, k, n int, skip bool) {
 	for pt := 0; pt < k; pt += tileK {
-		pHi := pt + tileK
-		if pHi > k {
-			pHi = k
-		}
+		pHi := min(pt+tileK, k)
 		for i := 0; i < m; i++ {
-			ai := a[i*k : (i+1)*k]
-			oi := out[i*n : (i+1)*n]
-			p := pt
-			for ; p+3 < pHi; p += 4 {
-				a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := b[p*n : (p+1)*n]
-				b1 := b[(p+1)*n : (p+2)*n]
-				b2 := b[(p+2)*n : (p+3)*n]
-				b3 := b[(p+3)*n : (p+4)*n]
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-					for j := range oi {
-						v := oi[j]
-						v += a0 * b0[j]
-						v += a1 * b1[j]
-						v += a2 * b2[j]
-						v += a3 * b3[j]
-						oi[j] = v
-					}
-					continue
-				}
-				// Mixed zero/nonzero group: keep the per-term skip. The
-				// branch conditions are loop-invariant, so prediction is
-				// perfect.
-				for j := range oi {
-					v := oi[j]
-					if a0 != 0 {
-						v += a0 * b0[j]
-					}
-					if a1 != 0 {
-						v += a1 * b1[j]
-					}
-					if a2 != 0 {
-						v += a2 * b2[j]
-					}
-					if a3 != 0 {
-						v += a3 * b3[j]
-					}
-					oi[j] = v
-				}
-			}
-			for ; p < pHi; p++ {
-				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : (p+1)*n]
-				for j := range bp {
-					oi[j] += av * bp[j]
-				}
-			}
+			accumRows(out[i*n:(i+1)*n], a[i*k+pt:i*k+pHi], b[pt*n:pHi*n], skip)
 		}
 	}
 }
@@ -208,59 +152,19 @@ func MatMulTInto(dst, a, b *Tensor) {
 	matMulTRows(dst, a, b, Workers(m, m*k*n))
 }
 
+// matMulTRows overwrites out = a @ bᵀ: b is transposed once (pure data
+// movement, pooled buffer) and the product runs the MatMul kernel from a
+// zeroed out, so the vector lanes are distinct output columns — a dot product
+// vectorised across k would sum lane-wise partials in a different order.
+// Each element is the dot kernel's single running sum from +0 over p in
+// increasing order; skipping is off because that sum multiplies every term: a
+// zero in a must still meet a NaN or Inf in b.
 func matMulTRows(out, a, b *Tensor, workers int) {
-	m, k := a.Rows(), a.Cols()
-	n := b.Rows()
-	if workers <= 1 {
-		matmulTInto(out.Data, a.Data, b.Data, m, k, n)
-		return
-	}
-	ParallelRows(m, workers, func(lo, hi int) {
-		matmulTInto(out.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n)
-	})
-}
-
-// matmulTInto overwrites out[m,n] = a[m,k] @ b[n,k]ᵀ. The j loop is blocked
-// so a tileJ-row slab of b stays cache-resident across the i sweep, and four
-// b rows are walked together per a row — one pass of ai feeds four
-// accumulators, quartering the ai load traffic that dominates the dot
-// kernel. Every element is still a single running sum over p in increasing
-// order, so blocking, the 4-way grouping, and row splits are all bitwise
-// invisible.
-func matmulTInto(out, a, b []float32, m, k, n int) {
-	for jt := 0; jt < n; jt += tileJ {
-		jHi := jt + tileJ
-		if jHi > n {
-			jHi = n
-		}
-		for i := 0; i < m; i++ {
-			ai := a[i*k : (i+1)*k]
-			oi := out[i*n : (i+1)*n]
-			j := jt
-			for ; j+3 < jHi; j += 4 {
-				b0 := b[j*k : (j+1)*k]
-				b1 := b[(j+1)*k : (j+2)*k]
-				b2 := b[(j+2)*k : (j+3)*k]
-				b3 := b[(j+3)*k : (j+4)*k]
-				var s0, s1, s2, s3 float32
-				for p, av := range ai {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
-			}
-			for ; j < jHi; j++ {
-				bj := b[j*k : (j+1)*k]
-				var s float32
-				for p, av := range ai {
-					s += av * bj[p]
-				}
-				oi[j] = s
-			}
-		}
-	}
+	bT := GetUninit(b.Cols(), b.Rows())
+	TransposeInto(bT, b)
+	out.Zero()
+	matMulRows(out, a, bT, workers, false)
+	Put(bT)
 }
 
 // TMatMul returns aᵀ @ b for a [k,m] and b [k,n] — the shape needed for
@@ -301,100 +205,17 @@ func checkTMatMul(out, a, b *Tensor, op string) {
 	}
 }
 
-// tMatMulRows runs the TMatMul kernel over output-row chunks. out
-// accumulates (callers zero it for the overwrite semantics). Both operands
-// are transposed up front (pure data movement, pooled buffers) so the
-// reduction walks contiguous rows instead of strided columns; every output
-// element (i,j) then sums a[p,i]·b[p,j] over p in increasing order with the
-// same per-term zero-skip as the column-order kernel, so the rewrite — and
-// any row split across workers — is bitwise identical to the original
-// p-outer loop.
+// tMatMulRows accumulates out += aᵀ @ b (callers zero out for the overwrite
+// semantics): a is transposed once (pure data movement, pooled buffer) and
+// the product runs the MatMul kernel. Every output element (i,j) sums
+// a[p,i]·b[p,j] over p in increasing order and skips a term exactly when
+// a[p,i] is zero, so the result — under any row split — is bitwise identical
+// to the p-outer loop over the untransposed a.
 func tMatMulRows(out, a, b *Tensor, workers int) {
-	k, m := a.Rows(), a.Cols()
-	n := b.Cols()
-	aT := GetUninit(m, k)
-	bT := GetUninit(n, k)
+	aT := GetUninit(a.Cols(), a.Rows())
 	TransposeInto(aT, a)
-	TransposeInto(bT, b)
-	if workers <= 1 {
-		tmatmulAcc(out.Data, aT.Data, bT.Data, k, m, n, 0, m)
-	} else {
-		ParallelRows(m, workers, func(lo, hi int) {
-			tmatmulAcc(out.Data, aT.Data, bT.Data, k, m, n, lo, hi)
-		})
-	}
-	Put(aT, bT)
-}
-
-// tmatmulAcc accumulates out[lo:hi,:] += (aTᵀᵀ @ bTᵀ)[lo:hi,:] given the
-// TRANSPOSED operands aT [m,k] and bT [n,k]. Each output element is a
-// register dot seeded from the existing out value, summing aT[i,p]·bT[j,p]
-// in increasing p; four bT rows share one aT-row pass, and the j loop is
-// blocked so the bT slab stays cache-resident across the i sweep. A term is
-// skipped exactly when its aT value is zero (one branch guards all four
-// chains), matching the column-order kernel's skip — accumulating in a
-// register instead of memory performs the identical sequence of float32
-// rounding steps, so the result is bitwise unchanged.
-func tmatmulAcc(out, aT, bT []float32, k, m, n, lo, hi int) {
-	for jt := 0; jt < n; jt += tileJ {
-		jHi := jt + tileJ
-		if jHi > n {
-			jHi = n
-		}
-		for i := lo; i < hi; i++ {
-			ai := aT[i*k : (i+1)*k]
-			oi := out[i*n : (i+1)*n]
-			// One scan decides the inner loop: dense rows take the
-			// branch-free path (the skip would never fire, so both paths
-			// perform the same rounding sequence); rows with zeros — e.g.
-			// masked attention probabilities — keep the exact per-term skip.
-			dense := true
-			for _, av := range ai {
-				if av == 0 {
-					dense = false
-					break
-				}
-			}
-			j := jt
-			for ; j+3 < jHi; j += 4 {
-				b0 := bT[j*k : (j+1)*k]
-				b1 := bT[(j+1)*k : (j+2)*k]
-				b2 := bT[(j+2)*k : (j+3)*k]
-				b3 := bT[(j+3)*k : (j+4)*k]
-				s0, s1, s2, s3 := oi[j], oi[j+1], oi[j+2], oi[j+3]
-				if dense {
-					for p, av := range ai {
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-				} else {
-					for p, av := range ai {
-						if av == 0 {
-							continue
-						}
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-				}
-				oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
-			}
-			for ; j < jHi; j++ {
-				bj := bT[j*k : (j+1)*k]
-				s := oi[j]
-				for p, av := range ai {
-					if av == 0 {
-						continue
-					}
-					s += av * bj[p]
-				}
-				oi[j] = s
-			}
-		}
-	}
+	matMulRows(out, aT, b, workers, true)
+	Put(aT)
 }
 
 // Transpose returns the transpose of a 2-D tensor.

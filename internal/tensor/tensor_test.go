@@ -316,7 +316,7 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	b := RandN(rng, 1, 256, 256)
 	parallel := MatMul(a, b)
 	serial := New(256, 256)
-	matmulInto(serial.Data, a.Data, b.Data, 256, 256, 256)
+	matmulInto(serial.Data, a.Data, b.Data, 256, 256, 256, true)
 	if !BitwiseEqual(parallel, serial) {
 		t.Fatal("parallel MatMul must be bitwise identical to serial")
 	}
