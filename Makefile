@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego test-metrics check-planner bench-e2e cover loc check
+.PHONY: all build test vet race purego test-metrics check-planner bench-e2e cover loc dead check
 
 all: check
 
@@ -20,7 +20,7 @@ race:
 # packages whose bitwise contracts sit on it must pass without the assembly,
 # which is also what every non-amd64 host runs.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/serve ./internal/core
+	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/tp ./internal/vision ./internal/serve ./internal/core
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models
@@ -58,6 +58,21 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l \
 		| awk '$$2 != "total" { n += $$1; split($$2, p, "/"); if (p[2] == "internal") pkg[p[2] "/" p[3]] += $$1 } \
 		END { for (k in pkg) printf "%7d  %s\n", pkg[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total non-test Go lines outside bench/\n", n }'
+
+# Report-only census of exported surface nothing uses: exported functions and
+# methods declared in non-test files under internal/ whose name appears in no
+# non-test .go file of the repo (bench/ included) other than at its own
+# declaration. By name, outside // comments; Error/Unwrap/WriteTo (standard
+# interfaces) are skipped. What it prints is either reference surface kept
+# for tests, saying so in its doc comment, or a deletion waiting to happen.
+dead:
+	@find . -name '*.go' ! -name '*_test.go' | xargs awk ' \
+		{ code = $$0; sub(/\/\/.*/, "", code); n = split(code, w, /[^A-Za-z0-9_]+/); \
+		  for (i = 1; i <= n; i++) uses[w[i]]++ } \
+		FILENAME ~ /^\.\/internal\// && match($$0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/) { \
+		  name = substr($$0, RSTART, RLENGTH); sub(/^func (\([^)]*\) )?/, "", name); \
+		  decls[name]++; if (name !~ /^(Error|Unwrap|WriteTo)$$/) at[FILENAME ":" FNR ": " name] = name } \
+		END { for (d in at) if (uses[at[d]] == decls[at[d]]) print d }' | sort -t: -k1,1 -k2,2n
 
 # The full verification gate: compile everything, vet, run the whole suite
 # with the race detector (all collectives and the ft subsystem exercise real

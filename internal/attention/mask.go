@@ -188,12 +188,3 @@ func FastAllowedPairs(qPos []int, docStarts []int) int64 {
 	}
 	return n
 }
-
-// FastCausalPairs counts causal-mask pairs for the query positions in O(n).
-func FastCausalPairs(qPos []int) int64 {
-	var n int64
-	for _, p := range qPos {
-		n += int64(p + 1)
-	}
-	return n
-}

@@ -74,6 +74,103 @@ func addHeadCols(dst, src *tensor.Tensor, h, hd int) {
 	}
 }
 
+// QKV is the forward-only first half of Forward over an input the caller is
+// done with (a block's normed hidden state): x is released as soon as the
+// three projections have read it, Q and K are rotated by ropePos, nothing
+// is saved. Caller owns all three results.
+func (a *Attention) QKV(x *tensor.Tensor, ropePos []int) (q, k, v *tensor.Tensor) {
+	q0, k0, v := a.project(x, nil, &attnCtx{})
+	tensor.Put(x)
+	q, k = a.rotate(q0, k0, ropePos)
+	return q, k, v
+}
+
+// project runs the three input projections; the linears' contexts land in ctx.
+func (a *Attention) project(x *tensor.Tensor, env *Env, ctx *attnCtx) (q0, k0, v *tensor.Tensor) {
+	q0, ctx.qCtx = a.Wq.Forward(x, env)
+	k0, ctx.kCtx = a.Wk.Forward(x, env)
+	v, ctx.vCtx = a.Wv.Forward(x, env)
+	return q0, k0, v
+}
+
+// rotate applies RoPE to the Q and K projections and releases them.
+func (a *Attention) rotate(q0, k0 *tensor.Tensor, pos []int) (q, k *tensor.Tensor) {
+	q = a.Rope.Apply(q0, pos)
+	k = a.Rope.Apply(k0, pos)
+	tensor.Put(q0, k0) // pre-RoPE projections are dead once rotated
+	return q, k
+}
+
+// MultiHead is the one multi-head GQA routine, shared by training, serving
+// and cross-attention: each of nHeads query heads gathers its column block
+// of q and of the K/V head its group shares (k and v carry
+// k.Cols()/headDim heads), runs the attention kernel under mask with the
+// rows at qPos, and accumulates its output into its column block of the
+// returned [q.Rows(), q.Cols()] tensor. probs, when non-nil, receives every
+// head's probability plane for MultiHeadBackward; a forward-only caller
+// passes nil and the planes are released. Caller owns the pooled result.
+func MultiHead(q, k, v *tensor.Tensor, nHeads int, mask attention.Mask, qPos []int, rec *attention.Recorder, probs []*tensor.Tensor) *tensor.Tensor {
+	hd := q.Cols() / nHeads
+	group := nHeads / (k.Cols() / hd)
+	// Zeroed Get + addHeadCols (rather than a copy) keeps the accumulate
+	// semantics of the unpooled version, signed zeros included.
+	concat := tensor.Get(q.Rows(), q.Cols())
+	qh := tensor.GetUninit(q.Rows(), hd)
+	kh := tensor.GetUninit(k.Rows(), hd)
+	vh := tensor.GetUninit(v.Rows(), hd)
+	for h := 0; h < nHeads; h++ {
+		headColsInto(qh, q, h, hd)
+		if h%group == 0 { // first query head of a group: load its shared K/V head
+			headColsInto(kh, k, h/group, hd)
+			headColsInto(vh, v, h/group, hd)
+		}
+		out := attention.ForwardRecorded(qh, kh, vh, mask, qPos, 0, rec)
+		addHeadCols(concat, out.O, h, hd)
+		tensor.Put(out.O)
+		if probs != nil {
+			probs[h] = out.P
+		} else {
+			tensor.Put(out.P)
+		}
+	}
+	tensor.Put(qh, kh, vh)
+	return concat
+}
+
+// MultiHeadBackward back-propagates MultiHead through the planes it kept
+// (one per head, released here): dConcat is the gradient of its result, and
+// the returned dq, dk, dv have the shapes of q, k, v — the query heads of a
+// group accumulate into their shared K/V head.
+func MultiHeadBackward(q, k, v, dConcat *tensor.Tensor, probs []*tensor.Tensor, mask attention.Mask, qPos []int, rec *attention.Recorder) (dq, dk, dv *tensor.Tensor) {
+	nHeads := len(probs)
+	hd := q.Cols() / nHeads
+	group := nHeads / (k.Cols() / hd)
+	dq = tensor.Get(q.Rows(), q.Cols())
+	dk = tensor.Get(k.Rows(), k.Cols())
+	dv = tensor.Get(v.Rows(), v.Cols())
+	qh := tensor.GetUninit(q.Rows(), hd)
+	kh := tensor.GetUninit(k.Rows(), hd)
+	vh := tensor.GetUninit(v.Rows(), hd)
+	dOh := tensor.GetUninit(q.Rows(), hd)
+	for h := 0; h < nHeads; h++ {
+		headColsInto(qh, q, h, hd)
+		kv := h / group
+		if h%group == 0 {
+			headColsInto(kh, k, kv, hd)
+			headColsInto(vh, v, kv, hd)
+		}
+		headColsInto(dOh, dConcat, h, hd)
+		dqh, dkh, dvh := attention.BackwardRecorded(qh, kh, vh, probs[h], dOh, mask, qPos, 0, rec)
+		addHeadCols(dq, dqh, h, hd)
+		addHeadCols(dk, dkh, kv, hd)
+		addHeadCols(dv, dvh, kv, hd)
+		tensor.Put(dqh, dkh, dvh, probs[h])
+		probs[h] = nil
+	}
+	tensor.Put(qh, kh, vh, dOh)
+	return dq, dk, dv
+}
+
 // Forward implements Layer.
 func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	if env == nil {
@@ -83,15 +180,8 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 		panic(fmt.Sprintf("model: %d positions for %d rows", len(env.QPos), x.Rows()))
 	}
 	ctx := &attnCtx{env: env}
-
-	var q0, k0, q, k, v *tensor.Tensor
-	q0, ctx.qCtx = a.Wq.Forward(x, env)
-	k0, ctx.kCtx = a.Wk.Forward(x, env)
-	v, ctx.vCtx = a.Wv.Forward(x, env)
-
-	q = a.Rope.Apply(q0, env.QPos)
-	k = a.Rope.Apply(k0, env.QPos)
-	tensor.Put(q0, k0) // pre-RoPE projections are dead once rotated
+	q0, k0, v := a.project(x, env, ctx)
+	q, k := a.rotate(q0, k0, env.QPos)
 	ctx.qRot = q
 
 	if env.KV != nil {
@@ -109,26 +199,8 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 		ctx.kFull, ctx.vFull = k, v
 	}
 
-	group := a.NHeads / a.NKVHeads
 	ctx.probs = make([]*tensor.Tensor, a.NHeads)
-	// Zeroed Get + addHeadCols (rather than a copy) keeps the accumulate
-	// semantics of the unpooled version, signed zeros included.
-	concat := tensor.Get(x.Rows(), a.NHeads*a.HeadDim)
-	qh := tensor.GetUninit(x.Rows(), a.HeadDim)
-	kh := tensor.GetUninit(ctx.kFull.Rows(), a.HeadDim)
-	vh := tensor.GetUninit(ctx.vFull.Rows(), a.HeadDim)
-	for h := 0; h < a.NHeads; h++ {
-		headColsInto(qh, q, h, a.HeadDim)
-		kv := h / group
-		headColsInto(kh, ctx.kFull, kv, a.HeadDim)
-		headColsInto(vh, ctx.vFull, kv, a.HeadDim)
-		out := attention.ForwardRecorded(qh, kh, vh, env.Mask, env.QPos, 0, env.Rec)
-		ctx.probs[h] = out.P
-		addHeadCols(concat, out.O, h, a.HeadDim)
-		tensor.Put(out.O)
-	}
-	tensor.Put(qh, kh, vh)
-
+	concat := MultiHead(q, ctx.kFull, ctx.vFull, a.NHeads, env.Mask, env.QPos, env.Rec, ctx.probs)
 	y, oCtx := a.Wo.Forward(concat, env)
 	ctx.oCtx = oCtx
 	return y, ctx
@@ -183,30 +255,8 @@ func (a *Attention) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 
 	dConcat := a.Wo.Backward(ctx.oCtx, dy)
 
-	group := a.NHeads / a.NKVHeads
-	rows := ctx.qRot.Rows()
-	kvRows := ctx.kFull.Rows()
-	dq := tensor.Get(rows, a.NHeads*a.HeadDim)
-	dKFull := tensor.Get(kvRows, a.NKVHeads*a.HeadDim)
-	dVFull := tensor.Get(kvRows, a.NKVHeads*a.HeadDim)
-	qh := tensor.GetUninit(rows, a.HeadDim)
-	kh := tensor.GetUninit(kvRows, a.HeadDim)
-	vh := tensor.GetUninit(kvRows, a.HeadDim)
-	dOh := tensor.GetUninit(rows, a.HeadDim)
-	for h := 0; h < a.NHeads; h++ {
-		headColsInto(qh, ctx.qRot, h, a.HeadDim)
-		kv := h / group
-		headColsInto(kh, ctx.kFull, kv, a.HeadDim)
-		headColsInto(vh, ctx.vFull, kv, a.HeadDim)
-		headColsInto(dOh, dConcat, h, a.HeadDim)
-		dqh, dkh, dvh := attention.BackwardRecorded(qh, kh, vh, ctx.probs[h], dOh, env.Mask, env.QPos, 0, env.Rec)
-		addHeadCols(dq, dqh, h, a.HeadDim)
-		addHeadCols(dKFull, dkh, kv, a.HeadDim)
-		addHeadCols(dVFull, dvh, kv, a.HeadDim)
-		tensor.Put(dqh, dkh, dvh, ctx.probs[h])
-		ctx.probs[h] = nil
-	}
-	tensor.Put(qh, kh, vh, dOh, dConcat)
+	dq, dKFull, dVFull := MultiHeadBackward(ctx.qRot, ctx.kFull, ctx.vFull, dConcat, ctx.probs, env.Mask, env.QPos, env.Rec)
+	tensor.Put(dConcat)
 
 	var dk, dv *tensor.Tensor
 	if env.KV != nil {

@@ -3,6 +3,7 @@ package model
 import (
 	"math/rand"
 
+	"llama4d/internal/attention"
 	"llama4d/internal/tensor"
 )
 
@@ -72,6 +73,36 @@ func (b *Block) forwardFull(x *tensor.Tensor, env *Env) (*tensor.Tensor, *blockC
 	h.Add(fo)
 	tensor.Put(fo)
 	return h, ctx
+}
+
+// ForwardOnly is Forward for inference: the same sub-layer forwards in the
+// same order, with the residual stream x updated in place (the same sums
+// Forward writes to a fresh tensor) and every intermediate Backward would
+// have consumed released before it returns. Unlike an Env it separates the
+// two uses of position: ropePos is each row's position within its own
+// sequence (the rotation angle), maskPos its position in the batch (what
+// mask and the tile grid see) — they differ when several sequences are
+// packed under a Document mask. kv, when non-nil, observes the post-RoPE K
+// and the V of every row before attention runs (serving's hook for writing
+// cache pages).
+func (b *Block) ForwardOnly(x *tensor.Tensor, ropePos []int, mask attention.Mask, maskPos []int, kv func(k, v *tensor.Tensor)) {
+	q, k, v := b.Attn.QKV(b.Norm1.Apply(x), ropePos)
+	if kv != nil {
+		kv(k, v)
+	}
+	concat := MultiHead(q, k, v, b.Attn.NHeads, mask, maskPos, nil, nil)
+	tensor.Put(q, k, v)
+	ao, _ := b.Attn.Wo.Forward(concat, nil)
+	tensor.Put(concat)
+	x.Add(ao)
+	tensor.Put(ao)
+	n2 := b.Norm2.Apply(x)
+	hid := b.FFN.Hidden(n2)
+	tensor.Put(n2)
+	fo, _ := b.FFN.W2.Forward(hid, nil)
+	tensor.Put(hid)
+	x.Add(fo)
+	tensor.Put(fo)
 }
 
 // Forward implements Layer.

@@ -110,6 +110,3 @@ func (c Config) FwdFLOPs(tokens, ctx int64) float64 {
 	head := 2 * float64(tokens) * float64(c.Dim) * float64(c.Vocab)
 	return float64(c.NLayers)*c.LayerFwdFLOPs(tokens, ctx) + head
 }
-
-// TrainFLOPs approximates forward+backward FLOPs (backward ≈ 2× forward).
-func (c Config) TrainFLOPs(tokens, ctx int64) float64 { return 3 * c.FwdFLOPs(tokens, ctx) }

@@ -34,21 +34,35 @@ func sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
 
-// Forward implements Layer.
-func (f *FFN) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
-	ctx := &ffnCtx{}
-	var a, b *tensor.Tensor
-	a, ctx.c1 = f.W1.Forward(x, env)
-	b, ctx.c3 = f.W3.Forward(x, env)
-	ctx.a, ctx.b = a, b
+// swiglu is the activation silu(a) ∘ b; it consumes neither operand.
+func swiglu(a, b *tensor.Tensor) *tensor.Tensor {
 	h := tensor.GetUninit(a.Rows(), a.Cols())
 	for i, av := range a.Data {
 		h.Data[i] = av * sigmoid(av) * b.Data[i]
 	}
-	ctx.h = h // retained: W2's backward reads it through c2
-	y, c2 := f.W2.Forward(h, env)
+	return h
+}
+
+// Forward implements Layer.
+func (f *FFN) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
+	ctx := &ffnCtx{}
+	ctx.a, ctx.c1 = f.W1.Forward(x, env)
+	ctx.b, ctx.c3 = f.W3.Forward(x, env)
+	ctx.h = swiglu(ctx.a, ctx.b) // retained: W2's backward reads it through c2
+	y, c2 := f.W2.Forward(ctx.h, env)
 	ctx.c2 = c2
 	return y, ctx
+}
+
+// Hidden is the forward-only first half of Forward, silu(W1·x) ∘ W3·x, with
+// both projections released; the caller applies W2 (serve's decode issues
+// that product's TP sum itself) and owns the pooled result.
+func (f *FFN) Hidden(x *tensor.Tensor) *tensor.Tensor {
+	a, _ := f.W1.Forward(x, nil)
+	b, _ := f.W3.Forward(x, nil)
+	h := swiglu(a, b)
+	tensor.Put(a, b)
+	return h
 }
 
 // Backward implements Layer.

@@ -89,6 +89,8 @@ type Sample struct {
 // StepLoss runs forward+backward over a batch of samples, averaging the
 // loss and scaling gradients by 1/len(samples) — the sequential reference
 // semantics that micro-batched and data-parallel training must reproduce.
+// Reference surface: no non-test code calls it; this package's and
+// internal/data's tests do (`make dead` lists it for that reason).
 func (m *Model) StepLoss(samples []*Sample, env func(s *Sample) *Env) float64 {
 	var total float64
 	scale := 1 / float32(len(samples))
@@ -101,7 +103,8 @@ func (m *Model) StepLoss(samples []*Sample, env func(s *Sample) *Env) float64 {
 }
 
 // CopyWeightsTo copies every parameter value into dst, matching by name.
-// Used to give parallel models bitwise-identical initialisation.
+// Used to give parallel models bitwise-identical initialisation. Reference
+// surface: its callers are the cp and fsdp tests' sequential oracles.
 func (m *Model) CopyWeightsTo(dst []*Param) {
 	src := m.Params()
 	byName := make(map[string]*Param, len(src))
@@ -121,6 +124,7 @@ func (m *Model) CopyWeightsTo(dst []*Param) {
 }
 
 // GradientVector flattens all gradients into one tensor (for comparisons).
+// Reference surface: its callers are tests (this package's and cp's).
 func GradientVector(ps []*Param) *tensor.Tensor {
 	n := 0
 	for _, p := range ps {

@@ -366,7 +366,8 @@ func TestConfigParamCounts(t *testing.T) {
 func TestConfigFLOPs(t *testing.T) {
 	c := Llama3_405B()
 	// The famous 6·N·tokens rule of thumb: train FLOPs per token ≈ 6×params.
-	perTok := float64(c.TrainFLOPs(1, 1)) // ctx=1 removes attention quadratic term
+	// Backward ≈ 2× forward; ctx=1 removes the attention quadratic term.
+	perTok := 3 * c.FwdFLOPs(1, 1)
 	ratio := perTok / (6 * float64(c.TotalParams()))
 	if ratio < 0.8 || ratio > 1.2 {
 		t.Fatalf("FLOPs/token vs 6N ratio = %v", ratio)

@@ -27,9 +27,19 @@ type rmsCtx struct {
 
 // Forward implements Layer.
 func (n *RMSNorm) Forward(x *tensor.Tensor, _ *Env) (*tensor.Tensor, any) {
+	ctx := &rmsCtx{x: x, inv: make([]float32, x.Rows())}
+	return n.rows(x, ctx.inv), ctx
+}
+
+// Apply is the forward-only Forward: the same rows, no saved context.
+// Caller owns the pooled result.
+func (n *RMSNorm) Apply(x *tensor.Tensor) *tensor.Tensor { return n.rows(x, nil) }
+
+// rows is the one normalisation loop (float64 mean-square accumulation,
+// float32 inverse rms); inv, when non-nil, receives each row's 1/rms.
+func (n *RMSNorm) rows(x *tensor.Tensor, inv []float32) *tensor.Tensor {
 	rows, dim := x.Rows(), x.Cols()
 	out := tensor.GetUninit(rows, dim)
-	ctx := &rmsCtx{x: x, inv: make([]float32, rows)}
 	g := n.P.W.Data
 	for i := 0; i < rows; i++ {
 		xi := x.Row(i)
@@ -37,14 +47,16 @@ func (n *RMSNorm) Forward(x *tensor.Tensor, _ *Env) (*tensor.Tensor, any) {
 		for _, v := range xi {
 			ss += float64(v) * float64(v)
 		}
-		inv := float32(1 / math.Sqrt(ss/float64(dim)+float64(n.Eps)))
-		ctx.inv[i] = inv
+		r := float32(1 / math.Sqrt(ss/float64(dim)+float64(n.Eps)))
+		if inv != nil {
+			inv[i] = r
+		}
 		oi := out.Row(i)
 		for j, v := range xi {
-			oi[j] = v * inv * g[j]
+			oi[j] = v * r * g[j]
 		}
 	}
-	return out, ctx
+	return out
 }
 
 // Backward implements Layer.

@@ -131,7 +131,8 @@ func ZeroGrads(ps []*Param) {
 	}
 }
 
-// ParamByName finds a parameter by exact name.
+// ParamByName finds a parameter by exact name. Reference surface: its
+// callers are tests (this package's and tp's vocabulary-parallel suite).
 func ParamByName(ps []*Param, name string) *Param {
 	for _, p := range ps {
 		if p.Name == name {

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"fmt"
-	"math"
-
 	"llama4d/internal/attention"
 	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
+	"llama4d/internal/tp"
 )
 
 // Options configures an Engine.
@@ -23,46 +21,36 @@ type Options struct {
 	Rank  int
 }
 
-// layerW is one transformer layer's forward-only weight set, sharded for
-// this rank: Q/K/V and gate/up column-parallel, output and down projections
-// row-parallel — the same Megatron split as tp.ShardBlock, without the
-// training-side Param machinery.
-type layerW struct {
-	norm1, norm2 *tensor.Tensor // [dim] gains, replicated
-	wq           *tensor.Tensor // [dim, nhL·hd]
-	wk, wv       *tensor.Tensor // [dim, nkvL·hd]
-	wo           *tensor.Tensor // [nhL·hd, dim]
-	w1, w3       *tensor.Tensor // [dim, hiddenL]
-	w2           *tensor.Tensor // [hiddenL, dim]
-}
-
-// Engine is one rank's forward-only serving engine: sharded weights, the
+// Engine is one rank's forward-only serving engine: the model's blocks, the
 // paged KV-cache, and the prefill/decode entry points the scheduler drives.
+// The transformer itself is internal/model's: a sequential engine runs the
+// model's own blocks, an engine under a TP group runs tp.ShardBlock's, and
+// every norm, projection, rotation, attention head and activation goes
+// through model's forward-only surface (Block.ForwardOnly for the packed
+// prefill and the oracle; RMSNorm.Apply, Attention.QKV, MultiHead and
+// FFN.Hidden for the decode step). What is the engine's own is where K/V
+// live (pages), when the decode batch's TP sums are issued, and sampling.
 //
-// Determinism contract: every kernel the engine composes is row-independent
-// with a fixed per-element accumulation order (matmul accumulates strictly
+// Determinism contract: every kernel model composes is row-independent with
+// a fixed per-element accumulation order (matmul accumulates strictly
 // increasing k, masked softmax adds exact +0 terms for disallowed columns,
 // the PV product zero-skips them, RMSNorm/RoPE/SwiGLU are per-row), and the
 // chunked all-reduce sums elementwise in local-rank order, so splitting a
 // batch into rows, packing prompts into one ragged prefill, or chunking the
 // decode batch for overlap never changes a single logit bit relative to the
-// same-TP single-sequence full forward. This is the serving extension of
-// the training stack's §6.2 determinism contract.
+// same-TP single-sequence full forward — which is itself the training
+// stack's forward, by construction rather than by a mirrored copy. This is
+// the serving extension of the training stack's §6.2 determinism contract.
 type Engine struct {
 	Cfg model.Config
 	KV  *KVCache
 
-	group       *comm.Group
-	rank, tp    int
-	nhL, nkvL   int
-	hd, hiddenL int
-	eps         float32
-	rope        model.RoPE
+	group *comm.Group
+	rank  int
 
-	embed    *tensor.Tensor // [vocab, dim] replicated (shared with the model)
-	headNorm *tensor.Tensor // [dim]
-	headProj *tensor.Tensor // [dim, vocab] replicated
-	layers   []layerW
+	embed  *model.Embedding // replicated (the model's own)
+	head   *model.Head      // replicated (the model's own)
+	blocks []*model.Block
 
 	// OnLogits, if set, observes every generated position's full logits row
 	// before sampling — the bitwise-contract test hook.
@@ -70,207 +58,48 @@ type Engine struct {
 }
 
 // NewEngine builds a serving engine from a trained (or freshly initialised)
-// sequential model, sharding the weights for opts.Group. With a nil group
-// the engine references the model's weight tensors directly; with TP the
-// column/row shards are copies, exactly the tensors tp.ShardBlock would
-// hold.
+// sequential model. With a nil group the engine runs the model's own blocks;
+// under a group each block is tp.ShardBlock's Megatron shard of it (which
+// panics when heads or hidden do not divide by the TP degree).
 func NewEngine(m *model.Model, opts Options) *Engine {
 	cfg := m.Cfg
-	tp, local := 1, 0
+	e := &Engine{Cfg: cfg, group: opts.Group, rank: opts.Rank, embed: m.Embed, head: m.Head, blocks: m.Blocks}
 	if opts.Group != nil {
-		tp = opts.Group.Size()
-		local = opts.Group.LocalRank(opts.Rank)
-		if cfg.NHeads%tp != 0 || cfg.NKVHeads%tp != 0 || cfg.Hidden%tp != 0 {
-			panic(fmt.Sprintf("serve: heads (%d q, %d kv) or hidden %d not divisible by tp=%d",
-				cfg.NHeads, cfg.NKVHeads, cfg.Hidden, tp))
+		ctx := &tp.Ctx{Group: opts.Group, Rank: opts.Rank}
+		e.blocks = make([]*model.Block, len(m.Blocks))
+		for l, b := range m.Blocks {
+			e.blocks[l] = tp.ShardBlock(b, ctx)
 		}
 	}
 	pageSize := opts.PageSize
 	if pageSize <= 0 {
 		pageSize = 16
 	}
-	hd := cfg.HeadDim()
-	nkvL := cfg.NKVHeads / tp
 	budget := opts.PageBudget
 	if budget <= 0 {
 		budget = cfg.NLayers * 64 * ((cfg.MaxSeq + pageSize - 1) / pageSize)
 	}
-
-	e := &Engine{
-		Cfg:     cfg,
-		KV:      NewKVCache(cfg.NLayers, pageSize, nkvL*hd, budget),
-		group:   opts.Group,
-		rank:    opts.Rank,
-		tp:      tp,
-		nhL:     cfg.NHeads / tp,
-		nkvL:    nkvL,
-		hd:      hd,
-		hiddenL: cfg.Hidden / tp,
-		rope:    model.RoPE{HeadDim: hd, Base: cfg.RopeBase},
-		eps:     m.Head.Norm.Eps,
-	}
-
-	colShard := func(full *tensor.Tensor) *tensor.Tensor {
-		if tp == 1 {
-			return full
-		}
-		return tensor.ColBlock(full, tp, local)
-	}
-	rowShard := func(full *tensor.Tensor) *tensor.Tensor {
-		if tp == 1 {
-			return full
-		}
-		return tensor.SplitRows(full, tp)[local].Clone()
-	}
-	lin := func(l model.Layer) *tensor.Tensor { return l.(*model.Linear).P.W }
-
-	e.embed = m.Embed.P.W
-	e.headNorm = m.Head.Norm.P.W
-	e.headProj = m.Head.Proj.P.W
-	for _, b := range m.Blocks {
-		e.layers = append(e.layers, layerW{
-			norm1: b.Norm1.P.W,
-			norm2: b.Norm2.P.W,
-			wq:    colShard(lin(b.Attn.Wq)),
-			wk:    colShard(lin(b.Attn.Wk)),
-			wv:    colShard(lin(b.Attn.Wv)),
-			wo:    rowShard(lin(b.Attn.Wo)),
-			w1:    colShard(lin(b.FFN.W1)),
-			w3:    colShard(lin(b.FFN.W3)),
-			w2:    rowShard(lin(b.FFN.W2)),
-		})
-	}
+	e.KV = NewKVCache(cfg.NLayers, pageSize, cfg.NKVHeads/e.TP()*cfg.HeadDim(), budget)
 	return e
 }
 
 // TP returns the engine's tensor-parallel degree.
-func (e *Engine) TP() int { return e.tp }
-
-// rmsnorm mirrors model.RMSNorm.Forward bit for bit (float64 mean-square
-// accumulation, float32 inverse-rms), writing into a pooled output.
-func (e *Engine) rmsnorm(x, gain *tensor.Tensor) *tensor.Tensor {
-	rows, dim := x.Rows(), x.Cols()
-	out := tensor.GetUninit(rows, dim)
-	g := gain.Data
-	for i := 0; i < rows; i++ {
-		xi := x.Row(i)
-		var ss float64
-		for _, v := range xi {
-			ss += float64(v) * float64(v)
-		}
-		inv := float32(1 / math.Sqrt(ss/float64(dim)+float64(e.eps)))
-		oi := out.Row(i)
-		for j, v := range xi {
-			oi[j] = v * inv * g[j]
-		}
-	}
-	return out
-}
-
-// swiglu mirrors model.FFN's activation: silu(a) ∘ b, consuming neither.
-func swiglu(a, b *tensor.Tensor) *tensor.Tensor {
-	h := tensor.GetUninit(a.Rows(), a.Cols())
-	for i, av := range a.Data {
-		h.Data[i] = av * float32(1/(1+math.Exp(-float64(av)))) * b.Data[i]
-	}
-	return h
-}
-
-// headColsInto copies the column block of head h (width hd) of t into dst —
-// the serve-side twin of model.Attention's private helper.
-func headColsInto(dst, t *tensor.Tensor, h, hd int) {
-	rows, w := t.Rows(), t.Cols()
-	for i := 0; i < rows; i++ {
-		copy(dst.Row(i), t.Data[i*w+h*hd:i*w+h*hd+hd])
-	}
-}
-
-// addHeadCols accumulates src into the column block of head h of dst.
-func addHeadCols(dst, src *tensor.Tensor, h, hd int) {
-	rows, w := dst.Rows(), dst.Cols()
-	for i := 0; i < rows; i++ {
-		di := dst.Data[i*w+h*hd : i*w+h*hd+hd]
-		si := src.Row(i)
-		for j := range di {
-			di[j] += si[j]
-		}
-	}
-}
-
-// allReduce is the blocking TP sum (identity when sequential). The caller
-// keeps ownership of x; the result is fresh and pooled.
-func (e *Engine) allReduce(x *tensor.Tensor) *tensor.Tensor {
+func (e *Engine) TP() int {
 	if e.group == nil {
-		return x.Clone()
+		return 1
 	}
-	return e.group.AllReduce(e.rank, x)
+	return e.group.Size()
 }
 
-// forward runs the whole stack over tokens without touching the cache,
-// except through sink, which observes every layer's post-RoPE K and full V
-// ([len(tokens), nkvL·hd]) — the prefill path's hook for writing pages.
-// ropePos gives each row's position within its own sequence (the rotation
-// angle); maskPos gives its position in the packed batch (what mask and
-// grid classification see). The two coincide for a single sequence.
-// Returns the final hidden states [len(tokens), dim]; caller owns.
-func (e *Engine) forward(tokens []int, ropePos, maskPos []int, mask attention.Mask, sink func(layer int, k, v *tensor.Tensor)) *tensor.Tensor {
-	n := len(tokens)
-	x := tensor.GetUninit(n, e.Cfg.Dim)
-	for i, t := range tokens {
-		copy(x.Row(i), e.embed.Row(t))
-	}
-	group := e.nhL / e.nkvL
-	for l := range e.layers {
-		w := &e.layers[l]
-		n1 := e.rmsnorm(x, w.norm1)
-		q0 := tensor.MatMul(n1, w.wq)
-		k0 := tensor.MatMul(n1, w.wk)
-		v := tensor.MatMul(n1, w.wv)
-		tensor.Put(n1)
-		q := e.rope.Apply(q0, ropePos)
-		k := e.rope.Apply(k0, ropePos)
-		tensor.Put(q0, k0)
-		if sink != nil {
-			sink(l, k, v)
-		}
-
-		// Zeroed Get + addHeadCols keeps the accumulate semantics of
-		// model.Attention, signed zeros included.
-		concat := tensor.Get(n, e.nhL*e.hd)
-		qh := tensor.GetUninit(n, e.hd)
-		kh := tensor.GetUninit(n, e.hd)
-		vh := tensor.GetUninit(n, e.hd)
-		for h := 0; h < e.nhL; h++ {
-			headColsInto(qh, q, h, e.hd)
-			kv := h / group
-			headColsInto(kh, k, kv, e.hd)
-			headColsInto(vh, v, kv, e.hd)
-			out := attention.Forward(qh, kh, vh, mask, maskPos, 0)
-			addHeadCols(concat, out.O, h, e.hd)
-			tensor.Put(out.O, out.P)
-		}
-		tensor.Put(qh, kh, vh, q, k, v)
-
-		aoPartial := tensor.MatMul(concat, w.wo)
-		tensor.Put(concat)
-		ao := e.allReduce(aoPartial)
-		tensor.Put(aoPartial)
-		h := x.Clone().Add(ao)
-		tensor.Put(x, ao)
-
-		n2 := e.rmsnorm(h, w.norm2)
-		a := tensor.MatMul(n2, w.w1)
-		b := tensor.MatMul(n2, w.w3)
-		tensor.Put(n2)
-		hid := swiglu(a, b)
-		tensor.Put(a, b)
-		foPartial := tensor.MatMul(hid, w.w2)
-		tensor.Put(hid)
-		fo := e.allReduce(foPartial)
-		tensor.Put(foPartial)
-		h.Add(fo)
-		tensor.Put(fo)
-		x = h
+// forward runs the whole stack over tokens (model.Block.ForwardOnly per
+// layer, which defines ropePos, maskPos and kv) without touching the cache,
+// except through kv: each layer in turn calls it with its post-RoPE K and
+// full V ([len(tokens), nkvL·hd]) — the prefill path's hook for writing
+// pages. Returns the final hidden states [len(tokens), dim]; caller owns.
+func (e *Engine) forward(tokens []int, ropePos, maskPos []int, mask attention.Mask, kv func(k, v *tensor.Tensor)) *tensor.Tensor {
+	x, _ := e.embed.Forward(tokens)
+	for _, b := range e.blocks {
+		b.ForwardOnly(x, ropePos, mask, maskPos, kv)
 	}
 	return x
 }
@@ -278,8 +107,8 @@ func (e *Engine) forward(tokens []int, ropePos, maskPos []int, mask attention.Ma
 // logits projects hidden rows to the (replicated) vocabulary. Caller owns
 // the result.
 func (e *Engine) logits(x *tensor.Tensor) *tensor.Tensor {
-	hN := e.rmsnorm(x, e.headNorm)
-	lg := tensor.MatMul(hN, e.headProj)
+	hN := e.head.Norm.Apply(x)
+	lg, _ := e.head.Proj.Forward(hN, nil)
 	tensor.Put(hN)
 	return lg
 }
@@ -322,49 +151,34 @@ func (e *Engine) Prefill(seqs []*SeqState) {
 	if len(seqs) == 0 {
 		return
 	}
-	var tokens []int
-	var ropePos, maskPos, docIDs []int
-	offs := make([]int, len(seqs))
+	var tokens, ropePos, docIDs []int
+	offs := make([]int, len(seqs)+1) // sequence i owns packed rows [offs[i], offs[i+1])
 	for i, s := range seqs {
-		offs[i] = len(tokens)
-		feed := s.feedTokens()
-		for p, t := range feed {
+		if s.Cache.Used() != 0 {
+			panic("serve: Prefill of a sequence with committed KV")
+		}
+		for p, t := range s.feedTokens() {
 			tokens = append(tokens, t)
 			ropePos = append(ropePos, p)
 			docIDs = append(docIDs, i)
 		}
-		if s.Cache.Used() != 0 {
-			panic("serve: Prefill of a sequence with committed KV")
-		}
+		offs[i+1] = len(tokens)
 	}
-	maskPos = attention.Iota(len(tokens))
 
-	x := e.forward(tokens, ropePos, maskPos, attention.Document{DocID: docIDs}, func(l int, k, v *tensor.Tensor) {
+	layer := 0 // the hook runs once per layer, in layer order
+	x := e.forward(tokens, ropePos, attention.Iota(len(tokens)), attention.Document{DocID: docIDs}, func(k, v *tensor.Tensor) {
 		for i, s := range seqs {
-			end := len(tokens)
-			if i+1 < len(seqs) {
-				end = offs[i+1]
-			}
-			e.KV.Append(s.Cache, l, k, v, offs[i], end)
+			e.KV.Append(s.Cache, layer, k, v, offs[i], offs[i+1])
 		}
+		layer++
 	})
-	for i, s := range seqs {
-		end := len(tokens)
-		if i+1 < len(seqs) {
-			end = offs[i+1]
-		}
-		e.KV.Advance(s.Cache, end-offs[i])
-	}
 
 	// Only the last row of each sequence feeds sampling; extracting rows
 	// before the head projection is bitwise-safe (both are row-wise).
 	last := tensor.GetUninit(len(seqs), e.Cfg.Dim)
-	for i := range seqs {
-		end := len(tokens)
-		if i+1 < len(seqs) {
-			end = offs[i+1]
-		}
-		copy(last.Row(i), x.Row(end-1))
+	for i, s := range seqs {
+		e.KV.Advance(s.Cache, offs[i+1]-offs[i])
+		copy(last.Row(i), x.Row(offs[i+1]-1))
 	}
 	tensor.Put(x)
 	lg := e.logits(last)
@@ -384,7 +198,7 @@ func (e *Engine) Prefill(seqs []*SeqState) {
 // chunk's nonblocking all-reduce), one otherwise. ServeSim mirrors this
 // rule; changing it requires changing both.
 func (e *Engine) decodeChunks(b int) int {
-	if e.tp > 1 && b >= 2 {
+	if e.TP() > 1 && b >= 2 {
 		return 2
 	}
 	return 1
@@ -427,87 +241,53 @@ func (e *Engine) DecodeStep(seqs []*SeqState) {
 
 	nc := e.decodeChunks(bsz)
 	bounds := chunkBounds(bsz, nc)
-	group := e.nhL / e.nkvL
+	partials := make([]*tensor.Tensor, nc)
+	handles := make([]*comm.Handle, nc)
 
-	x := tensor.GetUninit(bsz, e.Cfg.Dim)
-	for i, t := range tokens {
-		copy(x.Row(i), e.embed.Row(t))
-	}
-	qh := tensor.GetUninit(1, e.hd)
-	for l := range e.layers {
-		w := &e.layers[l]
-		n1 := e.rmsnorm(x, w.norm1)
-		q0 := tensor.MatMul(n1, w.wq)
-		k0 := tensor.MatMul(n1, w.wk)
-		v := tensor.MatMul(n1, w.wv)
-		tensor.Put(n1)
-		q := e.rope.Apply(q0, pos)
-		k := e.rope.Apply(k0, pos)
-		tensor.Put(q0, k0)
+	x, _ := e.embed.Forward(tokens)
+	for l, b := range e.blocks {
+		q, k, v := b.Attn.QKV(b.Norm1.Apply(x), pos)
 		for i, s := range seqs {
 			e.KV.Append(s.Cache, l, k, v, i, i+1)
 		}
 		tensor.Put(k, v)
 
-		// Attention chunk by chunk; under TP each chunk's partial output
-		// projection all-reduces nonblocking while the next chunk computes.
-		partials := make([]*tensor.Tensor, nc)
-		handles := make([]*comm.Handle, nc)
-		for c, b := range bounds {
-			lo, hi := b[0], b[1]
-			concat := tensor.Get(hi-lo, e.nhL*e.hd)
+		// Attention chunk by chunk, each row over its own paged history;
+		// under TP each chunk's partial output projection all-reduces
+		// nonblocking while the next chunk computes.
+		for c, cb := range bounds {
+			lo, hi := cb[0], cb[1]
+			concat := tensor.GetUninit(hi-lo, q.Cols())
 			for i := lo; i < hi; i++ {
 				s := seqs[i]
 				t := s.Cache.Used() + 1 // history plus the row staged above
 				kBuf := tensor.GetUninit(t, e.KV.Width)
 				vBuf := tensor.GetUninit(t, e.KV.Width)
 				e.KV.Gather(s.Cache, l, t, kBuf, vBuf)
-				for h := 0; h < e.nhL; h++ {
-					copy(qh.Row(0), q.Data[i*e.nhL*e.hd+h*e.hd:i*e.nhL*e.hd+(h+1)*e.hd])
-					kv := h / group
-					kHead := tensor.GetUninit(t, e.hd)
-					vHead := tensor.GetUninit(t, e.hd)
-					headColsInto(kHead, kBuf, kv, e.hd)
-					headColsInto(vHead, vBuf, kv, e.hd)
-					out := attention.Forward(qh, kHead, vHead, attention.Causal{}, pos[i:i+1], 0)
-					addHeadCols(concat.RowSlice(i-lo, i-lo+1), out.O, h, e.hd)
-					tensor.Put(out.O, out.P, kHead, vHead)
-				}
-				tensor.Put(kBuf, vBuf)
+				row := model.MultiHead(q.RowSlice(i, i+1), kBuf, vBuf, b.Attn.NHeads, attention.Causal{}, pos[i:i+1], nil, nil)
+				copy(concat.Row(i-lo), row.Data)
+				tensor.Put(row, kBuf, vBuf)
 			}
-			partials[c] = tensor.MatMul(concat, w.wo)
+			partials[c], handles[c] = e.partialSum(b.Attn.Wo, concat)
 			tensor.Put(concat)
-			if e.group != nil {
-				handles[c] = e.group.IAllReduce(e.rank, partials[c])
-			}
 		}
 		tensor.Put(q)
-		ao := e.collectChunks(bsz, e.Cfg.Dim, bounds, partials, handles)
-		h := x.Clone().Add(ao)
-		tensor.Put(x, ao)
+		ao := collectChunks(bsz, e.Cfg.Dim, bounds, partials, handles)
+		x.Add(ao)
+		tensor.Put(ao)
 
 		// FFN, chunked the same way.
-		n2 := e.rmsnorm(h, w.norm2)
-		for c, b := range bounds {
-			lo, hi := b[0], b[1]
-			n2c := n2.RowSlice(lo, hi) // view: never Put
-			a := tensor.MatMul(n2c, w.w1)
-			bb := tensor.MatMul(n2c, w.w3)
-			hid := swiglu(a, bb)
-			tensor.Put(a, bb)
-			partials[c] = tensor.MatMul(hid, w.w2)
+		n2 := b.Norm2.Apply(x)
+		for c, cb := range bounds {
+			hid := b.FFN.Hidden(n2.RowSlice(cb[0], cb[1])) // a view: never Put
+			partials[c], handles[c] = e.partialSum(b.FFN.W2, hid)
 			tensor.Put(hid)
-			if e.group != nil {
-				handles[c] = e.group.IAllReduce(e.rank, partials[c])
-			}
 		}
 		tensor.Put(n2)
-		fo := e.collectChunks(bsz, e.Cfg.Dim, bounds, partials, handles)
-		h.Add(fo)
+		fo := collectChunks(bsz, e.Cfg.Dim, bounds, partials, handles)
+		x.Add(fo)
 		tensor.Put(fo)
-		x = h
 	}
-	tensor.Put(qh)
 	for _, s := range seqs {
 		e.KV.Advance(s.Cache, 1)
 	}
@@ -524,11 +304,24 @@ func (e *Engine) DecodeStep(seqs []*SeqState) {
 	tensor.Put(lg)
 }
 
+// partialSum runs a chunk through a block's output or down projection and
+// starts its sum over the TP group: this rank's term of the row-parallel
+// product with the all-reduce issued nonblocking (the handle), or, with no
+// group, the model's own linear and a nil handle.
+func (e *Engine) partialSum(l model.Layer, x *tensor.Tensor) (*tensor.Tensor, *comm.Handle) {
+	if e.group == nil {
+		y, _ := l.Forward(x, nil)
+		return y, nil
+	}
+	partial := l.(*tp.RowParallelLinear).Partial(x)
+	return partial, e.group.IAllReduce(e.rank, partial)
+}
+
 // collectChunks waits on the chunks' all-reduce handles in issue order and
 // assembles the full-batch rows. Row assembly is a copy, so chunking is
 // bitwise invisible; the handle Waits all happen after every issue, so the
 // pattern is deadlock-free at any TP degree.
-func (e *Engine) collectChunks(rows, cols int, bounds [][2]int, partials []*tensor.Tensor, handles []*comm.Handle) *tensor.Tensor {
+func collectChunks(rows, cols int, bounds [][2]int, partials []*tensor.Tensor, handles []*comm.Handle) *tensor.Tensor {
 	out := tensor.GetUninit(rows, cols)
 	for c, b := range bounds {
 		res := partials[c]

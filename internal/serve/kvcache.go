@@ -95,9 +95,6 @@ type Seq struct {
 // Used returns the number of committed tokens.
 func (s *Seq) Used() int { return s.used }
 
-// Reserved returns the token capacity currently backed by pages.
-func (s *Seq) Reserved() int { return s.reserved }
-
 // KVCache is the paged KV store of one rank's engine: Layers page tables
 // per sequence over a shared PageAllocator.
 type KVCache struct {

@@ -10,6 +10,7 @@ import (
 	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
+	"llama4d/internal/tp"
 )
 
 // testModel builds a deterministic tiny model for the given head split.
@@ -29,35 +30,57 @@ func randPrompt(rng *rand.Rand, n, vocab int) []int {
 	return p
 }
 
-// modelLogits runs the training stack's sequential forward (Embed → Blocks
-// → Head.Norm → Head.Proj) and returns all-position logits.
-func modelLogits(m *model.Model, tokens []int) *tensor.Tensor {
-	env := model.SeqEnv(len(tokens), attention.Causal{})
-	x, _ := m.Embed.Forward(tokens)
-	for _, b := range m.Blocks {
-		x, _ = b.Forward(x, env)
+// modelLogits runs the training stack's forward (Embed → Blocks → Head.Norm
+// → Head.Proj) and returns rank 0's all-position logits: the model's own
+// blocks at degree 1, tp.ShardBlock's training forward under a TP group.
+func modelLogits(t *testing.T, m *model.Model, tokens []int, degree int) *tensor.Tensor {
+	t.Helper()
+	var out *tensor.Tensor
+	world := comm.NewWorld(degree)
+	group := tpGroup(world, degree)
+	err := world.RunSPMD(func(rank int) {
+		env := model.SeqEnv(len(tokens), attention.Causal{})
+		x, _ := m.Embed.Forward(tokens)
+		for _, b := range m.Blocks {
+			if group != nil {
+				b = tp.ShardBlock(b, &tp.Ctx{Group: group, Rank: rank})
+			}
+			x, _ = b.Forward(x, env)
+		}
+		n, _ := m.Head.Norm.Forward(x, env)
+		logits, _ := m.Head.Proj.Forward(n, env)
+		if rank == 0 {
+			out = logits
+		}
+	})
+	if err != nil {
+		t.Fatalf("model world: %v", err)
 	}
-	n, _ := m.Head.Norm.Forward(x, env)
-	logits, _ := m.Head.Proj.Forward(n, env)
-	return logits
+	return out
 }
 
 // TestOracleMatchesModel pins the serving oracle to the training stack: the
-// engine's dense full forward must reproduce the sequential model's logits
-// bit for bit at TP=1.
+// engine's dense full forward must reproduce the training forward's logits
+// bit for bit at the same TP degree — also when a layer's norm carries its
+// own Eps, which an engine applying the head's Eps everywhere gets wrong.
 func TestOracleMatchesModel(t *testing.T) {
-	m := testModel(4, 2)
-	e := NewEngine(m, Options{PageSize: 4})
-	tokens := randPrompt(rand.New(rand.NewSource(3)), 19, m.Cfg.Vocab)
-
-	want := modelLogits(m, tokens)
-	got := e.FullForwardLogits(tokens)
-	if !want.SameShape(got) {
-		t.Fatalf("shape %v vs %v", want.Shape, got.Shape)
-	}
-	for i := range want.Data {
-		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-			t.Fatalf("logit %d differs: %v vs %v", i, want.Data[i], got.Data[i])
+	tokens := randPrompt(rand.New(rand.NewSource(3)), 19, 61)
+	for _, degree := range []int{1, 2} {
+		for _, eps := range []float32{1e-5, 1e-2} {
+			t.Run(fmt.Sprintf("tp%d/eps%g", degree, eps), func(t *testing.T) {
+				m := testModel(4, 2)
+				m.Blocks[0].Norm1.Eps = eps
+				want := modelLogits(t, m, tokens, degree)
+				got := oracleLogits(t, m, tokens, degree)
+				if !want.SameShape(got) {
+					t.Fatalf("shape %v vs %v", want.Shape, got.Shape)
+				}
+				for i := range want.Data {
+					if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+						t.Fatalf("logit %d differs: %v vs %v", i, want.Data[i], got.Data[i])
+					}
+				}
+			})
 		}
 	}
 }

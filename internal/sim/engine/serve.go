@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"llama4d/internal/attention"
 	"llama4d/internal/model"
 	"llama4d/internal/sim/cost"
 )
@@ -136,8 +135,7 @@ func (ss ServeSim) prefillSeconds() float64 {
 		m.GEMM(p, nhL*hd, d) +
 		2*m.GEMM(p, d, hL) +
 		m.GEMM(p, hL, d)
-	pairs := attention.FastCausalPairs(attention.Iota(ss.Prompt))
-	layer += m.Attention(p, p, pairs, nhL, hd)
+	layer += m.Attention(p, p, p*(p+1)/2, nhL, hd) // causal pairs: Σ (i+1)
 	if ss.TP > 1 {
 		actBytes := 2 * float64(p) * float64(d)
 		layer += 2 * m.AllReduce(ss.tpRanks(), actBytes)

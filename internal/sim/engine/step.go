@@ -175,7 +175,7 @@ func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64)
 
 	// Attention: balanced causal sharding ⇒ totalPairs/cp per rank, per
 	// sample of the micro-batch.
-	totalPairs := attention.FastCausalPairs(attention.Iota(ts.Seq))
+	totalPairs := int64(ts.Seq) * int64(ts.Seq+1) / 2 // causal: Σ_p (p+1)
 	if ts.DocMask {
 		ds := docStartsFor(ts.Seq, true, ts.AvgDocLen, 7)
 		totalPairs = attention.FastAllowedPairs(attention.Iota(ts.Seq), ds)

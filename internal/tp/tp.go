@@ -1,8 +1,6 @@
 // Package tp implements Megatron-style tensor parallelism (§2.1): linear
 // modules split along input or output dimensions across the ranks of a TP
-// group, with the conjugate identity/all-reduce communication pattern, plus
-// the sequence-parallel (SP) all-gather/reduce-scatter variant that trades
-// communication for activation memory.
+// group, with the conjugate identity/all-reduce communication pattern.
 //
 // The package plugs into the model package through the Layer interface:
 // ShardBlock rewrites a sequential transformer block into its TP-sharded
@@ -118,9 +116,16 @@ type rowCtx struct {
 	x *tensor.Tensor
 }
 
+// Partial is this rank's term of the product, before the sum over the group
+// — for a caller that schedules the sum itself (serve's decode issues it
+// nonblocking, per chunk).
+func (l *RowParallelLinear) Partial(x *tensor.Tensor) *tensor.Tensor {
+	return tensor.MatMul(x, l.P.W)
+}
+
 // Forward implements model.Layer.
 func (l *RowParallelLinear) Forward(x *tensor.Tensor, _ *model.Env) (*tensor.Tensor, any) {
-	partial := tensor.MatMul(x, l.P.W)
+	partial := l.Partial(x)
 	y := l.Ctx.Group.AllReduce(l.Ctx.Rank, partial)
 	tensor.Put(partial)
 	return y, &rowCtx{x: x}
@@ -176,14 +181,13 @@ func ShardFFN(seq *model.FFN, ctx *Ctx) *model.FFN {
 // RMSNorm gains are replicated (their gradients must be all-reduced across
 // TP at step time; see ReplicatedGradAllReduce).
 func ShardBlock(seq *model.Block, ctx *Ctx) *model.Block {
-	n1 := model.NewRMSNorm(seq.Norm1.P.Name, seq.Norm1.P.W.Len())
-	copy(n1.P.W.Data, seq.Norm1.P.W.Data)
-	n2 := model.NewRMSNorm(seq.Norm2.P.Name, seq.Norm2.P.W.Len())
-	copy(n2.P.W.Data, seq.Norm2.P.W.Data)
+	norm := func(n *model.RMSNorm) *model.RMSNorm {
+		return &model.RMSNorm{P: model.NewParam(n.P.Name, n.P.W.Clone()), Eps: n.Eps}
+	}
 	return &model.Block{
-		Norm1:     n1,
+		Norm1:     norm(seq.Norm1),
 		Attn:      ShardAttention(seq.Attn, ctx),
-		Norm2:     n2,
+		Norm2:     norm(seq.Norm2),
 		FFN:       ShardFFN(seq.FFN, ctx),
 		Frozen:    seq.Frozen,
 		Recompute: seq.Recompute,
@@ -193,7 +197,8 @@ func ShardBlock(seq *model.Block, ctx *Ctx) *model.Block {
 // ReplicatedGradAllReduce averages the gradients of TP-replicated parameters
 // (RMSNorm gains, embeddings) across the TP group. Because each TP rank saw
 // identical activations, their gradients are identical up to rounding; the
-// all-reduce keeps replicas bitwise aligned.
+// all-reduce keeps replicas bitwise aligned. Reference surface: no non-test
+// code calls it; its caller is this package's multi-step alignment test.
 func ReplicatedGradAllReduce(ctx *Ctx, params []*model.Param) {
 	for _, p := range params {
 		red := ctx.Group.AllReduce(ctx.Rank, p.G)

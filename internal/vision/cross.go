@@ -51,16 +51,8 @@ func (c *CrossAttention) Forward(x, img *tensor.Tensor) (*tensor.Tensor, any) {
 	v, ctx.vc = c.Wv.Forward(img, nil)
 	ctx.q, ctx.k, ctx.v = q, k, v
 	qPos := make([]int, x.Rows()) // bidirectional: positions are irrelevant
-	concat := tensor.New(x.Rows(), c.NHeads*c.HeadDim)
 	ctx.probs = make([]*tensor.Tensor, c.NHeads)
-	for h := 0; h < c.NHeads; h++ {
-		qh := headCols(q, h, c.HeadDim)
-		kh := headCols(k, h, c.HeadDim)
-		vh := headCols(v, h, c.HeadDim)
-		out := attention.Forward(qh, kh, vh, attention.Full{}, qPos, 0)
-		ctx.probs[h] = out.P
-		addHeadCols(concat, out.O, h, c.HeadDim)
-	}
+	concat := model.MultiHead(q, k, v, c.NHeads, attention.Full{}, qPos, nil, ctx.probs)
 	y, oc := c.Wo.Forward(concat, nil)
 	ctx.oc = oc
 	return y, ctx
@@ -71,44 +63,11 @@ func (c *CrossAttention) Backward(ctxAny any, dy *tensor.Tensor) (*tensor.Tensor
 	ctx := ctxAny.(*xattnCtx)
 	dConcat := c.Wo.Backward(ctx.oc, dy)
 	qPos := make([]int, ctx.q.Rows()) // bidirectional: positions are irrelevant
-	dq := tensor.New(ctx.q.Rows(), c.NHeads*c.HeadDim)
-	dk := tensor.New(ctx.k.Rows(), c.NHeads*c.HeadDim)
-	dv := tensor.New(ctx.v.Rows(), c.NHeads*c.HeadDim)
-	for h := 0; h < c.NHeads; h++ {
-		qh := headCols(ctx.q, h, c.HeadDim)
-		kh := headCols(ctx.k, h, c.HeadDim)
-		vh := headCols(ctx.v, h, c.HeadDim)
-		dOh := headCols(dConcat, h, c.HeadDim)
-		dqh, dkh, dvh := attention.Backward(qh, kh, vh, ctx.probs[h], dOh, attention.Full{}, qPos, 0)
-		addHeadCols(dq, dqh, h, c.HeadDim)
-		addHeadCols(dk, dkh, h, c.HeadDim)
-		addHeadCols(dv, dvh, h, c.HeadDim)
-	}
+	dq, dk, dv := model.MultiHeadBackward(ctx.q, ctx.k, ctx.v, dConcat, ctx.probs, attention.Full{}, qPos, nil)
 	dx := c.Wq.Backward(ctx.qc, dq)
 	dImg := c.Wk.Backward(ctx.kc, dk)
 	dImg.Add(c.Wv.Backward(ctx.vc, dv))
 	return dx, dImg
-}
-
-// headCols copies head h's column block out of t (width hd).
-func headCols(t *tensor.Tensor, h, hd int) *tensor.Tensor {
-	rows, w := t.Rows(), t.Cols()
-	out := tensor.New(rows, hd)
-	for i := 0; i < rows; i++ {
-		copy(out.Row(i), t.Data[i*w+h*hd:i*w+h*hd+hd])
-	}
-	return out
-}
-
-func addHeadCols(dst, src *tensor.Tensor, h, hd int) {
-	rows, w := dst.Rows(), dst.Cols()
-	for i := 0; i < rows; i++ {
-		di := dst.Data[i*w+h*hd : i*w+h*hd+hd]
-		si := src.Row(i)
-		for j := range di {
-			di[j] += si[j]
-		}
-	}
 }
 
 // CrossBlock is a full cross-attention transformer layer: pre-norm
