@@ -3,8 +3,8 @@ package attention
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"llama4d/internal/tensor"
 )
@@ -133,43 +133,26 @@ func TestDocumentMaskBlocksCrossDocAttention(t *testing.T) {
 	}
 }
 
-// streamedForward streams key blocks of size blockSize through
-// PartialForwardInto/MergeInPlace and finalises in place — the
-// Flash-Attention-V2 structure the retired FlashForward implemented, kept
-// here so the block-merge path retains full equivalence coverage against
-// Forward (whose blocked engine is now the single streamed implementation).
-func streamedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, blockSize int) *tensor.Tensor {
+// streamedForward feeds the key axis to StreamScores in blocks of blockSize
+// and finishes once — the ring's structure, at block sizes far below a tile.
+func streamedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, blockSize int) *Output {
 	sk := k.Rows()
-	if blockSize <= 0 {
-		blockSize = sk
-	}
-	var acc, scratch *Partial
+	g := BuildGrid(m, qPos, 0, sk)
+	s := tensor.Get(q.Rows(), sk)
 	for off := 0; off < sk; off += blockSize {
-		end := off + blockSize
-		if end > sk {
-			end = sk
-		}
-		if acc == nil {
-			acc = PartialForward(q, k.RowSlice(off, end), v.RowSlice(off, end), m, qPos, off)
-			continue
-		}
-		scratch = PartialForwardInto(scratch, q, k.RowSlice(off, end), v.RowSlice(off, end), m, qPos, off)
-		MergeInPlace(acc, scratch)
+		end := min(off+blockSize, sk)
+		StreamScores(s, q, k.RowSlice(off, end), 0, 0, off, end-off, g)
 	}
-	ReleasePartial(scratch)
-	if acc == nil {
-		return tensor.New(q.Rows(), q.Cols())
-	}
-	return FinalizeInPlace(acc)
+	return StreamFinish(s, v, m, qPos, g, nil)
 }
 
 func TestStreamedMatchesForward(t *testing.T) {
 	for _, blockSize := range []int{1, 2, 3, 8, 64} {
 		q, k, v := randQKV(4, 16, 16, 8)
-		naive := Forward(q, k, v, Causal{}, Iota(16), 0).O
-		flash := streamedForward(q, k, v, Causal{}, Iota(16), blockSize)
-		if d := tensor.MaxDiff(naive, flash); d > 1e-5 {
-			t.Fatalf("block %d: streamed vs naive diff %v", blockSize, d)
+		want := Forward(q, k, v, Causal{}, Iota(16), 0)
+		got := streamedForward(q, k, v, Causal{}, Iota(16), blockSize)
+		if !tensor.BitwiseEqual(want.O, got.O) || !tensor.BitwiseEqual(want.P, got.P) {
+			t.Fatalf("block %d: streamed differs from Forward", blockSize)
 		}
 	}
 }
@@ -179,51 +162,31 @@ func TestStreamedMatchesForwardDocumentMask(t *testing.T) {
 	ids := DocIDsFromLengths([]int{5, 11, 9, 7}, seq)
 	q, k, v := randQKV(5, seq, seq, 8)
 	m := Document{DocID: ids}
-	naive := Forward(q, k, v, m, Iota(seq), 0).O
+	want := Forward(q, k, v, m, Iota(seq), 0)
 	for _, bs := range []int{4, 7, 32} {
-		flash := streamedForward(q, k, v, m, Iota(seq), bs)
-		if d := tensor.MaxDiff(naive, flash); d > 1e-5 {
-			t.Fatalf("doc mask, block %d: diff %v", bs, d)
+		got := streamedForward(q, k, v, m, Iota(seq), bs)
+		if !tensor.BitwiseEqual(want.O, got.O) || !tensor.BitwiseEqual(want.P, got.P) {
+			t.Fatalf("doc mask, block %d: streamed differs from Forward", bs)
 		}
 	}
 }
 
-func TestMergeCommutative(t *testing.T) {
-	q, k, v := randQKV(6, 8, 16, 4)
-	pa := PartialForward(q, k.RowSlice(0, 8), v.RowSlice(0, 8), Causal{}, Iota(8), 0)
-	pb := PartialForward(q, k.RowSlice(8, 16), v.RowSlice(8, 16), Causal{}, Iota(8), 8)
-	ab := Finalize(Merge(pa, pb))
-	ba := Finalize(Merge(pb, pa))
-	if d := tensor.MaxDiff(ab, ba); d > 1e-5 {
-		t.Fatalf("merge not commutative: %v", d)
-	}
-}
-
-func TestMergeAssociativeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		q, k, v := randQKV(seed, 6, 12, 4)
-		var parts []*Partial
-		for i := 0; i < 3; i++ {
-			parts = append(parts, PartialForward(q, k.RowSlice(i*4, i*4+4), v.RowSlice(i*4, i*4+4), Causal{}, Iota(6), i*4))
-		}
-		left := Finalize(Merge(Merge(parts[0], parts[1]), parts[2]))
-		right := Finalize(Merge(parts[0], Merge(parts[1], parts[2])))
-		return tensor.MaxDiff(left, right) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestMergeWithEmptyBlockIsNeutral: a key block entirely after every query
+// contributes the log-sum-exp merge's neutral element — each row's statistics
+// are M = -Inf, L = 0 and its unnormalised output is zero. (The merge itself
+// is gone; what PartialForwardInto stores for such a block is what is kept.)
 func TestMergeWithEmptyBlockIsNeutral(t *testing.T) {
 	q, k, v := randQKV(7, 4, 4, 4)
-	full := PartialForward(q, k, v, Causal{}, Iota(4), 0)
-	// A block whose keys are all in the future is fully masked for all rows.
-	empty := PartialForward(q, k, v, Causal{}, Iota(4), 100)
-	merged := Finalize(Merge(full, empty))
-	want := Finalize(full)
-	if d := tensor.MaxDiff(merged, want); d > 1e-6 {
-		t.Fatalf("neutral merge changed result by %v", d)
+	empty := PartialForwardInto(nil, q, k, v, Causal{}, Iota(4), 100)
+	for i := range empty.M {
+		if !math.IsInf(float64(empty.M[i]), -1) || empty.L[i] != 0 {
+			t.Fatalf("row %d: (M, L) = (%v, %v), want (-Inf, 0)", i, empty.M[i], empty.L[i])
+		}
+	}
+	for _, x := range empty.O.Data {
+		if x != 0 {
+			t.Fatalf("fully masked partial rows must be zero, got %v", empty.O.Data)
+		}
 	}
 }
 
@@ -311,13 +274,6 @@ func TestBackwardMaskedGradientsZero(t *testing.T) {
 func TestStreamedFullyMaskedRowIsZero(t *testing.T) {
 	q, k, v := randQKV(13, 2, 4, 4)
 	// Query positions before all keys: nothing allowed under causal mask.
-	out := streamedForward(q, k, v, Causal{}, []int{-1, -2}, 4)
-	for _, x := range out.Data {
-		if x != 0 {
-			t.Fatalf("fully masked streamed rows must be zero, got %v", out.Data)
-		}
-	}
-	// The blocked engine classifies negative-query rows the same way.
 	blocked := Forward(q, k, v, Causal{}, []int{-1, -2}, 0)
 	for _, x := range blocked.O.Data {
 		if x != 0 {
@@ -341,5 +297,33 @@ func BenchmarkBlockedAttention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward(q, k, v, Causal{}, pos, 0)
+	}
+}
+
+// TestBackwardRejectsMisshapenPlane: Backward validates the saved
+// probabilities and the output gradient at entry, like Forward does its
+// operands — a [sq, sk-1] plane or a [sq-1, d] gradient is a shape-mismatch
+// panic before any sweep runs (no FLOPs counted), not an index panic inside a
+// worker.
+func TestBackwardRejectsMisshapenPlane(t *testing.T) {
+	const sq, sk, d = 6, 7, 4
+	q, k, v := randQKV(14, sq, sk, d)
+	for name, bad := range map[string][2]*tensor.Tensor{
+		"p":  {tensor.New(sq, sk-1), tensor.New(sq, d)},
+		"dO": {tensor.New(sq, sk), tensor.New(sq-1, d)},
+	} {
+		func() {
+			tensor.ResetFLOPCount()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "attention: shape mismatch") {
+					t.Fatalf("%s: recovered %q, want an attention: shape mismatch panic", name, msg)
+				}
+				if n := tensor.FLOPCount(); n != 0 {
+					t.Fatalf("%s: %d FLOPs counted before the shape check fired", name, n)
+				}
+			}()
+			Backward(q, k, v, bad[0], bad[1], Causal{}, Iota(sq), 0)
+		}()
 	}
 }

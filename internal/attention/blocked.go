@@ -296,63 +296,82 @@ func sweptWork(g *Grid, d int) int {
 	return int((g.TotalPairs() - g.EmptyPairs) * int64(d))
 }
 
-// blockedForward is the blocked engine behind Forward. One row-parallel pass
-// fuses scores, masked softmax and P·V per query row — each stage touches
-// only non-empty tiles, and every accumulation preserves the dense kernels'
-// ordering and zero-skips, so the result is bitwise identical to
-// DenseForward.
-func blockedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) *Output {
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
+// forward is the one attention forward, a row-band loop: scores, masked
+// softmax, P·V, each stage over the non-empty tiles of g only and all three of
+// a row band inside one worker. Every accumulation keeps the dense kernels'
+// ordering and zero-skips, so the result is bitwise identical to DenseForward.
+// Three entries run it:
+//
+//   - Forward (q, k non-nil, part nil): s is a zeroed plane — empty-tile
+//     probabilities are exact +0 — and ends as the probabilities, o is a
+//     zeroed [sq, d] output; the census goes to rec and both products' FLOPs
+//     are counted.
+//   - StreamFinish (q nil): the score stage already ran (StreamScores); the
+//     rest is the Forward case.
+//   - PartialForwardInto (part non-nil, o its zeroed part.O): the rows' final
+//     × 1/sum is replaced by storing their max and sum in part.M/part.L, so o
+//     stays unnormalised. Only the score sweep's FLOPs are counted and
+//     nothing is recorded, as that kernel always has; s may be uninitialised
+//     because no stage reads an empty tile.
+func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder, part *Partial) {
+	sq, sk, d := s.Rows(), s.Cols(), v.Cols()
 	scale := float32(1 / math.Sqrt(float64(d)))
-	g := BuildGrid(m, qPos, kOff, sk)
-	rec.Record(g, 2, d)
 	eff := effFLOPs(g, d)
 	tensor.CountMatMulFLOPs(sq, d, sk, eff) // scores q@kᵀ
-	tensor.CountMatMulFLOPs(sq, sk, d, eff) // output p@v
-	s := tensor.Get(sq, sk)                 // zeroed: empty-tile probabilities are exact +0
-	o := tensor.Get(sq, d)
+	if part == nil {
+		rec.Record(g, 2, d)
+		tensor.CountMatMulFLOPs(sq, sk, d, eff) // output p@v
+	}
+	work := sweptWork(g, d)
+	if q != nil {
+		work *= 2
+	}
 	body := func(lo, hi int) {
-		blockedScoreRows(s, q, k, g, lo, hi)
-		blockedSoftmaxRows(s, m, qPos, kOff, g, scale, lo, hi)
+		if q != nil {
+			blockedScoreRows(s, q, k, g, lo, hi)
+		}
+		blockedSoftmaxRows(s, m, qPos, kOff, g, scale, part, lo, hi)
 		blockedPVRows(o, s, v, g, lo, hi)
 	}
-	if workers := tensor.Workers(sq, 2*sweptWork(g, d)); workers <= 1 {
-		body(0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, body)
-	}
-	return &Output{O: o, P: s}
+	tensor.ParallelRows(sq, tensor.Workers(sq, work), body)
 }
 
-// blockedScoreRows computes s[i][j] = q[i]·k[j] for query rows [lo, hi) at
-// every non-empty tile. Each element is one running sum over the head dim in
-// increasing order — the same rounding sequence as the dense MatMulT kernel.
-// Empty-tile entries are left untouched. The loop nest is tile-outer,
-// row-inner so one tile's key slab stays cache-resident across the row band;
-// nesting order never changes any element's reduction sequence, so it is
-// bitwise invisible.
-func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
+// scoreRows computes s[i][j] = q[i]·key(j) for query rows [lo, hi) and score
+// columns [colStart, colEnd) at every non-empty tile, where key j is the d
+// floats at kd[(rowOff+j-colStart)·kw+kvOff:] — a run of rows of a packed
+// multi-head block (StreamScores) or, with kw = d and the offsets zero, row j
+// of a plain [sk, d] matrix (blockedScoreRows). Each element is one running
+// sum over the head dim in increasing order — the same rounding sequence as
+// the dense MatMulT kernel. Empty-tile entries are left untouched. The loop
+// nest is tile-outer, row-inner so one tile's key slab stays cache-resident
+// across the row band; neither the nesting order nor where a key run starts
+// or ends changes any element's reduction sequence, so both are bitwise
+// invisible.
+func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, colEnd int, g *Grid, lo, hi int) {
 	d := q.Cols()
 	n := s.Cols()
-	sd, qd, kd := s.Data, q.Data, k.Data
+	sd, qd := s.Data, q.Data
+	base := (rowOff-colStart)*kw + kvOff
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
-		for ct := 0; ct < g.NCols; ct++ {
+		for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
+			c0, c1 := g.colBand(ct)
+			c0, c1 = max(c0, colStart), min(c1, colEnd)
+			if c0 >= c1 {
+				break
+			}
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
-			c0, c1 := g.colBand(ct)
 			for i := r0; i < r1; i++ {
 				qi := qd[i*d : (i+1)*d]
 				si := sd[i*n : (i+1)*n]
 				j := c0
 				for ; j+3 < c1; j += 4 {
-					k0 := kd[j*d : (j+1)*d]
-					k1 := kd[(j+1)*d : (j+2)*d]
-					k2 := kd[(j+2)*d : (j+3)*d]
-					k3 := kd[(j+3)*d : (j+4)*d]
+					a0 := base + j*kw
+					a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
+					k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
 					var s0, s1, s2, s3 float32
 					for p, qp := range qi {
 						s0 += qp * k0[p]
@@ -363,7 +382,8 @@ func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
 					si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
 				}
 				for ; j < c1; j++ {
-					kj := kd[j*d : (j+1)*d]
+					a := base + j*kw
+					kj := kd[a : a+d]
 					var sum float32
 					for p, qp := range qi {
 						sum += qp * kj[p]
@@ -375,14 +395,24 @@ func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
 	}
 }
 
+// blockedScoreRows is scoreRows over the whole key axis of a contiguous
+// [sk, d] key matrix: the forward's q·kᵀ and the backward's dP = dO·vᵀ.
+func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
+	scoreRows(s, q, k.Data, k.Cols(), 0, 0, 0, s.Cols(), g, lo, hi)
+}
+
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
 // the non-empty tiles: full tiles run without mask checks, partial tiles
 // hoist the mask via RowMask, masked entries are written as exact +0 — the
 // value dense maskedSoftmaxRows produces via exp(-Inf). Max, exponential and
 // normalisation reproduce SoftmaxRow's arithmetic term for term; the sum
 // skips only exact-zero contributions, which IEEE addition from +0 cannot
-// observe.
-func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, lo, hi int) {
+// observe. With a non-nil part the rows stay unnormalised — exp(score − max)
+// at allowed keys — and each row's max and sum are stored in part.M and
+// part.L instead (−Inf and 0 for a row with no allowed key): the flash-style
+// statistics, one rounded add per allowed key in increasing key order, as
+// DensePartialForwardInto's sweep computes them.
+func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, part *Partial, lo, hi int) {
 	sk := s.Cols()
 	negInf := float32(math.Inf(-1))
 	var allowed []bool
@@ -431,6 +461,9 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 				}
 			}
 		}
+		if part != nil {
+			part.M[i], part.L[i] = maxv, 0
+		}
 		if math.IsInf(float64(maxv), -1) {
 			// No allowed key (or every allowed score NaN): dense SoftmaxRow
 			// zeroes the row. Empty tiles already hold +0.
@@ -466,6 +499,10 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 					sum += e
 				}
 			}
+		}
+		if part != nil {
+			part.L[i] = sum
+			continue
 		}
 		inv := 1 / sum
 		for ct, kind := range kinds {
@@ -630,99 +667,5 @@ func blockedSoftmaxBackwardRows(dS, p, dP *tensor.Tensor, g *Grid, lo, hi int) {
 				dsi[j] = pi[j] * (dpi[j] - dot)
 			}
 		}
-	}
-}
-
-// blockedPartialInto is the blocked engine behind PartialForwardInto: the
-// score sweep and the online-softmax accumulation both touch only non-empty
-// tiles. The dense sweep already skips masked keys per element, so tile
-// skipping drops exactly the per-element checks — the M/L statistics and
-// the unnormalised output match bit for bit.
-func blockedPartialInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	g := BuildGrid(m, qPos, kOff, sk)
-	tensor.CountMatMulFLOPs(sq, d, sk, effFLOPs(g, d))
-	s := tensor.GetUninit(sq, sk)
-	out = preparePartial(out, sq, d)
-	body := func(lo, hi int) {
-		blockedScoreRows(s, q, k, g, lo, hi)
-		blockedPartialSweepRows(out, s, v, m, qPos, kOff, g, scale, lo, hi)
-	}
-	if workers := tensor.Workers(sq, 2*sweptWork(g, d)); workers <= 1 {
-		body(0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, body)
-	}
-	tensor.Put(s)
-	return out
-}
-
-// blockedPartialSweepRows is partialSweepRows restricted to non-empty tiles:
-// full tiles scale/exp/accumulate with no mask checks, partial tiles keep
-// the hoisted RowMask, empty tiles contribute nothing — exactly the keys the
-// dense sweep's per-element check skips.
-func blockedPartialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, lo, hi int) {
-	sk, d := s.Cols(), v.Cols()
-	negInf := float32(math.Inf(-1))
-	var allowed []bool
-	for i := lo; i < hi; i++ {
-		rt := i / g.TileRows
-		row := s.Row(i)
-		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
-		needMask := false
-		for _, kind := range kinds {
-			if kind == TilePartial {
-				needMask = true
-				break
-			}
-		}
-		if needMask {
-			if allowed == nil {
-				allowed = make([]bool, sk)
-			}
-			RowMask(m, qPos[i], kOff, allowed)
-		}
-		maxv := negInf
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
-			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				if kind == TileFull || allowed[j] {
-					row[j] *= scale
-					if row[j] > maxv {
-						maxv = row[j]
-					}
-				}
-			}
-		}
-		out.M[i] = maxv
-		out.L[i] = 0
-		if math.IsInf(float64(maxv), -1) {
-			continue
-		}
-		oi := out.O.Row(i)
-		var l float32
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
-			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				if kind != TileFull && !allowed[j] {
-					continue
-				}
-				e := float32(math.Exp(float64(row[j] - maxv)))
-				l += e
-				vj := v.Row(j)
-				for c := 0; c < d; c++ {
-					oi[c] += e * vj[c]
-				}
-			}
-		}
-		out.L[i] = l
 	}
 }

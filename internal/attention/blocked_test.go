@@ -41,17 +41,8 @@ func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, 
 
 	want := DensePartialForwardInto(nil, q, k, v, m, qPos, kOff)
 	got := PartialForwardInto(nil, q, k, v, m, qPos, kOff)
-	if !tensor.BitwiseEqual(want.O, got.O) {
-		t.Fatalf("%s: blocked partial O differs from dense", label)
-	}
-	for i := range want.M {
-		if math.Float32bits(want.M[i]) != math.Float32bits(got.M[i]) ||
-			math.Float32bits(want.L[i]) != math.Float32bits(got.L[i]) {
-			t.Fatalf("%s: blocked partial stats differ from dense at row %d", label, i)
-		}
-	}
-	ReleasePartial(want)
-	ReleasePartial(got)
+	checkPartialEqual(t, label+": blocked partial vs dense", got, want)
+	tensor.Put(want.O, got.O)
 }
 
 // TestBlockedMatchesDenseGrid is the bitwise property grid of the blocked
@@ -70,6 +61,7 @@ func TestBlockedMatchesDenseGrid(t *testing.T) {
 	for _, til := range [][2]int{{4, 4}, {8, 8}, {16, 8}, {64, 64}} {
 		SetTiling(til[0], til[1])
 		block := til[0]
+		keylessInLiveBand := 0
 		seen := map[int]bool{}
 		for _, sq := range []int{1, block - 1, block, block + 1, 2*block + 3} {
 			if sq < 1 || seen[sq] {
@@ -102,11 +94,48 @@ func TestBlockedMatchesDenseGrid(t *testing.T) {
 							qNeg[i] = i - 2
 						}
 						checkBlockedVsDense(t, label+"/qneg", seed, sq, sk, d, m, qNeg, kOff)
+						// Every odd row sits before the first key, so it has
+						// no allowed key at all, while the even rows of its
+						// band keep the band's tiles non-empty: the shared
+						// softmax's early exit, which must leave such a row
+						// zero (and M = -Inf, L = 0 in the partial kernel).
+						qMix := Iota(sq)
+						for i := 1; i < sq; i += 2 {
+							qMix[i] = kOff - 1 - i
+						}
+						checkBlockedVsDense(t, label+"/qmix", seed, sq, sk, d, m, qMix, kOff)
+						keylessInLiveBand += keylessRowsInLiveBands(m, qMix, kOff, sk)
 					}
 				}
 			}
 		}
+		if keylessInLiveBand == 0 {
+			t.Fatalf("tiling %v: the qmix family never put a keyless row in a band with non-empty tiles", til)
+		}
 	}
+}
+
+// keylessRowsInLiveBands counts the query rows that have no allowed key while
+// their row band has at least one non-empty tile.
+func keylessRowsInLiveBands(m Mask, qPos []int, kOff, sk int) int {
+	g := BuildGrid(m, qPos, kOff, sk)
+	allowed := make([]bool, sk)
+	n := 0
+	for i, q := range qPos {
+		live := false
+		for ct := 0; ct < g.NCols; ct++ {
+			live = live || g.Kind(i/g.TileRows, ct) != TileEmpty
+		}
+		RowMask(m, q, kOff, allowed)
+		keyless := true
+		for _, a := range allowed {
+			keyless = keyless && !a
+		}
+		if live && keyless {
+			n++
+		}
+	}
+	return n
 }
 
 // docLengths draws a deterministic packed-document length distribution with
@@ -403,7 +432,7 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 
 	tensor.ResetFLOPCount()
 	p := PartialForwardInto(nil, q, k, v, m, qPos, 0)
-	ReleasePartial(p)
+	tensor.Put(p.O)
 	nominalPart := int64(2 * sq * sk * d) // the scores matmul; the dense partial's PV sweep is uncounted
 	if got := tensor.FLOPCount(); got != nominalPart {
 		t.Fatalf("partial nominal FLOPs %d, want %d", got, nominalPart)

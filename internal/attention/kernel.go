@@ -17,12 +17,12 @@ type Output struct {
 // global position of each query row; keys occupy global positions
 // kOff..kOff+sk-1.
 //
-// The mask-structured blocked engine runs (blocked.go): score tiles with no
-// allowed pair are skipped in every sweep and fully-allowed tiles run without
-// per-element mask checks — bitwise identical to the dense reference
-// (DenseForward), which tests call directly as the oracle. The mask/softmax
-// sweep is row-parallel above the tensor package's FLOP threshold: each query
-// row is masked and normalised independently, so the split is bitwise
+// The mask-structured blocked engine runs (blocked.go, forward): score tiles
+// with no allowed pair are skipped in every sweep and fully-allowed tiles run
+// without per-element mask checks — bitwise identical to the dense reference
+// (DenseForward), which tests call directly as the oracle. The band loop is
+// row-parallel above the tensor package's FLOP threshold: each query row is
+// scored, masked and normalised independently, so the split is bitwise
 // invisible (the §6.2 determinism contract).
 func Forward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 	return ForwardRecorded(q, k, v, m, qPos, kOff, nil)
@@ -33,7 +33,10 @@ func Forward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 // records nothing.
 func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) *Output {
 	checkShapes(q, k, v, qPos)
-	return blockedForward(q, k, v, m, qPos, kOff, rec)
+	g := BuildGrid(m, qPos, kOff, k.Rows())
+	o, s := tensor.Get(q.Rows(), q.Cols()), tensor.Get(q.Rows(), k.Rows())
+	forward(o, s, q, k, v, m, qPos, kOff, g, rec, nil)
+	return &Output{O: o, P: s}
 }
 
 // DenseForward is the dense reference kernel: the full score matrix is
@@ -103,6 +106,10 @@ func Backward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int) (dQ, 
 // tile grid is folded into rec (4 sweeps — dV, dP, dQ, dK). A nil rec
 // records nothing.
 func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
+	checkShapes(q, k, v, qPos)
+	if sq, sk, d := q.Rows(), k.Rows(), q.Cols(); p.Rows() != sq || p.Cols() != sk || dO.Rows() != sq || dO.Cols() != d {
+		panic(fmt.Sprintf("attention: shape mismatch q%v k%v p%v dO%v", q.Shape, k.Shape, p.Shape, dO.Shape))
+	}
 	return blockedBackward(q, k, v, p, dO, m, qPos, kOff, rec)
 }
 
@@ -148,34 +155,34 @@ func softmaxBackwardRows(dS, p, dP *tensor.Tensor, lo, hi int) {
 }
 
 // Partial is the result of attending a block of keys: an unnormalised output
-// plus per-query-row softmax statistics (running max m and sum l), in the
-// log-sum-exp form flash attention and ring attention use to merge partial
-// results across blocks (the "scaling and rescaling" of §4).
+// plus per-query-row softmax statistics (running max m and sum l), the
+// log-sum-exp form flash attention and TransformerEngine's ring merge partial
+// results in (the "scaling and rescaling" of §4). Nothing in this repository
+// merges partials any more — the CP ring streams score columns and finishes
+// once — so the type's only caller outside tests is bench/'s
+// attention.partial_fwd_ms.doc2048 probe; retiring it is a [benchmark] PR.
 type Partial struct {
 	O *tensor.Tensor // [sq, d]; rows scaled by their block-local softmax
 	M []float32      // per-row running max of masked logits
 	L []float32      // per-row sum of exp(logit - M)
 }
 
-// PartialForward computes flash-style attention of q against one key block.
-// Rows with no allowed keys get M = -Inf, L = 0, O = 0 and merge as neutral
-// elements.
-func PartialForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	return PartialForwardInto(nil, q, k, v, m, qPos, kOff)
-}
-
-// PartialForwardInto is the buffer-reusing variant of PartialForward: a
-// non-nil out (of matching query count and head dim) is overwritten and
-// returned, recycling its O tensor and M/L slices — one key block after
-// another can stream through the same scratch Partial (ring attention). A
-// nil out allocates a fresh Partial from the tensor pool.
-//
-// Like Forward it runs the blocked engine; the per-row online-softmax sweep
-// is row-parallel above the FLOP threshold and rows are independent, so
-// neither the worker split nor the tile skipping ever changes bits.
+// PartialForwardInto computes flash-style attention of q against one key
+// block: the forward's band loop with each row's final × 1/sum replaced by
+// storing its max and sum. Rows with no allowed key get M = -Inf, L = 0,
+// O = 0. A non-nil out (of matching query count and head dim) is overwritten
+// and returned, recycling its O tensor and M/L slices; a nil out allocates a
+// fresh Partial from the tensor pool. Bitwise equal to
+// DensePartialForwardInto for any worker split and tiling. Kept for bench/'s
+// attention.partial_fwd_ms.doc2048 probe, its only caller outside tests.
 func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
 	checkShapes(q, k, v, qPos)
-	return blockedPartialInto(out, q, k, v, m, qPos, kOff)
+	sq, sk := q.Rows(), k.Rows()
+	out = preparePartial(out, sq, q.Cols())
+	s := tensor.GetUninit(sq, sk)
+	forward(out.O, s, q, k, v, m, qPos, kOff, BuildGrid(m, qPos, kOff, sk), nil, out)
+	tensor.Put(s)
+	return out
 }
 
 // DensePartialForwardInto is the dense reference partial kernel (oracle for
@@ -200,7 +207,8 @@ func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos 
 
 // preparePartial returns out ready to accumulate an [sq, d] partial: a nil
 // out allocates from the tensor pool, an existing one has its O zeroed (or
-// reallocated on shape change) and its M/L slices resized.
+// reallocated on shape change) and its M/L slices resized. It serves the
+// bench probe's scratch reuse through PartialForwardInto, and the oracle.
 func preparePartial(out *Partial, sq, d int) *Partial {
 	if out == nil {
 		return &Partial{O: tensor.Get(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
@@ -258,100 +266,5 @@ func partialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOf
 			}
 		}
 		out.L[i] = l
-	}
-}
-
-// ReleasePartial retires p's output buffer into the tensor pool. The caller
-// must hold no references to p.O afterwards.
-func ReleasePartial(p *Partial) {
-	if p == nil {
-		return
-	}
-	tensor.Put(p.O)
-	p.O = nil
-}
-
-// Merge combines two partials over disjoint key blocks into one partial over
-// their union, using log-sum-exp rescaling. It is associative and
-// commutative up to floating-point rounding.
-func Merge(a, b *Partial) *Partial {
-	sq, d := a.O.Rows(), a.O.Cols()
-	out := &Partial{O: tensor.Get(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
-	mergeRows(out, a, b)
-	return out
-}
-
-// MergeInPlace merges b into acc (acc ← Merge(acc, b)) without allocating:
-// the in-place variant block-streaming merges use so every block merge stops
-// costing one [sq, d] tensor. Bitwise identical to Merge because each output
-// row depends only on the same row of the two inputs.
-func MergeInPlace(acc, b *Partial) {
-	mergeRows(acc, acc, b)
-}
-
-func mergeRows(out, a, b *Partial) {
-	sq, d := a.O.Rows(), a.O.Cols()
-	for i := 0; i < sq; i++ {
-		ma, mb := a.M[i], b.M[i]
-		m := ma
-		if mb > m {
-			m = mb
-		}
-		out.M[i] = m
-		if math.IsInf(float64(m), -1) {
-			out.L[i] = 0
-			if out != a {
-				oi := out.O.Row(i)
-				for c := 0; c < d; c++ {
-					oi[c] = 0
-				}
-			}
-			continue
-		}
-		wa, wb := float32(0), float32(0)
-		if !math.IsInf(float64(ma), -1) {
-			wa = float32(math.Exp(float64(ma - m)))
-		}
-		if !math.IsInf(float64(mb), -1) {
-			wb = float32(math.Exp(float64(mb - m)))
-		}
-		out.L[i] = wa*a.L[i] + wb*b.L[i]
-		oa, ob, oo := a.O.Row(i), b.O.Row(i), out.O.Row(i)
-		for c := 0; c < d; c++ {
-			oo[c] = wa*oa[c] + wb*ob[c]
-		}
-	}
-}
-
-// Finalize normalises a partial into a FRESH attention output: O[i] /= L[i].
-// Rows with L == 0 (no allowed keys) stay zero. The partial is unchanged;
-// use FinalizeInPlace when the partial's buffer can be consumed.
-func Finalize(p *Partial) *tensor.Tensor {
-	out := p.O.Clone()
-	finalizeRows(out, p.L)
-	return out
-}
-
-// FinalizeInPlace normalises the partial's own output buffer and returns it,
-// consuming the partial: p.O aliases the result and the partial must not be
-// merged afterwards. This removes the [sq, d] clone per block merge that
-// Finalize pays.
-func FinalizeInPlace(p *Partial) *tensor.Tensor {
-	out := p.O
-	p.O = nil
-	finalizeRows(out, p.L)
-	return out
-}
-
-func finalizeRows(out *tensor.Tensor, l []float32) {
-	for i := 0; i < out.Rows(); i++ {
-		if l[i] == 0 {
-			continue
-		}
-		inv := 1 / l[i]
-		oi := out.Row(i)
-		for c := range oi {
-			oi[c] *= inv
-		}
 	}
 }

@@ -1,8 +1,13 @@
 // Package attention implements the attention kernels of the reproduction:
-// a naive masked-attention oracle with an exact backward pass, a flash-style
-// online-softmax kernel producing log-sum-exp statistics, and the
-// partial-result merging rule that ring attention (the paper's CP baseline,
-// §4/§7.2) relies on.
+// one mask-structured forward — a row-band loop, scores → masked softmax →
+// P·V, over the non-empty tiles of a classified score plane (blocked.go) —
+// with an exact tile-driven backward, and the dense reference kernels
+// (Dense*) the two are held bitwise equal to. The forward has three entries:
+// Forward (the paper's CP design, §4: all-gather, then one fused kernel),
+// StreamScores/StreamFinish (the ring comparator of §7.2, which fills the
+// score plane key block by key block and finishes once) and
+// PartialForwardInto (the same loop stopping before normalisation, with
+// log-sum-exp statistics; a bench probe only).
 //
 // All kernels operate on a single head: Q is [sq, d], K and V are [sk, d].
 // Query rows carry explicit global positions so that context-parallel ranks,

@@ -2,6 +2,7 @@ package attention
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,7 +73,9 @@ func TestStreamMatchesForwardBitwise(t *testing.T) {
 }
 
 // StreamScores must read the right head's columns out of a packed multi-head
-// K block (kvOff selects the head), matching a pre-sliced single-head call.
+// K block (kvOff selects the head), matching a pre-sliced single-head call —
+// for the whole key axis and for a run at a non-zero rowOff whose colStart is
+// not tile-aligned, the one call shape only the strided score loop serves.
 func TestStreamScoresHeadOffset(t *testing.T) {
 	seq, d, heads := 96, 8, 3
 	rng := rand.New(rand.NewSource(32))
@@ -92,7 +95,28 @@ func TestStreamScoresHeadOffset(t *testing.T) {
 		if !tensor.BitwiseEqual(got, want) {
 			t.Fatalf("head %d: kvOff read differs from pre-sliced block", h)
 		}
-		tensor.Put(kh, want, got)
+		// A key run that starts mid-tile, crosses a tile boundary and sits
+		// rowOff rows into a larger packed block (a ring hop's merged block):
+		// exactly its columns are written, with the one-shot call's bits.
+		const rowOff, colStart, nCols = 5, 37, 41
+		blk := tensor.RandN(rng, 0.5, rowOff+nCols+2, heads*d)
+		for j := 0; j < nCols; j++ {
+			copy(blk.Row(rowOff+j), kAll.Row(colStart+j))
+		}
+		strip := tensor.Get(seq, seq)
+		StreamScores(strip, q, blk, h*d, rowOff, colStart, nCols, g)
+		for i := 0; i < seq; i++ {
+			for j := 0; j < seq; j++ {
+				w := want.At(i, j)
+				if j < colStart || j >= colStart+nCols {
+					w = 0
+				}
+				if math.Float32bits(strip.At(i, j)) != math.Float32bits(w) {
+					t.Fatalf("head %d: strip [%d,%d) at rowOff %d wrote s[%d][%d] = %v, want %v", h, colStart, colStart+nCols, rowOff, i, j, strip.At(i, j), w)
+				}
+			}
+		}
+		tensor.Put(kh, want, got, strip)
 	}
 }
 

@@ -10,8 +10,8 @@
 //   - Determinism: reductions always accumulate contributions in local-rank
 //     order, so repeated runs are bitwise identical and accumulation order can
 //     be emulated exactly by a sequential reference.
-//   - Accounting: every collective records its byte volume, feeding the
-//     bandwidth analyses of §7.2.
+//   - Accounting: every collective and P2P issue reports its closed-form byte
+//     volume to the world's Meter, feeding the bandwidth analyses of §7.2.
 package comm
 
 import (
@@ -33,10 +33,11 @@ type Recorder interface {
 
 // Meter observes per-rank communication accounting: rank r issued one
 // collective (or P2P) operation `op` on the group labelled `group`, moving
-// `bytes` bytes. The byte value is the same closed-form volume the world's
-// Stats counters accumulate (ring algorithm volumes, §7.2), so a Meter sees
-// exactly the per-rank decomposition of Stats. Implementations must be safe
-// for concurrent use by all ranks. Set it while no ranks are running.
+// `bytes` bytes — the closed-form volume of the op (ring algorithm volumes,
+// §7.2), counted once per member rank that issues it. It is the world's only
+// communication ledger (metrics.Registry implements it, lock-sharded per
+// rank); the issue path itself takes no world-wide lock. Implementations must
+// be safe for concurrent use by all ranks. Set it while no ranks are running.
 type Meter interface {
 	RecordOp(rank int, group, op string, bytes int64)
 }
@@ -90,7 +91,6 @@ type World struct {
 	mu       sync.Mutex
 	mail     map[p2pKey]chan *tensor.Tensor
 	recvTail map[p2pKey]chan struct{} // FIFO chaining of outstanding IRecvs per key
-	stats    Stats
 }
 
 type abortCause struct{ err error }
@@ -100,7 +100,7 @@ type abortCause struct{ err error }
 // a failure observe it instead of waiting forever on a peer that will never
 // arrive. World.RunSPMD recovers these and returns the abort cause.
 type AbortError struct {
-	Rank int   // rank that observed the abort
+	Rank int    // rank that observed the abort
 	Op   string // operation it was blocked in
 	Err  error  // the abort cause (e.g. *RankPanicError, *DeadlineError)
 }
@@ -184,10 +184,8 @@ func (w *World) beforeOp(rank int, op string, t *tensor.Tensor) {
 	}
 }
 
-// account folds one per-rank operation into the fine-grained Stats
-// breakdown and forwards it to the Meter hook, if any.
+// account reports one per-rank operation to the Meter hook, if any.
 func (w *World) account(rank int, group, op string, bytes int64) {
-	w.stats.recordOp(group, op, bytes)
 	if w.Meter != nil {
 		w.Meter.RecordOp(rank, group, op, bytes)
 	}
@@ -217,62 +215,12 @@ type p2pKey struct {
 	from, to, tag int
 }
 
-// Stats accumulates communication volume for the whole world.
-type Stats struct {
-	AllGatherBytes     atomic.Int64
-	ReduceScatterBytes atomic.Int64
-	AllReduceBytes     atomic.Int64
-	BroadcastBytes     atomic.Int64
-	P2PBytes           atomic.Int64
-	AllGatherOps       atomic.Int64
-	ReduceScatterOps   atomic.Int64
-	AllReduceOps       atomic.Int64
-	BroadcastOps       atomic.Int64
-	P2POps             atomic.Int64
-
-	mu    sync.Mutex
-	perOp map[OpKey]OpStats
-}
-
-// OpKey identifies one (parallelism dimension, collective op) pair in the
-// fine-grained communication breakdown — e.g. {"tp", "allreduce"} or
+// OpKey identifies one (parallelism dimension, collective op) pair in a
+// Meter's communication breakdown — e.g. {"tp", "allreduce"} or
 // {"p2p", "send"}.
 type OpKey struct {
 	Group string // group label: "tp", "cp", "pp", "dp", "world", "p2p", ...
 	Op    string // collective op: "allgather", "allreduce", "send", ...
-}
-
-// OpStats is the accumulated volume of one (group, op) pair.
-type OpStats struct {
-	Bytes int64 // closed-form collective volume (ring algorithms), summed over calls
-	Msgs  int64 // number of per-rank operation issues
-}
-
-// recordOp folds one per-rank operation into the fine-grained breakdown.
-func (s *Stats) recordOp(group, op string, bytes int64) {
-	k := OpKey{Group: group, Op: op}
-	s.mu.Lock()
-	if s.perOp == nil {
-		s.perOp = make(map[OpKey]OpStats)
-	}
-	e := s.perOp[k]
-	e.Bytes += bytes
-	e.Msgs++
-	s.perOp[k] = e
-	s.mu.Unlock()
-}
-
-// PerOp returns a snapshot of the fine-grained (group, op) communication
-// breakdown. Bytes are per-rank issue volumes: a size-n all-reduce counted
-// here n times (once per member rank), each with the full ring volume.
-func (s *Stats) PerOp() map[OpKey]OpStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[OpKey]OpStats, len(s.perOp))
-	for k, v := range s.perOp {
-		out[k] = v
-	}
-	return out
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -290,9 +238,6 @@ func NewWorld(size int) *World {
 
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
-
-// Stats returns the world's communication counters.
-func (w *World) Stats() *Stats { return &w.stats }
 
 const mailboxDepth = 256 // decoupled async P2P: sends do not block on the receiver
 
@@ -327,8 +272,6 @@ func (w *World) SendLabeled(from, to, tag int, t *tensor.Tensor, label string) {
 	w.checkRank(to)
 	msg := t.Clone()
 	w.beforeOp(from, label+".send", msg)
-	w.stats.P2POps.Add(1)
-	w.stats.P2PBytes.Add(int64(t.Len()) * 4)
 	w.account(from, label, "send", int64(t.Len())*4)
 	var deadline <-chan time.Time
 	if w.Timeout > 0 {
@@ -362,8 +305,6 @@ func (w *World) ISendLabeled(from, to, tag int, t *tensor.Tensor, label string) 
 	msg := t.Clone()
 	w.beforeOp(from, label+".send", msg)
 	bytes := int64(t.Len()) * 4
-	w.stats.P2POps.Add(1)
-	w.stats.P2PBytes.Add(bytes)
 	w.account(from, label, "send", bytes)
 	h := &Handle{
 		w:      w,

@@ -215,21 +215,6 @@ func TestBarrierAndSequencing(t *testing.T) {
 	}
 }
 
-func TestAllGatherParts(t *testing.T) {
-	w := NewWorld(2)
-	g := w.NewGroup([]int{0, 1})
-	var got [][]*tensor.Tensor = make([][]*tensor.Tensor, 2)
-	RunSPMD(2, func(rank int) {
-		x := tensor.FromSlice([]float32{float32(rank * 10)}, 1)
-		got[rank] = g.AllGatherParts(rank, x)
-	})
-	for r := 0; r < 2; r++ {
-		if len(got[r]) != 2 || got[r][0].Data[0] != 0 || got[r][1].Data[0] != 10 {
-			t.Fatalf("rank %d parts wrong", r)
-		}
-	}
-}
-
 func TestDisjointGroupsRunConcurrently(t *testing.T) {
 	w := NewWorld(4)
 	g01 := w.NewGroup([]int{0, 1})
@@ -250,17 +235,21 @@ func TestDisjointGroupsRunConcurrently(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	w := NewWorld(2)
+	m := newRecordingMeter()
+	w.Meter = m
 	g := w.NewGroup([]int{0, 1})
+	g.Label = "g"
 	RunSPMD(2, func(rank int) {
 		g.AllGather(rank, tensor.New(8))
 		g.AllReduce(rank, tensor.New(8))
 	})
-	s := w.Stats()
-	if s.AllGatherOps.Load() != 2 || s.AllReduceOps.Load() != 2 {
-		t.Fatalf("op counts: ag=%d ar=%d", s.AllGatherOps.Load(), s.AllReduceOps.Load())
+	got := m.total()
+	ag, ar := got[OpKey{Group: "g", Op: "allgather"}], got[OpKey{Group: "g", Op: "allreduce"}]
+	if ag.Msgs != 2 || ar.Msgs != 2 {
+		t.Fatalf("op counts: ag=%d ar=%d", ag.Msgs, ar.Msgs)
 	}
-	if s.AllGatherBytes.Load() != 2*8*4 {
-		t.Fatalf("allgather bytes = %d", s.AllGatherBytes.Load())
+	if ag.Bytes != 2*8*4 {
+		t.Fatalf("allgather bytes = %d", ag.Bytes)
 	}
 }
 
@@ -407,64 +396,6 @@ func TestGatherToRoot(t *testing.T) {
 	}
 }
 
-func TestScatterFromRoot(t *testing.T) {
-	w := NewWorld(2)
-	g := w.NewGroup([]int{0, 1})
-	results := make([]*tensor.Tensor, 2)
-	RunSPMD(2, func(rank int) {
-		var x *tensor.Tensor
-		if rank == 0 {
-			x = tensor.FromSlice([]float32{10, 20}, 2, 1)
-		}
-		results[rank] = g.Scatter(rank, 0, x)
-	})
-	if results[0].Data[0] != 10 || results[1].Data[0] != 20 {
-		t.Fatalf("scatter results: %v %v", results[0].Data, results[1].Data)
-	}
-}
-
-func TestAllToAllTranspose(t *testing.T) {
-	// Rank r sends chunk d of its tensor to rank d: result[d] rows =
-	// [chunk d of rank 0, chunk d of rank 1, ...].
-	w := NewWorld(2)
-	g := w.NewGroup([]int{0, 1})
-	results := make([]*tensor.Tensor, 2)
-	RunSPMD(2, func(rank int) {
-		x := tensor.FromSlice([]float32{
-			float32(10*rank + 0), float32(10*rank + 1),
-		}, 2, 1)
-		results[rank] = g.AllToAll(rank, x)
-	})
-	// Rank 0 receives row 0 of each: [0, 10]; rank 1: [1, 11].
-	if results[0].Data[0] != 0 || results[0].Data[1] != 10 {
-		t.Fatalf("alltoall rank 0 = %v", results[0].Data)
-	}
-	if results[1].Data[0] != 1 || results[1].Data[1] != 11 {
-		t.Fatalf("alltoall rank 1 = %v", results[1].Data)
-	}
-}
-
-func TestAllToAllInvolution(t *testing.T) {
-	// Applying AllToAll twice restores the original layout.
-	w := NewWorld(4)
-	g := w.NewGroup([]int{0, 1, 2, 3})
-	inputs := make([]*tensor.Tensor, 4)
-	for r := range inputs {
-		rng := rand.New(rand.NewSource(int64(r)))
-		inputs[r] = tensor.RandN(rng, 1, 8, 2)
-	}
-	results := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
-		once := g.AllToAll(rank, inputs[rank])
-		results[rank] = g.AllToAll(rank, once)
-	})
-	for r := range results {
-		if !tensor.BitwiseEqual(results[r], inputs[r]) {
-			t.Fatalf("alltoall twice must be identity (rank %d)", r)
-		}
-	}
-}
-
 func TestCommRecorderTimings(t *testing.T) {
 	w := NewWorld(2)
 	rec := &fakeRecorder{}
@@ -525,6 +456,29 @@ func TestWorldRunSPMDUnblocksPeersOnPanic(t *testing.T) {
 	var rp *RankPanicError
 	if !errors.As(err, &rp) || rp.Rank != 2 {
 		t.Fatalf("err = %v, want *RankPanicError{Rank: 2}", err)
+	}
+}
+
+// A kernel panic above the parallel threshold happens on a tensor.ParallelRows
+// worker, not on the rank's goroutine; it must still surface as the rank's
+// death — a typed *RankPanicError with the peers released — not kill the
+// process.
+func TestWorldRunSPMDRecoversParallelRowsWorkerPanic(t *testing.T) {
+	w := NewWorld(3)
+	g := w.NewGroup([]int{0, 1, 2})
+	err := w.RunSPMD(func(rank int) {
+		if rank == 1 {
+			tensor.ParallelRows(4, 2, func(lo, hi int) {
+				if lo > 0 {
+					_ = make([]float32, 2)[lo+hi] // index out of range in the second chunk
+				}
+			})
+		}
+		g.AllReduce(rank, tensor.FromSlice([]float32{1}, 1))
+	})
+	var rp *RankPanicError
+	if !errors.As(err, &rp) || rp.Rank != 1 {
+		t.Fatalf("err = %v, want *RankPanicError{Rank: 1}", err)
 	}
 }
 

@@ -77,7 +77,9 @@ func (g *Group) LocalRank(globalRank int) int {
 // GlobalRank translates a local rank into a global rank.
 func (g *Group) GlobalRank(localRank int) int { return g.ranks[localRank] }
 
-// Contains reports whether the global rank is a member of the group.
+// Contains reports whether the global rank is a member of the group. Only
+// the conformance suites ask (hier == flat, the collective fuzz): library
+// ranks are handed exactly their groups.
 func (g *Group) Contains(globalRank int) bool {
 	_, ok := g.local[globalRank]
 	return ok
@@ -208,41 +210,34 @@ func combineReduceScatter(n int) func(contribs, results []*tensor.Tensor) {
 	}
 }
 
-// account records one per-rank collective issue (the closed-form byte
-// volume of the op) into the world's fine-grained breakdown and Meter.
+// account reports one per-rank collective issue (the closed-form byte
+// volume of the op) to the world's Meter.
 func (g *Group) account(globalRank int, op string, bytes int64) {
 	g.world.account(globalRank, g.Label, op, bytes)
 }
 
-// AllGatherParts exchanges each member's tensor; every member receives deep
-// copies of all contributions in local-rank order, each with the shape of
-// its own contribution. All contributions must share one shape.
-//
-// Each part is cloned once out of the shared concatenation (the combine op
-// matches AllGather's), instead of cloning the full buffer and then cloning
-// every part out of the private copy — half the copy traffic of the naive
-// AllGather-then-slice formulation.
-func (g *Group) AllGatherParts(globalRank int, x *tensor.Tensor) []*tensor.Tensor {
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(int64(x.Len()) * 4 * int64(len(g.ranks)-1))
-	g.account(globalRank, "allgather", int64(x.Len())*4*int64(len(g.ranks)-1))
-	rows := x.Rows()
-	full := g.enter(globalRank, "allgather", x, combineConcatRows)
-	parts := make([]*tensor.Tensor, len(g.ranks))
-	for i := range parts {
-		parts[i] = full.RowSlice(i*rows, (i+1)*rows).Clone().Reshape(x.Shape...)
-	}
-	return parts
+// The closed-form per-rank issue volumes of the ring algorithms (§5.2) for a
+// contribution x in a group of n: an all-gather moves every other member's
+// contribution, a reduce-scatter (n−1)/n of the input, an all-reduce twice
+// that. Integer division truncates, as the cost model's does.
+func (g *Group) allGatherBytes(x *tensor.Tensor) int64 {
+	return int64(x.Len()) * 4 * int64(len(g.ranks)-1)
+}
+
+func (g *Group) reduceScatterBytes(x *tensor.Tensor) int64 {
+	return int64(x.Len()) * 4 * int64(len(g.ranks)-1) / int64(len(g.ranks))
+}
+
+func (g *Group) allReduceBytes(x *tensor.Tensor) int64 {
+	return int64(x.Len()) * 4 * 2 * int64(len(g.ranks)-1) / int64(len(g.ranks))
 }
 
 // AllGatherCols concatenates the members' tensors along columns in local-rank
 // order — the output assembly of a gather-output column-parallel linear. One
-// shared concatenation plus one clone per rank replaces the per-part clones
-// and second concatenation copy that AllGatherParts+ConcatCols would cost.
+// shared concatenation plus one clone per rank, instead of a clone per part
+// and a second concatenation copy.
 func (g *Group) AllGatherCols(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(int64(x.Len()) * 4 * int64(len(g.ranks)-1))
-	g.account(globalRank, "allgather", int64(x.Len())*4*int64(len(g.ranks)-1))
+	g.account(globalRank, "allgather", g.allGatherBytes(x))
 	return g.enter(globalRank, "allgathercols", x, func(contribs, results []*tensor.Tensor) {
 		shared := tensor.ConcatCols(contribs...)
 		for i := range results {
@@ -255,10 +250,7 @@ func (g *Group) AllGatherCols(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 // local-rank order. This is the KV all-gather of the paper's CP design (§4)
 // and the parameter all-gather of FSDP.
 func (g *Group) AllGather(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(int64(x.Len()) * 4 * int64(len(g.ranks)-1))
-	hier := g.collAccount(globalRank, "allgather", int64(x.Len()),
-		int64(x.Len())*4*int64(len(g.ranks)-1))
+	hier := g.collAccount(globalRank, "allgather", int64(x.Len()), g.allGatherBytes(x))
 	return g.collEnter(globalRank, "allgather", hier, x, combineConcatRows).Clone()
 }
 
@@ -267,9 +259,7 @@ func (g *Group) AllGather(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 // parameter-prefetch path issues these a configurable depth ahead of the
 // consuming compute (§7.3.1).
 func (g *Group) IAllGather(globalRank int, x *tensor.Tensor) *Handle {
-	bytes := int64(x.Len()) * 4 * int64(len(g.ranks)-1)
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(bytes)
+	bytes := g.allGatherBytes(x)
 	g.account(globalRank, "allgather", bytes)
 	return g.iColl(globalRank, "allgather", bytes, x, combineConcatRows)
 }
@@ -278,10 +268,7 @@ func (g *Group) IAllGather(globalRank int, x *tensor.Tensor) *Handle {
 // local-rank order, FP32) and returns to each member its row-chunk of the
 // sum. Input rows must be divisible by the group size.
 func (g *Group) ReduceScatter(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.ReduceScatterOps.Add(1)
-	g.world.stats.ReduceScatterBytes.Add(int64(x.Len()) * 4 * int64(len(g.ranks)-1) / int64(len(g.ranks)))
-	hier := g.collAccount(globalRank, "reducescatter", int64(x.Len()),
-		int64(x.Len())*4*int64(len(g.ranks)-1)/int64(len(g.ranks)))
+	hier := g.collAccount(globalRank, "reducescatter", int64(x.Len()), g.reduceScatterBytes(x))
 	return g.collEnter(globalRank, "reducescatter", hier, x, combineReduceScatter(len(g.ranks))).Clone()
 }
 
@@ -289,9 +276,7 @@ func (g *Group) ReduceScatter(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 // gradient reduction of ZeRO-2 (§7.3.1). Accumulation order is local-rank
 // order exactly as in the blocking op, so overlapping changes no bits.
 func (g *Group) IReduceScatter(globalRank int, x *tensor.Tensor) *Handle {
-	bytes := int64(x.Len()) * 4 * int64(len(g.ranks)-1) / int64(len(g.ranks))
-	g.world.stats.ReduceScatterOps.Add(1)
-	g.world.stats.ReduceScatterBytes.Add(bytes)
+	bytes := g.reduceScatterBytes(x)
 	g.account(globalRank, "reducescatter", bytes)
 	return g.iColl(globalRank, "reducescatter", bytes, x, combineReduceScatter(len(g.ranks)))
 }
@@ -299,19 +284,14 @@ func (g *Group) IReduceScatter(globalRank int, x *tensor.Tensor) *Handle {
 // AllReduce sums the members' tensors element-wise in local-rank order and
 // returns the full sum to every member.
 func (g *Group) AllReduce(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllReduceOps.Add(1)
-	g.world.stats.AllReduceBytes.Add(int64(x.Len()) * 4 * 2 * int64(len(g.ranks)-1) / int64(len(g.ranks)))
-	hier := g.collAccount(globalRank, "allreduce", int64(x.Len()),
-		int64(x.Len())*4*2*int64(len(g.ranks)-1)/int64(len(g.ranks)))
+	hier := g.collAccount(globalRank, "allreduce", int64(x.Len()), g.allReduceBytes(x))
 	return g.collEnter(globalRank, "allreduce", hier, x, combineSum).Clone()
 }
 
 // IAllReduce is the nonblocking AllReduce, with the blocking op's local-rank
 // accumulation order.
 func (g *Group) IAllReduce(globalRank int, x *tensor.Tensor) *Handle {
-	bytes := int64(x.Len()) * 4 * 2 * int64(len(g.ranks)-1) / int64(len(g.ranks))
-	g.world.stats.AllReduceOps.Add(1)
-	g.world.stats.AllReduceBytes.Add(bytes)
+	bytes := g.allReduceBytes(x)
 	g.account(globalRank, "allreduce", bytes)
 	return g.iColl(globalRank, "allreduce", bytes, x, combineSum)
 }
@@ -319,9 +299,7 @@ func (g *Group) IAllReduce(globalRank int, x *tensor.Tensor) *Handle {
 // AllReduceMax returns the element-wise maximum of the members' tensors —
 // the reduction a vocabulary-parallel softmax needs for its global row max.
 func (g *Group) AllReduceMax(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllReduceOps.Add(1)
-	g.world.stats.AllReduceBytes.Add(int64(x.Len()) * 4 * 2 * int64(len(g.ranks)-1) / int64(len(g.ranks)))
-	g.account(globalRank, "allreducemax", int64(x.Len())*4*2*int64(len(g.ranks)-1)/int64(len(g.ranks)))
+	g.account(globalRank, "allreducemax", g.allReduceBytes(x))
 	return g.enter(globalRank, "allreducemax", x, func(contribs, results []*tensor.Tensor) {
 		m := contribs[0].Clone()
 		for _, c := range contribs[1:] {
@@ -340,13 +318,13 @@ func (g *Group) AllReduceMax(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 // Broadcast distributes root's tensor (root is a local rank) to all members.
 // Non-root callers may pass nil. Under a tiered host layout the root's own
 // volume is attributed intra-host, plus one inter-host issue from the root
-// (the hop that fans its tensor out across hosts).
+// (the hop that fans its tensor out across hosts). No library path
+// broadcasts; it is kept as the rooted case of the hier == flat, storm and
+// closed-form-volume suites.
 func (g *Group) Broadcast(globalRank, rootLocal int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.BroadcastOps.Add(1)
 	var bytes int64
 	if x != nil {
 		bytes = int64(x.Len()) * 4
-		g.world.stats.BroadcastBytes.Add(bytes)
 	}
 	hier := g.hier != nil
 	if hier {
@@ -374,8 +352,6 @@ func (g *Group) Broadcast(globalRank, rootLocal int, x *tensor.Tensor) *tensor.T
 // Gather collects every member's tensor at the root local rank,
 // concatenated along rows in local-rank order; non-root members receive nil.
 func (g *Group) Gather(globalRank, rootLocal int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(int64(x.Len()) * 4)
 	g.account(globalRank, "gather", int64(x.Len())*4)
 	res := g.enter(globalRank, "gather", x, func(contribs, results []*tensor.Tensor) {
 		results[rootLocal] = tensor.ConcatRows(contribs...)
@@ -386,57 +362,10 @@ func (g *Group) Gather(globalRank, rootLocal int, x *tensor.Tensor) *tensor.Tens
 	return res.Clone()
 }
 
-// Scatter splits the root's tensor into equal row chunks and hands chunk i
-// to local rank i. Non-root callers pass nil.
-func (g *Group) Scatter(globalRank, rootLocal int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.BroadcastOps.Add(1)
-	var bytes int64
-	if x != nil {
-		bytes = int64(x.Len()) * 4
-		g.world.stats.BroadcastBytes.Add(bytes)
-	}
-	g.account(globalRank, "scatter", bytes)
-	n := len(g.ranks)
-	return g.enter(globalRank, "scatter", x, func(contribs, results []*tensor.Tensor) {
-		src := contribs[rootLocal]
-		if src == nil {
-			panic(fmt.Sprintf("comm: scatter root local rank %d passed nil", rootLocal))
-		}
-		// Clone before splitting: the chunks handed out are views, and the
-		// staged contribution they would otherwise view into returns to the
-		// arena as soon as this combine returns.
-		chunks := tensor.SplitRows(src.Clone(), n)
-		for i := range results {
-			results[i] = chunks[i]
-		}
-	}).Clone()
-}
-
-// AllToAll exchanges row chunks: every member splits its tensor into n row
-// chunks and receives chunk lr from every member, concatenated in local-rank
-// order — the transpose of the contribution matrix (used by expert-parallel
-// systems; provided for completeness).
-func (g *Group) AllToAll(globalRank int, x *tensor.Tensor) *tensor.Tensor {
-	g.world.stats.AllGatherOps.Add(1)
-	g.world.stats.AllGatherBytes.Add(int64(x.Len()) * 4 * int64(len(g.ranks)-1) / int64(len(g.ranks)))
-	g.account(globalRank, "alltoall", int64(x.Len())*4*int64(len(g.ranks)-1)/int64(len(g.ranks)))
-	n := len(g.ranks)
-	return g.enter(globalRank, "alltoall", x, func(contribs, results []*tensor.Tensor) {
-		split := make([][]*tensor.Tensor, n)
-		for i, c := range contribs {
-			split[i] = tensor.SplitRows(c, n)
-		}
-		for dst := 0; dst < n; dst++ {
-			parts := make([]*tensor.Tensor, n)
-			for src := 0; src < n; src++ {
-				parts[src] = split[src][dst]
-			}
-			results[dst] = tensor.ConcatRows(parts...)
-		}
-	}).Clone()
-}
-
-// Barrier blocks until every member has reached it.
+// Barrier blocks until every member has reached it. No library path needs
+// one (every collective is its own rendezvous); it is kept for the
+// sequencing and storm suites, as the zero-length contribution that bypasses
+// staging.
 func (g *Group) Barrier(globalRank int) {
 	g.account(globalRank, "barrier", 0)
 	g.enter(globalRank, "barrier", tensor.New(0), func(contribs, results []*tensor.Tensor) {

@@ -290,13 +290,10 @@ func TestHandleLeakOnPanic(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// Satellite audit: the two P2P byte-accounting views stay consistent by
-// construction — the coarse Stats counters (P2PBytes/P2POps) count each
-// transfer ONCE, on the send side, while the fine-grained perOp/Meter view
-// counts each endpoint separately (a "send" issue on the sender AND a "recv"
-// issue on the receiver, same byte volume). So with every message delivered:
-// perOp send == coarse, perOp recv == perOp send, fine-grained p2p total ==
-// 2× coarse. Blocking and handle-based paths account identically.
+// P2P byte accounting is per endpoint: the Meter sees a "send" issue on the
+// sender and a "recv" issue on the receiver, each with the message's byte
+// volume. So with every message delivered, recv == send == the bytes that
+// arrived. Blocking and handle-based paths account identically.
 func TestP2PByteAccountingConsistency(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		name := "blocking"
@@ -305,6 +302,8 @@ func TestP2PByteAccountingConsistency(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			w := NewWorld(2)
+			m := newRecordingMeter()
+			w.Meter = m
 			const msgs = 5
 			var want int64
 			err := w.RunSPMD(func(rank int) {
@@ -332,25 +331,14 @@ func TestP2PByteAccountingConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coarseBytes := w.Stats().P2PBytes.Load()
-			coarseOps := w.Stats().P2POps.Load()
-			per := w.Stats().PerOp()
+			per := m.total()
 			send := per[OpKey{Group: "p2p", Op: "send"}]
 			recv := per[OpKey{Group: "p2p", Op: "recv"}]
-			if coarseBytes != want {
-				t.Errorf("coarse P2PBytes = %d, want %d (per-transfer, send-side)", coarseBytes, want)
-			}
-			if coarseOps != msgs {
-				t.Errorf("coarse P2POps = %d, want %d (one per transfer, not per endpoint)", coarseOps, msgs)
-			}
-			if send.Bytes != coarseBytes || send.Msgs != coarseOps {
-				t.Errorf("perOp send %+v diverges from coarse (%d bytes, %d ops)", send, coarseBytes, coarseOps)
+			if send.Bytes != want || send.Msgs != msgs {
+				t.Errorf("send %+v, want %d bytes in %d issues", send, want, msgs)
 			}
 			if recv != send {
-				t.Errorf("perOp recv %+v != perOp send %+v (endpoints must mirror)", recv, send)
-			}
-			if total := send.Bytes + recv.Bytes; total != 2*coarseBytes {
-				t.Errorf("fine-grained p2p total %d != 2x coarse %d", total, 2*coarseBytes)
+				t.Errorf("recv %+v != send %+v (endpoints must mirror)", recv, send)
 			}
 		})
 	}

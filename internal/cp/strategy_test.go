@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"llama4d/internal/attention"
@@ -239,7 +240,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 		// What the pure all-gather plan assembled and issued, per layout.
 		type agRun struct {
 			fullK, fullV []*tensor.Tensor
-			perOp        map[comm.OpKey]comm.OpStats
+			perOp        map[comm.OpKey][2]int64
 		}
 		agRuns := map[string]agRun{}
 		for layoutName, layout := range layouts(tc.seq, tc.cpSize) {
@@ -255,6 +256,8 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 				planName, mkPlan := pl.name, pl.mkPlan
 				name := fmt.Sprintf("seq%d_cp%d_%s_%s", tc.seq, tc.cpSize, layoutName, planName)
 				world, group := newCPWorld(tc.cpSize)
+				meter := &opMeter{perOp: map[comm.OpKey][2]int64{}}
+				world.Meter = meter
 				dxs := make([]*tensor.Tensor, tc.cpSize)
 				caps := make([]*captureKV, tc.cpSize)
 				err := world.RunSPMD(func(rank int) {
@@ -295,7 +298,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 				}
 				if planName == "allgather" {
 					baseDX = dxs
-					run := agRun{perOp: world.Stats().PerOp()}
+					run := agRun{perOp: meter.perOp}
 					for _, cap := range caps {
 						run.fullK, run.fullV = append(run.fullK, cap.fullK), append(run.fullV, cap.fullV)
 					}
@@ -319,4 +322,18 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 			t.Fatalf("seq%d_cp%d: all-gather traffic differs between Sharding %v and ZigzagRagged %v", tc.seq, tc.cpSize, even.perOp, ragged.perOp)
 		}
 	}
+}
+
+// opMeter is a comm.Meter totalling {bytes, issues} per (group, op) over the
+// whole world.
+type opMeter struct {
+	mu    sync.Mutex
+	perOp map[comm.OpKey][2]int64
+}
+
+func (m *opMeter) RecordOp(rank int, group, op string, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.perOp[comm.OpKey{Group: group, Op: op}]
+	m.perOp[comm.OpKey{Group: group, Op: op}] = [2]int64{e[0] + bytes, e[1] + 1}
 }

@@ -37,7 +37,7 @@ type RankReport struct {
 
 	// Comm maps "group/op" (e.g. "tp/allreduce", "p2p/send") to the
 	// rank's issued traffic. Byte values are closed-form collective
-	// volumes — the same formulas comm.Stats uses — so they compare
+	// volumes — what internal/comm reports to its Meter — so they compare
 	// exactly against the sim/cost predictions.
 	Comm map[string]OpVolume `json:"comm"`
 

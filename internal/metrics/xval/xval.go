@@ -4,7 +4,7 @@
 // the configuration alone, every matmul has a nominal FLOP count, and the
 // peak live-activation bytes follow memsim's functional model. Predict
 // computes those expectations exactly — including the integer-truncation
-// behaviour of comm.Stats and the ZeRO-mode collective cadence — so the
+// behaviour of the comm volumes and the ZeRO-mode collective cadence — so the
 // sweep test can assert measured == modeled with zero tolerance on
 // communication and FLOPs.
 package xval

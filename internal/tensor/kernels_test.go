@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -203,6 +204,28 @@ func TestParallelRowsCoversEachRowOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelRowsReRaisesWorkerPanic: a panic in a worker other than the
+// first is delivered to the caller's recover after every chunk has run —
+// before the fix it killed the test binary from a bare goroutine.
+func TestParallelRowsReRaisesWorkerPanic(t *testing.T) {
+	var ran atomic.Int32
+	defer func() {
+		if p := recover(); p != "chunk 2 failed" {
+			t.Fatalf("recovered %v, want the worker's panic value", p)
+		}
+		if n := ran.Load(); n != 4 {
+			t.Fatalf("%d of 4 chunks finished before the panic was re-raised", n)
+		}
+	}()
+	ParallelRows(8, 4, func(lo, hi int) {
+		defer ran.Add(1)
+		if lo == 4 {
+			panic("chunk 2 failed")
+		}
+	})
+	t.Fatal("ParallelRows returned normally despite a panicking worker")
 }
 
 func TestPoolGetZeroesReusedBuffer(t *testing.T) {

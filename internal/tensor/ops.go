@@ -46,7 +46,11 @@ func Workers(rows, work int) int {
 // runs body once per chunk, on separate goroutines when workers > 1. Chunk
 // boundaries carry no numeric meaning: callers must ensure body computes
 // each row independently of the split (row-parallel kernels do), which makes
-// the result bitwise independent of the worker count.
+// the result bitwise independent of the worker count. A panic in body is
+// caught on its worker and re-raised here, on the calling goroutine, once
+// every chunk has finished (the first one caught, if several chunks panic):
+// the caller's recover — a rank's, in comm.World.RunSPMD — sees it, where a
+// panic on a bare goroutine would kill the process.
 func ParallelRows(rows, workers int, body func(lo, hi int)) {
 	if workers <= 1 || rows <= 1 {
 		body(0, rows)
@@ -56,7 +60,11 @@ func ParallelRows(rows, workers int, body func(lo, hi int)) {
 		workers = rows
 	}
 	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		once   sync.Once
+		caught any
+	)
 	for lo := 0; lo < rows; lo += chunk {
 		hi := lo + chunk
 		if hi > rows {
@@ -65,10 +73,18 @@ func ParallelRows(rows, workers int, body func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { caught = p })
+				}
+			}()
 			body(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
+	if caught != nil {
+		panic(caught)
+	}
 }
 
 // MatMul returns a @ b for 2-D tensors a [m,k] and b [k,n].
