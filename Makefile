@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego test-metrics check-planner bench-build bench-e2e cover loc dead check
+.PHONY: all build test vet race purego test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
 
 all: check
 
@@ -49,6 +49,15 @@ bench-build:
 bench-e2e:
 	bash bench/run.sh
 	bash bench/run.sh -check BENCH_e2e.json bench/out/result.json
+
+# The standing rule of a perf PR, typed once (not tier-1; N pairs take about
+# N minutes): `make bench-pairs PARENT=<checkout of the parent commit>
+# W=<workload> N=<pairs> [SEED=<first seed>]` alternates 18 s untraced runs of
+# one workload between the two trees, order flipped each seed, and prints
+# every run, then per end-to-end metric both medians, the relative change,
+# the parent's IQR and in how many pairs head was better.
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(W) $(N) $(SEED)
 
 # Per-package coverage summary plus the total (the number quoted in
 # README.md). cover.out is left behind for `go tool cover -html`.

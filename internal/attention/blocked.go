@@ -3,6 +3,7 @@ package attention
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"llama4d/internal/tensor"
 )
@@ -137,9 +138,10 @@ func newGrid(sq, sk int) *Grid {
 // BuildGrid classifies the score tiles of queries at global positions qPos
 // against the key block at kOff..kOff+sk-1 under mask m. The built-in mask
 // types classify via interval arithmetic (causalCut bounds plus the
-// DocStarts index); unknown mask implementations conservatively mark every
-// tile partial, which degenerates to the dense per-element path — identical
-// semantics by construction.
+// DocStarts index, which reads a document as one run of positions and so
+// needs non-decreasing ids); a Document whose ids recur and unknown mask
+// implementations conservatively mark every tile partial, which degenerates
+// to the dense per-element path — identical semantics by construction.
 func BuildGrid(m Mask, qPos []int, kOff, sk int) *Grid {
 	switch mm := m.(type) {
 	case Full:
@@ -153,22 +155,23 @@ func BuildGrid(m Mask, qPos []int, kOff, sk int) *Grid {
 	case Causal:
 		return BuildGridFromStarts(qPos, nil, kOff, sk)
 	case Document:
-		return BuildGridFromStarts(qPos, DocStarts(mm.DocID), kOff, sk)
-	default:
-		g := newGrid(len(qPos), sk)
-		for i := range g.Kinds {
-			g.Kinds[i] = TilePartial
+		if slices.IsSorted(mm.DocID) {
+			return BuildGridFromStarts(qPos, DocStarts(mm.DocID), kOff, sk)
 		}
-		g.PartialTiles = int64(len(g.Kinds))
-		for _, q := range qPos {
-			for j := 0; j < sk; j++ {
-				if m.Allowed(q, kOff+j) {
-					g.AllowedPairs++
-				}
+	}
+	g := newGrid(len(qPos), sk)
+	for i := range g.Kinds {
+		g.Kinds[i] = TilePartial
+	}
+	g.PartialTiles = int64(len(g.Kinds))
+	for _, q := range qPos {
+		for j := 0; j < sk; j++ {
+			if m.Allowed(q, kOff+j) {
+				g.AllowedPairs++
 			}
 		}
-		return g
 	}
+	return g
 }
 
 // BuildGridFromStarts classifies tiles for the document mask expressed as a
@@ -543,15 +546,24 @@ func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 	}
 }
 
-// blockedKeyRows accumulates out[j] += Σ_i sT[j][i]·b[i] for key rows
-// [lo, hi), where sT is the [sk, sq] transpose of a score-shaped matrix.
-// Reduction runs over query row-tiles in increasing order, skipping empty
-// tiles and exact-zero coefficients — the dense TMatMul ordering. Serves
-// both dV (sT = Pᵀ, b = dO) and dK (sT = dSᵀ, b = q).
-func blockedKeyRows(out, sT, b *tensor.Tensor, g *Grid, lo, hi int) {
+// blockedKeyRows accumulates out[j] += Σ_i s[i][j]·b[i] for key rows
+// [lo, hi) from the row-major [sq, sk] plane s, read where it lies: per
+// non-empty tile, column j (stride sk) is gathered into a TileRows-long
+// scratch and handed to the contiguous accumulate kernel — TileRows loads
+// per TileRows×d accumulate, no transposed copy of s, no strided kernel
+// under the GEMMs (DESIGN.md §4e). Reduction runs over query row-tiles in
+// increasing order, skipping empty tiles and exact-zero coefficients — the
+// dense TMatMul ordering. Serves both dV (s = P, b = dO) and dK (s = dS,
+// b = q).
+func blockedKeyRows(out, s, b *tensor.Tensor, g *Grid, lo, hi int) {
 	d := b.Cols()
-	n := sT.Cols()
-	od, sd, bd := out.Data, sT.Data, b.Data
+	n := s.Cols()
+	od, sd, bd := out.Data, s.Data, b.Data
+	var buf [defaultTileRows]float32 // on the worker's stack at the default tiling
+	col := buf[:]
+	if g.TileRows > len(col) {
+		col = make([]float32, g.TileRows)
+	}
 	for ct := lo / g.TileCols; ct < g.NCols && ct*g.TileCols < hi; ct++ {
 		c0, c1 := g.colBand(ct)
 		c0, c1 = max(c0, lo), min(c1, hi)
@@ -563,19 +575,25 @@ func blockedKeyRows(out, sT, b *tensor.Tensor, g *Grid, lo, hi int) {
 				continue
 			}
 			r0, r1 := g.rowBand(rt)
+			cj := col[:r1-r0]
 			for j := c0; j < c1; j++ {
-				tensor.AccumRows(od[j*d:(j+1)*d], sd[j*n+r0:j*n+r1], bd[r0*d:r1*d])
+				for r := range cj {
+					cj[r] = sd[(r0+r)*n+j]
+				}
+				tensor.AccumRows(od[j*d:(j+1)*d], cj, bd[r0*d:r1*d])
 			}
 		}
 	}
 }
 
 // blockedBackward is the blocked engine behind Backward: the same four
-// gradient products as DenseBackward with every sweep restricted to
-// non-empty tiles. Masked probabilities are exact zeros, so dense already
-// skips their terms value-by-value; the grid skips them tile-by-tile
-// (including the dP and dS sweeps dense pays in full) without changing a
-// bit.
+// gradient products as DenseBackward as sweeps over the non-empty tiles — dV
+// reads P; dP, dS and dQ run fused per query row; dK reads dS — with one
+// [sq, sk] temporary, dS written in place over dP. No sweep touches an empty
+// tile, so the plane needs no zero-fill and nothing is transposed. Masked
+// probabilities are exact zeros, so dense already skips their terms
+// value-by-value; the grid skips them tile-by-tile (including the dP and dS
+// sweeps dense pays in full) without changing a bit.
 func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
 	sq, d := q.Rows(), q.Cols()
 	sk := k.Rows()
@@ -589,64 +607,44 @@ func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int
 	tensor.CountMatMulFLOPs(sk, sq, d, eff) // dK = dSᵀ@q
 
 	work := sweptWork(g, d)
+	keyWorkers := tensor.Workers(sk, work)
 
-	// dV: reduce over query rows per key row; transpose P once for
-	// contiguous access (a pure permutation, bitwise invisible).
-	pT := tensor.Transpose(p)
+	// dV: reduce over query rows per key row.
 	dV = tensor.Get(sk, d)
-	if workers := tensor.Workers(sk, work); workers <= 1 {
-		blockedKeyRows(dV, pT, dO, g, 0, sk)
-	} else {
-		tensor.ParallelRows(sk, workers, func(lo, hi int) {
-			blockedKeyRows(dV, pT, dO, g, lo, hi)
-		})
-	}
-	tensor.Put(pT)
+	tensor.ParallelRows(sk, keyWorkers, func(lo, hi int) {
+		blockedKeyRows(dV, p, dO, g, lo, hi)
+	})
 
 	// dP, dS = P ∘ (dP − rowsum(dP ∘ P)) and dQ, fused per query row.
-	// dS is zero-filled so its empty tiles hold exact zeros for the dK
-	// reduction (dense writes signed zeros there; both are skipped).
-	dP := tensor.GetUninit(sq, sk)
-	dS := tensor.Get(sq, sk)
+	dS := tensor.GetUninit(sq, sk)
 	dQ = tensor.Get(sq, d)
-	qBody := func(lo, hi int) {
-		blockedScoreRows(dP, dO, v, g, lo, hi)
-		blockedSoftmaxBackwardRows(dS, p, dP, g, lo, hi)
+	tensor.ParallelRows(sq, tensor.Workers(sq, 2*work), func(lo, hi int) {
+		blockedScoreRows(dS, dO, v, g, lo, hi)
+		blockedSoftmaxBackwardRows(dS, p, g, lo, hi)
 		blockedPVRows(dQ, dS, k, g, lo, hi)
-	}
-	if workers := tensor.Workers(sq, 2*work); workers <= 1 {
-		qBody(0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, qBody)
-	}
-	tensor.Put(dP)
+	})
 	dQ.Scale(scale)
 
-	// dK: reduce over query rows per key row from the transposed dS.
-	dST := tensor.Transpose(dS)
-	tensor.Put(dS)
+	// dK: reduce over query rows per key row.
 	dK = tensor.Get(sk, d)
-	if workers := tensor.Workers(sk, work); workers <= 1 {
-		blockedKeyRows(dK, dST, q, g, 0, sk)
-	} else {
-		tensor.ParallelRows(sk, workers, func(lo, hi int) {
-			blockedKeyRows(dK, dST, q, g, lo, hi)
-		})
-	}
-	tensor.Put(dST)
+	tensor.ParallelRows(sk, keyWorkers, func(lo, hi int) {
+		blockedKeyRows(dK, dS, q, g, lo, hi)
+	})
+	tensor.Put(dS)
 	dK.Scale(scale)
 	return dQ, dK, dV
 }
 
-// blockedSoftmaxBackwardRows writes dS = P ∘ (dP − rowsum(dP ∘ P)) for rows
-// [lo, hi) over the non-empty tiles. The row dot accumulates every swept
+// blockedSoftmaxBackwardRows turns dP into dS = P ∘ (dP − rowsum(dP ∘ P)) in
+// place for rows [lo, hi) over the non-empty tiles: an element needs only its
+// own dP and the row's finished dot. The row dot accumulates every swept
 // term like dense softmaxBackwardRows; empty-tile terms are P·dP products
 // with P exactly +0, whose signed-zero contributions IEEE addition from a
 // non-negative accumulator cannot observe.
-func blockedSoftmaxBackwardRows(dS, p, dP *tensor.Tensor, g *Grid, lo, hi int) {
+func blockedSoftmaxBackwardRows(dS, p *tensor.Tensor, g *Grid, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		rt := i / g.TileRows
-		pi, dpi, dsi := p.Row(i), dP.Row(i), dS.Row(i)
+		pi, dsi := p.Row(i), dS.Row(i)
 		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
 		var dot float32
 		for ct, kind := range kinds {
@@ -655,7 +653,7 @@ func blockedSoftmaxBackwardRows(dS, p, dP *tensor.Tensor, g *Grid, lo, hi int) {
 			}
 			c0, c1 := g.colBand(ct)
 			for j := c0; j < c1; j++ {
-				dot += pi[j] * dpi[j]
+				dot += pi[j] * dsi[j]
 			}
 		}
 		for ct, kind := range kinds {
@@ -664,7 +662,7 @@ func blockedSoftmaxBackwardRows(dS, p, dP *tensor.Tensor, g *Grid, lo, hi int) {
 			}
 			c0, c1 := g.colBand(ct)
 			for j := c0; j < c1; j++ {
-				dsi[j] = pi[j] * (dpi[j] - dot)
+				dsi[j] = pi[j] * (dsi[j] - dot)
 			}
 		}
 	}

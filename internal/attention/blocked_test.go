@@ -45,6 +45,10 @@ func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, 
 	tensor.Put(want.O, got.O)
 }
 
+// gridTilings are the tile geometries of the property grid: small, square,
+// rectangular and the default.
+var gridTilings = [][2]int{{4, 4}, {8, 8}, {16, 8}, {64, 64}}
+
 // TestBlockedMatchesDenseGrid is the bitwise property grid of the blocked
 // engine: every mask family (Full, Causal, Document, and an unknown mask
 // forced onto the conservative all-partial path) × sequence lengths
@@ -58,7 +62,7 @@ func TestBlockedMatchesDenseGrid(t *testing.T) {
 	defer SetTiling(pr, pc)
 
 	seed := int64(9000)
-	for _, til := range [][2]int{{4, 4}, {8, 8}, {16, 8}, {64, 64}} {
+	for _, til := range gridTilings {
 		SetTiling(til[0], til[1])
 		block := til[0]
 		keylessInLiveBand := 0
@@ -277,6 +281,34 @@ func TestBlockedMatchesScalarDefinition(t *testing.T) {
 			if !tensor.BitwiseEqual(c.want, c.got) {
 				t.Errorf("%s: %s differs from the scalar definition", tc.name, c.what)
 			}
+		}
+	}
+}
+
+// TestRecurringDocIDsTakeConservativeGrid: Document compares ids, DocStarts
+// reads every id change as a boundary, so when an id recurs after another
+// document the two disagree (positions 140.. below attend 0..69 as well). The
+// classifier must notice and fall back to the all-partial grid — exact by
+// construction — with the brute-force pair count, under every tiling.
+func TestRecurringDocIDsTakeConservativeGrid(t *testing.T) {
+	const n, d = 200, 8
+	ids := make([]int, n) // [0×70, 1×70, 0×60]
+	for i := 70; i < 140; i++ {
+		ids[i] = 1
+	}
+	m := Document{DocID: ids}
+	pr, pc := Tiling()
+	defer SetTiling(pr, pc)
+	for _, til := range gridTilings {
+		SetTiling(til[0], til[1])
+		checkBlockedVsDense(t, labelFor("recurring", til, n, 0), 9900, n, n, d, m, Iota(n), 0)
+		g := BuildGrid(m, Iota(n), 0, n)
+		if g.PartialTiles != int64(len(g.Kinds)) || g.EmptyPairs != 0 {
+			t.Fatalf("tiling %v: recurring ids classified %d/%d tiles partial, %d empty pairs; want all partial",
+				til, g.PartialTiles, len(g.Kinds), g.EmptyPairs)
+		}
+		if want := int64(AllowedPairs(m, Iota(n), n)); g.AllowedPairs != want {
+			t.Fatalf("tiling %v: grid reports %d allowed pairs, brute force %d", til, g.AllowedPairs, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package attention
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -84,6 +85,96 @@ func TestForwardRowSliceBitwise(t *testing.T) {
 			if !tensor.BitwiseEqual(part.P, full.P.RowSlice(lo, hi)) {
 				t.Fatalf("%s rows [%d,%d): parallel P differs from serial slice", name, lo, hi)
 			}
+		}
+	}
+}
+
+// TestBackwardRowSliceBitwise is the split-invariance property for Backward:
+// a document mask above the FLOP threshold, sq and sk not multiples of the
+// tile, so at three workers the key split of both dV/dK sweeps and the row
+// split of the dP→dS→dQ body land mid-tile. One worker, three workers and the
+// dense oracle must agree bit for bit.
+func TestBackwardRowSliceBitwise(t *testing.T) {
+	const sq, sk, d = 450, 470, 64
+	q, k, v := randQKV(303, sq, sk, d)
+	dO := tensor.RandN(rand.New(rand.NewSource(304)), 1, sq, d)
+	m := Document{DocID: DocIDsFromLengths([]int{150, 97, 223}, sk)}
+	qPos := Iota(sq)
+	g := BuildGrid(m, qPos, 0, sk)
+	if g.EmptyTiles == 0 || sweptWork(g, d) < 1<<22 {
+		t.Fatalf("case has %d empty tiles and %d swept FMAs: needs empty tiles and parallel dispatch", g.EmptyTiles, sweptWork(g, d))
+	}
+	p := DenseForward(q, k, v, m, qPos, 0).P
+	wdq, wdk, wdv := DenseBackward(q, k, v, p, dO)
+
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		dq, dk, dv := Backward(q, k, v, p, dO, m, qPos, 0)
+		if !tensor.BitwiseEqual(wdq, dq) || !tensor.BitwiseEqual(wdk, dk) || !tensor.BitwiseEqual(wdv, dv) {
+			t.Fatalf("GOMAXPROCS %d: Backward differs from DenseBackward", procs)
+		}
+	}
+}
+
+// TestBackwardIgnoresEmptyTiles: no backward sweep reads an empty tile of P
+// or an uninitialised word of its one score-plane temporary. The arena is
+// primed with NaN-filled buffers of the plane's size class, so the GetUninit
+// plane comes back dirty, and P's empty tiles are overwritten with NaN; the
+// gradients must still equal DenseBackward on the clean P bit for bit. The
+// call leaves exactly its three results checked out of the arena.
+func TestBackwardIgnoresEmptyTiles(t *testing.T) {
+	defer tensor.SetPooling(tensor.SetPooling(true))
+	pr, pc := Tiling()
+	defer SetTiling(pr, pc)
+
+	const sq, sk, d = 200, 211, 8
+	q, k, v := randQKV(404, sq, sk, d)
+	dO := tensor.RandN(rand.New(rand.NewSource(405)), 1, sq, d)
+	m := Document{DocID: DocIDsFromLengths([]int{70, 3, 50, 88}, sk)}
+	qPos := Iota(sq)
+	clean := DenseForward(q, k, v, m, qPos, 0).P
+	wdq, wdk, wdv := DenseBackward(q, k, v, clean, dO)
+	nan := float32(math.NaN())
+
+	for _, til := range [][2]int{{pr, pc}, {7, 5}} {
+		SetTiling(til[0], til[1])
+		g := BuildGrid(m, qPos, 0, sk)
+		if g.EmptyTiles == 0 {
+			t.Fatalf("tiling %v: no empty tile to poison", til)
+		}
+		p := clean.Clone()
+		for rt := 0; rt < g.NRows; rt++ {
+			r0, r1 := g.rowBand(rt)
+			for ct := 0; ct < g.NCols; ct++ {
+				if g.Kind(rt, ct) != TileEmpty {
+					continue
+				}
+				c0, c1 := g.colBand(ct)
+				for i := r0; i < r1; i++ {
+					for j := c0; j < c1; j++ {
+						p.Set(i, j, nan)
+					}
+				}
+			}
+		}
+		for i := 0; i < 2; i++ {
+			dirty := tensor.New(sq, sk)
+			dirty.Fill(nan)
+			tensor.Put(dirty)
+		}
+		before := tensor.DefaultPoolStats()
+		dq, dk, dv := Backward(q, k, v, p, dO, m, qPos, 0)
+		after := tensor.DefaultPoolStats()
+		if !tensor.BitwiseEqual(wdq, dq) || !tensor.BitwiseEqual(wdk, dk) || !tensor.BitwiseEqual(wdv, dv) {
+			t.Fatalf("tiling %v: Backward read an empty tile or an uninitialised word", til)
+		}
+		if out := (after.Gets - before.Gets) - (after.Puts - before.Puts); out != 3 {
+			t.Fatalf("tiling %v: %d tensors left checked out of the arena, want the 3 gradients", til, out)
+		}
+		if after.Hits == before.Hits {
+			t.Fatalf("tiling %v: the arena served no buffer — the dirty plane was not exercised", til)
 		}
 	}
 }

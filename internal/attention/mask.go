@@ -38,7 +38,9 @@ func (Causal) Allowed(q, k int) bool { return k <= q }
 
 // Document is the paper's document mask (block-causal): causal attention
 // restricted to tokens of the same document. DocID[t] identifies the
-// document containing global position t.
+// document containing global position t. Every producer in the tree emits
+// non-decreasing ids, the form the tile classifier is built for; ids that
+// recur are still compared exactly, but BuildGrid then skips no tile.
 type Document struct {
 	DocID []int
 }

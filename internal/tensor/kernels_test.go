@@ -180,7 +180,7 @@ func TestPublicOpsParallelBitwise(t *testing.T) {
 	big := randMat(3, 1024, 1024) // 2^20 elements: at copyThreshold exactly
 	ref = New(1024, 1024)
 	transposeRows(ref, big, 1, copyThreshold)
-	if got := Transpose(big); !BitwiseEqual(ref, got) {
+	if got := transposed(big); !BitwiseEqual(ref, got) {
 		t.Fatal("parallel Transpose differs from serial")
 	}
 }

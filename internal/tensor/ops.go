@@ -234,13 +234,6 @@ func tMatMulRows(out, a, b *Tensor, workers int) {
 	Put(aT)
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	out := GetUninit(a.Cols(), a.Rows())
-	transposeRows(out, a, runtime.GOMAXPROCS(0), a.Len())
-	return out
-}
-
 // TransposeInto computes dst = aᵀ, overwriting dst ([cols(a), rows(a)]).
 func TransposeInto(dst, a *Tensor) {
 	if dst.Rows() != a.Cols() || dst.Cols() != a.Rows() {

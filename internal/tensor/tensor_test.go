@@ -126,14 +126,14 @@ func TestMatMulTAndTMatMulAgreeWithTranspose(t *testing.T) {
 	a := RandN(rng, 1, 5, 7)
 	b := RandN(rng, 1, 4, 7)
 	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
+	want := MatMul(a, transposed(b))
 	if !AllClose(got, want, 1e-5, 1e-6) {
 		t.Fatalf("MatMulT diff %v", MaxDiff(got, want))
 	}
 	d := RandN(rng, 1, 6, 5)
 	e := RandN(rng, 1, 6, 4)
 	got3 := TMatMul(d, e)
-	want3 := MatMul(Transpose(d), e)
+	want3 := MatMul(transposed(d), e)
 	if !AllClose(got3, want3, 1e-5, 1e-6) {
 		t.Fatalf("TMatMul diff %v", MaxDiff(got3, want3))
 	}
@@ -181,7 +181,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := RandN(rng, 1, 4, 6)
-		return BitwiseEqual(Transpose(Transpose(a)), a)
+		return BitwiseEqual(transposed(transposed(a)), a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
