@@ -75,29 +75,47 @@ loc:
 		| awk '$$2 != "total" { n += $$1; split($$2, p, "/"); if (p[2] == "internal") pkg[p[2] "/" p[3]] += $$1 } \
 		END { for (k in pkg) printf "%7d  %s\n", pkg[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total non-test Go lines outside bench/\n", n }'
 
-# Report-only census of exported surface nothing uses: exported functions and
-# methods declared in non-test files under internal/ whose name appears in no
-# non-test .go file of the repo (bench/ included) other than at its own
-# declaration. By name, outside // comments; Error/Unwrap/WriteTo (standard
-# interfaces) are skipped. What it prints is either reference surface kept
-# for tests, saying so in its doc comment, or a deletion waiting to happen.
+# The census gate: exported functions and methods declared in non-test files
+# under internal/ whose name appears in no non-test .go file of the repo
+# (bench/ included) other than at its own declaration. By name, outside //
+# comments; Error/Unwrap/WriteTo (standard interfaces) are skipped. It prints
+# every such package.Name and fails on any not in DEAD_ALLOW, and on any
+# DEAD_ALLOW entry that has gained a caller (drop it then). An unlisted entry
+# is a deletion waiting to happen; DEAD_ALLOW is the oracle and conformance
+# surface tests use, each entry's doc comment naming its tests.
 # Because it matches by name, a dead method that shares its name with a live
-# one (comm.World.Stats hid behind tensor.Pool.Stats until PR 23) is not
-# listed: an empty report is not proof.
+# one is not listed (comm.Group.Gather hid behind serve.KVCache.Gather,
+# comm.World.Stats behind tensor.Pool.Stats): a clean report is not proof.
+DEAD_ALLOW := \
+	attention.Tiling attention.DenseForward attention.DenseBackward attention.DensePartialForwardInto \
+	tensor.SetPooling tensor.ResetFLOPCount tensor.Set tensor.Sum tensor.MaxAbs tensor.AllClose tensor.BitwiseEqual \
+	comm.Contains comm.Broadcast comm.Barrier \
+	model.StepLoss model.CopyWeightsTo model.GradientVector model.ParamByName \
+	tp.ReplicatedGradAllReduce xval.PredictCollective xval.PredictCPPerRank \
+	engine.DecodeFLOPs engine.DecodeTPTraffic cp.LocalRows testutil.CaptureStdout ft.ReadCheckpoint
+
 dead:
-	@find . -name '*.go' ! -name '*_test.go' | xargs awk ' \
+	@out=$$(find . -name '*.go' ! -name '*_test.go' | xargs awk -v allow="$(DEAD_ALLOW)" ' \
 		{ code = $$0; sub(/\/\/.*/, "", code); n = split(code, w, /[^A-Za-z0-9_]+/); \
 		  for (i = 1; i <= n; i++) uses[w[i]]++ } \
 		FILENAME ~ /^\.\/internal\// && match($$0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/) { \
 		  name = substr($$0, RSTART, RLENGTH); sub(/^func (\([^)]*\) )?/, "", name); \
-		  decls[name]++; if (name !~ /^(Error|Unwrap|WriteTo)$$/) at[FILENAME ":" FNR ": " name] = name } \
-		END { for (d in at) if (uses[at[d]] == decls[at[d]]) print d }' | sort -t: -k1,1 -k2,2n
+		  pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/.*\//, "", pkg); \
+		  decls[name]++; if (name !~ /^(Error|Unwrap|WriteTo)$$/) { d = FILENAME ":" FNR ": " pkg "." name; at[d] = name; key[d] = pkg "." name } } \
+		END { n = split(allow, a, " "); for (i = 1; i <= n; i++) ok[a[i]] = 1; \
+		  for (d in at) if (uses[at[d]] == decls[at[d]]) { seen[key[d]] = 1; print d (key[d] in ok ? "" : "  NOT ALLOWLISTED") } \
+		  for (k in ok) if (!(k in seen)) print "DEAD_ALLOW: " k "  STALE (has a non-test caller, or is gone)" }' \
+		| sort -t: -k1,1 -k2,2n); \
+	echo "$$out"; \
+	if echo "$$out" | grep -q 'NOT ALLOWLISTED\|STALE'; then \
+		echo "make dead: delete the unlisted names, or keep them as test surface in DEAD_ALLOW with the reason in their doc comment"; exit 1; fi
 
-# The full verification gate: compile everything, vet, run the whole suite
-# with the race detector (all collectives and the ft subsystem exercise real
-# cross-goroutine communication; the measured-vs-modeled sweep and the
-# kernels' bitwise-vs-oracle guards are ordinary tests inside it), rerun the
-# kernel-bound packages on the pure-Go build, replay the planner loop-closure
-# guard, type-check the bench/ module against the tree, and report the code
-# size.
-check: build vet race purego check-planner bench-build loc
+# The full verification gate: compile everything, vet, gate the exported
+# surface on the dead-code census (cheap, so before the long runs), run the
+# whole suite with the race detector (all collectives and the ft subsystem
+# exercise real cross-goroutine communication; the measured-vs-modeled sweep
+# and the kernels' bitwise-vs-oracle guards are ordinary tests inside it),
+# rerun the kernel-bound packages on the pure-Go build, replay the planner
+# loop-closure guard, type-check the bench/ module against the tree, and
+# report the code size.
+check: build vet dead race purego check-planner bench-build loc

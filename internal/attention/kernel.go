@@ -41,8 +41,8 @@ func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *
 
 // DenseForward is the dense reference kernel: the full score matrix is
 // materialised and swept with per-row masking regardless of mask structure.
-// It is the oracle the blocked engine is property-tested against; no
-// training or serving path calls it.
+// It is the oracle the blocked engine is property-tested against
+// (blocked_test.go, kernels_test.go); no training or serving path calls it.
 func DenseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 	checkShapes(q, k, v, qPos)
 	sq, d := q.Rows(), q.Cols()
@@ -115,7 +115,8 @@ func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff in
 
 // DenseBackward is the dense reference backward pass: every gradient product
 // sweeps the full score plane, relying only on the exact zeros of masked
-// probabilities. Oracle for the blocked engine.
+// probabilities. Oracle for the blocked engine in blocked_test.go and
+// kernels_test.go; no training path calls it.
 func DenseBackward(q, k, v, p, dO *tensor.Tensor) (dQ, dK, dV *tensor.Tensor) {
 	d := q.Cols()
 	scale := float32(1 / math.Sqrt(float64(d)))
@@ -185,8 +186,8 @@ func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int
 	return out
 }
 
-// DensePartialForwardInto is the dense reference partial kernel (oracle for
-// the blocked one).
+// DensePartialForwardInto is the dense reference partial kernel: the oracle
+// blocked_test.go holds the blocked one to. No serving path calls it.
 func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
 	checkShapes(q, k, v, qPos)
 	sq, d := q.Rows(), q.Cols()

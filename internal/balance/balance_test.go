@@ -151,7 +151,7 @@ func TestPlanShardsBalancesRowCost(t *testing.T) {
 }
 
 func TestOrderMicrobatches(t *testing.T) {
-	sched := pp.NewInterleaved1F1B(4, 1, 8)
+	sched := pp.NewFlexible(4, 1, 8, 4)
 	mbCost := []float64{1, 9, 1, 1, 8, 1, 1, 7}
 	perm, span := OrderMicrobatches(sched, mbCost, 0.1)
 	seen := make(map[int]bool)

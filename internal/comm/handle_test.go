@@ -62,12 +62,14 @@ func TestIAllGatherMatchesBlockingAndInterops(t *testing.T) {
 	g := w.NewGroup([]int{0, 1, 2, 3})
 	g.Label = "dp"
 	sync := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.FromSlice([]float32{float32(rank), float32(rank) * 2}, 2)
 		sync[rank] = g.AllGather(rank, x)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	async := make([]*tensor.Tensor, 4)
-	RunSPMD(4, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		x := tensor.FromSlice([]float32{float32(rank), float32(rank) * 2}, 2)
 		// Ranks 0 and 1 use the blocking op, 2 and 3 the handle: the op
 		// strings match, so they join the same collective.
@@ -77,7 +79,9 @@ func TestIAllGatherMatchesBlockingAndInterops(t *testing.T) {
 		}
 		h := g.IAllGather(rank, x)
 		async[rank] = h.Wait()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < 4; r++ {
 		if !tensor.BitwiseEqual(sync[r], async[r]) {
 			t.Fatalf("rank %d: async result diverges from blocking", r)
@@ -98,11 +102,13 @@ func TestIReduceScatterAndIAllReduceBitwise(t *testing.T) {
 	}
 	syncRS := make([]*tensor.Tensor, 3)
 	syncAR := make([]*tensor.Tensor, 3)
-	RunSPMD(3, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		syncRS[rank] = g.ReduceScatter(rank, mk(rank))
 		syncAR[rank] = g.AllReduce(rank, mk(rank))
-	})
-	RunSPMD(3, func(rank int) {
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunSPMD(func(rank int) {
 		// Issue both before waiting either: completion order is issue
 		// order (sequence numbers claimed at issue), not Wait order.
 		h1 := g.IReduceScatter(rank, mk(rank))
@@ -115,7 +121,9 @@ func TestIReduceScatterAndIAllReduceBitwise(t *testing.T) {
 		if !tensor.BitwiseEqual(ar, syncAR[rank]) {
 			panic(fmt.Sprintf("rank %d: IAllReduce diverges", rank))
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestISendIRecvFIFOAndPrepost(t *testing.T) {
@@ -159,7 +167,7 @@ func TestHandleDoubleWait(t *testing.T) {
 	w := NewWorld(2)
 	g := w.NewGroup([]int{0, 1})
 	g.Label = "tp"
-	RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		h := g.IAllReduce(rank, tensor.FromSlice([]float32{float32(rank + 1)}, 1))
 		a := h.Wait()
 		b := h.Wait()
@@ -169,7 +177,9 @@ func TestHandleDoubleWait(t *testing.T) {
 		if a.Data[0] != 3 {
 			panic(fmt.Sprintf("allreduce = %v", a.Data))
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHandleWaitAfterAbortPanics(t *testing.T) {

@@ -22,8 +22,6 @@ func closedForm(op string, n, elems int, root bool) int64 {
 		return b * int64(n-1) / int64(n)
 	case "allreduce", "allreducemax":
 		return b * 2 * int64(n-1) / int64(n)
-	case "gather":
-		return b
 	case "broadcast":
 		if root {
 			return b
@@ -72,7 +70,6 @@ func TestStatsClosedFormVolumes(t *testing.T) {
 						}
 						g.Broadcast(r, 0, x)
 					}},
-					{"gather", false, func(r int) { g.Gather(r, 0, filled(rows, cols, r)) }},
 					{"barrier", false, func(r int) { g.Barrier(r) }},
 				}
 

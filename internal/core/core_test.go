@@ -258,6 +258,28 @@ func TestConfigValidateRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestNewClusterRejectsZeroDims: a zero divisor in the config is an error
+// from NewCluster, not an integer divide-by-zero inside the validator.
+func TestNewClusterRejectsZeroDims(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"nmb", func(c *Config) { c.NMB = 0 }},
+		{"v", func(c *Config) { c.V = 0 }},
+		{"gbs", func(c *Config) { c.GBS = 0 }},
+		{"seq", func(c *Config) { c.Seq = 0 }},
+		{"nheads", func(c *Config) { c.Model.NHeads = 0 }},
+		{"nkvheads", func(c *Config) { c.Model.NKVHeads = 0 }},
+	} {
+		cfg := tinyCoreCfg(Topology{TP: 1, CP: 1, PP: 2, DP: 1}, 1, 2, 2, fsdp.ZeRO1, false)
+		tc.edit(&cfg)
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("%s = 0: NewCluster returned no error", tc.name)
+		}
+	}
+}
+
 // TestConfigValidateRejectsUnaddressableCP: an unknown CPStrategy, a ring
 // group larger than the tag layout's step field, or more exchanges per
 // instance than its call field must come back from NewCluster as an error —
@@ -514,40 +536,5 @@ func TestLRScheduleApplied(t *testing.T) {
 	}
 	if lrs[5] >= lrs[4] {
 		t.Fatalf("decay LRs not decreasing: %v", lrs)
-	}
-}
-
-func TestClusterTrainsFromUserCorpus(t *testing.T) {
-	// Bring-your-own-data path: pack real documents with data.NewCorpus and
-	// train the 4D cluster on them.
-	cfg := tinyCoreCfg(Topology{TP: 1, CP: 1, PP: 2, DP: 1}, 1, 2, 2, fsdp.ZeRO1, true)
-	cfg.LR = 5e-3
-	var docs [][]int
-	rng := rand.New(rand.NewSource(85))
-	for d := 0; d < 12; d++ {
-		doc := make([]int, 5+rng.Intn(20))
-		for i := range doc {
-			doc[i] = rng.Intn(cfg.Model.Vocab - 1)
-		}
-		docs = append(docs, doc)
-	}
-	corpus, err := data.NewCorpus(docs, cfg.Seq, cfg.Model.Vocab-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first, last float64
-	for step := 0; step < 8; step++ {
-		loss := cl.Step(corpus, 0)
-		if step == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first {
-		t.Fatalf("corpus training did not learn: %v -> %v", first, last)
 	}
 }

@@ -117,9 +117,6 @@ type OverlapConfig struct {
 	P2P int
 }
 
-// Enabled reports whether any overlap dimension is active.
-func (o OverlapConfig) Enabled() bool { return o.Params > 0 || o.Grads || o.P2P > 0 }
-
 // Validate checks the configuration's divisibility constraints (§5.1).
 func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
@@ -130,6 +127,9 @@ func (c Config) Validate() error {
 	}
 	if c.HostSize < 0 {
 		return fmt.Errorf("core: host size %d", c.HostSize)
+	}
+	if c.NMB < 1 || c.V < 1 || c.GBS < 1 || c.Seq < 1 {
+		return fmt.Errorf("core: nmb %d, v %d, gbs %d and seq %d must be >= 1", c.NMB, c.V, c.GBS, c.Seq)
 	}
 	if c.GBS%c.Topo.DP != 0 {
 		return fmt.Errorf("core: gbs %d not divisible by dp %d", c.GBS, c.Topo.DP)

@@ -93,6 +93,7 @@ func packRows(t *tensor.Tensor, idx []int) *tensor.Tensor {
 }
 
 // LocalRows returns local rank lr's rows of a full-sequence tensor (copy).
+// Test surface: the cp suites slice their sequential oracles with it.
 func LocalRows(l Layout, full *tensor.Tensor, lr int) *tensor.Tensor {
 	return packRows(full, l.LocalPositions(lr))
 }

@@ -102,19 +102,21 @@ func newCPWorld(cpSize int) (*comm.World, *comm.Group) {
 func TestGatherKVGlobalOrder(t *testing.T) {
 	seq, cpSize := 8, 2
 	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	w, g := newCPWorld(cpSize)
 	rng := rand.New(rand.NewSource(2))
 	fullK := tensor.RandN(rng, 1, seq, 3)
 	fullV := tensor.RandN(rng, 1, seq, 3)
 	results := make([]*tensor.Tensor, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		kv := NewKV(s, Plan{}, g, rank, 0)
 		gk, gv := kv.GatherKV(LocalRows(s, fullK, rank), LocalRows(s, fullV, rank))
 		if !tensor.BitwiseEqual(gv, fullV) {
 			panic("gathered V out of order")
 		}
 		results[rank] = gk
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < cpSize; r++ {
 		if !tensor.BitwiseEqual(results[r], fullK) {
 			t.Fatalf("rank %d gathered K differs from global order", r)
@@ -144,7 +146,7 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 
 		for _, cpSize := range []int{2, 4} {
 			s := NewSharding(seq, cpSize)
-			_, g := newCPWorld(cpSize)
+			w, g := newCPWorld(cpSize)
 			outs := make([]*tensor.Tensor, cpSize)
 			dxs := make([]*tensor.Tensor, cpSize)
 			grads := make([]*tensor.Tensor, cpSize)
@@ -158,7 +160,7 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 				}
 				replicas[r] = rep
 			}
-			comm.RunSPMD(cpSize, func(rank int) {
+			if err := w.RunSPMD(func(rank int) {
 				env := Env(s, mask, g, rank)
 				xl := LocalRows(s, x, rank)
 				dyl := LocalRows(s, dy, rank)
@@ -166,7 +168,9 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 				outs[rank] = y
 				dxs[rank] = replicas[rank].Backward(cc, dyl)
 				grads[rank] = model.GradientVector(replicas[rank].Params())
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			// Outputs/input-grads: local rows of the sequential result.
 			for r := 0; r < cpSize; r++ {
 				if d := tensor.MaxDiff(outs[r], LocalRows(s, want, r)); d > 1e-4 {
@@ -201,7 +205,7 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 
 	cpSize := 2
 	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	w, g := newCPWorld(cpSize)
 	reps := make([]*model.Block, cpSize)
 	for r := 0; r < cpSize; r++ {
 		rep := model.NewBlock("b", cfg, rand.New(rand.NewSource(5)))
@@ -211,11 +215,13 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 		reps[r] = rep
 	}
 	outs := make([]*tensor.Tensor, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		env := Env(s, mask, g, rank)
 		y, _ := reps[rank].Forward(LocalRows(s, x, rank), env)
 		outs[rank] = y
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < cpSize; r++ {
 		if d := tensor.MaxDiff(outs[r], LocalRows(s, want, r)); d > 1e-4 {
 			t.Fatalf("rank %d block-under-CP diff %v", r, d)
@@ -258,14 +264,16 @@ func TestRingMatchesAllGatherAndSequential(t *testing.T) {
 		want := attention.Forward(q, k, v, mask, attention.Iota(seq), 0).O
 		for _, cpSize := range []int{2, 3} {
 			s := NewSharding(seq, cpSize)
-			_, g := newCPWorld(cpSize)
+			w, g := newCPWorld(cpSize)
 			ringOuts := make([]*tensor.Tensor, cpSize)
 			agOuts := make([]*tensor.Tensor, cpSize)
-			comm.RunSPMD(cpSize, func(rank int) {
+			if err := w.RunSPMD(func(rank int) {
 				ql, kl, vl := LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank)
 				ringOuts[rank], _, _, _ = attendVia(NewKV(s, ringPlan(seq), g, rank, 0), ql, kl, vl, nil, mask)
 				agOuts[rank], _, _, _ = attendVia(NewKV(s, Plan{}, g, rank, 0), ql, kl, vl, nil, mask)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for r := 0; r < cpSize; r++ {
 				if !tensor.BitwiseEqual(ringOuts[r], agOuts[r]) {
 					t.Fatalf("%s cp=%d rank %d: ring plan differs from all-gather plan", name, cpSize, r)
@@ -315,7 +323,7 @@ func TestCPEndToEndModelGradients(t *testing.T) {
 
 	cpSize := 2
 	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	w, g := newCPWorld(cpSize)
 	reps := make([]*model.Model, cpSize)
 	for r := 0; r < cpSize; r++ {
 		reps[r] = model.New(cfg, rand.New(rand.NewSource(8)))
@@ -330,7 +338,7 @@ func TestCPEndToEndModelGradients(t *testing.T) {
 	}
 	losses := make([]float64, cpSize)
 	localValid := make([]int, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		ls := LocalSample(s, sample, rank)
 		valid := 0
 		for _, tg := range ls.Targets {
@@ -345,7 +353,9 @@ func TestCPEndToEndModelGradients(t *testing.T) {
 		loss, cc := reps[rank].ForwardLoss(ls.Tokens, ls.Targets, env, scale)
 		reps[rank].Backward(cc)
 		losses[rank] = loss
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Combined loss: token-weighted mean of per-rank means.
 	var combined float64
@@ -374,16 +384,18 @@ func TestShardingValidation(t *testing.T) {
 func benchmarkCPAttention(b *testing.B, plan Plan) {
 	seq, d, cpSize := 128, 32, 4
 	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	w, g := newCPWorld(cpSize)
 	rng := rand.New(rand.NewSource(1))
 	q := tensor.RandN(rng, 0.5, seq, d)
 	k := tensor.RandN(rng, 0.5, seq, d)
 	v := tensor.RandN(rng, 0.5, seq, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm.RunSPMD(cpSize, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			attendVia(NewKV(s, plan, g, rank, 0), LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), nil, attention.Causal{})
-		})
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -412,14 +424,16 @@ func TestRingBackwardMatchesOracle(t *testing.T) {
 
 		for _, cpSize := range []int{2, 3} {
 			s := NewSharding(seq, cpSize)
-			_, g := newCPWorld(cpSize)
+			w, g := newCPWorld(cpSize)
 			dqs := make([]*tensor.Tensor, cpSize)
 			dks := make([]*tensor.Tensor, cpSize)
 			dvs := make([]*tensor.Tensor, cpSize)
-			comm.RunSPMD(cpSize, func(rank int) {
+			if err := w.RunSPMD(func(rank int) {
 				_, dqs[rank], dks[rank], dvs[rank] = attendVia(NewKV(s, ringPlan(seq), g, rank, 0),
 					LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), LocalRows(s, dO, rank), mask)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for r := 0; r < cpSize; r++ {
 				if dd := tensor.MaxDiff(dqs[r], LocalRows(s, wantDQ, r)); dd > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dQ diff %v", name, cpSize, r, dd)

@@ -7,7 +7,6 @@ import (
 
 	"llama4d/internal/attention"
 	"llama4d/internal/balance"
-	"llama4d/internal/comm"
 	"llama4d/internal/tensor"
 )
 
@@ -58,8 +57,8 @@ func TestRaggedGatherReassembles(t *testing.T) {
 	for r := range grads {
 		grads[r] = tensor.RandN(rng, 1, seq, d)
 	}
-	_, group := newCPWorld(cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
+	w, group := newCPWorld(cpSize)
+	if err := w.RunSPMD(func(rank int) {
 		kv := NewKV(rs, Plan{}, group, rank, 0)
 		local := LocalRows(rs, full, rank)
 		gk, gv := kv.GatherKV(local, local)
@@ -77,7 +76,9 @@ func TestRaggedGatherReassembles(t *testing.T) {
 				panic("reduced gradient rows differ from all-reduce selection")
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRaggedBitwiseVsEvenBaseline is the satellite property test: for every

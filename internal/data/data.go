@@ -21,6 +21,15 @@ import (
 	"llama4d/internal/model"
 )
 
+// Batcher is the data-source interface the trainer consumes: Generator
+// (synthetic) and PackedSet (a workload-balanced plan) implement it.
+type Batcher interface {
+	// DPBatch returns the samples of one data-parallel group for one step.
+	DPBatch(step int64, gbs, ndp, dpRank int) []*model.Sample
+}
+
+var _ Batcher = (*Generator)(nil)
+
 // Generator produces deterministic synthetic samples. Sample(i) is a pure
 // function of (Seed, i), so any partition of sample indices across ranks is
 // reproducible and comparable against a sequential run.
@@ -180,15 +189,3 @@ func Env(s *model.Sample) *model.Env {
 func CausalEnv(s *model.Sample) *model.Env {
 	return model.SeqEnv(len(s.Tokens), attention.Causal{})
 }
-
-// AttnWorkload returns the number of mask-allowed attention pairs in the
-// sample: the per-sample attention FLOP weight used for the Fig 14 workload
-// imbalance analysis.
-func AttnWorkload(s *model.Sample) int {
-	m := attention.Document{DocID: s.DocIDs}
-	return attention.AllowedPairs(m, attention.Iota(len(s.Tokens)), len(s.Tokens))
-}
-
-// CausalWorkload returns the allowed pairs under a full causal mask
-// (the upper bound AttnWorkload is compared against).
-func CausalWorkload(seq int) int { return seq * (seq + 1) / 2 }

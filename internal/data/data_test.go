@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"llama4d/internal/attention"
 	"llama4d/internal/model"
 )
 
@@ -116,11 +117,18 @@ func TestStepsDontOverlap(t *testing.T) {
 	}
 }
 
+// attnWorkload is a sample's mask-allowed attention pairs: the per-sample
+// attention FLOP weight behind Fig 14's imbalance.
+func attnWorkload(s *model.Sample) int {
+	n := len(s.Tokens)
+	return attention.AllowedPairs(attention.Document{DocID: s.DocIDs}, attention.Iota(n), n)
+}
+
 func TestAttnWorkloadBounds(t *testing.T) {
 	g := testGen()
 	s := g.Sample(1)
-	w := AttnWorkload(s)
-	upper := CausalWorkload(g.Seq)
+	w := attnWorkload(s)
+	upper := g.Seq * (g.Seq + 1) / 2 // full causal mask
 	if w <= 0 || w > upper {
 		t.Fatalf("workload %d outside (0, %d]", w, upper)
 	}
@@ -134,11 +142,11 @@ func TestAttnWorkloadBounds(t *testing.T) {
 func TestAttnWorkloadVariesAcrossSamples(t *testing.T) {
 	// The input-dependent workload variation that causes Fig 14's imbalance.
 	g := testGen()
-	w0, w1 := AttnWorkload(g.Sample(0)), AttnWorkload(g.Sample(1))
+	w0, w1 := attnWorkload(g.Sample(0)), attnWorkload(g.Sample(1))
 	if w0 == w1 {
 		// Not impossible, but with geometric doc lengths it is very unlikely;
 		// check a third sample before failing.
-		if AttnWorkload(g.Sample(2)) == w0 {
+		if attnWorkload(g.Sample(2)) == w0 {
 			t.Fatal("attention workload shows no variation across samples")
 		}
 	}
@@ -196,66 +204,6 @@ func BenchmarkSampleGeneration(b *testing.B) {
 	}
 }
 
-func TestCorpusPacking(t *testing.T) {
-	docs := [][]int{{1, 2, 3}, {4, 5}, {6, 7, 8, 9, 10, 11, 12}}
-	c, err := NewCorpus(docs, 8, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := c.Sample(0)
-	// First sample: 1 2 3 eos 4 5 eos 6.
-	want := []int{1, 2, 3, 99, 4, 5, 99, 6}
-	for i, w := range want {
-		if s0.Tokens[i] != w {
-			t.Fatalf("sample 0 tokens = %v, want %v", s0.Tokens, want)
-		}
-	}
-	// Document ids change after each eos.
-	if s0.DocIDs[0] != s0.DocIDs[2] || s0.DocIDs[3] != s0.DocIDs[0] || s0.DocIDs[4] == s0.DocIDs[3] {
-		t.Fatalf("doc ids = %v", s0.DocIDs)
-	}
-	// Second sample continues the split document.
-	s1 := c.Sample(1)
-	if s1.Tokens[0] != 7 {
-		t.Fatalf("split document must continue: %v", s1.Tokens)
-	}
-	// Wrap-around epochs.
-	if c.Sample(int64(c.Len())) != c.Sample(0) {
-		t.Fatal("corpus must wrap around")
-	}
-	if c.TotalTokens() != 12 {
-		t.Fatalf("total tokens = %d", c.TotalTokens())
-	}
-}
-
-func TestCorpusRejectsReservedTokens(t *testing.T) {
-	if _, err := NewCorpus([][]int{{1, 99, 2}}, 8, 99); err == nil {
-		t.Fatal("eos inside a document must be rejected")
-	}
-	if _, err := NewCorpus([][]int{{-1}}, 8, 99); err == nil {
-		t.Fatal("negative token must be rejected")
-	}
-	if _, err := NewCorpus(nil, 8, 99); err == nil {
-		t.Fatal("empty corpus must be rejected")
-	}
-}
-
-func TestCorpusDPBatchPartition(t *testing.T) {
-	docs := [][]int{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}}
-	c, err := NewCorpus(docs, 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0 := c.DPBatch(0, 2, 2, 0)
-	b1 := c.DPBatch(0, 2, 2, 1)
-	if len(b0) != 1 || len(b1) != 1 {
-		t.Fatal("bs split wrong")
-	}
-	if b0[0] == b1[0] {
-		t.Fatal("DP groups must receive different samples")
-	}
-}
-
 func TestGeneratorStateRoundTrip(t *testing.T) {
 	g := &Generator{Vocab: 64, Seq: 32, AvgDocLen: 8, Seed: 123, LongDocFrac: 0.25}
 	var buf bytes.Buffer
@@ -278,7 +226,7 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := got.LoadState(bytes.NewReader([]byte("garbagegarbagegarbage"+
+	if err := got.LoadState(bytes.NewReader([]byte("garbagegarbagegarbage" +
 		"garbagegarbagegarbagegarbage"))); err == nil {
 		t.Fatal("bad magic must be rejected")
 	}

@@ -87,21 +87,6 @@ func TestTraceChromeExportAndASCII(t *testing.T) {
 	}
 }
 
-func TestBitwiseCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cfg := model.TinyConfig()
-	a := model.New(cfg, rand.New(rand.NewSource(5)))
-	b := model.New(cfg, rand.New(rand.NewSource(5)))
-	if ok, msg := BitwiseCompare(a.Params(), b.Params()); !ok {
-		t.Fatalf("identical models must compare equal: %s", msg)
-	}
-	b.Params()[3].W.Data[0] += 1e-6
-	if ok, msg := BitwiseCompare(a.Params(), b.Params()); ok || !strings.Contains(msg, a.Params()[3].Name) {
-		t.Fatalf("mismatch not detected: %v %s", ok, msg)
-	}
-	_ = rng
-}
-
 func TestAccumulationStudyLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	values := make([]float32, 1<<14)

@@ -1,7 +1,6 @@
 package debug
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -9,26 +8,6 @@ import (
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
 )
-
-// BitwiseCompare reports whether two parameter sets match bit-for-bit,
-// naming the first mismatch. This is the §6.2 discriminator: a parallel
-// implementation compared against a sequential reference that emulates the
-// same accumulation order must match bitwise — any difference is an
-// implementation bug, not a numerics artifact.
-func BitwiseCompare(a, b []*model.Param) (bool, string) {
-	if len(a) != len(b) {
-		return false, fmt.Sprintf("parameter count %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !tensor.BitwiseEqual(a[i].W, b[i].W) {
-			return false, fmt.Sprintf("weights of %s differ (max %g)", a[i].Name, tensor.MaxDiff(a[i].W, b[i].W))
-		}
-		if !tensor.BitwiseEqual(a[i].G, b[i].G) {
-			return false, fmt.Sprintf("gradients of %s differ (max %g)", a[i].Name, tensor.MaxDiff(a[i].G, b[i].G))
-		}
-	}
-	return true, ""
-}
 
 // AccumulationStudy quantifies the §6.2 precision ladder on a synthetic
 // gradient reduction of n terms: exact (float64), FP32 accumulation in a

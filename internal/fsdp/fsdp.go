@@ -43,18 +43,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// RecommendPolicy returns the paper's §3.1.3 production rule for combining
-// FSDP with pipeline parallelism: ZeRO-1 with the 1F1B schedule when the
-// per-group batch affords bs ≥ 2·pp (memory is plentiful, so skip the extra
-// per-micro-batch reduce-scatters), and ZeRO-2 with all-forward-all-backward
-// when bs < 2·pp (reshard gradients to survive the deeper in-flight queue).
-func RecommendPolicy(bs, pp int) (Mode, string) {
-	if bs >= 2*pp {
-		return ZeRO1, "1f1b"
-	}
-	return ZeRO2, "allfallb"
-}
-
 // Shard manages the FSDP state of one rank for one group of parameters
 // (a "unit": a block, a stage, or a whole model).
 type Shard struct {
@@ -70,14 +58,14 @@ type Shard struct {
 	flatLen   int // padded to a multiple of group size
 	shardLen  int
 	gradShard []float32 // this rank's accumulated reduced gradients
-	opt       optim.Optimizer
+	opt       *optim.AdamW
 	gathered  bool // ZeRO-3: whether full params are currently materialised
 }
 
 // New creates an FSDP shard over the given parameters. The parameter tensors
 // remain the compute buffers; for ZeRO-3 their contents are released between
 // uses (only the owner shard persists authoritative values).
-func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt optim.Optimizer) *Shard {
+func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt *optim.AdamW) *Shard {
 	n := 0
 	for _, p := range params {
 		n += p.W.Len()

@@ -59,7 +59,7 @@ func trainSequential(t *testing.T, cfg model.Config, gen *data.Generator, gbs, s
 // partitioning and returns rank 0's final weights.
 func trainFSDP(t *testing.T, cfg model.Config, gen *data.Generator, gbs, steps, ndp int, mode Mode, lr float32) [][]*model.Param {
 	t.Helper()
-	_, g := fullGroup(ndp)
+	w, g := fullGroup(ndp)
 	models := make([]*model.Model, ndp)
 	shards := make([]*Shard, ndp)
 	init := model.New(cfg, rand.New(rand.NewSource(500)))
@@ -69,7 +69,7 @@ func trainFSDP(t *testing.T, cfg model.Config, gen *data.Generator, gbs, steps, 
 		shards[r] = New(g, r, mode, models[r].Params(), optim.NewAdamW(lr))
 	}
 	for step := 0; step < steps; step++ {
-		comm.RunSPMD(ndp, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			sh := shards[rank]
 			if mode == ZeRO3 {
 				sh.GatherParams()
@@ -82,17 +82,19 @@ func trainFSDP(t *testing.T, cfg model.Config, gen *data.Generator, gbs, steps, 
 					sh.ReduceScatterGrads() // reshard gradients per backward
 				}
 			}
-			if a, ok := sh.opt.(*optim.AdamW); ok {
-				a.Tick()
-			}
+			sh.opt.Tick()
 			sh.Step()
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := make([][]*model.Param, ndp)
 	for r := 0; r < ndp; r++ {
 		if mode == ZeRO3 {
 			// Materialise for comparison.
-			comm.RunSPMD(ndp, func(rank int) { shards[rank].GatherParams() })
+			if err := w.RunSPMD(func(rank int) { shards[rank].GatherParams() }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		out[r] = models[r].Params()
 	}
@@ -153,20 +155,22 @@ func TestZeRO1vsZeRO2AccumulationOrder(t *testing.T) {
 
 func TestReduceScatterGradsAccumulates(t *testing.T) {
 	ndp := 2
-	_, g := fullGroup(ndp)
+	w, g := fullGroup(ndp)
 	params := make([][]*model.Param, ndp)
 	shards := make([]*Shard, ndp)
 	for r := 0; r < ndp; r++ {
 		p := model.NewParam("w", tensor.New(4))
 		params[r] = []*model.Param{p}
-		shards[r] = New(g, r, ZeRO2, params[r], optim.NewSGD(0.1, 0))
+		shards[r] = New(g, r, ZeRO2, params[r], optim.NewAdamW(0.1))
 	}
-	comm.RunSPMD(ndp, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		params[rank][0].G.Fill(1)
 		shards[rank].ReduceScatterGrads()
 		params[rank][0].G.Fill(2)
 		shards[rank].ReduceScatterGrads()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// Each shard entry: (1+1) + (2+2) = 6.
 	for r := 0; r < ndp; r++ {
 		for _, v := range shards[r].gradShard {
@@ -182,7 +186,7 @@ func TestReduceScatterGradsAccumulates(t *testing.T) {
 
 func TestZeRO3ReleaseAndGather(t *testing.T) {
 	ndp := 2
-	_, g := fullGroup(ndp)
+	w, g := fullGroup(ndp)
 	ps := make([][]*model.Param, ndp)
 	shards := make([]*Shard, ndp)
 	rng := rand.New(rand.NewSource(13))
@@ -190,9 +194,9 @@ func TestZeRO3ReleaseAndGather(t *testing.T) {
 	for r := 0; r < ndp; r++ {
 		p := model.NewParam("w", orig.Clone())
 		ps[r] = []*model.Param{p}
-		shards[r] = New(g, r, ZeRO3, ps[r], optim.NewSGD(0.1, 0))
+		shards[r] = New(g, r, ZeRO3, ps[r], optim.NewAdamW(0.1))
 	}
-	comm.RunSPMD(ndp, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		sh := shards[rank]
 		sh.ReleaseParams()
 		// After release, only the owner shard region is non-zero.
@@ -206,7 +210,9 @@ func TestZeRO3ReleaseAndGather(t *testing.T) {
 			panic("release must drop non-owned regions")
 		}
 		sh.GatherParams()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < ndp; r++ {
 		if !tensor.BitwiseEqual(ps[r][0].W, orig) {
 			t.Fatalf("rank %d gather did not restore weights", r)
@@ -221,7 +227,7 @@ func TestMemoryBytesOrdering(t *testing.T) {
 	p := []*model.Param{model.NewParam("w", tensor.New(1024))}
 	var prev int64 = 1 << 62
 	for _, mode := range []Mode{ZeRO1, ZeRO2, ZeRO3} {
-		sh := New(g, 0, mode, p, optim.NewSGD(0.1, 0))
+		sh := New(g, 0, mode, p, optim.NewAdamW(0.1))
 		b := sh.MemoryBytes(8)
 		if b >= prev {
 			t.Fatalf("%v bytes %d not smaller than previous %d", mode, b, prev)
@@ -232,29 +238,41 @@ func TestMemoryBytesOrdering(t *testing.T) {
 
 func TestPaddingHandlesIndivisibleParamCount(t *testing.T) {
 	ndp := 4
-	_, g := fullGroup(ndp)
+	w, g := fullGroup(ndp)
 	ps := make([][]*model.Param, ndp)
 	shards := make([]*Shard, ndp)
 	for r := 0; r < ndp; r++ {
 		// 10 elements over 4 ranks: padded to 12.
 		ps[r] = []*model.Param{model.NewParam("a", tensor.New(7)), model.NewParam("b", tensor.New(3))}
-		shards[r] = New(g, r, ZeRO1, ps[r], optim.NewSGD(0.5, 0))
+		shards[r] = New(g, r, ZeRO1, ps[r], optim.NewAdamW(0.5))
 	}
 	if shards[0].ShardLen() != 3 {
 		t.Fatalf("shard len = %d, want 3", shards[0].ShardLen())
 	}
-	comm.RunSPMD(ndp, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		ps[rank][0].G.Fill(1)
-		ps[rank][1].G.Fill(1)
+		ps[rank][1].G.Fill(2)
 		shards[rank].Step()
-	})
-	// All weights moved by -lr * ndp * 1 = -2.
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Unsharded reference: one AdamW step on the flat 10-element vector with
+	// the rank-summed gradient (ndp·1 for a, ndp·2 for b). Shards straddle the
+	// a/b boundary, and the padding must not leak into either parameter.
+	want := make([]float32, 10)
+	grad := make([]float32, 10)
+	for i := range grad {
+		grad[i] = float32(ndp)
+		if i >= 7 {
+			grad[i] = float32(2 * ndp)
+		}
+	}
+	optim.NewAdamW(0.5).Step(0, want, grad)
 	for r := 0; r < ndp; r++ {
-		for _, p := range ps[r] {
-			for _, v := range p.W.Data {
-				if math.Abs(float64(v)+2) > 1e-6 {
-					t.Fatalf("rank %d weight %v, want -2", r, v)
-				}
+		got := append(append([]float32(nil), ps[r][0].W.Data...), ps[r][1].W.Data...)
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("rank %d weight %d = %v, unsharded AdamW gives %v", r, i, v, want[i])
 			}
 		}
 	}
@@ -268,31 +286,20 @@ func TestModeString(t *testing.T) {
 
 func BenchmarkZeRO1Step(b *testing.B) {
 	ndp := 4
-	_, g := fullGroup(ndp)
+	w, g := fullGroup(ndp)
 	ps := make([][]*model.Param, ndp)
 	shards := make([]*Shard, ndp)
 	for r := 0; r < ndp; r++ {
 		ps[r] = []*model.Param{model.NewParam("w", tensor.New(1<<14))}
-		shards[r] = New(g, r, ZeRO1, ps[r], optim.NewSGD(0.01, 0))
+		shards[r] = New(g, r, ZeRO1, ps[r], optim.NewAdamW(0.01))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm.RunSPMD(ndp, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			ps[rank][0].G.Fill(0.001)
 			shards[rank].Step()
-		})
-	}
-}
-
-func TestRecommendPolicyPaperRule(t *testing.T) {
-	// §3.1.3: ZeRO-1 + 1F1B when bs ≥ 2·pp; ZeRO-2 + all-F-all-B otherwise.
-	if m, s := RecommendPolicy(32, 16); m != ZeRO1 || s != "1f1b" {
-		t.Fatalf("bs=2pp: got %v %s", m, s)
-	}
-	if m, s := RecommendPolicy(16, 16); m != ZeRO2 || s != "allfallb" {
-		t.Fatalf("bs=pp: got %v %s", m, s)
-	}
-	if m, _ := RecommendPolicy(64, 16); m != ZeRO1 {
-		t.Fatalf("large bs: got %v", m)
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

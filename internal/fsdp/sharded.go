@@ -44,7 +44,7 @@ type Sharded struct {
 
 // NewSharded creates one Shard per parameter unit, each with its own slice
 // of the sharded optimizer state (OptID = unit index).
-func NewSharded(group *comm.Group, rank int, mode Mode, units [][]*model.Param, opt optim.Optimizer) *Sharded {
+func NewSharded(group *comm.Group, rank int, mode Mode, units [][]*model.Param, opt *optim.AdamW) *Sharded {
 	s := &Sharded{Group: group, Rank: rank, Mode: mode}
 	for i, ps := range units {
 		sh := New(group, rank, mode, ps, opt)

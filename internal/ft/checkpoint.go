@@ -89,7 +89,9 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadCheckpoint deserializes a WriteTo stream.
+// ReadCheckpoint deserializes a WriteTo stream: the read half of the
+// coordinated checkpoint format, which TestCheckpointSerialization
+// round-trips bitwise. Recovery restores from memory and does not call it.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {

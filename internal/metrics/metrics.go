@@ -10,9 +10,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -451,13 +449,6 @@ func (r *Registry) EndStep() *StepReport {
 	}
 	rep.Imbalance = ComputeImbalance(effs)
 	return rep
-}
-
-// WriteJSON writes the report as indented JSON.
-func (s *StepReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // TotalCommBytes sums the report's measured communication bytes over all

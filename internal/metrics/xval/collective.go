@@ -107,6 +107,9 @@ func flatCollBytes(op string, elems, n int64) int64 {
 // a broadcast's bytes to the root only, and the tiered convention splits the
 // root's volume into one intra-host and one inter-host issue, with non-root
 // members recording a zero-byte intra message.
+//
+// Test surface: comm's hier == flat conformance grid (hier_test.go) asserts
+// every collective against it.
 func PredictCollective(groupRanks []int, hostSize int, op string, elems int64) []map[string]metrics.OpVolume {
 	out := make([]map[string]metrics.OpVolume, len(groupRanks))
 	for lr, r := range groupRanks {

@@ -19,8 +19,8 @@ import (
 // hold only the exchange keys — "cp.ring/send", "cp.ring/recv", and the CP
 // group's "<label>/allgather" and "<label>/allreduce" — with flat (non-
 // hierarchical) collective accounting; indexed by rank id. The conformance
-// test asserts each entry against the measured per-rank breakdown with zero
-// tolerance.
+// test (cppredict_test.go) asserts each entry against the measured per-rank
+// breakdown with zero tolerance.
 //
 // Per exchange, rank lr's ring schedule moves 2(cp−1) messages each way (a K
 // and a V block per hop): it sends its own packed block plus the cp−2 blocks

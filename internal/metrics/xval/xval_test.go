@@ -1,6 +1,7 @@
 package xval
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -238,20 +239,9 @@ func TestReportShape(t *testing.T) {
 	if s := rep.Table(); len(s) == 0 {
 		t.Errorf("empty table rendering")
 	}
-	var sb stringsBuilder
-	if err := rep.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if js, err := json.Marshal(rep); err != nil || len(js) == 0 {
+		t.Errorf("JSON rendering: %d bytes, %v", len(js), err)
 	}
-	if len(sb.s) == 0 {
-		t.Errorf("empty JSON rendering")
-	}
-}
-
-type stringsBuilder struct{ s []byte }
-
-func (b *stringsBuilder) Write(p []byte) (int, error) {
-	b.s = append(b.s, p...)
-	return len(p), nil
 }
 
 // runOverlapSteps is runMeasuredSteps with an overlap configuration applied,

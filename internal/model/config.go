@@ -18,6 +18,9 @@ type Config struct {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
+	if c.NHeads < 1 || c.NKVHeads < 1 {
+		return fmt.Errorf("model: NHeads %d and NKVHeads %d must be >= 1", c.NHeads, c.NKVHeads)
+	}
 	if c.NHeads%c.NKVHeads != 0 {
 		return fmt.Errorf("model: NHeads %d not divisible by NKVHeads %d", c.NHeads, c.NKVHeads)
 	}

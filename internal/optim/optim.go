@@ -1,8 +1,7 @@
-// Package optim implements the optimizers of the reproduction: AdamW with
-// FP32 master states (the precision policy of the paper's §6.2) and plain
-// SGD. Optimizers operate on flat float32 slices so FSDP can run them on
-// sharded views of a flat parameter buffer (ZeRO-1's sharded optimizer
-// states).
+// Package optim implements the optimizer of the reproduction: AdamW with
+// FP32 master states (the precision policy of the paper's §6.2). It operates
+// on flat float32 slices so FSDP can run it on sharded views of a flat
+// parameter buffer (ZeRO-1's sharded optimizer states).
 package optim
 
 import (
@@ -10,59 +9,7 @@ import (
 	"io"
 	"math"
 	"sort"
-
-	"llama4d/internal/model"
 )
-
-// Optimizer updates a parameter slice given its gradient slice. Both views
-// may be shards of larger flat buffers.
-type Optimizer interface {
-	// Step applies one update to w given gradient g. The id distinguishes
-	// independent parameter slices so stateful optimizers keep separate
-	// moments per slice.
-	Step(id int, w, g []float32)
-	// StepCount returns the number of completed optimizer steps (for bias
-	// correction bookkeeping and tests).
-	StepCount() int
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	steps    int
-	vel      map[int][]float32
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[int][]float32)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(id int, w, g []float32) {
-	if s.Momentum == 0 {
-		for i := range w {
-			w[i] -= s.LR * g[i]
-		}
-		return
-	}
-	v, ok := s.vel[id]
-	if !ok {
-		v = make([]float32, len(w))
-		s.vel[id] = v
-	}
-	for i := range w {
-		v[i] = s.Momentum*v[i] + g[i]
-		w[i] -= s.LR * v[i]
-	}
-}
-
-// StepCount implements Optimizer.
-func (s *SGD) StepCount() int { return s.steps }
-
-// Tick advances the step counter (call once per training step).
-func (s *SGD) Tick() { s.steps++ }
 
 // AdamW is Adam with decoupled weight decay. Moments are kept in float32
 // (full precision relative to BF16 weights), matching the paper's FP32
@@ -90,10 +37,11 @@ func NewAdamW(lr float32) *AdamW {
 // step, before Step calls for that step.
 func (a *AdamW) Tick() { a.steps++ }
 
-// StepCount implements Optimizer.
+// StepCount returns the number of completed optimizer steps.
 func (a *AdamW) StepCount() int { return a.steps }
 
-// Step implements Optimizer.
+// Step applies one update to w given gradient g. The id distinguishes
+// independent parameter slices, which keep separate moments.
 func (a *AdamW) Step(id int, w, g []float32) {
 	m, ok := a.m[id]
 	if !ok {
@@ -119,10 +67,6 @@ func (a *AdamW) Step(id int, w, g []float32) {
 		w[i] -= a.LR * (mh/(float32(math.Sqrt(float64(vh)))+a.Eps) + a.WeightDecay*w[i])
 	}
 }
-
-// StateBytesPerParam returns the optimizer-state footprint per parameter in
-// bytes (two FP32 moments for AdamW) — the quantity ZeRO-1 shards.
-func (a *AdamW) StateBytesPerParam() int { return 8 }
 
 // SaveState writes the optimizer's step counter and moment buffers. Each
 // rank persists its own (sharded) state, exactly as production sharded
@@ -206,37 +150,5 @@ func WarmupCosine(peak, minLR float64, warmupSteps, totalSteps int) func(step in
 		}
 		frac := float64(step-warmupSteps) / float64(totalSteps-warmupSteps)
 		return minLR + 0.5*(peak-minLR)*(1+math.Cos(math.Pi*frac))
-	}
-}
-
-// GradNorm returns the global L2 norm of the parameters' gradients.
-func GradNorm(ps []*model.Param) float64 {
-	var ss float64
-	for _, p := range ps {
-		for _, g := range p.G.Data {
-			ss += float64(g) * float64(g)
-		}
-	}
-	return math.Sqrt(ss)
-}
-
-// ClipGradNorm scales all gradients so their global norm is at most maxNorm;
-// returns the pre-clip norm.
-func ClipGradNorm(ps []*model.Param, maxNorm float64) float64 {
-	norm := GradNorm(ps)
-	if norm > maxNorm && norm > 0 {
-		s := float32(maxNorm / norm)
-		for _, p := range ps {
-			p.G.Scale(s)
-		}
-	}
-	return norm
-}
-
-// StepParams applies an optimizer to a list of model parameters, one slice
-// per parameter. Call opt.Tick-style step advancement separately.
-func StepParams(opt Optimizer, ps []*model.Param) {
-	for i, p := range ps {
-		opt.Step(i, p.W.Data, p.G.Data)
 	}
 }

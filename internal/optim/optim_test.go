@@ -3,45 +3,8 @@ package optim
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
-
-	"llama4d/internal/model"
-	"llama4d/internal/tensor"
 )
-
-func TestSGDQuadratic(t *testing.T) {
-	// Minimise f(w) = (w-3)²/2; gradient w-3.
-	w := []float32{0}
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		g := []float32{w[0] - 3}
-		opt.Step(0, w, g)
-	}
-	if math.Abs(float64(w[0])-3) > 1e-3 {
-		t.Fatalf("SGD converged to %v, want 3", w[0])
-	}
-}
-
-func TestSGDMomentumFasterOnIllConditioned(t *testing.T) {
-	// f(w) = 0.5*(100*w0² + w1²): momentum should reach tolerance sooner.
-	run := func(mom float32) int {
-		w := []float32{1, 1}
-		opt := NewSGD(0.009, mom)
-		for i := 0; i < 5000; i++ {
-			g := []float32{100 * w[0], w[1]}
-			opt.Step(0, w, g)
-			if math.Abs(float64(w[0])) < 1e-3 && math.Abs(float64(w[1])) < 1e-3 {
-				return i
-			}
-		}
-		return 5000
-	}
-	plain, withMom := run(0), run(0.9)
-	if withMom >= plain {
-		t.Fatalf("momentum (%d iters) not faster than plain (%d)", withMom, plain)
-	}
-}
 
 func TestAdamWQuadratic(t *testing.T) {
 	w := []float32{10}
@@ -116,41 +79,6 @@ func TestAdamWShardedMatchesUnsharded(t *testing.T) {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			t.Fatalf("sharded AdamW diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestGradNormAndClip(t *testing.T) {
-	p := model.NewParam("p", tensor.New(4))
-	copy(p.G.Data, []float32{3, 4, 0, 0})
-	ps := []*model.Param{p}
-	if n := GradNorm(ps); math.Abs(n-5) > 1e-9 {
-		t.Fatalf("GradNorm = %v", n)
-	}
-	pre := ClipGradNorm(ps, 1)
-	if math.Abs(pre-5) > 1e-9 {
-		t.Fatalf("pre-clip norm = %v", pre)
-	}
-	if n := GradNorm(ps); math.Abs(n-1) > 1e-6 {
-		t.Fatalf("post-clip norm = %v", n)
-	}
-	// Below the threshold: no change.
-	pre2 := ClipGradNorm(ps, 10)
-	if math.Abs(pre2-1) > 1e-6 {
-		t.Fatalf("second clip norm = %v", pre2)
-	}
-}
-
-func TestStepParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p1 := model.NewParam("a", tensor.RandN(rng, 1, 3))
-	p2 := model.NewParam("b", tensor.RandN(rng, 1, 3))
-	p1.G.Fill(1)
-	p2.G.Fill(1)
-	before := p1.W.Clone()
-	opt := NewSGD(0.1, 0)
-	StepParams(opt, []*model.Param{p1, p2})
-	if tensor.BitwiseEqual(before, p1.W) {
-		t.Fatal("StepParams must update weights")
 	}
 }
 

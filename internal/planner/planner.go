@@ -430,7 +430,7 @@ func (r Request) Evaluate(c Candidate) (*Plan, error) {
 // Feasible builds the plan for one (tp, cp, pp) choice under the seed-era
 // defaults (paper-depth interleaving, single-sample micro-batches, ZeRO-1,
 // no recomputation, overlap on), or an error when a constraint fails. The
-// full-space entry point is Evaluate/Search.
+// full-space entry point is Evaluate/SearchWithStats.
 func (r Request) Feasible(tp, cp, ppSize int) (*Plan, error) {
 	dp, bs, err := r.shape(tp, cp, ppSize)
 	if err != nil {
@@ -463,17 +463,12 @@ var (
 	recList  = []model.RecomputeMode{model.RecomputeNone, model.RecomputeSelective, model.RecomputeFull}
 )
 
-// Search enumerates the full space and returns every feasible plan, ranked:
-// fastest modeled step time first, except that plans within the tie band of
-// the best are ordered by predicted inter-host bytes per rank (cheapest
-// network footprint wins a near-tie), with a total deterministic tie-break
-// after that. The first entry is the recommended plan.
-func Search(r Request) []Plan {
-	plans, _ := SearchWithStats(r)
-	return plans
-}
-
-// SearchWithStats is Search plus enumeration accounting.
+// SearchWithStats enumerates the full space and returns every feasible plan,
+// ranked, with the enumeration accounting: fastest modeled step time first,
+// except that plans within the tie band of the best are ordered by predicted
+// inter-host bytes per rank (cheapest network footprint wins a near-tie),
+// with a total deterministic tie-break after that. The first entry is the
+// recommended plan.
 func SearchWithStats(r Request) ([]Plan, Stats) {
 	var plans []Plan
 	var st Stats
@@ -676,18 +671,4 @@ func TPCapacityStudy(ngpu int) []TPCapacityPoint {
 		})
 	}
 	return out
-}
-
-// MinimalTP reproduces the §5.1 batch-size argument symbolically: the
-// smallest tp ≤ 8 such that bs = gbs·tp·pp·cp/ngpu ≥ minBS. ok is false
-// when no NVLink-domain tp satisfies the constraint — the caller must widen
-// another dimension rather than silently run tp=8 with an undersized batch.
-func MinimalTP(ngpu, gbs, ppSize, cp, minBS int) (tp int, ok bool) {
-	for tp := 1; tp <= 8; tp *= 2 {
-		bs := gbs * tp * ppSize * cp / ngpu
-		if bs >= minBS {
-			return tp, true
-		}
-	}
-	return 0, false
 }

@@ -121,20 +121,27 @@ func TestFeasibleRejections(t *testing.T) {
 }
 
 func TestMinimalTPMatchesPaperAlgebra(t *testing.T) {
-	// §5.1: 16M tokens at 8K seq ⇒ gbs=2048 on 16K GPUs needs tp ≥ 8 for
-	// bs ≥ 1 under 2D parallelism (pp=cp=1).
-	if got, ok := MinimalTP(16384, 2048, 1, 1, 1); !ok || got != 8 {
-		t.Fatalf("MinimalTP 2D = %d,%v, want 8,true", got, ok)
+	// §5.1: 16M tokens at 8K seq ⇒ gbs=2048; on 16K GPUs under 2D
+	// parallelism (pp=cp=1) the smallest NVLink-domain tp the shape check
+	// admits is 8, the first with bs = gbs·tp/ngpu ≥ 1.
+	minTP := func(r Request) int {
+		for _, tp := range tpLadder {
+			if _, _, err := r.shape(tp, 1, 1); err == nil {
+				return tp
+			}
+		}
+		return 0
 	}
-	// With pp=16, bs ≥ pp wants tp ≥ 8 as well (tp·pp/8 ≥ 16 ⇒ tp ≥ 8).
-	if got, ok := MinimalTP(16384, 2048, 16, 1, 16); !ok || got != 8 {
-		t.Fatalf("MinimalTP 3D = %d,%v, want 8,true", got, ok)
+	req := Production405B(8192)
+	req.NGPUs = 16384
+	if got := minTP(req); got != 8 {
+		t.Fatalf("minimal 2D tp = %d, want 8", got)
 	}
-	// Doubling the cluster with the same batch makes bs ≥ 1 impossible
-	// under 2D parallelism even at tp=8: infeasibility must be surfaced,
-	// not defaulted to tp=8.
-	if got, ok := MinimalTP(32768, 2048, 1, 1, 1); ok {
-		t.Fatalf("MinimalTP on 32K GPUs = %d,%v, want infeasible", got, ok)
+	// Doubling the cluster with the same batch leaves no NVLink-domain tp
+	// with bs ≥ 1: the shape is rejected, not defaulted to tp=8.
+	req.NGPUs = 32768
+	if got := minTP(req); got != 0 {
+		t.Fatalf("minimal 2D tp on 32K GPUs = %d, want none", got)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestRankPlansTotalOrder(t *testing.T) {
 // first and a steady-state step.
 func TestSearchWinnerSpotCheckExact(t *testing.T) {
 	r := smallRequest()
-	plans := Search(r)
+	plans, _ := SearchWithStats(r)
 	if len(plans) == 0 {
 		t.Fatal("no feasible plans for the small world")
 	}

@@ -161,16 +161,6 @@ func (t *Timeline) BubbleRatio() float64 {
 	return idle / busy
 }
 
-// Throughput returns total compute time over (makespan × ranks): the
-// utilisation fraction, 1/(1+bubble).
-func (t *Timeline) Throughput() float64 {
-	var busy float64
-	for _, b := range t.Busy {
-		busy += b
-	}
-	return busy / (t.Makespan * float64(len(t.Busy)))
-}
-
 // PeakInFlight returns, per rank, the maximum number of micro-batches whose
 // forward has run but whose backward has not — the activation-memory proxy
 // that grows by (nc−pp)·(v−1) when nc > pp (§3.1.1) and is maximal for
@@ -254,15 +244,4 @@ func (s *Schedule) Render() (string, error) {
 		out += "|\n"
 	}
 	return out, nil
-}
-
-// ExposedP2PTime estimates the total time ranks spend stalled on
-// dependencies (waiting for P2P or upstream compute): makespan − busy,
-// summed — the "bubble due to P2P" of Fig 3.
-func (t *Timeline) ExposedP2PTime() float64 {
-	var idle float64
-	for _, b := range t.Busy {
-		idle += t.Makespan - b
-	}
-	return idle
 }

@@ -41,7 +41,7 @@ func buildPipeline(cfg model.Config, sched *pp.Schedule, seed int64, counts []in
 
 // runPPStep executes one pipeline step over samples (one sample per
 // micro-batch) and returns the last-rank loss mean.
-func runPPStep(execs []*pp.Executor, sched *pp.Schedule, samples []*model.Sample) float64 {
+func runPPStep(tb testing.TB, execs []*pp.Executor, sched *pp.Schedule, samples []*model.Sample) float64 {
 	mbs := make([]*pp.Microbatch, len(samples))
 	for i, s := range samples {
 		mbs[i] = &pp.Microbatch{
@@ -52,9 +52,11 @@ func runPPStep(execs []*pp.Executor, sched *pp.Schedule, samples []*model.Sample
 	}
 	losses := make([]float64, sched.PP)
 	counts := make([]int, sched.PP)
-	comm.RunSPMD(sched.PP, func(rank int) {
+	if err := execs[0].World.RunSPMD(func(rank int) {
 		losses[rank], counts[rank] = execs[rank].RunStep(mbs)
-	})
+	}); err != nil {
+		tb.Fatal(err)
+	}
 	var loss float64
 	n := 0
 	for r := range losses {
@@ -87,7 +89,7 @@ func TestExecutorMatchesSequentialBitwise(t *testing.T) {
 		name  string
 		sched *pp.Schedule
 	}{
-		{"1f1b", pp.NewInterleaved1F1B(2, 2, 4)},
+		{"flexible nc=pp (1F1B)", pp.NewFlexible(2, 2, 4, 2)},
 		{"allFallB", pp.NewAllFwdAllBwd(2, 2, 4)},
 		{"flexible nc>pp", pp.NewFlexible(2, 2, 4, 3)},
 		{"flexible ragged nmb", pp.NewFlexible(2, 2, 5, 3)}, // nmb not multiple of pp
@@ -106,7 +108,7 @@ func TestExecutorMatchesSequentialBitwise(t *testing.T) {
 
 		counts := pp.StageLayerCounts(cfg.NLayers, tc.sched.Stages(), false)
 		_, execs, _ := buildPipeline(cfg, tc.sched, 77, counts)
-		loss := runPPStep(execs, tc.sched, samples)
+		loss := runPPStep(t, execs, tc.sched, samples)
 
 		if math.Abs(loss-refLoss) > 1e-12 {
 			t.Fatalf("%s: PP loss %v != sequential %v", tc.name, loss, refLoss)
@@ -131,7 +133,7 @@ func TestExecutorPeakMatchesScheduleAnalysis(t *testing.T) {
 	sched := pp.NewAllFwdAllBwd(2, 2, 4)
 	counts := pp.StageLayerCounts(cfg.NLayers, sched.Stages(), false)
 	_, execs, _ := buildPipeline(cfg, sched, 5, counts)
-	runPPStep(execs, sched, gen.GlobalBatch(0, sched.NMB))
+	runPPStep(t, execs, sched, gen.GlobalBatch(0, sched.NMB))
 	peaks := sched.PeakInFlight()
 	for r, e := range execs {
 		if e.PeakLiveContexts != peaks[r] {
@@ -141,10 +143,10 @@ func TestExecutorPeakMatchesScheduleAnalysis(t *testing.T) {
 }
 
 func TestExecutorTrainingConverges(t *testing.T) {
-	// Multiple PP steps with SGD reduce loss on a fixed batch.
+	// Multiple PP steps of plain gradient descent reduce loss on a fixed batch.
 	cfg := model.Config{Vocab: 32, Dim: 16, Hidden: 32, NHeads: 4, NKVHeads: 2, NLayers: 4, MaxSeq: 16, RopeBase: 10000}
 	gen := &data.Generator{Vocab: cfg.Vocab, Seq: 16, AvgDocLen: 6, Seed: 23}
-	sched := pp.NewInterleaved1F1B(2, 2, 4)
+	sched := pp.NewFlexible(2, 2, 4, 2)
 	counts := pp.StageLayerCounts(cfg.NLayers, sched.Stages(), false)
 	_, execs, _ := buildPipeline(cfg, sched, 6, counts)
 	samples := gen.GlobalBatch(0, sched.NMB)
@@ -155,7 +157,7 @@ func TestExecutorTrainingConverges(t *testing.T) {
 				model.ZeroGrads(st.Params())
 			}
 		}
-		loss := runPPStep(execs, sched, samples)
+		loss := runPPStep(t, execs, sched, samples)
 		for _, e := range execs {
 			for _, st := range e.Stages {
 				for _, p := range st.Params() {
@@ -175,7 +177,7 @@ func TestExecutorTrainingConverges(t *testing.T) {
 
 func TestSplitModelCoversAllParams(t *testing.T) {
 	cfg := model.Config{Vocab: 32, Dim: 16, Hidden: 32, NHeads: 4, NKVHeads: 2, NLayers: 4, MaxSeq: 16, RopeBase: 10000}
-	sched := pp.NewInterleaved1F1B(2, 2, 4)
+	sched := pp.NewFlexible(2, 2, 4, 2)
 	counts := pp.StageLayerCounts(cfg.NLayers, sched.Stages(), false)
 	owned := make(map[string]int)
 	for r := 0; r < sched.PP; r++ {
@@ -197,13 +199,13 @@ func TestSplitModelCoversAllParams(t *testing.T) {
 func BenchmarkExecutorStep(b *testing.B) {
 	cfg := model.Config{Vocab: 32, Dim: 16, Hidden: 32, NHeads: 4, NKVHeads: 2, NLayers: 4, MaxSeq: 16, RopeBase: 10000}
 	gen := &data.Generator{Vocab: cfg.Vocab, Seq: 16, AvgDocLen: 6, Seed: 1}
-	sched := pp.NewInterleaved1F1B(2, 2, 4)
+	sched := pp.NewFlexible(2, 2, 4, 2)
 	counts := pp.StageLayerCounts(cfg.NLayers, sched.Stages(), false)
 	_, execs, _ := buildPipeline(cfg, sched, 1, counts)
 	samples := gen.GlobalBatch(0, sched.NMB)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPPStep(execs, sched, samples)
+		runPPStep(b, execs, sched, samples)
 	}
 }
 
@@ -212,7 +214,7 @@ func TestRunForwardEvaluationPass(t *testing.T) {
 	// touching no gradients and retaining no contexts.
 	cfg := model.Config{Vocab: 32, Dim: 16, Hidden: 32, NHeads: 4, NKVHeads: 2, NLayers: 4, MaxSeq: 16, RopeBase: 10000}
 	gen := &data.Generator{Vocab: cfg.Vocab, Seq: 16, AvgDocLen: 6, Seed: 91}
-	sched := pp.NewInterleaved1F1B(2, 2, 4)
+	sched := pp.NewFlexible(2, 2, 4, 2)
 	counts := pp.StageLayerCounts(cfg.NLayers, sched.Stages(), false)
 	_, execs, _ := buildPipeline(cfg, sched, 92, counts)
 	samples := gen.GlobalBatch(0, sched.NMB)
@@ -222,9 +224,11 @@ func TestRunForwardEvaluationPass(t *testing.T) {
 	}
 
 	trainLosses := make([]float64, sched.PP)
-	comm.RunSPMD(sched.PP, func(rank int) {
+	if err := execs[0].World.RunSPMD(func(rank int) {
 		trainLosses[rank], _ = execs[rank].RunStep(mbs)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// Reset grads, then evaluate.
 	var gradSumAfterReset float32
 	for _, e := range execs {
@@ -233,9 +237,11 @@ func TestRunForwardEvaluationPass(t *testing.T) {
 		}
 	}
 	evalLosses := make([]float64, sched.PP)
-	comm.RunSPMD(sched.PP, func(rank int) {
+	if err := execs[0].World.RunSPMD(func(rank int) {
 		evalLosses[rank], _ = execs[rank].RunForward(mbs)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if evalLosses[0]+evalLosses[1] != trainLosses[0]+trainLosses[1] {
 		t.Fatalf("eval loss %v != train loss %v", evalLosses, trainLosses)
 	}

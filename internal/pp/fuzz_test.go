@@ -7,8 +7,8 @@ import (
 
 // buildSchedule invokes one constructor and reports whether it panicked and
 // with what message. Constructors are documented to panic — with a "pp: "
-// prefixed message, never a runtime error — on non-positive dims and (for
-// interleaved 1F1B) nmb not divisible by pp.
+// prefixed message, never a runtime error — on non-positive dims. Kind 1 is
+// the original interleaved 1F1B, the flexible schedule with nc = pp.
 func buildSchedule(kind, ppN, v, nmb, nc int) (s *Schedule, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -24,7 +24,7 @@ func buildSchedule(kind, ppN, v, nmb, nc int) (s *Schedule, panicMsg string) {
 	case 0:
 		return NewFlexible(ppN, v, nmb, nc), ""
 	case 1:
-		return NewInterleaved1F1B(ppN, v, nmb), ""
+		return NewFlexible(ppN, v, nmb, ppN), ""
 	default:
 		return NewAllFwdAllBwd(ppN, v, nmb), ""
 	}
@@ -40,18 +40,17 @@ func FuzzScheduleConstruction(f *testing.F) {
 	f.Add(2, 3, 2, 5, 0)
 	f.Add(1, 0, 1, 1, 1)   // div-by-zero regression: 1F1B with pp=0
 	f.Add(0, -1, 1, 1, 1)  // negative dim
-	f.Add(1, 3, 1, 4, 0)   // nmb % pp != 0
+	f.Add(1, 3, 1, 4, 0)   // 1F1B with nmb % pp != 0: the flexible schedule takes it
 	f.Add(0, 1, 1, 7, -5)  // nc below range: clamped, not rejected
 	f.Add(0, 1, 1, 3, 999) // nc above range: clamped, not rejected
 	f.Fuzz(func(t *testing.T, kind, ppN, v, nmb, nc int) {
 		kind = ((kind % 3) + 3) % 3
 		valid := ppN >= 1 && v >= 1 && nmb >= 1
-		if valid && (kind != 1 || nmb%ppN == 0) &&
-			int64(ppN)*int64(v)*int64(nmb) > 4096 {
+		if valid && int64(ppN)*int64(v)*int64(nmb) > 4096 {
 			t.Skip("bound schedule size")
 		}
 		s, panicMsg := buildSchedule(kind, ppN, v, nmb, nc)
-		if !valid || (kind == 1 && nmb%ppN != 0) {
+		if !valid {
 			if panicMsg == "" {
 				t.Fatalf("kind=%d pp=%d v=%d nmb=%d nc=%d: invalid dims accepted", kind, ppN, v, nmb, nc)
 			}
@@ -79,7 +78,11 @@ func FuzzScheduleConstruction(f *testing.F) {
 		if br := tl.BubbleRatio(); br < 0 {
 			t.Fatalf("negative bubble ratio %v", br)
 		}
-		if u := tl.Throughput(); u <= 0 || u > 1 {
+		var busy float64
+		for _, b := range tl.Busy {
+			busy += b
+		}
+		if u := busy / (tl.Makespan * float64(len(tl.Busy))); u <= 0 || u > 1 {
 			t.Fatalf("utilisation %v outside (0, 1]", u)
 		}
 		if peaks := s.PeakInFlight(); len(peaks) != s.PP {

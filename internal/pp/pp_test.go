@@ -31,7 +31,7 @@ func TestWarmupDegeneratesWhenNCSmall(t *testing.T) {
 
 func TestSchedulesValidate(t *testing.T) {
 	scheds := []*Schedule{
-		NewInterleaved1F1B(4, 2, 8),
+		NewFlexible(4, 2, 8, 4),
 		NewAllFwdAllBwd(4, 2, 8),
 		NewFlexible(4, 2, 8, 6),
 		NewFlexible(4, 2, 5, 3), // nmb not a multiple of pp: the paper's flexibility claim
@@ -46,19 +46,10 @@ func TestSchedulesValidate(t *testing.T) {
 	}
 }
 
-func TestInterleavedRequiresMultiple(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("1F1B with nmb %% pp != 0 must panic")
-		}
-	}()
-	NewInterleaved1F1B(4, 2, 6)
-}
-
 func TestSimulateAllSchedulesComplete(t *testing.T) {
 	costs := UniformCosts(1, 0.2)
 	for _, s := range []*Schedule{
-		NewInterleaved1F1B(4, 2, 8),
+		NewFlexible(4, 2, 8, 4),
 		NewAllFwdAllBwd(4, 2, 8),
 		NewFlexible(4, 2, 8, 6),
 		NewFlexible(4, 2, 5, 3),
@@ -85,7 +76,7 @@ func TestSimulateDetectsDeadlock(t *testing.T) {
 func TestBubbleRatioMatchesClassicFormula(t *testing.T) {
 	// (pp−1)/(nmb·v) with zero P2P cost (§3.1.1).
 	for _, tc := range []struct{ pp, v, nmb int }{{4, 1, 8}, {4, 2, 8}, {8, 1, 16}, {2, 2, 4}} {
-		s := NewInterleaved1F1B(tc.pp, tc.v, tc.nmb)
+		s := NewFlexible(tc.pp, tc.v, tc.nmb, tc.pp)
 		tl, err := s.Simulate(UniformCosts(1, 0))
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +91,7 @@ func TestBubbleRatioMatchesClassicFormula(t *testing.T) {
 
 func TestBubbleShrinksWithMoreMicrobatches(t *testing.T) {
 	bubble := func(nmb int) float64 {
-		tl, err := NewInterleaved1F1B(4, 2, nmb).Simulate(UniformCosts(1, 0))
+		tl, err := NewFlexible(4, 2, nmb, 4).Simulate(UniformCosts(1, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,9 +159,13 @@ func TestPeakInFlightGrowsByFormula(t *testing.T) {
 }
 
 func TestThroughputComplementsBubble(t *testing.T) {
-	s := NewInterleaved1F1B(4, 2, 8)
-	tl, _ := s.Simulate(UniformCosts(1, 0))
-	util := tl.Throughput()
+	// Utilisation, busy/(makespan·ranks), is 1/(1+bubble).
+	tl, _ := NewFlexible(4, 2, 8, 4).Simulate(UniformCosts(1, 0))
+	var busy float64
+	for _, b := range tl.Busy {
+		busy += b
+	}
+	util := busy / (tl.Makespan * float64(len(tl.Busy)))
 	if math.Abs(util-1/(1+tl.BubbleRatio())) > 1e-9 {
 		t.Fatalf("throughput %v inconsistent with bubble %v", util, tl.BubbleRatio())
 	}
@@ -206,7 +201,7 @@ func TestStageLayerCounts(t *testing.T) {
 }
 
 func BenchmarkSimulate1F1B(b *testing.B) {
-	s := NewInterleaved1F1B(16, 2, 32)
+	s := NewFlexible(16, 2, 32, 16)
 	costs := UniformCosts(1, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,16 +231,24 @@ func TestRenderScheduleGrid(t *testing.T) {
 }
 
 func TestExposedP2PTime(t *testing.T) {
-	tl, err := NewInterleaved1F1B(4, 1, 8).Simulate(UniformCosts(1, 0.5))
-	if err != nil {
-		t.Fatal(err)
+	// Stall time (makespan − busy, summed over ranks) is the "bubble due to
+	// P2P" of Fig 3: positive with a P2P cost, and larger than the fill/drain
+	// idle a zero-cost pipeline still has.
+	stall := func(p2p float64) float64 {
+		tl, err := NewFlexible(4, 1, 8, 4).Simulate(UniformCosts(1, p2p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var idle float64
+		for _, b := range tl.Busy {
+			idle += tl.Makespan - b
+		}
+		return idle
 	}
-	if tl.ExposedP2PTime() <= 0 {
+	if stall(0.5) <= 0 {
 		t.Fatal("stall time must be positive with nonzero P2P cost")
 	}
-	// Zero P2P still has fill/drain idle, but less of it.
-	tl0, _ := NewInterleaved1F1B(4, 1, 8).Simulate(UniformCosts(1, 0))
-	if tl0.ExposedP2PTime() >= tl.ExposedP2PTime() {
+	if stall(0) >= stall(0.5) {
 		t.Fatal("P2P cost must increase stall time")
 	}
 }
@@ -257,7 +260,6 @@ func TestOpKindString(t *testing.T) {
 }
 
 func TestValidateCatchesCorruptSchedules(t *testing.T) {
-	s := NewInterleaved1F1B(2, 1, 2)
 	// Out-of-range micro-batch.
 	bad := &Schedule{Name: "x", PP: 2, V: 1, NMB: 2, NC: 2,
 		Ranks: [][]Op{{{Kind: Fwd, Stage: 0, MB: 5}}, {}}}
@@ -276,5 +278,4 @@ func TestValidateCatchesCorruptSchedules(t *testing.T) {
 	if missing.Validate() == nil {
 		t.Fatal("missing ops must fail validation")
 	}
-	_ = s
 }

@@ -191,20 +191,6 @@ func NewFlexible(pp, v, nmb, nc int) *Schedule {
 	return s
 }
 
-// NewInterleaved1F1B builds the original interleaved 1F1B schedule [25],
-// which requires nmb to be a multiple of pp (nc == pp).
-func NewInterleaved1F1B(pp, v, nmb int) *Schedule {
-	if pp <= 0 || v <= 0 || nmb <= 0 {
-		panic(fmt.Sprintf("pp: invalid schedule dims pp=%d v=%d nmb=%d", pp, v, nmb))
-	}
-	if nmb%pp != 0 {
-		panic(fmt.Sprintf("pp: interleaved 1F1B requires nmb (%d) %% pp (%d) == 0; use NewFlexible", nmb, pp))
-	}
-	s := NewFlexible(pp, v, nmb, pp)
-	s.Name = "1f1b"
-	return s
-}
-
 // NewAllFwdAllBwd builds the all-forward-all-backward (GPipe-style [11])
 // schedule: every forward before any backward. Backwards run in dependency
 // wave order — micro-batch mb of local stage st executes in wave

@@ -34,7 +34,7 @@ func hierLayout(ranks []int, hostSize int) (m, h int) {
 
 // tierRingTime is ringCollectiveTime with the link tier chosen explicitly
 // rather than inferred from rank placement.
-func (m Model) tierRingTime(n int, bytes, volumeFactor float64, intraTier bool) float64 {
+func (m Model) tierRingTime(n int, bytes float64, intraTier bool) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -44,38 +44,31 @@ func (m Model) tierRingTime(n int, bytes, volumeFactor float64, intraTier bool) 
 		bw, lat = net.NVLinkGBs, net.NVLinkLatencyUs
 	}
 	steps := float64(n - 1)
-	return steps*lat*usToS + volumeFactor*(steps/float64(n))*bytes/(bw*gb)
+	return steps*lat*usToS + (steps/float64(n))*bytes/(bw*gb)
 }
 
-// hierCollectiveTime prices one hierarchical collective of `bytes` output per
-// rank as (intra, inter) stage seconds.
-func (m Model) hierCollectiveTime(ranks []int, hostSize int, bytes, volumeFactor float64) (intra, inter float64) {
+// hierCollectiveTime prices one hierarchical all-gather or reduce-scatter of
+// `bytes` per rank as (intra, inter) stage seconds.
+func (m Model) hierCollectiveTime(ranks []int, hostSize int, bytes float64) (intra, inter float64) {
 	hm, hh := hierLayout(ranks, hostSize)
 	if hh <= 1 {
-		return m.tierRingTime(len(ranks), bytes, volumeFactor, true), 0
+		return m.tierRingTime(len(ranks), bytes, true), 0
 	}
 	if hm <= 1 {
-		return 0, m.tierRingTime(len(ranks), bytes, volumeFactor, false)
+		return 0, m.tierRingTime(len(ranks), bytes, false)
 	}
-	return m.tierRingTime(hm, bytes, volumeFactor, true),
-		m.tierRingTime(hh, bytes, volumeFactor, false)
+	return m.tierRingTime(hm, bytes, true), m.tierRingTime(hh, bytes, false)
 }
 
 // HierAllGather returns the (intra, inter) stage times of a hierarchical
 // all-gather of `bytes` of output per rank across the group under hosts of
 // hostSize consecutive ranks.
 func (m Model) HierAllGather(ranks []int, hostSize int, bytes float64) (intra, inter float64) {
-	return m.hierCollectiveTime(ranks, hostSize, bytes, 1)
+	return m.hierCollectiveTime(ranks, hostSize, bytes)
 }
 
 // HierReduceScatter returns the (intra, inter) stage times of a hierarchical
 // reduce-scatter of `bytes` of input per rank.
 func (m Model) HierReduceScatter(ranks []int, hostSize int, bytes float64) (intra, inter float64) {
-	return m.hierCollectiveTime(ranks, hostSize, bytes, 1)
-}
-
-// HierAllReduce returns the (intra, inter) stage times of a hierarchical
-// all-reduce of `bytes` per rank (reduce-scatter + all-gather volume).
-func (m Model) HierAllReduce(ranks []int, hostSize int, bytes float64) (intra, inter float64) {
-	return m.hierCollectiveTime(ranks, hostSize, bytes, 2)
+	return m.hierCollectiveTime(ranks, hostSize, bytes)
 }

@@ -16,7 +16,7 @@ func TestHierDegenerateLayouts(t *testing.T) {
 	ranks := spanRanks(8)
 
 	// hostSize >= group: one host, pure intra ring, no inter stage.
-	intra, inter := m.HierAllReduce(ranks, 16, bytes)
+	intra, inter := m.HierReduceScatter(ranks, 16, bytes)
 	if inter != 0 {
 		t.Fatalf("single-host layout priced %v s inter", inter)
 	}
@@ -25,7 +25,7 @@ func TestHierDegenerateLayouts(t *testing.T) {
 	}
 
 	// hostSize 1: all-singleton hosts, pure inter ring, no intra stage.
-	intra, inter = m.HierAllReduce(ranks, 1, bytes)
+	intra, inter = m.HierReduceScatter(ranks, 1, bytes)
 	if intra != 0 {
 		t.Fatalf("singleton-host layout priced %v s intra", intra)
 	}
@@ -43,7 +43,7 @@ func TestHierDegenerateLayouts(t *testing.T) {
 // TestHierBeatsFlatAcrossNodes pins the point of the hierarchy: once a group
 // spans nodes, the flat ring runs every one of its n−1 steps at RoCE latency
 // and bandwidth, while the two-level decomposition keeps m−1 steps on NVLink
-// and crosses RoCE only H−1 times. For a multi-node all-reduce the summed
+// and crosses RoCE only H−1 times. For a multi-node all-gather the summed
 // tier time must beat the flat ring, and the inter stage must dominate the
 // intra stage (the premise of tier-split accounting).
 func TestHierBeatsFlatAcrossNodes(t *testing.T) {
@@ -52,8 +52,8 @@ func TestHierBeatsFlatAcrossNodes(t *testing.T) {
 	perNode := m.Cluster.Net.GPUsPerNode
 	ranks := spanRanks(8 * perNode) // 8 nodes
 
-	flat := m.AllReduce(ranks, bytes)
-	intra, inter := m.HierAllReduce(ranks, perNode, bytes)
+	flat := m.AllGather(ranks, bytes)
+	intra, inter := m.HierAllGather(ranks, perNode, bytes)
 	if sum := intra + inter; sum >= flat {
 		t.Fatalf("hierarchical %v s not below flat %v s", sum, flat)
 	}
@@ -70,16 +70,7 @@ func TestHierVolumeFactors(t *testing.T) {
 
 	agIntra, agInter := m.HierAllGather(ranks, perNode, bytes)
 	rsIntra, rsInter := m.HierReduceScatter(ranks, perNode, bytes)
-	arIntra, arInter := m.HierAllReduce(ranks, perNode, bytes)
 	if agIntra != rsIntra || agInter != rsInter {
 		t.Fatal("all-gather and reduce-scatter stages must price identically")
-	}
-	// All-reduce carries twice the volume per tier; latency terms are equal,
-	// so its stage times sit strictly between 1× and 2× of all-gather's.
-	if arIntra <= agIntra || arIntra >= 2*agIntra {
-		t.Fatalf("all-reduce intra %v vs all-gather intra %v", arIntra, agIntra)
-	}
-	if arInter <= agInter || arInter >= 2*agInter {
-		t.Fatalf("all-reduce inter %v vs all-gather inter %v", arInter, agInter)
 	}
 }

@@ -104,6 +104,7 @@ func (ss ServeSim) DecodeFLOPs(kvLens []int) int64 {
 // float32 partial at the ring volume 2·(tp−1)/tp — the same closed-form
 // accounting comm.Group.IAllReduce records, integer truncation per op
 // included. Zero when TP == 1 (the engine skips the collective entirely).
+// Test surface: serve's xval harness and this package's tests assert it.
 func (ss ServeSim) DecodeTPTraffic(batch int) (bytes, msgs int64) {
 	if ss.TP <= 1 {
 		return 0, 0

@@ -30,7 +30,7 @@ func FLOPCount() int64 { return flopCount.Load() }
 func EffectiveFLOPCount() int64 { return effFlopCount.Load() }
 
 // ResetFLOPCount zeroes both FLOP counters and returns the previous nominal
-// value.
+// value. Test surface: the flops and attention tests count from zero.
 func ResetFLOPCount() int64 {
 	effFlopCount.Store(0)
 	return flopCount.Swap(0)

@@ -86,7 +86,8 @@ func (t *Tensor) Cols() int {
 // At returns the element of a 2-D tensor at (i, j).
 func (t *Tensor) At(i, j int) float32 { return t.Data[i*t.Cols()+j] }
 
-// Set assigns the element of a 2-D tensor at (i, j).
+// Set assigns the element of a 2-D tensor at (i, j). Test surface: the
+// tensor and attention tests build inputs with it.
 func (t *Tensor) Set(i, j int, v float32) { t.Data[i*t.Cols()+j] = v }
 
 // Row returns row i of a 2-D tensor as a slice aliasing the tensor's data.
@@ -195,7 +196,8 @@ func (t *Tensor) AxpyFrom(a float32, o *Tensor) *Tensor {
 	return t
 }
 
-// Sum returns the sum of all elements in float64 precision.
+// Sum returns the sum of all elements in float64 precision. Test surface:
+// tensor_test.go.
 func (t *Tensor) Sum() float64 {
 	var s float64
 	for _, v := range t.Data {
@@ -214,7 +216,8 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute element value.
+// MaxAbs returns the largest absolute element value. Test surface: the
+// model, fsdp, pp, tp and vision tests check gradients are zero with it.
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
@@ -232,7 +235,7 @@ func checkSameLen(a, b *Tensor, op string) {
 }
 
 // AllClose reports whether every pair of elements differs by at most
-// atol + rtol*|b|.
+// atol + rtol*|b|. Test surface: tensor_test.go's tolerance checks.
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	if len(a.Data) != len(b.Data) {
 		return false
@@ -262,7 +265,8 @@ func MaxDiff(a, b *Tensor) float64 {
 }
 
 // BitwiseEqual reports exact bit-level equality of all elements — the
-// criterion in the paper's §6.2 numerics-debugging methodology.
+// criterion in the paper's §6.2 numerics-debugging methodology. Test
+// surface: every bitwise contract in the tree's tests asserts with it.
 func BitwiseEqual(a, b *Tensor) bool {
 	if len(a.Data) != len(b.Data) {
 		return false

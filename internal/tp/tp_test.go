@@ -1,6 +1,7 @@
 package tp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,15 +11,16 @@ import (
 	"llama4d/internal/tensor"
 )
 
-// runTP executes body on tpSize ranks sharing one TP group.
-func runTP(tpSize int, body func(ctx *Ctx)) {
+// runTP executes body on tpSize ranks sharing one TP group and returns
+// World.RunSPMD's error: a rank that panics fails the run, not the binary.
+func runTP(tpSize int, body func(ctx *Ctx)) error {
 	w := comm.NewWorld(tpSize)
 	ranks := make([]int, tpSize)
 	for i := range ranks {
 		ranks[i] = i
 	}
 	g := w.NewGroup(ranks)
-	comm.RunSPMD(tpSize, func(rank int) {
+	return w.RunSPMD(func(rank int) {
 		body(&Ctx{Group: g, Rank: rank})
 	})
 }
@@ -30,11 +32,13 @@ func TestColParallelForwardMatchesSequential(t *testing.T) {
 	want, _ := seq.Forward(x, nil)
 	for _, tpSize := range []int{2, 4} {
 		outs := make([]*tensor.Tensor, tpSize)
-		runTP(tpSize, func(ctx *Ctx) {
+		if err := runTP(tpSize, func(ctx *Ctx) {
 			l := NewColParallelFromFull("w", seq.P.W, ctx, true)
 			y, _ := l.Forward(x, nil)
 			outs[ctx.Local()] = y
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r, y := range outs {
 			if d := tensor.MaxDiff(y, want); d > 1e-5 {
 				t.Fatalf("tp=%d rank %d: diff %v", tpSize, r, d)
@@ -63,7 +67,7 @@ func TestColRowPairMatchesSequentialPair(t *testing.T) {
 	dxs := make([]*tensor.Tensor, tpSize)
 	gradsA := make([]*tensor.Tensor, tpSize)
 	gradsB := make([]*tensor.Tensor, tpSize)
-	runTP(tpSize, func(ctx *Ctx) {
+	if err := runTP(tpSize, func(ctx *Ctx) {
 		la := NewColParallelFromFull("a", a.P.W, ctx, false)
 		lb := NewRowParallelFromFull("b", b.P.W, ctx)
 		hh, c1 := la.Forward(x, nil)
@@ -72,7 +76,9 @@ func TestColRowPairMatchesSequentialPair(t *testing.T) {
 		dxs[ctx.Local()] = la.Backward(c1, lb.Backward(c2, dy))
 		gradsA[ctx.Local()] = la.P.G
 		gradsB[ctx.Local()] = lb.P.G
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < tpSize; r++ {
 		if d := tensor.MaxDiff(outs[r], want); d > 1e-5 {
 			t.Fatalf("rank %d fwd diff %v", r, d)
@@ -109,12 +115,14 @@ func TestShardAttentionMatchesSequential(t *testing.T) {
 	tpSize := 2
 	outs := make([]*tensor.Tensor, tpSize)
 	dxs := make([]*tensor.Tensor, tpSize)
-	runTP(tpSize, func(ctx *Ctx) {
+	if err := runTP(tpSize, func(ctx *Ctx) {
 		a := ShardAttention(seqAttn, ctx)
 		y, cc := a.Forward(x, env)
 		outs[ctx.Local()] = y
 		dxs[ctx.Local()] = a.Backward(cc, dy)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < tpSize; r++ {
 		if d := tensor.MaxDiff(outs[r], want); d > 1e-4 {
 			t.Fatalf("rank %d attention fwd diff %v", r, d)
@@ -137,12 +145,14 @@ func TestShardFFNMatchesSequential(t *testing.T) {
 	for _, tpSize := range []int{2, 4} {
 		outs := make([]*tensor.Tensor, tpSize)
 		dxs := make([]*tensor.Tensor, tpSize)
-		runTP(tpSize, func(ctx *Ctx) {
+		if err := runTP(tpSize, func(ctx *Ctx) {
 			f := ShardFFN(seqFFN, ctx)
 			y, cc := f.Forward(x, nil)
 			outs[ctx.Local()] = y
 			dxs[ctx.Local()] = f.Backward(cc, dy)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r := 0; r < tpSize; r++ {
 			if d := tensor.MaxDiff(outs[r], want); d > 1e-4 {
 				t.Fatalf("tp=%d rank %d ffn fwd diff %v", tpSize, r, d)
@@ -170,13 +180,15 @@ func TestShardBlockMatchesSequential(t *testing.T) {
 	outs := make([]*tensor.Tensor, tpSize)
 	dxs := make([]*tensor.Tensor, tpSize)
 	normGrads := make([]*tensor.Tensor, tpSize)
-	runTP(tpSize, func(ctx *Ctx) {
+	if err := runTP(tpSize, func(ctx *Ctx) {
 		b := ShardBlock(blk, ctx)
 		y, cc := b.Forward(x, env)
 		outs[ctx.Local()] = y
 		dxs[ctx.Local()] = b.Backward(cc, dy)
 		normGrads[ctx.Local()] = b.Norm1.P.G
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < tpSize; r++ {
 		if d := tensor.MaxDiff(outs[r], want); d > 1e-4 {
 			t.Fatalf("rank %d block fwd diff %v", r, d)
@@ -224,7 +236,7 @@ func TestShardBlockTrainingStepsStayAligned(t *testing.T) {
 
 	tpSize := 2
 	outs := make([]*tensor.Tensor, tpSize)
-	runTP(tpSize, func(ctx *Ctx) {
+	if err := runTP(tpSize, func(ctx *Ctx) {
 		b := ShardBlock(blk2, ctx)
 		for i := 0; i < 3; i++ {
 			model.ZeroGrads(b.Params())
@@ -237,7 +249,9 @@ func TestShardBlockTrainingStepsStayAligned(t *testing.T) {
 		}
 		y, _ := b.Forward(x, env)
 		outs[ctx.Local()] = y
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < tpSize; r++ {
 		if d := tensor.MaxDiff(outs[r], want); d > 1e-3 {
 			t.Fatalf("rank %d after training diff %v", r, d)
@@ -248,14 +262,13 @@ func TestShardBlockTrainingStepsStayAligned(t *testing.T) {
 func TestColParallelIndivisiblePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := tensor.RandN(rng, 1, 4, 6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("indivisible column shard must panic")
-		}
-	}()
-	runTP(4, func(ctx *Ctx) {
+	err := runTP(4, func(ctx *Ctx) {
 		NewColParallelFromFull("w", w, ctx, false)
 	})
+	var rp *comm.RankPanicError
+	if !errors.As(err, &rp) {
+		t.Fatalf("indivisible column shard must panic its rank: err = %v", err)
+	}
 }
 
 func BenchmarkTPBlockForward(b *testing.B) {
@@ -273,8 +286,10 @@ func BenchmarkTPBlockForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm.RunSPMD(tpSize, func(rank int) {
+		if err := w.RunSPMD(func(rank int) {
 			shards[rank].Forward(x, env)
-		})
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package tp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
 )
@@ -22,13 +24,15 @@ func TestVocabParallelEmbeddingMatchesSequential(t *testing.T) {
 	for _, tpSize := range []int{2, 4} {
 		outs := make([]*tensor.Tensor, tpSize)
 		grads := make([]*tensor.Tensor, tpSize)
-		runTP(tpSize, func(ctx *Ctx) {
+		if err := runTP(tpSize, func(ctx *Ctx) {
 			e := NewVocabParallelEmbeddingFromFull("embed", seq.P.W, ctx)
 			y, c := e.Forward(tokens)
 			outs[ctx.Local()] = y
 			e.Backward(c, dy)
 			grads[ctx.Local()] = e.P.G
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r := 0; r < tpSize; r++ {
 			if d := tensor.MaxDiff(outs[r], want); d > 1e-5 {
 				t.Fatalf("tp=%d rank %d embed fwd diff %v", tpSize, r, d)
@@ -60,14 +64,16 @@ func TestVocabParallelHeadMatchesSequential(t *testing.T) {
 		dxs := make([]*tensor.Tensor, tpSize)
 		projGs := make([]*tensor.Tensor, tpSize)
 		normGs := make([]*tensor.Tensor, tpSize)
-		runTP(tpSize, func(ctx *Ctx) {
+		if err := runTP(tpSize, func(ctx *Ctx) {
 			h := NewVocabParallelHeadFromFull(seqHead, ctx)
 			loss, c := h.ForwardLoss(x, targets, 1, nil)
 			losses[ctx.Local()] = loss
 			dxs[ctx.Local()] = h.BackwardLoss(c)
 			projGs[ctx.Local()] = h.Proj.G
 			normGs[ctx.Local()] = h.Norm.P.G
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r := 0; r < tpSize; r++ {
 			if math.Abs(losses[r]-wantLoss) > 1e-5 {
 				t.Fatalf("tp=%d rank %d loss %v != %v", tpSize, r, losses[r], wantLoss)
@@ -94,10 +100,12 @@ func TestVocabParallelHeadIgnoredTargets(t *testing.T) {
 	wantLoss, _ := seqHead.ForwardLoss(x, targets, 1, nil)
 	tpSize := 2
 	losses := make([]float64, tpSize)
-	runTP(tpSize, func(ctx *Ctx) {
+	if err := runTP(tpSize, func(ctx *Ctx) {
 		h := NewVocabParallelHeadFromFull(seqHead, ctx)
 		losses[ctx.Local()], _ = h.ForwardLoss(x, targets, 1, nil)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(losses[0]-wantLoss) > 1e-5 {
 		t.Fatalf("masked-target loss %v != %v", losses[0], wantLoss)
 	}
@@ -106,14 +114,13 @@ func TestVocabParallelHeadIgnoredTargets(t *testing.T) {
 func TestVocabParallelShardingPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := tensor.RandN(rng, 1, 15, 4) // vocab 15 not divisible by 2
-	defer func() {
-		if recover() == nil {
-			t.Fatal("indivisible vocab must panic")
-		}
-	}()
-	runTP(2, func(ctx *Ctx) {
+	err := runTP(2, func(ctx *Ctx) {
 		NewVocabParallelEmbeddingFromFull("e", w, ctx)
 	})
+	var rp *comm.RankPanicError
+	if !errors.As(err, &rp) {
+		t.Fatalf("indivisible vocab must panic its rank: err = %v", err)
+	}
 }
 
 func TestVocabParallelEmbeddingGradOnlyOwnedRows(t *testing.T) {
@@ -123,12 +130,14 @@ func TestVocabParallelEmbeddingGradOnlyOwnedRows(t *testing.T) {
 	dy := tensor.New(2, 4)
 	dy.Fill(1)
 	grads := make([]*tensor.Tensor, 2)
-	runTP(2, func(ctx *Ctx) {
+	if err := runTP(2, func(ctx *Ctx) {
 		e := NewVocabParallelEmbeddingFromFull("e", seq.P.W, ctx)
 		_, c := e.Forward(tokens)
 		e.Backward(c, dy)
 		grads[ctx.Local()] = e.P.G
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if grads[0].MaxAbs() == 0 {
 		t.Fatal("owner rank must accumulate gradients")
 	}

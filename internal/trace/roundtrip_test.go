@@ -2,16 +2,35 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"unicode/utf8"
 )
 
-// TestChromeJSONRoundTripExact round-trips a trace whose timestamps are
-// dyadic rationals (exact in binary floating point through the µs scaling),
-// asserting field-for-field equality.
+// decodeChrome parses WriteChromeJSON's output with encoding/json.
+func decodeChrome(t *testing.T, r io.Reader) []chromeEvent {
+	t.Helper()
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// chromeOf is the complete ("X") record the export promises for e: "cat" is
+// kind:group, times in microseconds, the rank as the thread id.
+func chromeOf(e Event) chromeEvent {
+	return chromeEvent{Name: e.Name, Cat: string(e.Kind) + ":" + e.Group, Ph: "X",
+		Ts: e.Start * 1e6, Dur: e.Dur * 1e6, Tid: e.Rank}
+}
+
+// TestChromeJSONRoundTripExact round-trips a trace through the JSON export
+// and asserts record-for-record equality with the promised encoding.
 func TestChromeJSONRoundTripExact(t *testing.T) {
 	src := &Trace{Events: []Event{
 		{Rank: 0, Kind: Compute, Name: "F s0 mb0", Start: 0, Dur: 0.5},
@@ -23,36 +42,14 @@ func TestChromeJSONRoundTripExact(t *testing.T) {
 	if err := src.WriteChromeJSON(&buf); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	got, err := ReadChromeJSON(&buf)
-	if err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	if len(got.Events) != len(src.Events) {
-		t.Fatalf("got %d events, want %d", len(got.Events), len(src.Events))
+	got := decodeChrome(t, &buf)
+	if len(got) != len(src.Events) {
+		t.Fatalf("got %d events, want %d", len(got), len(src.Events))
 	}
 	for i, e := range src.Events {
-		if got.Events[i] != e {
-			t.Errorf("event %d: got %+v, want %+v", i, got.Events[i], e)
+		if got[i] != chromeOf(e) {
+			t.Errorf("event %d: got %+v, want %+v", i, got[i], chromeOf(e))
 		}
-	}
-}
-
-// TestReadChromeJSONSkipsMetadata verifies non-"X" phase records (Chrome
-// metadata) are ignored rather than misparsed.
-func TestReadChromeJSONSkipsMetadata(t *testing.T) {
-	doc := `{"traceEvents":[
-		{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"dur":0,"pid":0,"tid":0},
-		{"name":"work","cat":"compute:","ph":"X","ts":1000000,"dur":500000,"pid":0,"tid":7}]}`
-	tr, err := ReadChromeJSON(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) != 1 {
-		t.Fatalf("got %d events, want 1", len(tr.Events))
-	}
-	want := Event{Rank: 7, Kind: Compute, Name: "work", Start: 1, Dur: 0.5}
-	if tr.Events[0] != want {
-		t.Errorf("got %+v, want %+v", tr.Events[0], want)
 	}
 }
 
@@ -70,7 +67,6 @@ func TestTraceConcurrentAdd(t *testing.T) {
 			for i := 0; i < perRank; i++ {
 				tr.Add(Event{Rank: rank, Kind: Compute, Name: "op", Start: float64(i), Dur: 1})
 				if i%17 == 0 {
-					tr.RankEvents(rank)
 					tr.Makespan()
 					tr.TotalDur(rank, Compute, "")
 					tr.Ranks()
@@ -113,23 +109,20 @@ func TestCollectorConcurrentRecord(t *testing.T) {
 	}
 }
 
-// FuzzChromeJSONRoundTrip asserts export→import preserves every event for
-// any finite, valid-UTF-8 input. The µs scaling may cost a few ulps on
-// arbitrary floats, so times compare with a tight relative tolerance.
-// Inputs the JSON encoding cannot represent faithfully are skipped: NaN/Inf
-// (encoding/json rejects them), invalid UTF-8 (replaced with U+FFFD), and
-// kinds containing ':' (the cat-field separator).
+// FuzzChromeJSONRoundTrip asserts the export survives encoding/json exactly
+// for any finite, valid-UTF-8 input: float64 JSON numbers round-trip, so the
+// decoded record equals the promised one field for field. Inputs the JSON
+// encoding cannot represent faithfully are skipped: NaN/Inf (encoding/json
+// rejects them, as it does a time the µs scaling overflows) and invalid UTF-8
+// (replaced with U+FFFD).
 func FuzzChromeJSONRoundTrip(f *testing.F) {
 	f.Add(0, "compute", "F s0 mb0", "", 0.0, 1.0)
 	f.Add(3, "comm", "tp.collective", "tp", 0.1, 0.003)
 	f.Add(-1, "idle", "wait: stage", "p:p", 1e-9, 1e300)
-	f.Add(1 << 20, "fault", "crash ☠", "ft", 123.456, 0.0)
+	f.Add(1<<20, "fault", "crash ☠", "ft", 123.456, 0.0)
 	f.Fuzz(func(t *testing.T, rank int, kind, name, group string, start, dur float64) {
 		if !utf8.ValidString(kind) || !utf8.ValidString(name) || !utf8.ValidString(group) {
 			t.Skip("json replaces invalid UTF-8")
-		}
-		if strings.ContainsRune(kind, ':') {
-			t.Skip("kind is the prefix of the cat field; ':' is its separator")
 		}
 		for _, v := range []float64{start, dur} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -139,30 +132,17 @@ func FuzzChromeJSONRoundTrip(f *testing.F) {
 				t.Skip("µs scaling overflows")
 			}
 		}
-		src := &Trace{Events: []Event{{Rank: rank, Kind: Kind(kind), Name: name, Group: group, Start: start, Dur: dur}}}
+		e := Event{Rank: rank, Kind: Kind(kind), Name: name, Group: group, Start: start, Dur: dur}
 		var buf bytes.Buffer
-		if err := src.WriteChromeJSON(&buf); err != nil {
+		if err := (&Trace{Events: []Event{e}}).WriteChromeJSON(&buf); err != nil {
 			t.Fatalf("export: %v", err)
 		}
-		got, err := ReadChromeJSON(&buf)
-		if err != nil {
-			t.Fatalf("import: %v", err)
+		got := decodeChrome(t, &buf)
+		if len(got) != 1 {
+			t.Fatalf("got %d events, want 1", len(got))
 		}
-		if len(got.Events) != 1 {
-			t.Fatalf("got %d events, want 1", len(got.Events))
-		}
-		e := got.Events[0]
-		if e.Rank != rank || string(e.Kind) != kind || e.Name != name || e.Group != group {
-			t.Errorf("identity fields: got %+v", e)
-		}
-		closeEnough := func(got, want float64) bool {
-			if got == want {
-				return true
-			}
-			return math.Abs(got-want) <= 1e-12*math.Abs(want)
-		}
-		if !closeEnough(e.Start, start) || !closeEnough(e.Dur, dur) {
-			t.Errorf("times: got (%v, %v), want (%v, %v)", e.Start, e.Dur, start, dur)
+		if got[0] != chromeOf(e) {
+			t.Errorf("got %+v, want %+v", got[0], chromeOf(e))
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -63,13 +62,8 @@ func (t *Trace) Add(e Event) {
 	t.mu.Unlock()
 }
 
-// RankEvents returns one rank's events sorted by start time.
-func (t *Trace) RankEvents(rank int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rankEventsLocked(rank)
-}
-
+// rankEventsLocked returns one rank's events sorted by start time; t.mu
+// must be held.
 func (t *Trace) rankEventsLocked(rank int) []Event {
 	var out []Event
 	for _, e := range t.Events {
@@ -191,36 +185,6 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// ReadChromeJSON parses a Chrome trace-event JSON document produced by
-// WriteChromeJSON back into a Trace, inverting the export exactly: "cat"
-// splits at the first ':' into kind and group, "ts"/"dur" convert from
-// microseconds back to seconds, "tid" is the rank. Non-"X" phase records
-// are skipped (Chrome traces may carry metadata events).
-func ReadChromeJSON(r io.Reader) (*Trace, error) {
-	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("trace: reading Chrome JSON: %w", err)
-	}
-	out := &Trace{}
-	for _, ce := range doc.TraceEvents {
-		if ce.Ph != "X" {
-			continue
-		}
-		kind, group := ce.Cat, ""
-		if i := strings.IndexByte(ce.Cat, ':'); i >= 0 {
-			kind, group = ce.Cat[:i], ce.Cat[i+1:]
-		}
-		out.Events = append(out.Events, Event{
-			Rank: ce.Tid, Kind: Kind(kind), Name: ce.Name, Group: group,
-			Start: ce.Ts / 1e6, Dur: ce.Dur / 1e6,
-		})
-	}
-	return out, nil
 }
 
 // ASCIITimeline renders a rank's timeline as a fixed-width strip, for

@@ -20,7 +20,9 @@ func TestRankEventsSorted(t *testing.T) {
 	tr.Add(Event{Rank: 0, Kind: Compute, Start: 5, Dur: 1})
 	tr.Add(Event{Rank: 0, Kind: Compute, Start: 1, Dur: 1})
 	tr.Add(Event{Rank: 1, Kind: Compute, Start: 0, Dur: 1})
-	ev := tr.RankEvents(0)
+	tr.mu.Lock()
+	ev := tr.rankEventsLocked(0)
+	tr.mu.Unlock()
 	if len(ev) != 2 || ev[0].Start != 1 {
 		t.Fatalf("events %+v", ev)
 	}

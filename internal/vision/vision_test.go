@@ -397,9 +397,11 @@ func TestMultimodalUnderPipelineParallelism(t *testing.T) {
 		}
 	}
 	losses := make([]float64, 2)
-	comm.RunSPMD(2, func(rank int) {
+	if err := w.RunSPMD(func(rank int) {
 		losses[rank], _ = execs[rank].RunStep(mbs)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if got := (losses[0] + losses[1]) / float64(nmb); math.Abs(got-refLoss) > 1e-12 {
 		t.Fatalf("PP multimodal loss %v != sequential %v", got, refLoss)
 	}
