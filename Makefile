@@ -32,9 +32,11 @@ test-metrics:
 # replayed through a real functional cluster and its measured comm bytes,
 # tier volumes, and FLOPs must equal the planner's closed-form prediction
 # exactly; the memory-prune configuration is pinned against the live
-# cluster's memsim view.
+# cluster's memsim view; and a golden digest of every field of every plan
+# pins the ranked output of the bench's 70B search and the Table 2 8K search
+# byte for byte.
 check-planner:
-	$(GO) test -run 'TestSearchWinnerSpotCheckExact|TestMemConfigPinnedToLiveCluster' ./internal/planner
+	$(GO) test -run 'TestSearchWinnerSpotCheckExact|TestMemConfigPinnedToLiveCluster|TestSearchGoldenDigest' ./internal/planner
 
 # bench/ is its own module, so `go build ./... && go test ./...` at the root
 # cannot see a deleted symbol the benchmark still calls; this type-checks it

@@ -25,32 +25,38 @@ type commRole struct {
 }
 
 // roleOf computes the commRole of global rank `global` within the group over
-// `ranks` (position = local rank) under hosts of hostSize consecutive global
-// ranks. hostSize <= 0 means no topology: a flat role.
+// `ranks` (position = local rank; ascending global ids, the order every
+// topology group lists its members in) under hosts of hostSize consecutive
+// global ranks. hostSize <= 0 means no topology: a flat role. An ascending
+// group's members of one host are contiguous, so the scan walks host runs:
+// no allocation and one division per host.
 func roleOf(ranks []int, global, hostSize int) commRole {
 	ro := commRole{n: int64(len(ranks))}
 	if hostSize <= 0 {
 		return ro
 	}
-	firstOf := make(map[int]int, len(ranks)) // host id -> leader's local rank
-	sizeOf := make(map[int]int, len(ranks))  // host id -> member count
-	myHost, myLR := -1, -1
-	for lr, r := range ranks {
-		h := r / hostSize
-		if _, ok := firstOf[h]; !ok {
-			firstOf[h] = lr
+	found := false
+	for lo := 0; lo < len(ranks); {
+		end := (ranks[lo]/hostSize + 1) * hostSize // first rank past this host
+		hi := lo
+		for ; hi < len(ranks) && ranks[hi] < end; hi++ {
+			if hi > lo && ranks[hi] <= ranks[hi-1] {
+				panic("xval: group ranks not ascending")
+			}
+			if ranks[hi] == global {
+				found = true
+				ro.leader = hi == lo // the host's first member leads
+			}
 		}
-		sizeOf[h]++
-		if r == global {
-			myHost, myLR = h, lr
+		if global >= end-hostSize && global < end {
+			ro.m = int64(hi - lo)
 		}
+		ro.H++
+		lo = hi
 	}
-	if myHost < 0 {
+	if !found {
 		panic("xval: rank not in group")
 	}
-	ro.m = int64(sizeOf[myHost])
-	ro.H = int64(len(sizeOf))
-	ro.leader = firstOf[myHost] == myLR
 	ro.tiered = ro.H > 1 && ro.H < ro.n
 	return ro
 }

@@ -22,11 +22,17 @@ import (
 // configurations it never instantiates.
 
 // groupView is the slice of process-group state the predictor reads: the
-// member rank list (ascending global ids) and the label the cluster's group
-// cache gave the set.
+// member rank list (ascending global ids), the label the cluster's group
+// cache gave the set, and the viewing rank's role in it under the
+// configuration's host topology.
 type groupView struct {
 	label string
 	ranks []int
+	role  commRole
+}
+
+func newGroupView(label string, ranks []int, id, hostSize int) groupView {
+	return groupView{label: label, ranks: ranks, role: roleOf(ranks, id, hostSize)}
 }
 
 // rankView is one rank's prediction inputs.
@@ -67,10 +73,17 @@ type RankPrediction struct {
 	P2PInterBytes int64
 }
 
-// predictRank computes one rank's exact step prediction from its view.
-func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView, steadyState bool) *RankPrediction {
+// predictRank computes one rank's exact step prediction from its view. It
+// books each of the rank's virtual stages once per direction for all NMB
+// micro-batches: pp.Schedule.Validate requires every (stage, mb) to run
+// exactly once per direction on its owning rank and every count is an
+// integer sum, so the prediction is the same for every valid schedule of the
+// configuration's shape and needs no op list — only the interleaved
+// placement g = vs·PP + rank (pp.Schedule.GlobalStage).
+func predictRank(cfg core.Config, counts []int, rv rankView, steadyState bool) *RankPrediction {
 	topo := cfg.Topo
-	lastG := sched.Stages() - 1
+	lastG := topo.PP*cfg.V - 1
+	nmb := int64(cfg.NMB)
 
 	mbs := int64(cfg.MBS())
 	R := int64(cfg.Seq / topo.CP) // local rows per sample under CP
@@ -99,41 +112,22 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 		replay = attnPath
 	}
 
-	// With a host topology, blocking bulk collectives run hierarchically and
-	// meter under tier-split keys; nonblocking (overlap-engine) issues and
-	// the non-hierarchical ops keep flat keys.
-	hier := cfg.HostSize > 0
-
 	rp := &RankPrediction{
 		Comm:       make(map[string]metrics.OpVolume),
 		Overlapped: make(map[string]metrics.OpVolume),
 	}
 	addTo := func(dst map[string]metrics.OpVolume, group, op string, bytesPerMsg, msgs int64) {
-		v := dst[group+"/"+op]
+		k := group + "/" + op
+		v := dst[k]
 		v.Bytes += bytesPerMsg * msgs
 		v.Msgs += msgs
-		dst[group+"/"+op] = v
+		dst[k] = v
 	}
-	add := func(group, op string, bytesPerMsg, msgs int64) {
-		addTo(rp.Comm, group, op, bytesPerMsg, msgs)
-	}
-	// spans reports whether a rank set crosses a host boundary.
-	spans := func(ranks []int) bool {
-		if cfg.HostSize <= 0 {
-			return false
-		}
-		h0 := ranks[0] / cfg.HostSize
-		for _, r := range ranks[1:] {
-			if r/cfg.HostSize != h0 {
-				return true
-			}
-		}
-		return false
-	}
-	// tier books flat-ring bytes wholly onto the group's side of the host
-	// boundary.
-	tier := func(ranks []int, bytes int64) {
-		if spans(ranks) {
+	// cross reports whether two ranks sit on different hosts.
+	cross := func(a, b int) bool { return cfg.HostSize > 0 && a/cfg.HostSize != b/cfg.HostSize }
+	// tier books flat-ring bytes wholly onto one side of the host boundary.
+	tier := func(inter bool, bytes int64) {
+		if inter {
 			rp.InterBytes += bytes
 		} else {
 			rp.IntraBytes += bytes
@@ -147,52 +141,55 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 		if dst != nil {
 			addTo(dst, gv.label, op, bytesPerMsg, msgs)
 		}
-		tier(gv.ranks, bytesPerMsg*msgs)
+		tier(gv.role.H > 1, bytesPerMsg*msgs)
 	}
 	// addC predicts one blocking bulk collective (allgather / reducescatter
 	// / allreduce) of elems per-rank elements: flat key and ring volume
 	// normally, ".intra"/".inter" tier keys with the two-level volumes when
-	// the group's host layout is tiered.
-	roles := make(map[string]commRole, 4)
+	// the group's host layout is tiered (with a host topology, blocking bulk
+	// collectives run hierarchically; nonblocking overlap-engine issues and
+	// the non-hierarchical ops keep flat keys).
 	addC := func(gv *groupView, op string, elems, msgs int64) {
-		ro, ok := roles[gv.label]
-		if !ok {
-			hs := 0
-			if hier {
-				hs = cfg.HostSize
-			}
-			ro = roleOf(gv.ranks, rv.id, hs)
-			roles[gv.label] = ro
-		}
-		if !(hier && ro.tiered) {
+		ro := gv.role
+		if !ro.tiered {
 			addF(nil, gv, op, flatCollBytes(op, elems, ro.n), msgs)
 			return
 		}
 		intra, inter := tierBytes(op, elems, ro)
-		add(gv.label, op+".intra", intra, msgs)
+		addTo(rp.Comm, gv.label, op+".intra", intra, msgs)
 		rp.IntraBytes += intra * msgs
 		if ro.leader {
-			add(gv.label, op+".inter", inter, msgs)
+			addTo(rp.Comm, gv.label, op+".inter", inter, msgs)
 			rp.InterBytes += inter * msgs
 		}
 	}
 	// FSDP state is partitioned into per-unit shards (embed, blocks, head);
 	// each unit runs its own collectives, so volumes — including the
-	// per-unit truncating division — are summed per unit.
-	unitLens := rv.shardLens
-	p2p := 4 * mbs * R * dim // one packed micro-batch activation message
-	// Pipeline P2P: pre-posted recvs / async sends when Overlap.P2P > 0;
-	// classified by the peer's host either way.
-	addP2P := func(op string, peer int) {
-		addTo(rp.Comm, "p2p", op, p2p, 1)
-		if cfg.Overlap.P2P > 0 {
-			addTo(rp.Overlapped, "p2p", op, p2p, 1)
-		}
-		tier([]int{rv.id, peer}, p2p)
-		if spans([]int{rv.id, peer}) {
-			rp.P2PInterBytes += p2p
+	// per-unit truncating division — are per unit, and a run of k units of
+	// one length books as k messages of that length.
+	type unitRun struct{ elems, k int64 }
+	var units []unitRun
+	for _, sl := range rv.shardLens {
+		if u := len(units) - 1; u >= 0 && units[u].elems == int64(sl) {
+			units[u].k++
 		} else {
-			rp.P2PIntraBytes += p2p
+			units = append(units, unitRun{int64(sl), 1})
+		}
+	}
+	p2p := 4 * mbs * R * dim // one packed micro-batch activation message
+	// Pipeline P2P, nmb messages: pre-posted recvs / async sends when
+	// Overlap.P2P > 0; classified by the peer's host either way.
+	addP2P := func(op string, peer int) {
+		addTo(rp.Comm, "p2p", op, p2p, nmb)
+		if cfg.Overlap.P2P > 0 {
+			addTo(rp.Overlapped, "p2p", op, p2p, nmb)
+		}
+		inter := cross(rv.id, peer)
+		tier(inter, p2p*nmb)
+		if inter {
+			rp.P2PInterBytes += p2p * nmb
+		} else {
+			rp.P2PIntraBytes += p2p * nmb
 		}
 	}
 	ppPeer := func(g int) int { return rv.ppRanks[g%len(rv.ppRanks)] }
@@ -216,118 +213,110 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 		ringNext = rv.cp.ranks[(lr+1)%len(rv.cp.ranks)]
 		ringPrev = rv.cp.ranks[(lr-1+len(rv.cp.ranks))%len(rv.cp.ranks)]
 	}
-	// addRing predicts `ex` ring K/V exchanges: each circulates 2(cp−1)
-	// messages each way (a K and a V block per hop) of one zigzag-even block.
-	// Every transfer is handle-based — issued nonblocking, waited by the
-	// exchange — so the identical volume lands in the overlapped breakdown,
-	// and the tier split books sends on the next-neighbour link, receives on
-	// the previous.
-	addRing := func(ex int64) {
+	// cpGather predicts `ex` forward (or replayed) K/V exchanges. A ring
+	// exchange circulates 2(cp−1) messages each way (a K and a V block per
+	// hop) of one zigzag-even block; every transfer is handle-based — issued
+	// nonblocking, waited by the exchange — so the identical volume lands in
+	// the overlapped breakdown, and the tier split books sends on the
+	// next-neighbour link, receives on the previous. Otherwise K and V are
+	// all-gathered.
+	cpGather := func(ex int64) {
+		if !cpRing {
+			addC(&rv.cp, "allgather", R*nKVl*hd, 2*ex)
+			return
+		}
 		msgs := 2 * (cpN - 1) * ex
 		blk := 4 * R * nKVl * hd
-		addTo(rp.Comm, cp.RingLabel, "send", blk, msgs)
-		addTo(rp.Overlapped, cp.RingLabel, "send", blk, msgs)
-		addTo(rp.Comm, cp.RingLabel, "recv", blk, msgs)
-		addTo(rp.Overlapped, cp.RingLabel, "recv", blk, msgs)
-		tier([]int{rv.id, ringNext}, blk*msgs)
-		tier([]int{rv.id, ringPrev}, blk*msgs)
+		for _, dst := range []map[string]metrics.OpVolume{rp.Comm, rp.Overlapped} {
+			addTo(dst, cp.RingLabel, "send", blk, msgs)
+			addTo(dst, cp.RingLabel, "recv", blk, msgs)
+		}
+		tier(cross(rv.id, ringNext), blk*msgs)
+		tier(cross(rv.id, ringPrev), blk*msgs)
 	}
 
-	lr := rv.pp
-	for _, op := range sched.Ranks[lr] {
-		g := sched.GlobalStage(lr, op.Stage)
+	for vs := 0; vs < cfg.V; vs++ {
+		g := vs*topo.PP + rv.pp
 		L := int64(counts[g])
-		switch op.Kind {
-		case pp.Fwd:
-			if tp > 1 {
-				// Wo and W2 row-parallel forward all-reduces (§5.2's
-				// "four communications per layer", forward half).
-				addC(&rv.tp, "allreduce", R*dim, 2*L*mbs)
-				if g == 0 {
-					addC(&rv.tp, "allreduce", R*dim, mbs) // vocab-parallel embed
-				}
-				if g == lastG {
-					// Distributed softmax: max, exp-sum, target-prob.
-					addF(nil, &rv.tp, "allreducemax", allReduceBytes(R, tp), mbs)
-					addC(&rv.tp, "allreduce", R, 2*mbs)
-				}
-			}
-			if cpN > 1 {
-				if cpRing {
-					addRing(L * mbs) // circulate K and V, one exchange per layer
-				} else {
-					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs) // gather K and V
-				}
-			}
-			if g > 0 {
-				addP2P("recv", ppPeer(g-1))
-			}
-			if g < lastG {
-				addP2P("send", ppPeer(g+1))
-			}
-			rp.FLOPs += mbs * L * blkFwd
-			if g == lastG {
-				rp.FLOPs += mbs * headFwd
-			}
+		m := mbs * nmb // samples through the stage, each direction
 
-		case pp.Bwd:
+		// Forward.
+		if tp > 1 {
+			// Wo and W2 row-parallel forward all-reduces (§5.2's "four
+			// communications per layer", forward half).
+			addC(&rv.tp, "allreduce", R*dim, 2*L*m)
+			if g == 0 {
+				addC(&rv.tp, "allreduce", R*dim, m) // vocab-parallel embed
+			}
+			if g == lastG {
+				// Distributed softmax: max, exp-sum, target-prob.
+				addF(nil, &rv.tp, "allreducemax", allReduceBytes(R, tp), m)
+				addC(&rv.tp, "allreduce", R, 2*m)
+			}
+		}
+		if cpN > 1 {
+			cpGather(L * m) // one exchange per layer
+		}
+		if g > 0 {
+			addP2P("recv", ppPeer(g-1))
+		}
+		if g < lastG {
+			addP2P("send", ppPeer(g+1))
+		}
+		rp.FLOPs += m * L * blkFwd
+		if g == lastG {
+			rp.FLOPs += m * headFwd
+		}
+
+		// Backward.
+		if tp > 1 {
+			// Wq/Wk/Wv and W1/W3 column-parallel dx all-reduces.
+			addC(&rv.tp, "allreduce", R*dim, 5*L*m)
+			if g == lastG {
+				addC(&rv.tp, "allreduce", R*dim, m) // head dn
+			}
+		}
+		if cpN > 1 {
+			addC(&rv.cp, "allreduce", S*nKVl*hd, 2*L*m) // reduce dK, dV
+		}
+		// Recompute replay re-issues the forward's collectives.
+		switch cfg.Recompute {
+		case model.RecomputeFull:
 			if tp > 1 {
-				// Wq/Wk/Wv and W1/W3 column-parallel dx all-reduces.
-				addC(&rv.tp, "allreduce", R*dim, 5*L*mbs)
-				if g == lastG {
-					addC(&rv.tp, "allreduce", R*dim, mbs) // head dn
-				}
+				addC(&rv.tp, "allreduce", R*dim, 2*L*m)
 			}
 			if cpN > 1 {
-				addC(&rv.cp, "allreduce", S*nKVl*hd, 2*L*mbs) // reduce dK, dV
+				cpGather(L * m)
 			}
-			// Recompute replay re-issues the forward's collectives.
-			switch cfg.Recompute {
-			case model.RecomputeFull:
-				if tp > 1 {
-					addC(&rv.tp, "allreduce", R*dim, 2*L*mbs)
-				}
-				if cpN > 1 {
-					if cpRing {
-						addRing(L * mbs)
-					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
-					}
-				}
-			case model.RecomputeSelective:
-				if tp > 1 {
-					addC(&rv.tp, "allreduce", R*dim, L*mbs)
-				}
-				if cpN > 1 {
-					if cpRing {
-						addRing(L * mbs)
-					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
-					}
-				}
+		case model.RecomputeSelective:
+			if tp > 1 {
+				addC(&rv.tp, "allreduce", R*dim, L*m)
 			}
-			if g < lastG {
-				addP2P("recv", ppPeer(g+1))
+			if cpN > 1 {
+				cpGather(L * m)
 			}
-			if g > 0 {
-				addP2P("send", ppPeer(g-1))
-			}
-			if cfg.ZeRO == fsdp.ZeRO2 {
-				// Per-backward gradient reduce-scatter, one per unit
-				// (Fig 4c); overlapped behind subsequent compute when
-				// Overlap.Grads (nonblocking issues stay flat-keyed).
-				for _, sl := range unitLens {
-					if cfg.Overlap.Grads {
-						addF(rp.Overlapped, &rv.fsdp, "reducescatter", reduceScatterBytes(int64(sl)*fs, fs), 1)
-					} else {
-						addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
-					}
+		}
+		if g < lastG {
+			addP2P("recv", ppPeer(g+1))
+		}
+		if g > 0 {
+			addP2P("send", ppPeer(g-1))
+		}
+		if cfg.ZeRO == fsdp.ZeRO2 {
+			// Per-backward gradient reduce-scatter, one per unit (Fig 4c);
+			// overlapped behind subsequent compute when Overlap.Grads
+			// (nonblocking issues stay flat-keyed).
+			for _, u := range units {
+				if cfg.Overlap.Grads {
+					addF(rp.Overlapped, &rv.fsdp, "reducescatter", reduceScatterBytes(u.elems*fs, fs), u.k*nmb)
+				} else {
+					addC(&rv.fsdp, "reducescatter", u.elems*fs, u.k*nmb)
 				}
 			}
-			rp.FLOPs += mbs * L * (2*blkFwd + replay)
-			if g == lastG {
-				rp.FLOPs += mbs * 2 * headFwd
-			}
+		}
+		rp.FLOPs += m * L * (2*blkFwd + replay)
+		if g == lastG {
+			rp.FLOPs += m * 2 * headFwd
 		}
 	}
 
@@ -336,14 +325,14 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 	// re-gather of released parameters at the start of every steady-state
 	// step, which the prefetch engine issues nonblocking when
 	// Overlap.Params > 0.
-	for _, sl := range unitLens {
-		addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
-		addC(&rv.fsdp, "allgather", int64(sl), 1)
+	for _, u := range units {
+		addC(&rv.fsdp, "reducescatter", u.elems*fs, u.k)
+		addC(&rv.fsdp, "allgather", u.elems, u.k)
 		if cfg.ZeRO == fsdp.ZeRO3 && steadyState {
 			if cfg.Overlap.Params > 0 {
-				addF(rp.Overlapped, &rv.fsdp, "allgather", allGatherBytes(int64(sl), fs), 1)
+				addF(rp.Overlapped, &rv.fsdp, "allgather", allGatherBytes(u.elems, fs), u.k)
 			} else {
-				addC(&rv.fsdp, "allgather", int64(sl), 1)
+				addC(&rv.fsdp, "allgather", u.elems, u.k)
 			}
 		}
 	}
@@ -389,8 +378,9 @@ func equalRanks(a, b []int) bool {
 // ppr from the configuration alone: unit element counts follow the
 // TP-sharded parameter shapes (vocab-parallel embedding and head,
 // column/row-parallel projections, replicated norms), each padded up to a
-// multiple of the DP×CP group size exactly like fsdp.New.
-func ConfigShardLens(cfg core.Config, sched *pp.Schedule, counts []int, ppr int) []int {
+// multiple of the DP×CP group size exactly like fsdp.New. counts is the
+// per-global-stage layer assignment (pp.StageLayerCounts).
+func ConfigShardLens(cfg core.Config, counts []int, ppr int) []int {
 	m := cfg.Model
 	tp := cfg.Topo.TP
 	fs := cfg.Topo.DP * cfg.Topo.CP
@@ -402,10 +392,10 @@ func ConfigShardLens(cfg core.Config, sched *pp.Schedule, counts []int, ppr int)
 		3*m.Dim*(m.Hidden/tp) // W1, W3, W2
 	head := m.Dim + m.Dim*(m.Vocab/tp) // final norm + projection
 	shard := func(elems int) int { return (elems + fs - 1) / fs }
-	lastG := sched.Stages() - 1
+	lastG := cfg.Topo.PP*cfg.V - 1
 	var out []int
-	for vs := 0; vs < sched.V; vs++ {
-		g := sched.GlobalStage(ppr, vs)
+	for vs := 0; vs < cfg.V; vs++ {
+		g := vs*cfg.Topo.PP + ppr
 		if g == 0 {
 			out = append(out, shard(embed))
 		}
@@ -420,37 +410,42 @@ func ConfigShardLens(cfg core.Config, sched *pp.Schedule, counts []int, ppr int)
 }
 
 // configRankView derives one rank's prediction view from the configuration.
-func configRankView(cfg core.Config, sched *pp.Schedule, counts []int, all []int, id int) rankView {
+func configRankView(cfg core.Config, counts []int, all []int, id int) rankView {
 	topo := cfg.Topo
 	gv := func(ranks []int) groupView {
-		return groupView{label: cacheLabel(topo, ranks), ranks: ranks}
+		return newGroupView(cacheLabel(topo, ranks), ranks, id, cfg.HostSize)
 	}
+	ppr := topo.Coords(id).PP
 	return rankView{
 		id:        id,
-		pp:        topo.Coords(id).PP,
+		pp:        ppr,
 		tp:        gv(topo.TPGroupRanks(id)),
 		cp:        gv(topo.CPGroupRanks(id)),
 		fsdp:      gv(topo.FSDPGroupRanks(id)),
-		world:     groupView{label: cacheLabel(topo, all), ranks: all},
+		world:     gv(all),
 		ppRanks:   topo.PPGroupRanks(id),
-		shardLens: ConfigShardLens(cfg, sched, counts, topo.Coords(id).PP),
+		shardLens: ConfigShardLens(cfg, counts, ppr),
 	}
 }
 
+// configCounts validates cfg and returns its per-global-stage layer counts.
+func configCounts(cfg core.Config, caller string) []int {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("xval: %s on invalid config: %v", caller, err))
+	}
+	return pp.StageLayerCounts(cfg.Model.NLayers, cfg.Topo.PP*cfg.V, cfg.Balanced)
+}
+
 // PredictRank computes the exact per-step prediction of one rank from the
-// configuration alone — no cluster is built. The planner prices candidate
-// configurations with it: Comm/FLOPs follow the identical arithmetic the
-// conformance sweep pins against measured clusters, and the
+// configuration alone — no cluster and no schedule is built. The planner
+// prices candidate configurations with it: Comm/FLOPs follow the identical
+// arithmetic the conformance sweep pins against measured clusters, and the
 // IntraBytes/InterBytes split is the network-tier volume the §5.1 reasoning
 // minimises. cfg must be a valid core.Config (Validate passes).
 func PredictRank(cfg core.Config, rank int, steadyState bool) *RankPrediction {
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("xval: PredictRank on invalid config: %v", err))
-	}
-	sched := pp.NewFlexible(cfg.Topo.PP, cfg.V, cfg.NMB, cfg.NC)
-	counts := pp.StageLayerCounts(cfg.Model.NLayers, sched.Stages(), cfg.Balanced)
+	counts := configCounts(cfg, "PredictRank")
 	all := allWorldRanks(cfg.Topo.World())
-	return predictRank(cfg, sched, counts, configRankView(cfg, sched, counts, all, rank), steadyState)
+	return predictRank(cfg, counts, configRankView(cfg, counts, all, rank), steadyState)
 }
 
 // PredictConfig is Predict from the configuration alone: the per-rank
@@ -460,16 +455,12 @@ func PredictRank(cfg core.Config, rank int, steadyState bool) *RankPrediction {
 // PredictRank for worlds whose total would overflow (405B-scale step FLOPs
 // exceed int64 around 10k ranks).
 func PredictConfig(cfg core.Config, steadyState bool) *Expected {
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("xval: PredictConfig on invalid config: %v", err))
-	}
-	sched := pp.NewFlexible(cfg.Topo.PP, cfg.V, cfg.NMB, cfg.NC)
-	counts := pp.StageLayerCounts(cfg.Model.NLayers, sched.Stages(), cfg.Balanced)
+	counts := configCounts(cfg, "PredictConfig")
 	world := cfg.Topo.World()
 	all := allWorldRanks(world)
 	ex := newExpected(world)
 	for id := 0; id < world; id++ {
-		ex.fill(id, predictRank(cfg, sched, counts, configRankView(cfg, sched, counts, all, id), steadyState))
+		ex.fill(id, predictRank(cfg, counts, configRankView(cfg, counts, all, id), steadyState))
 	}
 	return ex
 }

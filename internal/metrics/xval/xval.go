@@ -64,8 +64,7 @@ func reduceScatterBytes(n, size int64) int64 { return n * 4 * (size - 1) / size 
 // identical views from the configuration alone.
 func Predict(cl *core.Cluster, steadyState bool) *Expected {
 	cfg := cl.Cfg
-	sched := cl.Sched
-	counts := pp.StageLayerCounts(cfg.Model.NLayers, sched.Stages(), cfg.Balanced)
+	counts := pp.StageLayerCounts(cfg.Model.NLayers, cl.Sched.Stages(), cfg.Balanced)
 	ex := newExpected(len(cl.Ranks))
 	for _, r := range cl.Ranks {
 		// The cluster's group cache deduplicates groups by rank set, so a
@@ -73,7 +72,7 @@ func Predict(cl *core.Cluster, steadyState bool) *Expected {
 		// carry its label (e.g. with DP=CP=1 the FSDP group IS the TP
 		// group). Predict against the labels the ranks actually hold.
 		gv := func(g *comm.Group) groupView {
-			return groupView{label: g.Label, ranks: g.Ranks()}
+			return newGroupView(g.Label, g.Ranks(), r.ID, cfg.HostSize)
 		}
 		rv := rankView{
 			id:        r.ID,
@@ -85,7 +84,7 @@ func Predict(cl *core.Cluster, steadyState bool) *Expected {
 			ppRanks:   r.Groups.PP.Ranks(),
 			shardLens: r.Shard.ShardLens(),
 		}
-		ex.fill(r.ID, predictRank(cfg, sched, counts, rv, steadyState))
+		ex.fill(r.ID, predictRank(cfg, counts, rv, steadyState))
 	}
 	return ex
 }

@@ -229,17 +229,7 @@ func (c Candidate) nc() int {
 	return c.NMB
 }
 
-// fsdpRanks is the DP×CP parameter-communication group of rank 0 under the
-// [TP, CP, PP, DP] layout: CP stride tp, DP stride tp·cp·pp.
-func fsdpRanks(c Candidate) []int {
-	out := make([]int, 0, c.CP*c.DP)
-	for d := 0; d < c.DP; d++ {
-		for cc := 0; cc < c.CP; cc++ {
-			out = append(out, d*c.TP*c.CP*c.PP+cc*c.TP)
-		}
-	}
-	return out
-}
+func (c Candidate) topo() core.Topology { return core.Topology{TP: c.TP, CP: c.CP, PP: c.PP, DP: c.DP} }
 
 // allGather and reduceScatter price one collective, hierarchically when the
 // request carries a host topology (the tiers are summed: the planner ranks
@@ -260,15 +250,16 @@ func (r Request) reduceScatter(ranks []int, bytes float64) float64 {
 	return r.Cost.ReduceScatter(ranks, bytes)
 }
 
-// sched builds the candidate's pipeline schedule.
+// sched builds the candidate's pipeline schedule: once per base candidate,
+// shared by the memory estimator and the simulation of every ZeRO variant.
 func (c Candidate) sched() *pp.Schedule { return pp.NewFlexible(c.PP, c.V, c.NMB, c.nc()) }
 
-// memConfig is the memory-simulator view of a candidate — the same Config
-// xval.MemConfig derives from a live cluster built via r.Config(c); a test
-// pins the two against each other so the planner's memory prune can never
-// drift from what the functional layer actually allocates.
-func (r Request) memConfig(c Candidate) memsim.Config {
-	sched := c.sched()
+// memConfig is the memory-simulator view of a candidate running sched — the
+// same Config xval.MemConfig derives from a live cluster built via
+// r.Config(c); a test pins the two against each other so the planner's
+// memory prune can never drift from what the functional layer actually
+// allocates.
+func (r Request) memConfig(c Candidate, sched *pp.Schedule) memsim.Config {
 	return memsim.Config{
 		Model: r.Model, TP: c.TP, CP: c.CP, DP: c.DP, Seq: r.Seq, MBS: c.MBS,
 		ZeRO: c.ZeRO, Recompute: c.Recompute, Sched: sched,
@@ -276,11 +267,11 @@ func (r Request) memConfig(c Candidate) memsim.Config {
 	}
 }
 
-// PeakMemGiB runs the memory estimator configured exactly as the candidate
+// peakMemGiB runs the memory estimator configured exactly as the candidate
 // would run — its actual ZeRO mode, recomputation policy, and micro-batch
 // size, not a hardcoded ZeRO-1/MBS=1 proxy.
-func (r Request) PeakMemGiB(c Candidate) float64 {
-	return memsim.MaxTotalGiB(r.memConfig(c).PerRank())
+func (r Request) peakMemGiB(c Candidate, sched *pp.Schedule) float64 {
+	return memsim.MaxTotalGiB(r.memConfig(c, sched).PerRank())
 }
 
 // Config materialises the candidate as a runnable core.Config on this
@@ -293,7 +284,7 @@ func (r Request) Config(c Candidate) core.Config {
 	}
 	return core.Config{
 		Model: r.Model,
-		Topo:  core.Topology{TP: c.TP, CP: c.CP, PP: c.PP, DP: c.DP},
+		Topo:  c.topo(),
 		V:     c.V, NMB: c.NMB, NC: c.nc(),
 		ZeRO: c.ZeRO, Balanced: true, HostSize: r.HostSize,
 		Recompute: c.Recompute,
@@ -314,16 +305,17 @@ func (p Plan) Candidate() Candidate {
 // Config materialises the plan as a runnable core.Config.
 func (p Plan) Config(r Request) core.Config { return r.Config(p.Candidate()) }
 
-// simulate prices the candidate's compute/pipeline side; the report is
-// shared across ZeRO/overlap variants, which differ only in arithmetic on
-// top of it (see price).
-func (r Request) simulate(c Candidate) (*engine.StepReport, error) {
+// simulate prices the candidate's compute/pipeline side on sched; the
+// report is shared across ZeRO/overlap variants, which differ only in
+// arithmetic on top of it (see price).
+func (r Request) simulate(c Candidate, sched *pp.Schedule) (*engine.StepReport, error) {
 	ts := engine.TrainSim{
 		Cost: r.Cost, Model: r.Model,
 		TP: c.TP, CP: c.CP, PP: c.PP, DP: c.DP,
 		V: c.V, NC: c.nc(), NMB: c.NMB, MBS: c.MBS,
 		Seq: r.Seq, Balanced: true,
 		Recompute: c.Recompute, HostSize: r.HostSize,
+		Schedule: sched,
 	}
 	return ts.Simulate()
 }
@@ -337,7 +329,7 @@ func (r Request) price(c Candidate, rep *engine.StepReport, peak float64, intra,
 	makespan := rep.StepTime - rep.DPExposed
 	extra := 0.0
 	if c.CP*c.DP > 1 {
-		g := fsdpRanks(c)
+		g := c.topo().FSDPGroupRanks(0) // rank 0's DP×CP parameter group
 		perRankParams := float64(r.Model.LayerParams()) * float64(r.Model.NLayers) /
 			float64(c.PP) / float64(c.TP)
 		dpBytes := 2 * perRankParams / float64(c.V) // one virtual stage, bf16
@@ -362,11 +354,7 @@ func (r Request) price(c Candidate, rep *engine.StepReport, peak float64, intra,
 	var cpRing bool
 	var ringSec, agSec float64
 	if c.CP > 1 {
-		// Rank 0's CP group under the [TP, CP, PP, DP] layout: stride tp.
-		g := make([]int, c.CP)
-		for i := range g {
-			g[i] = i * c.TP
-		}
+		g := c.topo().CPGroupRanks(0)
 		qh, kvh, hd := r.Model.NHeads/c.TP, r.Model.NKVHeads/c.TP, r.Model.HeadDim()
 		agSec = r.Cost.CPAllGatherTime(g, r.Seq, kvh, hd)
 		ringSec = r.Cost.CPRingTime(g, r.Seq, qh, kvh, hd)
@@ -414,11 +402,12 @@ func (r Request) Evaluate(c Candidate) (*Plan, error) {
 	if c.NMB*c.MBS != bs {
 		return nil, fmt.Errorf("nmb·mbs %d != bs %d", c.NMB*c.MBS, bs)
 	}
-	peak := r.PeakMemGiB(c)
+	sched := c.sched()
+	peak := r.peakMemGiB(c, sched)
 	if peak > r.HBMBudgetGiB {
 		return nil, fmt.Errorf("needs %.1f GiB > %.1f budget", peak, r.HBMBudgetGiB)
 	}
-	rep, err := r.simulate(c)
+	rep, err := r.simulate(c, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -499,9 +488,10 @@ func SearchWithStats(r Request) ([]Plan, Stats) {
 								TP: tp, CP: cp, PP: ppSize, DP: dp,
 								V: v, NMB: bs / mbs, MBS: mbs, Recompute: rec,
 							}
-							// One simulation serves every (ZeRO, overlap)
-							// variant: they differ only in pricing
-							// arithmetic on top of the report.
+							// One schedule and one simulation serve every
+							// (ZeRO, overlap) variant: they differ only in
+							// pricing arithmetic on top of the report.
+							sched := base.sched()
 							var rep *engine.StepReport
 							for _, zero := range zeroList {
 								c := base
@@ -511,13 +501,13 @@ func SearchWithStats(r Request) ([]Plan, Stats) {
 								// collectives nonblocking): prune and
 								// predict once per ZeRO mode.
 								st.Enumerated += 2
-								peak := r.PeakMemGiB(c)
+								peak := r.peakMemGiB(c, sched)
 								if peak > r.HBMBudgetGiB {
 									st.PrunedMemory += 2
 									continue
 								}
 								if rep == nil {
-									rep, err = r.simulate(c)
+									rep, err = r.simulate(c, sched)
 									if err != nil {
 										st.PrunedShape += 2
 										continue

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"sync"
@@ -101,6 +103,42 @@ func TestSearchGoldenTable2(t *testing.T) {
 				t.Fatalf("%d feasible in stats, %d plans", st.Feasible, len(plans))
 			}
 		})
+	}
+}
+
+// planDigest is an FNV-64a digest of every field of every plan, in ranked
+// order (the field-wise %+v, not Plan.String's rounded summary).
+func planDigest(plans []Plan) uint64 {
+	type fields Plan // no String method: %+v prints every field exactly
+	h := fnv.New64a()
+	for _, p := range plans {
+		fmt.Fprintf(h, "%+v\n", fields(p))
+	}
+	return h.Sum64()
+}
+
+// TestSearchGoldenDigest pins the ranked output of two full searches byte
+// for byte: the plan-search bench request (Llama 3 70B on 64 GPUs) and the
+// Table 2 8K production request. A cost-model or search change that moves
+// any field of any plan, or the order, fails here.
+func TestSearchGoldenDigest(t *testing.T) {
+	bench := Request{
+		Cost: cost.Default(), Model: model.Llama3_70B(),
+		NGPUs: 64, GlobalTokens: 256 << 10, Seq: 8192, HBMBudgetGiB: 66, HostSize: 8,
+	}
+	benchPlans, _ := SearchWithStats(bench)
+	prodPlans, _ := searchProd(t, 8192)
+	for _, tc := range []struct {
+		name  string
+		plans []Plan
+		want  uint64
+	}{
+		{"70B/64", benchPlans, 13698733989323860346},
+		{"405B/8K", prodPlans, 7576622207217854395},
+	} {
+		if got := planDigest(tc.plans); got != tc.want {
+			t.Errorf("%s: %d plans digest %d, golden %d", tc.name, len(tc.plans), got, tc.want)
+		}
 	}
 }
 
@@ -233,7 +271,7 @@ func TestMemConfigPinnedToLiveCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("candidate %+v does not build: %v", c, err)
 		}
-		got := r.memConfig(c)
+		got := r.memConfig(c, c.sched())
 		want := xval.MemConfig(cl)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("candidate %+v: planner memsim config %+v diverges from live cluster's %+v",

@@ -52,38 +52,44 @@ type Timeline struct {
 // Simulate executes the schedule under the cost model with in-order issue
 // per rank (each rank blocks on its next op's dependencies) and decoupled
 // asynchronous P2P (§5.2): a send never blocks the sender; the receiver pays
-// Costs.P2P after the producer finishes. Returns an error on deadlock.
+// Costs.P2P after the producer finishes. Returns an error on deadlock or on
+// an op outside the schedule's stage and micro-batch range.
 func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
-	type key struct {
-		kind OpKind
-		g    int // global stage
-		mb   int
-	}
-	finish := make(map[key]float64)
+	stages := s.Stages()
+	// finish[slot] is the end time of (kind, global stage, mb), valid once
+	// done[slot] is set: one dense table instead of a map.
+	slot := func(k OpKind, g, mb int) int { return (int(k)*stages+g)*s.NMB + mb }
+	finish := make([]float64, 2*stages*s.NMB)
+	done := make([]bool, len(finish))
 	ptr := make([]int, s.PP)
 	rankFree := make([]float64, s.PP)
-	tl := &Timeline{Schedule: s, Busy: make([]float64, s.PP)}
-	lastStage := s.Stages() - 1
-
 	remaining := 0
-	for _, ops := range s.Ranks {
+	for r, ops := range s.Ranks {
+		for i, op := range ops {
+			if op.Kind != Fwd && op.Kind != Bwd || op.Stage < 0 || op.Stage >= s.V || op.MB < 0 || op.MB >= s.NMB {
+				return nil, fmt.Errorf("pp: rank %d op %d out of range: %+v", r, i, op)
+			}
+		}
 		remaining += len(ops)
 	}
+	tl := &Timeline{Schedule: s, Busy: make([]float64, s.PP), Intervals: make([]Interval, 0, remaining)}
+	lastStage := stages - 1
+
 	for remaining > 0 {
 		progressed := false
 		for r := 0; r < s.PP; r++ {
 			for ptr[r] < len(s.Ranks[r]) {
 				op := s.Ranks[r][ptr[r]]
 				g := s.GlobalStage(r, op.Stage)
-				// Dependency ready time (−1 when not yet satisfiable).
+				// Dependency ready time; ok is cleared when not yet satisfiable.
 				ready := 0.0
 				ok := true
-				need := func(k key, xfer bool) {
-					t, done := finish[k]
-					if !done {
+				need := func(i int, xfer bool) {
+					if !done[i] {
 						ok = false
 						return
 					}
+					t := finish[i]
 					if xfer {
 						t += c.P2P
 					}
@@ -95,13 +101,13 @@ func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
 				case Fwd:
 					if g > 0 {
 						prevRank, _ := s.StageOwner(g - 1)
-						need(key{Fwd, g - 1, op.MB}, prevRank != r)
+						need(slot(Fwd, g-1, op.MB), prevRank != r)
 					}
 				case Bwd:
-					need(key{Fwd, g, op.MB}, false)
+					need(slot(Fwd, g, op.MB), false)
 					if g < lastStage {
 						nextRank, _ := s.StageOwner(g + 1)
-						need(key{Bwd, g + 1, op.MB}, nextRank != r)
+						need(slot(Bwd, g+1, op.MB), nextRank != r)
 					}
 				}
 				if !ok {
@@ -120,7 +126,8 @@ func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
 					dur = c.Fwd(g)
 				}
 				end := start + dur
-				finish[key{op.Kind, g, op.MB}] = end
+				i := slot(op.Kind, g, op.MB)
+				finish[i], done[i] = end, true
 				rankFree[r] = end
 				tl.Busy[r] += dur
 				tl.Intervals = append(tl.Intervals, Interval{Rank: r, Op: op, Start: start, End: end})

@@ -71,6 +71,12 @@ func TestSimulateDetectsDeadlock(t *testing.T) {
 	if _, err := s.Simulate(UniformCosts(1, 0)); err == nil {
 		t.Fatal("backward-before-forward must deadlock")
 	}
+	// An op outside the schedule's dims has no slot in the dense finish
+	// table: an error, not an index panic.
+	s.Ranks[0][1].MB = 1
+	if _, err := s.Simulate(UniformCosts(1, 0)); err == nil {
+		t.Fatal("micro-batch 1 of a one-micro-batch schedule must be rejected")
+	}
 }
 
 func TestBubbleRatioMatchesClassicFormula(t *testing.T) {

@@ -1,5 +1,7 @@
 package cost
 
+import "slices"
+
 // Hierarchical collective pricing: the α-β time of the two-level transport
 // internal/comm runs under a host topology, split into the tiers its
 // accounting meters. The intra-host stage is a ring over the largest host's
@@ -15,21 +17,27 @@ package cost
 
 // hierLayout reduces a rank set under hostSize to the two numbers the α-β
 // model needs: the largest host's member count m (the intra critical path)
-// and the host count h.
+// and the host count h. In sorted order one host's members are contiguous,
+// so it walks host runs; every group the planner and the engine price is
+// already sorted, anything else is sorted in a copy first.
 func hierLayout(ranks []int, hostSize int) (m, h int) {
 	if hostSize <= 0 {
 		return len(ranks), 1
 	}
-	sizes := make(map[int]int)
-	for _, r := range ranks {
-		sizes[r/hostSize]++
+	if !slices.IsSorted(ranks) {
+		ranks = slices.Clone(ranks)
+		slices.Sort(ranks)
 	}
-	for _, s := range sizes {
-		if s > m {
-			m = s
+	for lo := 0; lo < len(ranks); h++ {
+		end := (ranks[lo]/hostSize + 1) * hostSize // first rank past this host
+		hi := lo + 1
+		for hi < len(ranks) && ranks[hi] < end {
+			hi++
 		}
+		m = max(m, hi-lo)
+		lo = hi
 	}
-	return m, len(sizes)
+	return m, h
 }
 
 // tierRingTime is ringCollectiveTime with the link tier chosen explicitly

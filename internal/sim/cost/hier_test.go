@@ -74,3 +74,19 @@ func TestHierVolumeFactors(t *testing.T) {
 		t.Fatal("all-gather and reduce-scatter stages must price identically")
 	}
 }
+
+// TestHierLayoutOrderFree: the host-run walk prices a group the same in any
+// member order, duplicates and ragged hosts included.
+func TestHierLayoutOrderFree(t *testing.T) {
+	sorted := []int{0, 1, 2, 8, 8, 9, 17, 30, 31}
+	shuffled := []int{31, 8, 0, 17, 9, 2, 8, 30, 1}
+	if m, h := hierLayout(sorted, 8); m != 3 || h != 4 {
+		t.Fatalf("sorted layout (m=%d, h=%d), want (3, 4)", m, h)
+	}
+	if sm, sh := hierLayout(shuffled, 8); sm != 3 || sh != 4 {
+		t.Fatalf("shuffled layout (m=%d, h=%d), want (3, 4)", sm, sh)
+	}
+	if shuffled[0] != 31 {
+		t.Fatal("hierLayout sorted its caller's slice")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"llama4d/internal/attention"
 	"llama4d/internal/cp"
 	"llama4d/internal/model"
+	"llama4d/internal/pp"
 	"llama4d/internal/sim/cluster"
 	"llama4d/internal/sim/cost"
 )
@@ -284,11 +285,34 @@ func TestImbalanceGrowsWithCP(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsBadShape: a configuration that cannot run returns an
+// error — never a panic (divide by zero, a constructor's panic) and never a
+// report for a world without GPUs.
 func TestSimulateRejectsBadShape(t *testing.T) {
-	ts := Production8K()
-	ts.TP = 3
-	if _, err := ts.Simulate(); err == nil {
-		t.Fatal("tp=3 must be rejected for 128 heads")
+	for _, tc := range []struct {
+		name string
+		edit func(*TrainSim)
+	}{
+		{"tp=3 for 128 heads", func(ts *TrainSim) { ts.TP = 3 }},
+		{"tp=0", func(ts *TrainSim) { ts.TP = 0 }},
+		{"cp=3 for seq 8192", func(ts *TrainSim) { ts.CP = 3 }},
+		{"nmb=0", func(ts *TrainSim) { ts.NMB = 0 }},
+		{"v=0", func(ts *TrainSim) { ts.V = 0 }},
+		{"dp=0", func(ts *TrainSim) { ts.DP = 0 }},
+		{"schedule of another shape", func(ts *TrainSim) { ts.Schedule = pp.NewFlexible(ts.PP, ts.V/2, ts.NMB, ts.NC) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := Production8K()
+			tc.edit(&ts)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			if rep, err := ts.Simulate(); err == nil {
+				t.Fatalf("accepted, step time %v", rep.StepTime)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"llama4d/internal/attention"
-	"llama4d/internal/cp"
 	"llama4d/internal/model"
 	"llama4d/internal/pp"
 	"llama4d/internal/sim/cost"
@@ -24,9 +22,7 @@ type TrainSim struct {
 	// MBS is the samples per micro-batch; 0 means 1.
 	MBS int
 
-	Seq       int
-	DocMask   bool
-	AvgDocLen int
+	Seq int
 
 	Balanced  bool                // §3.1.2 layer rebalancing
 	Recompute model.RecomputeMode // backward-pass activation recomputation
@@ -176,10 +172,6 @@ func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64)
 	// Attention: balanced causal sharding ⇒ totalPairs/cp per rank, per
 	// sample of the micro-batch.
 	totalPairs := int64(ts.Seq) * int64(ts.Seq+1) / 2 // causal: Σ_p (p+1)
-	if ts.DocMask {
-		ds := docStartsFor(ts.Seq, true, ts.AvgDocLen, 7)
-		totalPairs = attention.FastAllowedPairs(attention.Iota(ts.Seq), ds)
-	}
 	kvTokens := mbs * int64(ts.Seq)
 	if ts.CP == 1 {
 		kvTokens = tokens
@@ -203,12 +195,11 @@ func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64)
 }
 
 // stageTimes returns the fwd and bwd time of one micro-batch on one global
-// stage.
-func (ts TrainSim) stageTimes(sh stageShape) (fwd, bwd float64) {
+// stage from its shape and one layer's layerFwdTime terms.
+func (ts TrainSim) stageTimes(sh stageShape, compute, attnCompute, tpComm, cpComm float64) (fwd, bwd float64) {
 	m := ts.Cost
 	cfg := ts.Model
 	tokens := int64(ts.mbs()) * int64(ts.Seq/ts.CP)
-	compute, attnCompute, tpComm, cpComm := ts.layerFwdTime()
 
 	fwd = float64(sh.layers) * (compute + tpComm + cpComm)
 	// Backward: 2× compute, mirrored TP collectives, CP reduce-scatter.
@@ -237,8 +228,9 @@ func (ts TrainSim) Costs() pp.Costs {
 	shapes := ts.stageShapes()
 	fwd := make([]float64, len(shapes))
 	bwd := make([]float64, len(shapes))
+	compute, attnCompute, tpComm, cpComm := ts.layerFwdTime()
 	for g, sh := range shapes {
-		fwd[g], bwd[g] = ts.stageTimes(sh)
+		fwd[g], bwd[g] = ts.stageTimes(sh, compute, attnCompute, tpComm, cpComm)
 	}
 	tokens := int64(ts.mbs()) * int64(ts.Seq/ts.CP)
 	// Sequence parallelism shards inter-stage activations across TP.
@@ -254,17 +246,25 @@ func (ts TrainSim) Costs() pp.Costs {
 	}
 }
 
-// Simulate runs one training step and reports throughput.
+// Simulate runs one training step and reports throughput. A configuration
+// that cannot run — a non-positive dimension, heads or sequence not divisible
+// by its shards, a Schedule of another shape — is an error, not a panic.
 func (ts TrainSim) Simulate() (*StepReport, error) {
+	if ts.TP < 1 || ts.CP < 1 || ts.PP < 1 || ts.DP < 1 || ts.V < 1 || ts.NMB < 1 || ts.Seq < 1 {
+		return nil, fmt.Errorf("engine: tp=%d cp=%d pp=%d dp=%d v=%d nmb=%d seq=%d must all be >= 1",
+			ts.TP, ts.CP, ts.PP, ts.DP, ts.V, ts.NMB, ts.Seq)
+	}
 	if ts.Model.NHeads%ts.TP != 0 || ts.Model.NKVHeads%ts.TP != 0 {
 		return nil, fmt.Errorf("engine: heads not divisible by tp=%d", ts.TP)
 	}
-	if ts.CP > 1 {
-		cp.NewSharding(ts.Seq, ts.CP) // validates divisibility
+	if ts.CP > 1 && ts.Seq%(2*ts.CP) != 0 {
+		return nil, fmt.Errorf("engine: seq %d not divisible by 2*cp=%d", ts.Seq, 2*ts.CP)
 	}
 	sched := ts.Schedule
 	if sched == nil {
 		sched = pp.NewFlexible(ts.PP, ts.V, ts.NMB, ts.NC)
+	} else if sched.PP != ts.PP || sched.V != ts.V {
+		return nil, fmt.Errorf("engine: schedule pp=%d v=%d, simulation pp=%d v=%d", sched.PP, sched.V, ts.PP, ts.V)
 	}
 	tl, err := sched.Simulate(ts.Costs())
 	if err != nil {

@@ -114,23 +114,32 @@ func (c Config) stageActBytes(g int) float64 {
 	return act
 }
 
-// PeakActivation walks a rank's schedule, tracking the stage-weighted
-// in-flight activation bytes, and returns the peak.
-func (c Config) PeakActivation(rank int) float64 {
+// peakInFlight walks a rank's schedule, tracking the in-flight bytes — each
+// forward pins stageBytes(g) of its global stage until the matching
+// backward — and returns the peak. stageBytes runs once per virtual stage,
+// not once per op.
+func (c Config) peakInFlight(rank int, stageBytes func(g int) float64) float64 {
+	per := make([]float64, c.Sched.V)
+	for vs := range per {
+		per[vs] = stageBytes(c.Sched.GlobalStage(rank, vs))
+	}
 	var cur, peak float64
 	for _, op := range c.Sched.Ranks[rank] {
-		g := c.Sched.GlobalStage(rank, op.Stage)
 		if op.Kind == pp.Fwd {
-			cur += c.stageActBytes(g)
+			cur += per[op.Stage]
 			if cur > peak {
 				peak = cur
 			}
 		} else {
-			cur -= c.stageActBytes(g)
+			cur -= per[op.Stage]
 		}
 	}
 	return peak
 }
+
+// PeakActivation walks a rank's schedule, tracking the stage-weighted
+// in-flight activation bytes, and returns the peak.
+func (c Config) PeakActivation(rank int) float64 { return c.peakInFlight(rank, c.stageActBytes) }
 
 // stageFunctionalBytes returns the exact FP32 live-activation bytes one
 // in-flight micro-batch pins on one global stage of the *functional*
@@ -192,19 +201,7 @@ func (c Config) stageFunctionalBytes(g int, rec model.RecomputeMode) float64 {
 // counterpart is RankReport.PeakActivationBytes; the cross-validation sweep
 // (internal/metrics/xval) asserts they agree.
 func (c Config) FunctionalActivation(rank int, rec model.RecomputeMode) float64 {
-	var cur, peak float64
-	for _, op := range c.Sched.Ranks[rank] {
-		g := c.Sched.GlobalStage(rank, op.Stage)
-		if op.Kind == pp.Fwd {
-			cur += c.stageFunctionalBytes(g, rec)
-			if cur > peak {
-				peak = cur
-			}
-		} else {
-			cur -= c.stageFunctionalBytes(g, rec)
-		}
-	}
-	return peak
+	return c.peakInFlight(rank, func(g int) float64 { return c.stageFunctionalBytes(g, rec) })
 }
 
 // PerRank returns the peak memory of every PP rank.
