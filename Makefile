@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus the formatting gate: fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -112,11 +114,12 @@ dead:
 	if echo "$$out" | grep -q 'NOT ALLOWLISTED\|STALE'; then \
 		echo "make dead: delete the unlisted names, or keep them as test surface in DEAD_ALLOW with the reason in their doc comment"; exit 1; fi
 
-# The full verification gate: compile everything, vet, gate the exported
-# surface on the dead-code census (cheap, so before the long runs), run the
-# whole suite with the race detector (all collectives and the ft subsystem
-# exercise real cross-goroutine communication; the measured-vs-modeled sweep
-# and the kernels' bitwise-vs-oracle guards are ordinary tests inside it),
+# The full verification gate: compile everything, vet and gofmt, gate the
+# exported surface on the dead-code census (cheap, so before the long runs),
+# run the whole suite with the race detector (all collectives and the ft
+# subsystem exercise real cross-goroutine communication; the
+# measured-vs-modeled sweep and the kernels' bitwise-vs-oracle guards are
+# ordinary tests inside it),
 # rerun the kernel-bound packages on the pure-Go build, replay the planner
 # loop-closure guard, type-check the bench/ module against the tree, and
 # report the code size.

@@ -5,9 +5,8 @@
 //
 //	llama4d <experiment>
 //
-// where <experiment> is one of: table2, fig2, fig3, fig4, fig6, fig8, fig9,
-// fig10, fig11, fig12, fig13, fig14, e2e, numerics, train, losscurve, hw,
-// goodput, metrics, overlap, serve, balance, planner, cp, or all.
+// where <experiment> is a name from the experiments table below, in the
+// order `llama4d all` runs them; with no argument the command prints them.
 package main
 
 import (
@@ -16,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 
 	"llama4d/internal/attention"
 	"llama4d/internal/balance"
@@ -38,60 +38,47 @@ import (
 	"llama4d/internal/vision"
 )
 
-var experiments = map[string]func(){
-	"table2":    table2,
-	"fig3":      fig3,
-	"fig4":      fig4,
-	"fig6":      fig6,
-	"fig8":      fig8,
-	"fig9":      fig9,
-	"fig10":     fig10,
-	"fig11":     fig11,
-	"fig12":     fig12,
-	"fig13":     fig13,
-	"fig14":     fig14,
-	"e2e":       e2e,
-	"numerics":  numerics,
-	"train":     train,
-	"hw":        hw,
-	"fig2":      fig2,
-	"losscurve": losscurve,
-	"goodput":   goodputStudy,
-	"metrics":   metricsStudy,
-	"overlap":   overlapStudy,
-	"serve":     serveStudy,
-	"balance":   balanceStudy,
-	"planner":   plannerStudy,
-	"cp":        cpStudy,
+// experiments is every experiment the command runs, in `all` order.
+var experiments = []struct {
+	name string
+	run  func()
+}{
+	{"table2", table2}, {"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4},
+	{"fig6", fig6}, {"fig8", fig8}, {"fig9", fig9}, {"fig10", fig10},
+	{"fig11", fig11}, {"fig12", fig12}, {"fig13", fig13}, {"fig14", fig14},
+	{"e2e", e2e}, {"numerics", numerics}, {"train", train}, {"losscurve", losscurve},
+	{"hw", hw}, {"goodput", goodputStudy}, {"metrics", metricsStudy}, {"overlap", overlapStudy},
+	{"serve", serveStudy}, {"balance", balanceStudy}, {"planner", plannerStudy}, {"cp", cpStudy},
 }
-
-var order = []string{"table2", "fig2", "fig3", "fig4", "fig6", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "e2e", "numerics", "train", "losscurve", "hw", "goodput",
-	"metrics", "overlap", "serve", "balance", "planner", "cp"}
 
 func main() {
 	if len(os.Args) != 2 {
 		usage()
 	}
 	name := os.Args[1]
-	if name == "all" {
-		for _, n := range order {
-			fmt.Printf("######## %s ########\n", n)
-			experiments[n]()
+	for _, e := range experiments {
+		switch name {
+		case "all":
+			fmt.Printf("######## %s ########\n", e.name)
+			e.run()
 			fmt.Println()
+		case e.name:
+			e.run()
+			return
 		}
-		return
 	}
-	fn, ok := experiments[name]
-	if !ok {
+	if name != "all" {
 		usage()
 	}
-	fn()
 }
 
 func usage() {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
 	fmt.Fprintln(os.Stderr, "usage: llama4d <experiment>")
-	fmt.Fprintln(os.Stderr, "experiments: all", order)
+	fmt.Fprintln(os.Stderr, "experiments:", strings.Join(names, " "))
 	os.Exit(2)
 }
 
@@ -277,7 +264,7 @@ func fig10() {
 	fmt.Printf("max: no-balance %.1f GiB, balance %.1f GiB (paper: ≈5 GB saved)\n",
 		memsim.MaxTotalGiB(unbal), memsim.MaxTotalGiB(bal))
 
-	sim := func(layers int, balanced bool, recompute model.RecomputeMode) float64 {
+	sim := func(layers int, balanced bool, recompute model.RecomputeMode) *engine.StepReport {
 		ts := engine.TrainSim{
 			Cost:  cost.Default(),
 			Model: func() model.Config { c := cfg; c.NLayers = layers; return c }(),
@@ -289,30 +276,17 @@ func fig10() {
 		if err != nil {
 			panic(err)
 		}
-		return rep.TFLOPsPerGPU
-	}
-	simTime := func(layers int, balanced bool, recompute model.RecomputeMode) float64 {
-		ts := engine.TrainSim{
-			Cost:  cost.Default(),
-			Model: func() model.Config { c := cfg; c.NLayers = layers; return c }(),
-			TP:    8, CP: 1, PP: ppSize, DP: 4,
-			V: 1, NC: ppSize, NMB: 12, Seq: 8192,
-			Balanced: balanced, Recompute: recompute,
-		}
-		rep, err := ts.Simulate()
-		if err != nil {
-			panic(err)
-		}
-		return rep.StepTime
+		return rep
 	}
 	a := sim(28, false, model.RecomputeFull)
 	b := sim(28, false, model.RecomputeNone)
 	c := sim(26, true, model.RecomputeNone)
-	fmt.Printf("TFLOPs/GPU: no-balance+recompute %.0f | no-balance %.0f | balance %.0f\n", a, b, c)
+	fmt.Printf("TFLOPs/GPU: no-balance+recompute %.0f | no-balance %.0f | balance %.0f\n",
+		a.TFLOPsPerGPU, b.TFLOPsPerGPU, c.TFLOPsPerGPU)
 	// The paper's +6.5% is a throughput (step time) gain: the 126-layer
 	// balanced placement removes the heavy last stage from the critical path.
-	speedup := simTime(28, false, model.RecomputeNone)/simTime(26, true, model.RecomputeNone) - 1
-	recoup := simTime(28, false, model.RecomputeFull)/simTime(26, true, model.RecomputeNone) - 1
+	speedup := b.StepTime/c.StepTime - 1
+	recoup := a.StepTime/c.StepTime - 1
 	fmt.Printf("step-time speedup: balance vs no-balance %+.1f%%; vs no-balance+recompute %+.1f%% (paper: +6.5%%, +17.5%%)\n",
 		100*speedup, 100*recoup)
 }
@@ -335,7 +309,7 @@ func fig11() {
 func fig12() {
 	fmt.Println("Fig 12: achieved CP all-gather bandwidth (GB/s)")
 	fmt.Printf("%-8s %-4s %-14s %-10s\n", "seq", "cp", "mask", "AG GB/s")
-	for _, r := range engine.Fig12(cost.Default()) {
+	for _, r := range engine.Fig11(cost.Default()) {
 		mask := "causal"
 		if r.DocMask {
 			mask = "block-causal"
@@ -439,8 +413,6 @@ func numerics() {
 
 	cfg := model.TinyConfig()
 	m := model.New(cfg, rand.New(rand.NewSource(3)))
-	env := model.SeqEnv(16, nil)
-	_ = env
 	gen := &data.Generator{Vocab: cfg.Vocab, Seq: 16, AvgDocLen: 6, Seed: 4}
 	var batches [][2][]int
 	for i := int64(0); i < 8; i++ {

@@ -46,10 +46,10 @@ type Handle struct {
 	bytes  int64  // closed-form volume; IRecv fills it in on delivery
 	issued time.Time
 
-	ready  chan struct{}          // closed when the op can complete without blocking
-	finish func() *tensor.Tensor  // completes the op; runs exactly once, after ready
-	res0   *tensor.Tensor         // IRecv: delivered tensor, written before ready closes
-	sent   bool                   // ISend: message accepted, written before ready closes
+	ready  chan struct{}         // closed when the op can complete without blocking
+	finish func() *tensor.Tensor // completes the op; runs exactly once, after ready
+	res0   *tensor.Tensor        // IRecv: delivered tensor, written before ready closes
+	sent   bool                  // ISend: message accepted, written before ready closes
 
 	mu     sync.Mutex
 	waited bool

@@ -181,7 +181,7 @@ func (r Request) shape(tp, cp, ppSize int) (dp, bs int, err error) {
 	if tp < 1 || cp < 1 || ppSize < 1 {
 		return 0, 0, fmt.Errorf("degenerate shape")
 	}
-	if r.Seq < 1 || r.NGPUs < 1 {
+	if r.Seq < 1 || r.NGPUs < 1 || r.HostSize < 0 {
 		return 0, 0, fmt.Errorf("degenerate request")
 	}
 	if r.Model.NHeads%tp != 0 || r.Model.NKVHeads%tp != 0 {
@@ -230,25 +230,6 @@ func (c Candidate) nc() int {
 }
 
 func (c Candidate) topo() core.Topology { return core.Topology{TP: c.TP, CP: c.CP, PP: c.PP, DP: c.DP} }
-
-// allGather and reduceScatter price one collective, hierarchically when the
-// request carries a host topology (the tiers are summed: the planner ranks
-// by wall time; the byte split is reported separately via xval.PredictRank).
-func (r Request) allGather(ranks []int, bytes float64) float64 {
-	if r.HostSize > 0 {
-		intra, inter := r.Cost.HierAllGather(ranks, r.HostSize, bytes)
-		return intra + inter
-	}
-	return r.Cost.AllGather(ranks, bytes)
-}
-
-func (r Request) reduceScatter(ranks []int, bytes float64) float64 {
-	if r.HostSize > 0 {
-		intra, inter := r.Cost.HierReduceScatter(ranks, r.HostSize, bytes)
-		return intra + inter
-	}
-	return r.Cost.ReduceScatter(ranks, bytes)
-}
 
 // sched builds the candidate's pipeline schedule: once per base candidate,
 // shared by the memory estimator and the simulation of every ZeRO variant.
@@ -324,26 +305,21 @@ func (r Request) simulate(c Candidate, sched *pp.Schedule) (*engine.StepReport, 
 // adjustment decides how much FSDP communication is exposed, and the ZeRO
 // mode adds its extra collective cadence — ZeRO-3's steady-state per-stage
 // parameter re-gathers, ZeRO-2's per-round gradient reduce-scatters beyond
-// the single step-end one the base simulation already prices.
+// the single step-end one the base simulation already prices. Both are
+// multiples of the report's own per-virtual-stage collective prices.
 func (r Request) price(c Candidate, rep *engine.StepReport, peak float64, intra, inter, collInter int64) Plan {
 	makespan := rep.StepTime - rep.DPExposed
 	extra := 0.0
-	if c.CP*c.DP > 1 {
-		g := c.topo().FSDPGroupRanks(0) // rank 0's DP×CP parameter group
-		perRankParams := float64(r.Model.LayerParams()) * float64(r.Model.NLayers) /
-			float64(c.PP) / float64(c.TP)
-		dpBytes := 2 * perRankParams / float64(c.V) // one virtual stage, bf16
-		switch c.ZeRO {
-		case fsdp.ZeRO3:
-			// Steady state re-gathers every virtual stage's parameters each
-			// step (they are released after the optimizer).
-			extra = float64(c.V) * r.allGather(g, dpBytes)
-		case fsdp.ZeRO2:
-			// One gradient reduce-scatter per backward micro-batch instead
-			// of one per step (the functional layer's cadence, confirmed by
-			// the measured byte counts); the base report includes one.
-			extra = float64(c.V) * float64(c.NMB-1) * r.reduceScatter(g, 2*dpBytes)
-		}
+	switch c.ZeRO {
+	case fsdp.ZeRO3:
+		// Steady state re-gathers every virtual stage's parameters each step
+		// (they are released after the optimizer).
+		extra = float64(c.V) * rep.DPGather
+	case fsdp.ZeRO2:
+		// One gradient reduce-scatter per backward micro-batch instead of
+		// one per step (the functional layer's cadence, confirmed by the
+		// measured byte counts); the base report includes one.
+		extra = float64(c.V) * float64(c.NMB-1) * rep.DPScatter
 	}
 	exposed := rep.DPExposed
 	if !c.Overlap {

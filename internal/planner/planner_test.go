@@ -3,6 +3,8 @@ package planner
 import (
 	"strings"
 	"testing"
+
+	"llama4d/internal/fsdp"
 )
 
 func TestPaperPlanReproducesTable2Short(t *testing.T) {
@@ -117,6 +119,36 @@ func TestFeasibleRejections(t *testing.T) {
 	if p, err := small.Feasible(1, 1, 1); err == nil {
 		// dp = 16384, gbs = 2048 ⇒ bs < 1: must be rejected.
 		t.Fatalf("dp=16K with gbs=2K must be infeasible, got %v", p)
+	}
+}
+
+// TestNegativeHostSizeRejected: a negative HostSize is a degenerate request.
+// Every entry point rejects it instead of panicking in the traffic predictor
+// (core.Config.Validate refuses the candidate's config).
+func TestNegativeHostSizeRejected(t *testing.T) {
+	req := Production405B(8192)
+	req.HostSize = -1
+	table2Short := Candidate{TP: 8, CP: 1, PP: 16, DP: 128, V: 8, NMB: 16, MBS: 1,
+		ZeRO: fsdp.ZeRO1, Overlap: true}
+	for _, tc := range []struct {
+		name     string
+		accepted func() bool
+	}{
+		{"SearchWithStats", func() bool { plans, _ := SearchWithStats(req); return len(plans) > 0 }},
+		{"Evaluate", func() bool { _, err := req.Evaluate(table2Short); return err == nil }},
+		{"Feasible", func() bool { _, err := req.Feasible(8, 1, 16); return err == nil }},
+		{"PaperPlan", func() bool { _, err := PaperPlan(req); return err == nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if tc.accepted() {
+				t.Fatal("accepted a negative host size")
+			}
+		})
 	}
 }
 

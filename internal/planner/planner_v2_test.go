@@ -318,12 +318,12 @@ func FuzzFeasible(f *testing.F) {
 // worlds and that every emitted plan and the enumeration stats satisfy the
 // search invariants.
 func FuzzSearch(f *testing.F) {
-	f.Add(16, 32, 1)
-	f.Add(8, 16, 0)
-	f.Add(4, 8, 2)
-	f.Add(12, 6, 1)
-	f.Add(1, 1, 0)
-	f.Fuzz(func(t *testing.T, ngpu, gbs, seqSel int) {
+	f.Add(16, 32, 1, 6)
+	f.Add(8, 16, 0, 6)
+	f.Add(4, 8, 2, 6)
+	f.Add(12, 6, 1, 6)
+	f.Add(1, 1, 0, 6)
+	f.Fuzz(func(t *testing.T, ngpu, gbs, seqSel, hostSel int) {
 		ngpu = 1 + abs(ngpu)%32
 		gbs = 1 + abs(gbs)%256
 		seq := []int{8, 16, 32}[abs(seqSel)%3]
@@ -334,7 +334,7 @@ func FuzzSearch(f *testing.F) {
 			GlobalTokens: int64(gbs) * int64(seq),
 			Seq:          seq,
 			HBMBudgetGiB: 64,
-			HostSize:     4,
+			HostSize:     abs(hostSel)%12 - 2, // -2…9; 6 draws 4
 		}
 		plans, st := SearchWithStats(r)
 		if st.Enumerated != st.PrunedShape+st.PrunedMemory+st.Feasible {
@@ -342,6 +342,9 @@ func FuzzSearch(f *testing.F) {
 		}
 		if len(plans) != st.Feasible {
 			t.Fatalf("%d plans, stats say %d feasible", len(plans), st.Feasible)
+		}
+		if r.HostSize < 0 && len(plans) > 0 {
+			t.Fatalf("host size %d accepted: %d plans", r.HostSize, len(plans))
 		}
 		for _, p := range plans {
 			if p.TP*p.CP*p.PP*p.DP != ngpu {

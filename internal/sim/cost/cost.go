@@ -85,13 +85,16 @@ func (m Model) Attention(qTokens, kvTokens, pairs, heads, hd int64) float64 {
 	return m.rooflineTime(flops, bytes, m.AttnMFU)
 }
 
-// MergeOverhead returns the time of one log-sum-exp partial-result merge in
-// ring attention: a memory-bound elementwise rescale of the FP32 output
-// accumulator and softmax statistics — the per-step cost that penalises
-// ring attention at small sequence lengths (§7.2, Fig 13).
-func (m Model) MergeOverhead(qTokens, heads, hd int64) float64 {
-	bytes := 2 * 4 * float64(qTokens) * float64(heads) * float64(hd)
-	return m.rooflineTime(0, bytes, m.MaxMFU)
+// DenseLayer returns the GEMM time of one transformer layer over `tokens`
+// rows on one TP shard (qHeads, kvHeads and hidden are the shard's): attnProj
+// is the fused q,k,v projection plus the output projection — the GEMMs a
+// selective-recompute replay re-runs — and all adds the SwiGLU gate, up and
+// down projections. Every simulator prices a dense layer through this one
+// sum, in this order.
+func (m Model) DenseLayer(tokens, dim, hidden, qHeads, kvHeads, hd int64) (attnProj, all float64) {
+	attnProj = m.GEMM(tokens, dim, (qHeads+2*kvHeads)*hd) + m.GEMM(tokens, qHeads*hd, dim)
+	all = attnProj + 2*m.GEMM(tokens, dim, hidden) + m.GEMM(tokens, hidden, dim)
+	return attnProj, all
 }
 
 // ringCollectiveTime is the α-β time of a ring collective moving

@@ -93,18 +93,12 @@ func TestP2PInterVsIntraNode(t *testing.T) {
 	}
 }
 
-func TestMergeOverheadPositive(t *testing.T) {
-	m := Default()
-	if m.MergeOverhead(4096, 16, 128) <= 0 {
-		t.Fatal("merge overhead must be positive")
-	}
-}
-
 func TestWithGPUSwapsHardware(t *testing.T) {
 	m := Default().WithGPU(cluster.H100HBM2e())
-	// Memory-bound op is slower on HBM2e.
-	slow := m.MergeOverhead(1<<20, 16, 128)
-	fast := Default().MergeOverhead(1<<20, 16, 128)
+	// Memory-bound op (a one-row GEMM streams the whole weight) is slower on
+	// HBM2e.
+	slow := m.GEMM(1, 16384, 16384)
+	fast := Default().GEMM(1, 16384, 16384)
 	if slow <= fast {
 		t.Fatal("HBM2e must slow memory-bound work")
 	}

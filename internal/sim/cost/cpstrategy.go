@@ -15,20 +15,24 @@ package cost
 // launch tax is not) and long documents favour ring (compute grows
 // quadratically and swallows the linear transfer) — the Fig 13 crossover.
 // Both prices are per document and additive, so a per-document chooser and a
-// whole-sample planner can share them; internal/cp's chooser and the
-// planner's full-space search both call these two functions and nothing
-// else.
+// whole-sample planner can share them; internal/cp's chooser, the planner's
+// full-space search and the Figs 11-13 sweeps (sim/engine) all call these
+// two functions and nothing else.
+
+// CPKVBytes returns the size of one document's K and V rows as the CP
+// exchange moves them: fp32, kvHeads·hd columns, dlen rows each.
+func CPKVBytes(dlen, kvHeads, hd int) float64 {
+	return 2 * 4 * float64(dlen) * float64(kvHeads*hd)
+}
 
 // CPAllGatherTime returns the modeled exposed exchange time one causal
 // document of dlen tokens contributes under the all-gather strategy: the
-// ring all-gather of its K and V rows (fp32, kvHeads·hd columns) across the
-// CP group.
+// ring all-gather of its K and V rows (CPKVBytes) across the CP group.
 func (m Model) CPAllGatherTime(ranks []int, dlen, kvHeads, hd int) float64 {
 	if len(ranks) <= 1 || dlen == 0 {
 		return 0
 	}
-	bytes := 2 * 4 * float64(dlen) * float64(kvHeads*hd) // K and V output rows
-	return m.AllGather(ranks, bytes)
+	return m.AllGather(ranks, CPKVBytes(dlen, kvHeads, hd))
 }
 
 // CPRingTime returns the modeled cost one causal document of dlen tokens

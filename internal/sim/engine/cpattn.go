@@ -35,15 +35,13 @@ type CPAttnResult struct {
 
 	SingleGPUTime float64 // flash attention on one GPU, same mask
 	PerRankTime   float64 // slowest CP rank: compute + exposed comm
-	CommTime      float64 // all-gather (or ring P2P) time
+	CommTime      float64 // cost.CPAllGatherTime or cost.CPRingTime
 	RelativeHFU   float64 // SingleGPUTime / (CP × PerRankTime)
 	AGBandwidth   float64 // achieved all-gather bandwidth, GB/s (Fig 12)
 
 	// Tiles is the tile census of the CP group's attention under the blocked
 	// training engine's classifier (one grid per rank, summed): the sweep
-	// point's modeled counterpart of the measured StepReport.Attn census. The
-	// ring comparator leaves it zero — its fragmented per-step kernels are
-	// modeled by pair counts, not grids.
+	// point's modeled counterpart of the measured StepReport.Attn census.
 	Tiles attention.Stats
 }
 
@@ -75,100 +73,37 @@ func rankGrids(seq, cpSize int, docStarts []int) []*attention.Grid {
 	return out
 }
 
-// perRankPairs returns each CP rank's allowed (q, k) pair count.
-func perRankPairs(grids []*attention.Grid) []int64 {
-	out := make([]int64, len(grids))
-	for r, g := range grids {
-		out[r] = g.AllowedPairs
+// CPAttention evaluates one Fig 11-13 sweep point over a sequence with the
+// given document starts: the single-GPU flash attention time, and the slowest
+// CP rank's fused kernel plus the K/V exchange priced by the runtime
+// chooser's own functions — cost.CPRingTime when ring is set (the
+// TransformerEngine-style comparator of Fig 13: per-block kernel launches
+// and the transfer its compute cannot hide), cost.CPAllGatherTime otherwise
+// (the paper's §4 all-gather, fully exposed by design). The CP group
+// occupies adjacent ranks inside one node, as in §7.2's setup (TP is
+// collapsed into the shape).
+func CPAttention(m cost.Model, shape AttnShape, seq, cpSize int, docStarts []int, ring bool) CPAttnResult {
+	heads, hd := int64(shape.Heads), int64(shape.HeadDim)
+	totalPairs := attention.FastAllowedPairs(attention.Iota(seq), docStarts)
+	r := CPAttnResult{Seq: seq, CP: cpSize, Method: "allgather",
+		SingleGPUTime: m.Attention(int64(seq), int64(seq), totalPairs, heads, hd)}
+	var slowest int64
+	for _, g := range rankGrids(seq, cpSize, docStarts) {
+		slowest = max(slowest, g.AllowedPairs)
+		r.Tiles = r.Tiles.Add(g.Summary())
 	}
-	return out
-}
-
-func maxI64(xs []int64) int64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
+	ranks := cluster.RanksOfGroup(0, cpSize, 1)
+	if ring {
+		r.Method = "ring"
+		r.CommTime = m.CPRingTime(ranks, seq, shape.Heads, shape.KVHeads, shape.HeadDim)
+	} else {
+		r.CommTime = m.CPAllGatherTime(ranks, seq, shape.KVHeads, shape.HeadDim)
+		kv := cost.CPKVBytes(seq, shape.KVHeads, shape.HeadDim)
+		r.AGBandwidth = cost.AchievedBandwidth(kv*float64(cpSize-1)/float64(cpSize), r.CommTime)
 	}
-	return m
-}
-
-// kvBytes returns the size of the K and V tensors of the full sequence.
-func kvBytes(seq int, s AttnShape) float64 {
-	return 2 /*K,V*/ * 2 /*bf16*/ * float64(seq) * float64(s.KVHeads) * float64(s.HeadDim)
-}
-
-// AllGatherCPAttention evaluates the paper's CP attention (§4) at one sweep
-// point. The CP group occupies adjacent ranks (TP innermost is collapsed
-// into the shape; CP groups of 2-8 sit inside one node as in §7.2's setup).
-func AllGatherCPAttention(m cost.Model, shape AttnShape, seq, cpSize int, docMask bool, avgDocLen int, seed int64) CPAttnResult {
-	ds := docStartsFor(seq, docMask, avgDocLen, seed)
-	totalPairs := attention.FastAllowedPairs(attention.Iota(seq), ds)
-	single := m.Attention(int64(seq), int64(seq), totalPairs, int64(shape.Heads), int64(shape.HeadDim))
-
-	grids := rankGrids(seq, cpSize, ds)
-	pairs := perRankPairs(grids)
-	slowest := maxI64(pairs)
-	var tiles attention.Stats
-	for _, g := range grids {
-		tiles = tiles.Add(g.Summary())
-	}
-	qLocal := int64(seq / cpSize)
-	compute := m.Attention(qLocal, int64(seq), slowest, int64(shape.Heads), int64(shape.HeadDim))
-	ranks := cluster.RanksOfGroup(0, cpSize, 1) // intra-node CP for the kernel study
-	ag := m.AllGather(ranks, kvBytes(seq, shape))
-	per := compute + ag // all-gather latency is fully exposed, by design (§4)
-
-	return CPAttnResult{
-		Seq: seq, CP: cpSize, DocMask: docMask, Method: "allgather",
-		SingleGPUTime: single, PerRankTime: per, CommTime: ag,
-		RelativeHFU: single / (float64(cpSize) * per),
-		AGBandwidth: cost.AchievedBandwidth(kvBytes(seq, shape)*float64(cpSize-1)/float64(cpSize), ag),
-		Tiles:       tiles,
-	}
-}
-
-// RingCPAttention evaluates the TransformerEngine-style ring attention
-// comparator of Fig 13: cp iterations, each computing a partial result on a
-// seq/cp KV block (two chunks) overlapped with the P2P transfer of the next
-// block, plus a log-sum-exp merge per iteration. Full causal mask only, as
-// in the paper's forked TE branch.
-func RingCPAttention(m cost.Model, shape AttnShape, seq, cpSize int) CPAttnResult {
-	ds := docStartsFor(seq, false, 0, 0)
-	totalPairs := attention.FastAllowedPairs(attention.Iota(seq), ds)
-	single := m.Attention(int64(seq), int64(seq), totalPairs, int64(shape.Heads), int64(shape.HeadDim))
-
-	qLocal := int64(seq / cpSize)
-	// Balanced sharding: each rank performs totalPairs/cp work, split across
-	// cp fragmented kernels of ~equal size (two chunk-kernels per step in
-	// our functional implementation; model as one kernel per step with the
-	// same total work — the launch overhead per step is what matters).
-	perStepPairs := totalPairs / int64(cpSize) / int64(cpSize)
-	blockKV := int64(seq / cpSize)
-	var computeTotal, commTotal float64
-	p2pBytes := kvBytes(seq/cpSize, shape)
-	for step := 0; step < cpSize; step++ {
-		kernel := m.Attention(qLocal, blockKV, perStepPairs, int64(shape.Heads), int64(shape.HeadDim))
-		// Merge of partial results: memory-bound elementwise rescale of the
-		// O accumulator plus softmax statistics.
-		merge := m.MergeOverhead(qLocal, int64(shape.Heads), int64(shape.HeadDim))
-		stepCompute := kernel + merge
-		if step < cpSize-1 {
-			p2p := m.P2P(0, 1, p2pBytes)
-			// Communication overlaps with compute: the step costs the max.
-			if p2p > stepCompute {
-				commTotal += p2p - stepCompute
-			}
-		}
-		computeTotal += stepCompute
-	}
-	per := computeTotal + commTotal
-	return CPAttnResult{
-		Seq: seq, CP: cpSize, DocMask: false, Method: "ring",
-		SingleGPUTime: single, PerRankTime: per, CommTime: commTotal,
-		RelativeHFU: single / (float64(cpSize) * per),
-	}
+	r.PerRankTime = m.Attention(int64(seq/cpSize), int64(seq), slowest, heads, hd) + r.CommTime
+	r.RelativeHFU = r.SingleGPUTime / (float64(cpSize) * r.PerRankTime)
+	return r
 }
 
 // SweepSeqs is the sequence-length sweep of Figs 11-13.
@@ -176,7 +111,7 @@ var SweepSeqs = []int{4096, 8192, 16384, 32768, 65536, 131072}
 
 // Fig11 produces the relative-HFU sweep of Fig 11: cp ∈ {2,4} × {causal,
 // block-causal with 1K average documents} over the sequence sweep, on the
-// HBM2e H100 of §7.2.
+// HBM2e H100 of §7.2. Its AGBandwidth column is Fig 12.
 func Fig11(m cost.Model) []CPAttnResult {
 	m = m.WithGPU(cluster.H100HBM2e())
 	shape := Llama405BTP8()
@@ -184,15 +119,14 @@ func Fig11(m cost.Model) []CPAttnResult {
 	for _, cpSize := range []int{2, 4} {
 		for _, doc := range []bool{false, true} {
 			for _, seq := range SweepSeqs {
-				out = append(out, AllGatherCPAttention(m, shape, seq, cpSize, doc, 1024, 7))
+				p := CPAttention(m, shape, seq, cpSize, docStartsFor(seq, doc, 1024, 7), false)
+				p.DocMask = doc
+				out = append(out, p)
 			}
 		}
 	}
 	return out
 }
-
-// Fig12 produces the achieved all-gather bandwidth sweep of Fig 12.
-func Fig12(m cost.Model) []CPAttnResult { return Fig11(m) }
 
 // Fig13 compares all-gather CP attention with ring (TE) attention on the
 // HBM3 production hardware, full causal masks, cp ∈ {2,4}.
@@ -201,8 +135,9 @@ func Fig13(m cost.Model) []CPAttnResult {
 	var out []CPAttnResult
 	for _, cpSize := range []int{2, 4} {
 		for _, seq := range SweepSeqs {
-			out = append(out, AllGatherCPAttention(m, shape, seq, cpSize, false, 0, 7))
-			out = append(out, RingCPAttention(m, shape, seq, cpSize))
+			causal := docStartsFor(seq, false, 0, 0)
+			out = append(out, CPAttention(m, shape, seq, cpSize, causal, false),
+				CPAttention(m, shape, seq, cpSize, causal, true))
 		}
 	}
 	return out

@@ -51,9 +51,9 @@ func TestRankGridsMatchFastPairs(t *testing.T) {
 		}
 	}
 	// The sweep points carry the group's summed census.
-	r := AllGatherCPAttention(cost.Default(), Llama405BTP8(), 8192, 2, true, 512, 7)
+	r := CPAttention(cost.Default(), Llama405BTP8(), 8192, 2, docStartsFor(8192, true, 512, 7), false)
 	if r.Tiles.Calls != 2 || r.Tiles.EmptyTiles == 0 || r.Tiles.AllowedPairs == 0 {
-		t.Fatalf("AllGatherCPAttention tile census not populated: %+v", r.Tiles)
+		t.Fatalf("CPAttention tile census not populated: %+v", r.Tiles)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestFig12BandwidthShape(t *testing.T) {
-	results := Fig12(cost.Default())
+	results := Fig11(cost.Default())
 	// Achieved all-gather bandwidth grows with sequence length and is
 	// comparable between causal and block-causal masks (same bytes).
 	var prev float64
@@ -172,6 +172,42 @@ func TestFig13AllGatherVsRing(t *testing.T) {
 	}
 	if shortGap < 0.05 {
 		t.Fatalf("8K cp=4 advantage %v too small (paper: up to 13.5%%)", shortGap)
+	}
+}
+
+// TestCPSweepUsesChooserPrices: the Fig 11-13 figures price the K/V exchange
+// with the runtime chooser's own functions, bit for bit, and Fig 13's winner
+// at every point is the one cost.CPRingWins picks.
+func TestCPSweepUsesChooserPrices(t *testing.T) {
+	shape := Llama405BTP8()
+	price := func(m cost.Model, r CPAttnResult) float64 {
+		ranks := cluster.RanksOfGroup(0, r.CP, 1)
+		if r.Method == "ring" {
+			return m.CPRingTime(ranks, r.Seq, shape.Heads, shape.KVHeads, shape.HeadDim)
+		}
+		return m.CPAllGatherTime(ranks, r.Seq, shape.KVHeads, shape.HeadDim)
+	}
+	hbm2e := cost.Default().WithGPU(cluster.H100HBM2e())
+	for _, r := range Fig11(cost.Default()) {
+		if r.CommTime != price(hbm2e, r) {
+			t.Fatalf("Fig 11 %s cp=%d seq=%d doc=%v: comm %v, chooser prices %v",
+				r.Method, r.CP, r.Seq, r.DocMask, r.CommTime, price(hbm2e, r))
+		}
+	}
+	m := cost.Default()
+	fig13 := Fig13(m)
+	for i := 0; i < len(fig13); i += 2 {
+		ag, ring := fig13[i], fig13[i+1]
+		for _, r := range []CPAttnResult{ag, ring} {
+			if r.CommTime != price(m, r) {
+				t.Fatalf("Fig 13 %s cp=%d seq=%d: comm %v, chooser prices %v", r.Method, r.CP, r.Seq, r.CommTime, price(m, r))
+			}
+		}
+		ranks := cluster.RanksOfGroup(0, ag.CP, 1)
+		wins := m.CPRingWins(ranks, ag.Seq, shape.Heads, shape.KVHeads, shape.HeadDim)
+		if ringLeads := ring.RelativeHFU > ag.RelativeHFU; ringLeads != wins {
+			t.Fatalf("Fig 13 cp=%d seq=%d: ring leads %v, CPRingWins %v", ag.CP, ag.Seq, ringLeads, wins)
+		}
 	}
 }
 

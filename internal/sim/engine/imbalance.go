@@ -43,11 +43,7 @@ func DocMaskImbalance(m cost.Model, cfg model.Config, tp int, seq, cpSize, avgDo
 	hd := int64(cfg.HeadDim())
 
 	// Balanced per-rank per-layer compute: projections + FFN on local tokens.
-	d, h := int64(cfg.Dim), int64(cfg.Hidden)
-	base := m.GEMM(int64(qLocal), d, (int64(cfg.NHeads)+2*int64(cfg.NKVHeads))*hd/int64(tp)) +
-		m.GEMM(int64(qLocal), int64(cfg.NHeads)*hd/int64(tp), d) +
-		2*m.GEMM(int64(qLocal), d, h/int64(tp)) +
-		m.GEMM(int64(qLocal), h/int64(tp), d)
+	_, base := m.DenseLayer(int64(qLocal), int64(cfg.Dim), int64(cfg.Hidden/tp), heads, int64(cfg.NKVHeads/tp), hd)
 
 	kvB := 2 * 2 * float64(seq) * float64(cfg.NKVHeads/tp) * float64(hd)
 	cpRanks := make([]int, cpSize)

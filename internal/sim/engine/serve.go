@@ -132,10 +132,7 @@ func (ss ServeSim) prefillSeconds() float64 {
 	nkvL := int64(cfg.NKVHeads / ss.TP)
 	hL := int64(cfg.Hidden / ss.TP)
 
-	layer := m.GEMM(p, d, (nhL+2*nkvL)*hd) +
-		m.GEMM(p, nhL*hd, d) +
-		2*m.GEMM(p, d, hL) +
-		m.GEMM(p, hL, d)
+	_, layer := m.DenseLayer(p, d, hL, nhL, nkvL, hd)
 	layer += m.Attention(p, p, p*(p+1)/2, nhL, hd) // causal pairs: Σ (i+1)
 	if ss.TP > 1 {
 		actBytes := 2 * float64(p) * float64(d)

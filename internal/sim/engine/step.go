@@ -82,6 +82,11 @@ type StepReport struct {
 	DPCommTotal  float64   // all FSDP collective time, overlapped or not
 	PerRankBusy  []float64 // PP-rank compute seconds
 	Timeline     *pp.Timeline
+
+	// DPGather and DPScatter price one virtual stage's FSDP parameter
+	// all-gather and gradient reduce-scatter over the DP×CP group (0 when it
+	// has one member): DPExposed is their sum, DPCommTotal V times it.
+	DPGather, DPScatter float64
 }
 
 // ModeledOverlapFraction returns the fraction of FSDP communication time the
@@ -163,11 +168,7 @@ func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64)
 	nhL := int64(cfg.NHeads / ts.TP)
 	nkvL := int64(cfg.NKVHeads / ts.TP)
 
-	attnCompute = m.GEMM(tokens, d, (nhL+2*nkvL)*hd) + // fused q,k,v projections
-		m.GEMM(tokens, nhL*hd, d) // output projection
-	compute = attnCompute +
-		2*m.GEMM(tokens, d, h/int64(ts.TP)) + // gate and up
-		m.GEMM(tokens, h/int64(ts.TP), d) // down
+	attnCompute, compute = m.DenseLayer(tokens, d, h/int64(ts.TP), nhL, nkvL, hd)
 
 	// Attention: balanced causal sharding ⇒ totalPairs/cp per rank, per
 	// sample of the micro-batch.
@@ -277,10 +278,11 @@ func (ts TrainSim) Simulate() (*StepReport, error) {
 	// scatter; only one pair of those is exposed.
 	perRankParams := float64(ts.Model.LayerParams()) * float64(ts.Model.NLayers) / float64(ts.PP) / float64(ts.TP)
 	dpBytes := 2 * perRankParams / float64(ts.V) // one virtual stage's worth
-	dpExposed, dpTotal := 0.0, 0.0
+	var gather, scatter, dpExposed, dpTotal float64
 	if ts.DP*ts.CP > 1 {
 		g := ts.fsdpRanks()
-		dpExposed = ts.allGather(g, dpBytes) + ts.reduceScatter(g, 2*dpBytes)
+		gather, scatter = ts.allGather(g, dpBytes), ts.reduceScatter(g, 2*dpBytes)
+		dpExposed = gather + scatter
 		dpTotal = float64(ts.V) * dpExposed
 	}
 
@@ -294,6 +296,8 @@ func (ts TrainSim) Simulate() (*StepReport, error) {
 		BubbleRatio:  tl.BubbleRatio(),
 		DPExposed:    dpExposed,
 		DPCommTotal:  dpTotal,
+		DPGather:     gather,
+		DPScatter:    scatter,
 		PerRankBusy:  tl.Busy,
 		Timeline:     tl,
 	}

@@ -11,10 +11,10 @@ import (
 func TestFLOPCountAllHeads(t *testing.T) {
 	const m, k, n = 3, 5, 7
 	const want = 2 * m * k * n
-	a := New(m, k)   // [m,k]
-	bt := New(n, k)  // for a @ bᵀ
-	at := New(k, m)  // for aᵀ @ b
-	b := New(k, n)   // [k,n]
+	a := New(m, k)  // [m,k]
+	bt := New(n, k) // for a @ bᵀ
+	at := New(k, m) // for aᵀ @ b
+	b := New(k, n)  // [k,n]
 	dst := New(m, n)
 	acc := New(m, n) // for TMatMul heads: out is [a.Cols, b.Cols] = [m,n] with at [k,m]
 

@@ -71,19 +71,16 @@ func (s MultimodalSim) encoderFwdBwd() float64 {
 	tok := int64(s.Enc.Tokens())
 	d, h := int64(s.Enc.Dim), int64(s.Enc.Hidden)
 	hd := d / int64(s.Enc.NHeads)
-	perLayer := m.GEMM(tok, d, 3*d/int64(s.TP)) +
-		m.GEMM(tok, d/int64(s.TP), d) +
-		2*m.GEMM(tok, d, h/int64(s.TP)) +
-		m.GEMM(tok, h/int64(s.TP), d) +
-		m.Attention(tok, tok, tok*tok, int64(s.Enc.NHeads)/int64(s.TP), hd)
+	nhL := int64(s.Enc.NHeads) / int64(s.TP)
+	_, dense := m.DenseLayer(tok, d, h/int64(s.TP), nhL, nhL, hd) // self-attention: q, k, v heads alike
+	perLayer := dense + m.Attention(tok, tok, tok*tok, nhL, hd)
 	return 3 * float64(s.Enc.NLayers) * perLayer // fwd + bwd
 }
 
-// textFwdBwd returns the forward+backward time of the text stack on one
-// sample on one GPU slice: frozen self-attention layers (backward computes
-// input gradients only ≈ 1× forward instead of 2×) plus trainable
-// cross-attention layers attending the image tokens.
-func (s MultimodalSim) textFwdBwd() float64 {
+// textLayers returns the forward time of one text layer of each kind on one
+// sample on one GPU slice: a causal self-attention layer and a
+// cross-attention layer attending the image tokens.
+func (s MultimodalSim) textLayers() (self, cross float64) {
 	m := s.Cost
 	tok := int64(s.TextTokens)
 	imgTok := int64(s.Enc.Tokens())
@@ -92,18 +89,25 @@ func (s MultimodalSim) textFwdBwd() float64 {
 	nhL := int64(s.Text.NHeads / s.TP)
 	nkvL := int64(s.Text.NKVHeads / s.TP)
 
-	selfLayer := m.GEMM(tok, d, (nhL+2*nkvL)*hd) + m.GEMM(tok, nhL*hd, d) +
-		2*m.GEMM(tok, d, h/int64(s.TP)) + m.GEMM(tok, h/int64(s.TP), d) +
-		m.Attention(tok, tok, tok*(tok+1)/2, nhL, hd)
-	crossLayer := m.GEMM(tok, d, nhL*hd) + 2*m.GEMM(imgTok, d, nkvL*hd) +
+	_, dense := m.DenseLayer(tok, d, h/int64(s.TP), nhL, nkvL, hd)
+	self = dense + m.Attention(tok, tok, tok*(tok+1)/2, nhL, hd)
+	cross = m.GEMM(tok, d, nhL*hd) + 2*m.GEMM(imgTok, d, nkvL*hd) +
 		m.GEMM(tok, nhL*hd, d) +
 		2*m.GEMM(tok, d, h/int64(s.TP)) + m.GEMM(tok, h/int64(s.TP), d) +
 		m.Attention(tok, imgTok, tok*imgTok, nhL, hd)
+	return self, cross
+}
 
+// textFwdBwd returns the forward+backward time of the text stack on one
+// sample on one GPU slice: frozen self-attention layers (backward computes
+// input gradients only ≈ 1× forward instead of 2×) plus trainable
+// cross-attention layers attending the image tokens.
+func (s MultimodalSim) textFwdBwd() float64 {
+	self, cross := s.textLayers()
 	nCross := s.Text.NLayers / s.Ratio
 	// Frozen self layers: fwd + input-grad bwd ≈ 2× fwd. Trainable cross
 	// layers: fwd + full bwd ≈ 3× fwd (§3.2.2's imbalance source).
-	return 2*float64(s.Text.NLayers)*selfLayer + 3*float64(nCross)*crossLayer
+	return 2*float64(s.Text.NLayers)*self + 3*float64(nCross)*cross
 }
 
 // OptionReport is one Fig 6 evaluation point.
@@ -159,20 +163,8 @@ func (s MultimodalSim) Evaluate(opt ShardingOption) OptionReport {
 // stages, imbalanced). Returns the per-stage time spread (max/min) and the
 // stage count for each.
 func (s MultimodalSim) StageBalance() (opt1Spread float64, opt1Stages int, opt2Spread float64, opt2Stages int) {
-	m := s.Cost
-	tok := int64(s.TextTokens)
-	imgTok := int64(s.Enc.Tokens())
-	d, h := int64(s.Text.Dim), int64(s.Text.Hidden)
-	hd := int64(s.Text.HeadDim())
-	nhL := int64(s.Text.NHeads / s.TP)
-	nkvL := int64(s.Text.NKVHeads / s.TP)
-	selfLayer := 2 * (m.GEMM(tok, d, (nhL+2*nkvL)*hd) + m.GEMM(tok, nhL*hd, d) +
-		2*m.GEMM(tok, d, h/int64(s.TP)) + m.GEMM(tok, h/int64(s.TP), d) +
-		m.Attention(tok, tok, tok*(tok+1)/2, nhL, hd))
-	crossLayer := 3 * (m.GEMM(tok, d, nhL*hd) + 2*m.GEMM(imgTok, d, nkvL*hd) +
-		m.GEMM(tok, nhL*hd, d) +
-		2*m.GEMM(tok, d, h/int64(s.TP)) + m.GEMM(tok, h/int64(s.TP), d) +
-		m.Attention(tok, imgTok, tok*imgTok, nhL, hd))
+	self, cross := s.textLayers()
+	selfLayer, crossLayer := 2*self, 3*cross // fwd+bwd, as in textFwdBwd
 
 	// Option 1: each stage = Ratio self + 1 cross: identical stages.
 	opt1Stages = s.Text.NLayers / s.Ratio
