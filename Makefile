@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
+.PHONY: all build test vet race purego fuzz-kernels test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
 
 all: check
 
@@ -18,11 +18,19 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The pure-Go build of the one vector kernel (internal/tensor axpy4): the
-# packages whose bitwise contracts sit on it must pass without the assembly,
-# which is also what every non-amd64 host runs.
+# The pure-Go build of the vector kernels (internal/tensor axpy4 and the
+# GEMM register tile): the packages whose bitwise contracts sit on them must
+# pass without the assembly, which is also what every non-amd64 host runs.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/tp ./internal/vision ./internal/serve ./internal/core
+
+# Ten seconds of coverage-guided fuzzing per assembly kernel, each against
+# its scalar contract: FuzzMatMulTile (the GEMM paths and the register tile,
+# canaries around every dst row) and FuzzAxpy4. The committed corpora under
+# internal/tensor/testdata/fuzz also run as plain tests in `make test`.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulTile$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzAxpy4$$' -fuzztime 10s ./internal/tensor
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models
@@ -82,7 +90,8 @@ loc:
 # The census gate: exported functions and methods declared in non-test files
 # under internal/ whose name appears in no non-test .go file of the repo
 # (bench/ included) other than at its own declaration. By name, outside //
-# comments; Error/Unwrap/WriteTo (standard interfaces) are skipped. It prints
+# comments and "…" string literals (a name in a panic message is not a
+# caller); Error/Unwrap/WriteTo (standard interfaces) are skipped. It prints
 # every such package.Name and fails on any not in DEAD_ALLOW, and on any
 # DEAD_ALLOW entry that has gained a caller (drop it then). An unlisted entry
 # is a deletion waiting to happen; DEAD_ALLOW is the oracle and conformance
@@ -93,6 +102,7 @@ loc:
 DEAD_ALLOW := \
 	attention.Tiling attention.DenseForward attention.DenseBackward attention.DensePartialForwardInto \
 	tensor.SetPooling tensor.ResetFLOPCount tensor.Set tensor.Sum tensor.MaxAbs tensor.AllClose tensor.BitwiseEqual \
+	tensor.Dot tensor.MaxDiff tensor.SplitCols core.ParamsByName xval.PredictConfig \
 	comm.Contains comm.Broadcast comm.Barrier \
 	model.StepLoss model.CopyWeightsTo model.GradientVector model.ParamByName \
 	tp.ReplicatedGradAllReduce xval.PredictCollective xval.PredictCPPerRank \
@@ -100,7 +110,7 @@ DEAD_ALLOW := \
 
 dead:
 	@out=$$(find . -name '*.go' ! -name '*_test.go' | xargs awk -v allow="$(DEAD_ALLOW)" ' \
-		{ code = $$0; sub(/\/\/.*/, "", code); n = split(code, w, /[^A-Za-z0-9_]+/); \
+		{ code = $$0; gsub(/"([^"\\]|\\.)*"/, "", code); sub(/\/\/.*/, "", code); n = split(code, w, /[^A-Za-z0-9_]+/); \
 		  for (i = 1; i <= n; i++) uses[w[i]]++ } \
 		FILENAME ~ /^\.\/internal\// && match($$0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/) { \
 		  name = substr($$0, RSTART, RLENGTH); sub(/^func (\([^)]*\) )?/, "", name); \
@@ -120,7 +130,7 @@ dead:
 # subsystem exercise real cross-goroutine communication; the
 # measured-vs-modeled sweep and the kernels' bitwise-vs-oracle guards are
 # ordinary tests inside it),
-# rerun the kernel-bound packages on the pure-Go build, replay the planner
-# loop-closure guard, type-check the bench/ module against the tree, and
-# report the code size.
-check: build vet dead race purego check-planner bench-build loc
+# rerun the kernel-bound packages on the pure-Go build, fuzz the assembly
+# kernels, replay the planner loop-closure guard, type-check the bench/
+# module against the tree, and report the code size.
+check: build vet dead race purego fuzz-kernels check-planner bench-build loc

@@ -44,11 +44,6 @@ func Add(a, b float32) float32 {
 	return Round(a + b)
 }
 
-// Mul computes Round(a * b).
-func Mul(a, b float32) float32 {
-	return Round(a * b)
-}
-
 // SumBF16 accumulates xs with a BF16 accumulator: every partial sum is
 // rounded to BF16. This models a (hypothetical) low-precision reduction and
 // is the worst case the paper's FP32-accumulation recommendation avoids.

@@ -613,7 +613,8 @@ func (cl *Cluster) MaterializeParams() error {
 // ParamsByName gathers one full copy of the model's parameters from the
 // cluster (TP shards reassembled, stages collected), for comparison against
 // a sequential reference. Only valid when TP == 1; with TP > 1 use
-// GradOrWeightShardsFor to compare shard-wise.
+// GradOrWeightShardsFor to compare shard-wise. Test surface:
+// TestFSDPGroupCombinesDPAndCP.
 func (cl *Cluster) ParamsByName() map[string]*tensor.Tensor {
 	if cl.Cfg.Topo.TP != 1 {
 		panic("core: ParamsByName requires TP == 1 (shards are partial)")

@@ -453,7 +453,9 @@ func PredictRank(cfg core.Config, rank int, steadyState bool) *RankPrediction {
 // returns for a live cluster of the same configuration (the conformance
 // sweep asserts this). Note Expected.FLOPs is a world total in int64 — use
 // PredictRank for worlds whose total would overflow (405B-scale step FLOPs
-// exceed int64 around 10k ranks).
+// exceed int64 around 10k ranks). Test surface:
+// TestPredictConfigMatchesLiveCluster and the planner's
+// TestSearchWinnerSpotCheckExact.
 func PredictConfig(cfg core.Config, steadyState bool) *Expected {
 	counts := configCounts(cfg, "PredictConfig")
 	world := cfg.Topo.World()

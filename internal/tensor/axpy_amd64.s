@@ -77,6 +77,89 @@ done:
 	VZEROUPPER
 	RET
 
+// One row of the tile at step p: broadcast its coefficient, two rounded
+// VMULPS against the b row segment in Z8/Z9, two rounded VADDPS into the
+// row's accumulators — again never VFMADD, accumulator first.
+#define ROW(A, ACC0, ACC1, C, P0, P1) \
+	VBROADCASTSS (A)(CX*4), C; \
+	VMULPS Z8, C, P0;          \
+	VMULPS Z9, C, P1;          \
+	VADDPS P0, ACC0, ACC0;     \
+	VADDPS P1, ACC1, ACC1
+
+// func tile4x32AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int)
+//
+// A 4×32 block of dst lives in Z0–Z7 for all kc steps; per step the b row
+// segment is loaded once (Z8, Z9) and meets all four rows. Each of the
+// 4·32 lanes is one output element and sees the scalar loop's multiply,
+// round, add, round for p = 0, 1, …, kc−1. The blocks run left to right
+// over nc columns. The a row pointers sit at a[r][kc] and CX counts p−kc
+// up to zero, so one index register walks all four rows. Each step
+// prefetches the b row segment eight steps ahead: consecutive segments are
+// ldb apart, a stride the hardware prefetchers do not follow at 4 KiB, and
+// without it a weight matrix that is only in L3 (a decode step's) ran the
+// tile below the per-row kernel at m < 16, n = 1024. Past the slab the
+// prefetch only warms lines the next slab or nothing reads; it never faults.
+TEXT ·tile4x32AVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $2, R8
+	MOVQ kc+48(FP), CX
+	MOVQ a+16(FP), SI
+	LEAQ (SI)(CX*4), SI
+	MOVQ lda+24(FP), R9
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R10)(R9*2), R12
+	LEAQ (DI)(R8*2), R9 // dst row 2; row 1 is DI+R8, row 3 R9+R8
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), DX
+	SHLQ $2, DX
+	MOVQ nc+56(FP), R13
+
+block:
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS (DI)(R8*1), Z2
+	VMOVUPS 64(DI)(R8*1), Z3
+	VMOVUPS (R9), Z4
+	VMOVUPS 64(R9), Z5
+	VMOVUPS (R9)(R8*1), Z6
+	VMOVUPS 64(R9)(R8*1), Z7
+	MOVQ    BX, AX
+	MOVQ    kc+48(FP), CX
+	NEGQ    CX
+
+step:
+	PREFETCHT0 (AX)(DX*8)
+	PREFETCHT0 64(AX)(DX*8)
+	VMOVUPS    (AX), Z8
+	VMOVUPS    64(AX), Z9
+	ROW(SI, Z0, Z1, Z10, Z14, Z15)
+	ROW(R10, Z2, Z3, Z11, Z16, Z17)
+	ROW(R11, Z4, Z5, Z12, Z18, Z19)
+	ROW(R12, Z6, Z7, Z13, Z20, Z21)
+	ADDQ       DX, AX
+	INCQ       CX
+	JNZ        step
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(R8*1)
+	VMOVUPS Z3, 64(DI)(R8*1)
+	VMOVUPS Z4, (R9)
+	VMOVUPS Z5, 64(R9)
+	VMOVUPS Z6, (R9)(R8*1)
+	VMOVUPS Z7, 64(R9)(R8*1)
+	ADDQ    $128, DI
+	ADDQ    $128, R9
+	ADDQ    $128, BX
+	SUBQ    $32, R13
+	JNZ     block
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

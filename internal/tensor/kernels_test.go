@@ -17,7 +17,10 @@ func randMat(seed int64, r, c int) *Tensor {
 }
 
 // kernelShapes covers divisible and non-divisible row counts around the
-// chunking boundaries, including single-row and prime dimensions.
+// chunking boundaries, including single-row and prime dimensions; and the
+// register tile's edges: k past one tileK slab with a tail, n = 32·j + tail
+// on both sides of a tileN chunk, every leftover row count m mod 4, and rows
+// past one 64-group window.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 3, 2},
 	{7, 5, 9},
@@ -26,6 +29,23 @@ var kernelShapes = []struct{ m, k, n int }{
 	{65, 33, 127},
 	{127, 128, 65},
 	{256, 64, 50},
+	{9, 300, 70},
+	{10, 129, 33},
+	{11, 257, 300},
+	{12, 200, 288},
+	{261, 40, 70},
+}
+
+// eachGEMMKernel runs body with the GEMM kernel selected at init and, when
+// that is the AVX-512 register tile, again with the tile off — the per-row
+// axpy4 path an AVX2-only host runs — restoring the selection afterwards.
+func eachGEMMKernel(body func(kernel string)) {
+	defer func(sel bool) { useAVX512 = sel }(useAVX512)
+	if useAVX512 {
+		body("tile4x32")
+		useAVX512 = false
+	}
+	body("per-row")
 }
 
 // TestMatMulForcedWorkersBitwise pins the §6.2 determinism contract for the
@@ -34,6 +54,10 @@ var kernelShapes = []struct{ m, k, n int }{
 // chunk boundaries. Worker counts are forced on the internal kernel so the
 // parallel code paths run even where GOMAXPROCS would choose 1.
 func TestMatMulForcedWorkersBitwise(t *testing.T) {
+	eachGEMMKernel(func(kernel string) { testMatMulForcedWorkers(t, kernel) })
+}
+
+func testMatMulForcedWorkers(t *testing.T, kernel string) {
 	for _, sh := range kernelShapes {
 		a := randMat(int64(sh.m*1000+sh.n), sh.m, sh.k)
 		b := randMat(int64(sh.k*1000+sh.m), sh.k, sh.n)
@@ -52,20 +76,24 @@ func TestMatMulForcedWorkersBitwise(t *testing.T) {
 			}
 		}
 		if !BitwiseEqual(ref, naive) {
-			t.Fatalf("m=%d k=%d n=%d: tiled serial MatMul differs from naive", sh.m, sh.k, sh.n)
+			t.Fatalf("%s m=%d k=%d n=%d: tiled serial MatMul differs from naive", kernel, sh.m, sh.k, sh.n)
 		}
 
 		for _, w := range forcedWorkers[1:] {
 			out := New(sh.m, sh.n)
 			matMulRows(out, a, b, w, true)
 			if !BitwiseEqual(ref, out) {
-				t.Fatalf("m=%d k=%d n=%d workers=%d: MatMul not bitwise equal to serial", sh.m, sh.k, sh.n, w)
+				t.Fatalf("%s m=%d k=%d n=%d workers=%d: MatMul not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
 			}
 		}
 	}
 }
 
 func TestMatMulTForcedWorkersBitwise(t *testing.T) {
+	eachGEMMKernel(func(kernel string) { testMatMulTForcedWorkers(t, kernel) })
+}
+
+func testMatMulTForcedWorkers(t *testing.T, kernel string) {
 	for _, sh := range kernelShapes {
 		// a [m,k] @ b[n,k]ᵀ -> [m,n]
 		a := randMat(int64(sh.m+7), sh.m, sh.k)
@@ -76,7 +104,7 @@ func TestMatMulTForcedWorkersBitwise(t *testing.T) {
 			out := New(sh.m, sh.n)
 			matMulTRows(out, a, b, w)
 			if !BitwiseEqual(ref, out) {
-				t.Fatalf("m=%d k=%d n=%d workers=%d: MatMulT not bitwise equal to serial", sh.m, sh.k, sh.n, w)
+				t.Fatalf("%s m=%d k=%d n=%d workers=%d: MatMulT not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
 			}
 		}
 	}
@@ -86,6 +114,10 @@ func TestMatMulTForcedWorkersBitwise(t *testing.T) {
 // gradient-accumulation use — so the test also proves the += path is split-
 // invariant, not just the zeroed overwrite.
 func TestTMatMulAccForcedWorkersBitwise(t *testing.T) {
+	eachGEMMKernel(func(kernel string) { testTMatMulAccForcedWorkers(t, kernel) })
+}
+
+func testTMatMulAccForcedWorkers(t *testing.T, kernel string) {
 	for _, sh := range kernelShapes {
 		// a [k,m]ᵀ @ b [k,n] -> [m,n]
 		a := randMat(int64(sh.k+29), sh.k, sh.m)
@@ -97,7 +129,7 @@ func TestTMatMulAccForcedWorkersBitwise(t *testing.T) {
 			out := init.Clone()
 			tMatMulRows(out, a, b, w)
 			if !BitwiseEqual(ref, out) {
-				t.Fatalf("m=%d k=%d n=%d workers=%d: TMatMulAcc not bitwise equal to serial", sh.m, sh.k, sh.n, w)
+				t.Fatalf("%s m=%d k=%d n=%d workers=%d: TMatMulAcc not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
 			}
 		}
 	}
@@ -267,17 +299,26 @@ func TestPoolGetUninitReshapesAcrossShapes(t *testing.T) {
 	}
 }
 
+// TestPoolPutRejectsViews: a view shares a live parent's storage, so Put must
+// never retire it — neither a leading RowSlice (len < cap) nor a trailing one
+// or a Reshape, whose data slice reaches the end of the backing array
+// (len == cap) and used to pass the guard.
 func TestPoolPutRejectsViews(t *testing.T) {
-	p := NewPool()
 	parent := New(4, 3)
-	view := parent.RowSlice(0, 2) // len 6, cap 12: not the full backing array
-	p.Put(view)
-	st := p.Stats()
-	if st.Puts != 0 || st.Rejects != 1 {
-		t.Fatalf("stats = %+v, want the view rejected", st)
-	}
-	if got := p.Get(2, 3); &got.Data[0] == &parent.Data[0] {
-		t.Fatal("rejected view was handed back out")
+	for i, view := range []*Tensor{
+		parent.RowSlice(0, 2), // len 6, cap 12
+		parent.RowSlice(2, 4), // len 6, cap 6: parent's rows 2–3
+		parent.Reshape(2, 6),  // len 12, cap 12: all of parent
+	} {
+		p := NewPool()
+		p.Put(view)
+		if st := p.Stats(); st.Puts != 0 || st.Rejects != 1 {
+			t.Fatalf("view %d: stats = %+v, want the view rejected", i, st)
+		}
+		got := p.GetUninit(view.Shape...)
+		if &got.Data[0] == &view.Data[0] {
+			t.Fatalf("view %d: rejected view was handed back out", i)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ const copyThreshold = 1 << 20
 // keeps tiled, untiled, and row-parallel runs bitwise identical.
 const (
 	tileK = 128 // reduction-dim tile of the i-k-j MatMul kernel
+	tileN = 256 // column chunk of the register-tile path (a 128 KiB b panel)
 	tileT = 32  // square tile edge of the blocked Transpose kernel
 )
 
@@ -100,19 +101,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes dst = a @ b, overwriting dst ([m,n]). The
-// destination-passing variant of MatMul for callers that recycle buffers.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.Rows(), a.Cols()
-	k2, n := b.Rows(), b.Cols()
-	if k != k2 || dst.Rows() != m || dst.Cols() != n {
-		panic(fmt.Sprintf("tensor: MatMulInto %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
-	}
-	countMatMul(m, k, n)
-	dst.Zero()
-	matMulRows(dst, a, b, Workers(m, m*k*n), true)
-}
-
 // matMulRows accumulates out += a @ b (callers zero out for the overwrite
 // semantics), running the serial kernel over row chunks. Every product in the
 // package ends here.
@@ -130,17 +118,65 @@ func matMulRows(out, a, b *Tensor, workers int, skip bool) {
 
 // matmulInto accumulates out[m,n] += a[m,k] @ b[k,n] with an i-k-j loop
 // order, blocked over k so a tileK-row slab of b stays cache-resident while
-// each output row sweeps it. Every output row is one accumRows call per
-// slab: the adds land in increasing-p order as separately rounded +=, and
-// with skip a term is dropped exactly when its a value is zero, so the result
-// is bitwise identical to the one-p-at-a-time scalar kernel.
+// the output rows sweep it. Per slab and per window of 64 4-row groups, each
+// group's coefficient block is tested once; a tileable group runs the
+// register tile over the leading multiple of 32 columns, tileN columns of
+// the slab at a time (the panel stays in L2 across the groups), and a scalar
+// loop per (row, p) over the rest; every other row is one accumRows call.
+// Each path adds the terms in increasing-p order as separately rounded +=,
+// and with skip a term is dropped exactly when its a value is zero, so the
+// result is bitwise identical to the one-p-at-a-time scalar kernel.
 func matmulInto(out, a, b []float32, m, k, n int, skip bool) {
+	n32 := 0 // columns the tile covers
+	if useAVX512 && m >= 4 {
+		n32 = n &^ 31
+	}
 	for pt := 0; pt < k; pt += tileK {
-		pHi := min(pt+tileK, k)
-		for i := 0; i < m; i++ {
-			accumRows(out[i*n:(i+1)*n], a[i*k+pt:i*k+pHi], b[pt*n:pHi*n], skip)
+		kc, bs := min(tileK, k-pt), b[pt*n:min(pt+tileK, k)*n]
+		for i0 := 0; i0 < m; i0 += 4 * 64 {
+			i1 := min(i0+4*64, m)
+			var tiled uint64 // bit g: the group at row i0+4g runs on the tile
+			for g := 0; n32 > 0 && i0+4*g+4 <= i1; g++ {
+				if tileable(a[(i0+4*g)*k+pt:], k, kc, skip) {
+					tiled |= 1 << g
+				}
+			}
+			for jc := 0; jc < n32 && tiled != 0; jc += tileN {
+				for g := 0; tiled>>g != 0; g++ {
+					if i := i0 + 4*g; tiled>>g&1 != 0 {
+						tile4x32AVX512(&out[i*n+jc], n, &a[i*k+pt], k, &bs[jc], n, kc, min(tileN, n32-jc))
+					}
+				}
+			}
+			for i := i0; i < i1; i++ {
+				ai, oi := a[i*k+pt:i*k+pt+kc], out[i*n:(i+1)*n]
+				if tiled>>((i-i0)/4)&1 == 0 {
+					accumRows(oi, ai, bs, skip)
+					continue
+				}
+				for p := 0; n32 < n && p < kc; p++ {
+					av, bp := ai[p], bs[p*n:(p+1)*n]
+					for j := n32; j < n; j++ {
+						oi[j] += av * bp[j]
+					}
+				}
+			}
 		}
 	}
+}
+
+// tileable reports whether the 4×kc coefficient block whose rows start at
+// a[0], a[k], a[2k], a[3k] may run on the register tile, which multiplies
+// every term: always with skip off, else only if no coefficient is zero.
+func tileable(a []float32, k, kc int, skip bool) bool {
+	for r := 0; skip && r < 4; r++ {
+		for _, v := range a[r*k : r*k+kc] {
+			if v == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MatMulT returns a @ bᵀ for a [m,k] and b [n,k] — the attention-score path
@@ -155,17 +191,6 @@ func MatMulT(a, b *Tensor) *Tensor {
 	out := GetUninit(m, n)
 	matMulTRows(out, a, b, Workers(m, m*k*n))
 	return out
-}
-
-// MatMulTInto computes dst = a @ bᵀ, overwriting dst ([m,n]).
-func MatMulTInto(dst, a, b *Tensor) {
-	m, k := a.Rows(), a.Cols()
-	n, k2 := b.Rows(), b.Cols()
-	if k != k2 || dst.Rows() != m || dst.Cols() != n {
-		panic(fmt.Sprintf("tensor: MatMulTInto %v @ %vᵀ -> %v", a.Shape, b.Shape, dst.Shape))
-	}
-	countMatMul(m, k, n)
-	matMulTRows(dst, a, b, Workers(m, m*k*n))
 }
 
 // matMulTRows overwrites out = a @ bᵀ: b is transposed once (pure data
@@ -195,14 +220,6 @@ func TMatMul(a, b *Tensor) *Tensor {
 	out := Get(m, n)
 	tMatMulRows(out, a, b, Workers(m, m*k*n))
 	return out
-}
-
-// TMatMulInto computes dst = aᵀ @ b, overwriting dst ([m,n]).
-func TMatMulInto(dst, a, b *Tensor) {
-	checkTMatMul(dst, a, b, "TMatMulInto")
-	countMatMul(a.Cols(), a.Rows(), b.Cols())
-	dst.Zero()
-	tMatMulRows(dst, a, b, Workers(a.Cols(), a.Rows()*a.Cols()*b.Cols()))
 }
 
 // TMatMulAcc accumulates aᵀ @ b into out, used for gradient accumulation
@@ -383,7 +400,9 @@ func ConcatColsInto(dst *Tensor, parts ...*Tensor) {
 	}
 }
 
-// SplitCols splits a 2-D tensor into n equal column blocks.
+// SplitCols splits a 2-D tensor into n equal column blocks. Test surface:
+// tp's TestColRowPairMatchesSequentialPair and the tensor tests that hold
+// ColBlock and ConcatCols to it.
 //
 // Aliasing contract: the blocks are COPIES — mutating a block never affects
 // a, unlike SplitRows whose results alias a. Callers needing a single block

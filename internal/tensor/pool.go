@@ -57,7 +57,7 @@ func (p *Pool) Get(shape ...int) *Tensor {
 }
 
 // GetUninit returns a tensor of the given shape with UNDEFINED contents —
-// for destinations the caller fully overwrites (MatMulTInto, Transpose,
+// for destinations the caller fully overwrites (MatMulT, TransposeInto,
 // Clone). A nil pool degrades to New (which zeroes).
 func (p *Pool) GetUninit(shape ...int) *Tensor {
 	return p.getUninitTagged("", shape)
@@ -129,10 +129,10 @@ func (p *Pool) getUninitTagged(tag string, shape []int) *Tensor {
 	return t
 }
 
-// Put retires tensors into the pool for reuse. Nil tensors are skipped, as
-// are tensors whose data slice does not own its full backing array
-// (len != cap) — the cheap guard against retiring a view whose parent is
-// still live. A nil pool discards everything.
+// Put retires tensors into the pool for reuse. Nil tensors are skipped;
+// views made by RowSlice or Reshape, and tensors whose data slice does not
+// own its full backing array (len != cap), are rejected — the guard against
+// retiring storage a live parent still uses. A nil pool discards everything.
 func (p *Pool) Put(ts ...*Tensor) {
 	p.putTagged("", ts)
 }
@@ -151,7 +151,7 @@ func (p *Pool) putTagged(tag string, ts []*Tensor) {
 		if t == nil || len(t.Data) == 0 {
 			continue
 		}
-		if len(t.Data) != cap(t.Data) {
+		if t.view || len(t.Data) != cap(t.Data) {
 			p.mu.Lock()
 			p.rejects++
 			if tag != "" {

@@ -198,9 +198,18 @@ func zeroGroups(rng *rand.Rand, a, _ *Tensor) {
 // weight gradients xᵀ·dy, forward projections — all above the parallel
 // threshold, plus a 1024² transpose; then all three products and the
 // accumulating TMatMulAcc over kernelShapes (odd widths, every vector-tail
-// length, a single row) × operandPatterns.
+// length, a single row, the register tile's edges) × operandPatterns — on
+// the GEMM path selected at init and, on an AVX-512 host, again on the
+// per-row path.
 func TestKernelsMatchSeedBitwise(t *testing.T) {
-	t.Logf("axpy4 kernel selected at init: AVX2 assembly = %v", useAVX2)
+	t.Logf("kernels selected at init: AVX2 axpy4 = %v, AVX-512 register tile = %v", useAVX2, useAVX512)
+	eachGEMMKernel(func(kernel string) {
+		t.Logf("GEMM path: %s", kernel)
+		testKernelsMatchSeed(t, kernel)
+	})
+}
+
+func testKernelsMatchSeed(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(1))
 	q, k := RandN(rng, 1, 512, 128), RandN(rng, 1, 512, 128)
 	x, dy := RandN(rng, 1, 512, 256), RandN(rng, 1, 512, 512)
@@ -216,7 +225,7 @@ func TestKernelsMatchSeedBitwise(t *testing.T) {
 		{"Transpose", seedTranspose(a), transposed(a)},
 	} {
 		if !BitwiseEqual(tc.seed, tc.live) {
-			t.Errorf("%s differs from its seed kernel", tc.name)
+			t.Errorf("%s %s differs from its seed kernel", kernel, tc.name)
 		}
 	}
 
@@ -240,7 +249,7 @@ func TestKernelsMatchSeedBitwise(t *testing.T) {
 				{"TMatMulAcc", seedAcc, liveAcc},
 			} {
 				if !sameTensorBits(tc.seed, tc.live) {
-					t.Errorf("%s m=%d k=%d n=%d %s: differs from its seed kernel", tc.name, sh.m, sh.k, sh.n, pat.name)
+					t.Errorf("%s %s m=%d k=%d n=%d %s: differs from its seed kernel", kernel, tc.name, sh.m, sh.k, sh.n, pat.name)
 				}
 			}
 			if pat.name != "specials" {
@@ -250,11 +259,11 @@ func TestKernelsMatchSeedBitwise(t *testing.T) {
 			// products never see them, the dot product does.
 			for j := 0; j < sh.n; j++ {
 				if v := skip.At(0, j); v != v || math.IsInf(float64(v), 0) {
-					t.Errorf("MatMul m=%d k=%d n=%d: skipped special reached out[0,%d] = %v", sh.m, sh.k, sh.n, j, v)
+					t.Errorf("%s MatMul m=%d k=%d n=%d: skipped special reached out[0,%d] = %v", kernel, sh.m, sh.k, sh.n, j, v)
 				}
 			}
 			if sameTensorBits(skip, noSkip) {
-				t.Errorf("MatMulT m=%d k=%d n=%d: no NaN from 0·Inf — zeros in a were skipped", sh.m, sh.k, sh.n)
+				t.Errorf("%s MatMulT m=%d k=%d n=%d: no NaN from 0·Inf — zeros in a were skipped", kernel, sh.m, sh.k, sh.n)
 			}
 		}
 	}

@@ -18,6 +18,7 @@ import (
 type Tensor struct {
 	Shape []int
 	Data  []float32
+	view  bool // made by RowSlice or Reshape: shares another tensor's storage
 }
 
 // New returns a zero tensor with the given shape.
@@ -100,7 +101,7 @@ func (t *Tensor) Row(i int) []float32 {
 func (t *Tensor) RowSlice(lo, hi int) *Tensor {
 	c := t.Cols()
 	shape := append([]int{hi - lo}, t.Shape[1:]...)
-	return &Tensor{Shape: shape, Data: t.Data[lo*c : hi*c]}
+	return &Tensor{Shape: shape, Data: t.Data[lo*c : hi*c], view: true}
 }
 
 // Clone returns a deep copy. The copy is drawn from the default pool, so
@@ -118,7 +119,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: reshape %v -> %v mismatched size", t.Shape, shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data, view: true}
 }
 
 // Zero sets all elements to zero.
@@ -170,15 +171,6 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	return t
 }
 
-// Mul computes t *= o element-wise (Hadamard product).
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	checkSameLen(t, o, "Mul")
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
 // Scale computes t *= a.
 func (t *Tensor) Scale(a float32) *Tensor {
 	for i := range t.Data {
@@ -206,7 +198,10 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Dot returns the float64 inner product of the flattened tensors.
+// Dot returns the float64 inner product of the flattened tensors. Test
+// surface: the scalar loss of the gradient checks (model gradCheck and
+// TestRoPERelativeProperty, attention TestBackwardGradCheck, vision
+// TestViTGradCheck and TestCrossAttentionGradCheck).
 func Dot(a, b *Tensor) float64 {
 	checkSameLen(a, b, "Dot")
 	var s float64
@@ -252,7 +247,9 @@ func AllClose(a, b *Tensor, rtol, atol float64) bool {
 	return true
 }
 
-// MaxDiff returns the largest absolute element-wise difference.
+// MaxDiff returns the largest absolute element-wise difference. Test
+// surface: the tolerance checks of the comm, tp, cp, core, fsdp, pp, model,
+// vision and attention tests.
 func MaxDiff(a, b *Tensor) float64 {
 	checkSameLen(a, b, "MaxDiff")
 	var m float64
