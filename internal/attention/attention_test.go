@@ -327,3 +327,23 @@ func TestBackwardRejectsMisshapenPlane(t *testing.T) {
 		}()
 	}
 }
+
+// TestForwardRejectsValueWidthMismatch: a v whose width differs from q's is a
+// shape-mismatch panic at entry. It used to pass the check: a narrower v gave
+// an O packed at v's stride and scaled by v's width, a wider one an index
+// panic inside a worker.
+func TestForwardRejectsValueWidthMismatch(t *testing.T) {
+	const sq, d = 8, 16
+	q, k, _ := randQKV(15, sq, sq, d)
+	for _, dv := range []int{d / 2, 2 * d} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "attention: shape mismatch") {
+					t.Fatalf("v [%d,%d]: recovered %q, want an attention: shape mismatch panic", sq, dv, msg)
+				}
+			}()
+			Forward(q, k, tensor.New(sq, dv), Causal{}, Iota(sq), 0)
+		}()
+	}
+}

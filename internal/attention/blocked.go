@@ -332,7 +332,7 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 	}
 	body := func(lo, hi int) {
 		if q != nil {
-			blockedScoreRows(s, q, k, g, lo, hi)
+			blockedScoreRows(s, q, k, g, part == nil, lo, hi)
 		}
 		blockedSoftmaxRows(s, m, qPos, kOff, g, scale, part, lo, hi)
 		blockedPVRows(o, s, v, g, lo, hi)
@@ -345,64 +345,87 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 // floats at kd[(rowOff+j-colStart)·kw+kvOff:] — a run of rows of a packed
 // multi-head block (StreamScores) or, with kw = d and the offsets zero, row j
 // of a plain [sk, d] matrix (blockedScoreRows). Each element is one running
-// sum over the head dim in increasing order — the same rounding sequence as
-// the dense MatMulT kernel. Empty-tile entries are left untouched. The loop
-// nest is tile-outer, row-inner so one tile's key slab stays cache-resident
-// across the row band; neither the nesting order nor where a key run starts
-// or ends changes any element's reduction sequence, so both are bitwise
-// invisible.
-func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, colEnd int, g *Grid, lo, hi int) {
+// sum from +0 over the head dim in increasing order — the dense MatMulT
+// rounding sequence. Empty-tile entries are left untouched. Per column tile
+// the key run is transposed once into a pooled [d, TileCols] panel; a band of
+// four or more rows clears its rows of the tile (unless zeroed: the plane
+// holds +0 there) and runs tensor.AccumBlock with skip off, whose register
+// tile lanes are score elements running exactly that sum. A band of one to
+// three rows (a decode step's query) runs a scalar 4-key nest on the keys in
+// place. Neither nesting order nor run boundaries change any element's sum.
+func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, colEnd int, g *Grid, zeroed bool, lo, hi int) {
 	d := q.Cols()
 	n := s.Cols()
 	sd, qd := s.Data, q.Data
 	base := (rowOff-colStart)*kw + kvOff
-	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
-		r0, r1 := g.rowBand(rt)
-		r0, r1 = max(r0, lo), min(r1, hi)
-		for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
-			c0, c1 := g.colBand(ct)
-			c0, c1 = max(c0, colStart), min(c1, colEnd)
-			if c0 >= c1 {
-				break
-			}
+	var panel *tensor.Tensor // fetched from the pool on first use
+	for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
+		c0, c1 := g.colBand(ct)
+		c0, c1 = max(c0, colStart), min(c1, colEnd)
+		if c0 >= c1 {
+			break
+		}
+		w, packed := c1-c0, false
+		for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
-			for i := r0; i < r1; i++ {
-				qi := qd[i*d : (i+1)*d]
-				si := sd[i*n : (i+1)*n]
-				j := c0
-				for ; j+3 < c1; j += 4 {
-					a0 := base + j*kw
-					a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
-					k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
-					var s0, s1, s2, s3 float32
-					for p, qp := range qi {
-						s0 += qp * k0[p]
-						s1 += qp * k1[p]
-						s2 += qp * k2[p]
-						s3 += qp * k3[p]
+			r0, r1 := g.rowBand(rt)
+			r0, r1 = max(r0, lo), min(r1, hi)
+			if r1-r0 < 4 {
+				for i := r0; i < r1; i++ {
+					qi := qd[i*d : (i+1)*d]
+					si := sd[i*n : (i+1)*n]
+					j := c0
+					for ; j+3 < c1; j += 4 {
+						a0 := base + j*kw
+						a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
+						k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
+						var s0, s1, s2, s3 float32
+						for p, qp := range qi {
+							s0 += qp * k0[p]
+							s1 += qp * k1[p]
+							s2 += qp * k2[p]
+							s3 += qp * k3[p]
+						}
+						si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
 					}
-					si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
-				}
-				for ; j < c1; j++ {
-					a := base + j*kw
-					kj := kd[a : a+d]
-					var sum float32
-					for p, qp := range qi {
-						sum += qp * kj[p]
+					for ; j < c1; j++ {
+						a := base + j*kw
+						kj := kd[a : a+d]
+						var sum float32
+						for p, qp := range qi {
+							sum += qp * kj[p]
+						}
+						si[j] = sum
 					}
-					si[j] = sum
 				}
+				continue
 			}
+			if !packed {
+				if panel == nil {
+					panel = tensor.GetUninit(d, g.TileCols)
+				}
+				for j := c0; j < c1; j++ {
+					for p, v := range kd[base+j*kw : base+j*kw+d] {
+						panel.Data[p*w+j-c0] = v
+					}
+				}
+				packed = true
+			}
+			for i := r0; !zeroed && i < r1; i++ {
+				clear(sd[i*n+c0 : i*n+c1])
+			}
+			tensor.AccumBlock(sd[r0*n+c0:], n, qd[r0*d:], d, panel.Data, w, r1-r0, d, w, false)
 		}
 	}
+	tensor.Put(panel)
 }
 
 // blockedScoreRows is scoreRows over the whole key axis of a contiguous
 // [sk, d] key matrix: the forward's q·kᵀ and the backward's dP = dO·vᵀ.
-func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, lo, hi int) {
-	scoreRows(s, q, k.Data, k.Cols(), 0, 0, 0, s.Cols(), g, lo, hi)
+func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, zeroed bool, lo, hi int) {
+	scoreRows(s, q, k.Data, k.Cols(), 0, 0, 0, s.Cols(), g, zeroed, lo, hi)
 }
 
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
@@ -524,7 +547,8 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 // blockedPVRows accumulates o[i] += Σ_j p[i][j]·v[j] for rows [lo, hi),
 // skipping empty tiles and, like the dense MatMul kernel, every exact-zero
 // probability — one separately-rounded add per nonzero term in increasing
-// key order (tensor.AccumRows, the kernel under MatMul itself).
+// key order: per band, one tensor.AccumBlock call per non-empty tile in
+// increasing ct.
 func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 	d := v.Cols()
 	n := p.Cols()
@@ -532,59 +556,56 @@ func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
-		// Tile-outer, row-inner: the tile's value slab stays cache-resident
-		// across the row band. Each o[i] still accumulates its tiles in
-		// increasing-ct (hence increasing-j) order — bitwise unchanged.
 		for ct := 0; ct < g.NCols; ct++ {
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
 			c0, c1 := g.colBand(ct)
-			for i := r0; i < r1; i++ {
-				tensor.AccumRows(od[i*d:(i+1)*d], pd[i*n+c0:i*n+c1], vd[c0*d:c1*d])
-			}
+			tensor.AccumBlock(od[r0*d:], d, pd[r0*n+c0:], n, vd[c0*d:], d, r1-r0, c1-c0, d, true)
 		}
 	}
 }
 
 // blockedKeyRows accumulates out[j] += Σ_i s[i][j]·b[i] for key rows
-// [lo, hi) from the row-major [sq, sk] plane s, read where it lies: per
-// non-empty tile, column j (stride sk) is gathered into a TileRows-long
-// scratch and handed to the contiguous accumulate kernel — TileRows loads
-// per TileRows×d accumulate, no transposed copy of s, no strided kernel
-// under the GEMMs (DESIGN.md §4e). Reduction runs over query row-tiles in
-// increasing order, skipping empty tiles and exact-zero coefficients — the
-// dense TMatMul ordering. Serves both dV (s = P, b = dO) and dK (s = dS,
-// b = q).
+// [lo, hi) from the row-major [sq, sk] plane s: per non-empty tile, its
+// block of s is transposed into a pooled [TileCols, TileRows] scratch and
+// the key rows accumulate scratch times the tile's b rows in one
+// tensor.AccumBlock call, skip on (DESIGN.md §4e). Reduction runs over
+// query row-tiles in increasing order, skipping empty tiles and exact-zero
+// coefficients — the dense TMatMul ordering. Serves both dV (s = P, b = dO)
+// and dK (s = dS, b = q).
 func blockedKeyRows(out, s, b *tensor.Tensor, g *Grid, lo, hi int) {
 	d := b.Cols()
 	n := s.Cols()
 	od, sd, bd := out.Data, s.Data, b.Data
-	var buf [defaultTileRows]float32 // on the worker's stack at the default tiling
-	col := buf[:]
-	if g.TileRows > len(col) {
-		col = make([]float32, g.TileRows)
-	}
+	sT := tensor.GetUninit(g.TileCols, g.TileRows)
 	for ct := lo / g.TileCols; ct < g.NCols && ct*g.TileCols < hi; ct++ {
 		c0, c1 := g.colBand(ct)
 		c0, c1 = max(c0, lo), min(c1, hi)
-		// Tile-outer, key-row-inner: the tile's b slab stays cache-resident
-		// across the key band. Each out[j] still accumulates its tiles in
-		// increasing-rt (hence increasing-i) order — bitwise unchanged.
 		for rt := 0; rt < g.NRows; rt++ {
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
 			r0, r1 := g.rowBand(rt)
-			cj := col[:r1-r0]
-			for j := c0; j < c1; j++ {
-				for r := range cj {
-					cj[r] = sd[(r0+r)*n+j]
+			h := r1 - r0
+			i := r0
+			for ; i+4 <= r1; i += 4 { // four rows per pass: one 16-byte store per key
+				s0 := sd[i*n+c0 : i*n+c1]
+				s1, s2, s3 := sd[(i+1)*n+c0:][:len(s0)], sd[(i+2)*n+c0:][:len(s0)], sd[(i+3)*n+c0:][:len(s0)]
+				for j := range s0 {
+					t := sT.Data[j*h+i-r0:][:4]
+					t[0], t[1], t[2], t[3] = s0[j], s1[j], s2[j], s3[j]
 				}
-				tensor.AccumRows(od[j*d:(j+1)*d], cj, bd[r0*d:r1*d])
 			}
+			for ; i < r1; i++ {
+				for j, x := range sd[i*n+c0 : i*n+c1] {
+					sT.Data[j*h+i-r0] = x
+				}
+			}
+			tensor.AccumBlock(od[c0*d:], d, sT.Data, h, bd[r0*d:], d, c1-c0, h, d, true)
 		}
 	}
+	tensor.Put(sT)
 }
 
 // blockedBackward is the blocked engine behind Backward: the same four
@@ -620,7 +641,7 @@ func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int
 	dS := tensor.GetUninit(sq, sk)
 	dQ = tensor.Get(sq, d)
 	tensor.ParallelRows(sq, tensor.Workers(sq, 2*work), func(lo, hi int) {
-		blockedScoreRows(dS, dO, v, g, lo, hi)
+		blockedScoreRows(dS, dO, v, g, false, lo, hi)
 		blockedSoftmaxBackwardRows(dS, p, g, lo, hi)
 		blockedPVRows(dQ, dS, k, g, lo, hi)
 	})

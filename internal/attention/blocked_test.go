@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"llama4d/internal/tensor"
@@ -259,18 +260,44 @@ func scalarAttention(q, k, v, dO *tensor.Tensor, m Mask, qPos []int, kOff int) (
 // to scalarAttention on a document mask (empty, partial and full tiles at the
 // default tiling; head dim one 32-lane block plus one 8-lane block) and a
 // causal mask whose head dim and lengths leave every kind of vector tail.
+// The split cases run the bench's head dims under a document mask with the
+// queries at the last sq positions: 8 (per-row accumulates), 16 (the 4×16
+// register tile) and 48 (a 4×32 block plus a 4×16 one). Three workers split
+// the 199 query rows into band pieces of 3 rows (the scalar score nest) and
+// of 61, 6, 58 and 7 rows (1–3 rows past a 4-row group); at d ≥ 16 they
+// split the key rows of the dV/dK sweeps mid-tile too, and the last key tile
+// is 19 or 26 wide: a 16-column block plus a scalar tail in the score sweep.
 func TestBlockedMatchesScalarDefinition(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	tailDocs := func(sk int) Mask { return Document{DocID: DocIDsFromLengths([]int{100, 3, sk - 103}, sk)} }
 	for _, tc := range []struct {
 		name      string
 		sq, sk, d int
 		m         Mask
+		split     bool // queries at the last sq positions, split three ways
 	}{
-		{"document", 150, 150, 40, Document{DocID: DocIDsFromLengths([]int{70, 3, 50, 27}, 150)}},
-		{"causal", 97, 101, 13, Causal{}},
+		{"document", 150, 150, 40, Document{DocID: DocIDsFromLengths([]int{70, 3, 50, 27}, 150)}, false},
+		{"causal", 97, 101, 13, Causal{}, false},
+		{"document/d8", 199, 1619, 8, tailDocs(1619), true},
+		{"document/d16", 199, 1619, 16, tailDocs(1619), true},
+		{"document/d48", 199, 602, 48, tailDocs(602), true},
 	} {
 		q, k, v := randQKV(77, tc.sq, tc.sk, tc.d)
 		dO := tensor.RandN(rand.New(rand.NewSource(78)), 1, tc.sq, tc.d)
 		qPos := Iota(tc.sq)
+		if tc.split {
+			for i := range qPos {
+				qPos[i] += tc.sk - tc.sq
+			}
+			g := BuildGrid(tc.m, qPos, 0, tc.sk)
+			if w := tensor.Workers(tc.sq, 2*sweptWork(g, tc.d)); w != 3 {
+				t.Fatalf("%s: the forward runs %d workers, want a 3-way split", tc.name, w)
+			}
+			if w := tensor.Workers(tc.sk, sweptWork(g, tc.d)); tc.d >= 16 && w != 3 {
+				t.Fatalf("%s: the key sweeps run %d workers, want a 3-way split", tc.name, w)
+			}
+		}
 		wo, wp, wdq, wdk, wdv := scalarAttention(q, k, v, dO, tc.m, qPos, 0)
 		out := Forward(q, k, v, tc.m, qPos, 0)
 		dq, dk, dv := Backward(q, k, v, out.P, dO, tc.m, qPos, 0)
@@ -280,6 +307,46 @@ func TestBlockedMatchesScalarDefinition(t *testing.T) {
 		}{{"O", wo, out.O}, {"P", wp, out.P}, {"dQ", wdq, dq}, {"dK", wdk, dk}, {"dV", wdv, dv}} {
 			if !tensor.BitwiseEqual(c.want, c.got) {
 				t.Errorf("%s: %s differs from the scalar definition", tc.name, c.what)
+			}
+		}
+	}
+}
+
+// TestMaskedNonFiniteKeysStayOut plants NaN and ±Inf in key rows that every
+// query masks, inside a partial tile the sweeps run: their scores are
+// masked to +0 probabilities, and dQ's accumulate must drop those zero
+// coefficients (the register tile's per-row fallback, skip on) rather than
+// multiply them into NaN. Forward and Backward equal the dense path bitwise
+// and every output stays finite.
+func TestMaskedNonFiniteKeysStayOut(t *testing.T) {
+	const sq, sk, d = 100, 230, 16
+	m := Document{DocID: DocIDsFromLengths([]int{100, 3, sk - 103}, sk)}
+	qPos := make([]int, sq) // all in the third document: keys 0..102 are masked for every query
+	for i := range qPos {
+		qPos[i] = sk - sq + i
+	}
+	q, k, v := randQKV(71, sq, sk, d)
+	inf := float32(math.Inf(1))
+	for j, x := range map[int]float32{70: float32(math.NaN()), 80: inf, 90: -inf, 101: float32(math.NaN())} {
+		for c := j % 3; c < d; c += 3 {
+			k.Set(j, c, x)
+		}
+	}
+	dense := DenseForward(q, k, v, m, qPos, 0)
+	out := Forward(q, k, v, m, qPos, 0)
+	dO := tensor.RandN(rand.New(rand.NewSource(72)), 1, sq, d)
+	wdq, wdk, wdv := DenseBackward(q, k, v, dense.P, dO)
+	dq, dk, dv := Backward(q, k, v, out.P, dO, m, qPos, 0)
+	for _, c := range []struct {
+		what      string
+		want, got *tensor.Tensor
+	}{{"O", dense.O, out.O}, {"P", dense.P, out.P}, {"dQ", wdq, dq}, {"dK", wdk, dk}, {"dV", wdv, dv}} {
+		if !tensor.BitwiseEqual(c.want, c.got) {
+			t.Errorf("%s differs from the dense path", c.what)
+		}
+		for i, x := range c.got.Data {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				t.Fatalf("%s[%d] = %v: a masked non-finite key reached the output", c.what, i, x)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func checkShapes(q, k, v *tensor.Tensor, qPos []int) {
 	if len(qPos) != sq {
 		panic(fmt.Sprintf("attention: %d qPos for %d query rows", len(qPos), sq))
 	}
-	if k.Cols() != d || v.Rows() != sk {
+	if k.Cols() != d || v.Rows() != sk || v.Cols() != d {
 		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v", q.Shape, k.Shape, v.Shape))
 	}
 }
@@ -220,7 +220,7 @@ func preparePartial(out *Partial, sq, d int) *Partial {
 	} else {
 		out.O.Zero()
 	}
-	if cap(out.M) < sq {
+	if cap(out.M) < sq || cap(out.L) < sq {
 		out.M = make([]float32, sq)
 		out.L = make([]float32, sq)
 	}

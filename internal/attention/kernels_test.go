@@ -210,7 +210,8 @@ func TestPartialForwardRowSliceBitwise(t *testing.T) {
 
 // TestPartialForwardIntoReuseBitwise streams mismatched-then-matching shapes
 // through one scratch Partial and checks the reuse path is indistinguishable
-// from fresh allocations.
+// from fresh allocations — including a scratch whose L is shorter than its M,
+// which must be reallocated rather than sliced past its capacity.
 func TestPartialForwardIntoReuseBitwise(t *testing.T) {
 	m := Causal{}
 	q1, k1, v1 := randQKV(303, 24, 16, 8)
@@ -225,6 +226,9 @@ func TestPartialForwardIntoReuseBitwise(t *testing.T) {
 	checkPartialEqual(t, "shrunk reuse", scratch, want2)
 	scratch = PartialForwardInto(scratch, q1, k1, v1, m, Iota(24), 0) // regrow
 	checkPartialEqual(t, "regrown reuse", scratch, want1)
+	scratch.L = make([]float32, 2)
+	scratch = PartialForwardInto(scratch, q1, k1, v1, m, Iota(24), 0) // short L
+	checkPartialEqual(t, "short-L reuse", scratch, want1)
 	tensor.Put(scratch.O)
 }
 

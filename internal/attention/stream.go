@@ -13,9 +13,9 @@ import "llama4d/internal/tensor"
 
 // StreamScores computes s[i][j] = q[i]·k[j] for the key run occupying global
 // score columns [colStart, colStart+nCols), where key j lives in row
-// rowOff+(j-colStart) of kBlk at head columns [kvOff, kvOff+d). Only
-// non-empty tiles of g are touched; empty-tile entries keep the exact +0 the
-// zeroed score plane was allocated with. Each element is one ascending
+// rowOff+(j-colStart) of kBlk at head columns [kvOff, kvOff+d). s is the
+// zeroed score plane, each column filled once: the scores accumulate onto
+// its +0, and empty-tile entries keep it. Each element is one ascending
 // running sum over the head dim — the dense kernel's rounding sequence — so
 // block boundaries and tile traversal order never change any bit.
 func StreamScores(s, q, kBlk *tensor.Tensor, kvOff, rowOff, colStart, nCols int, g *Grid) {
@@ -36,7 +36,7 @@ func StreamScores(s, q, kBlk *tensor.Tensor, kvOff, rowOff, colStart, nCols int,
 		}
 	}
 	tensor.ParallelRows(sq, tensor.Workers(sq, swept*d), func(lo, hi int) {
-		scoreRows(s, q, kBlk.Data, kBlk.Cols(), kvOff, rowOff, colStart, cEnd, g, lo, hi)
+		scoreRows(s, q, kBlk.Data, kBlk.Cols(), kvOff, rowOff, colStart, cEnd, g, true, lo, hi)
 	})
 }
 

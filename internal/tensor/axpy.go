@@ -44,20 +44,16 @@ func axpy4Mixed(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// AccumRows accumulates dst += Σ_p coef[p]·rows[p] in increasing p, where
-// rows holds len(coef) contiguous rows of len(dst) elements: one separately
-// rounded multiply and add per term, and a term is skipped exactly when its
-// coefficient is zero (a masked probability contributes nothing, whatever the
-// row holds). One output row of MatMul/TMatMul and of the blocked attention
-// engine's P·V, dV and dK sweeps.
-func AccumRows(dst, coef, rows []float32) { accumRows(dst, coef, rows, true) }
-
-// accumRows is AccumRows with the zero-skip selectable: skip off multiplies
-// every term, so a zero coefficient still meets a NaN or Inf in its row (the
-// MatMulT dot-product semantic). Four terms are fused per sweep of dst,
-// quartering its load/store traffic; fusing never reorders the adds, so the
-// result is bitwise identical to one term at a time.
-func accumRows(dst, coef, rows []float32, skip bool) {
+// accumRows accumulates dst += Σ_p coef[p]·rows[p] in increasing p, where
+// row p of rows starts at rows[p·ldb] and has len(dst) elements: one
+// separately rounded multiply and add per term, the per-row path of the GEMM
+// kernel. With skip a term is dropped exactly when its coefficient is zero
+// (a masked probability contributes nothing, whatever the row holds); skip
+// off multiplies every term, so a zero coefficient still meets a NaN or Inf
+// in its row (the MatMulT dot-product semantic). Four terms are fused per
+// sweep of dst, quartering its load/store traffic; fusing never reorders the
+// adds, so the result is bitwise identical to one term at a time.
+func accumRows(dst, coef, rows []float32, ldb int, skip bool) {
 	n := len(dst)
 	p := 0
 	for ; p+3 < len(coef); p += 4 {
@@ -65,10 +61,10 @@ func accumRows(dst, coef, rows []float32, skip bool) {
 		if skip && a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		b0 := rows[p*n : (p+1)*n]
-		b1 := rows[(p+1)*n : (p+2)*n]
-		b2 := rows[(p+2)*n : (p+3)*n]
-		b3 := rows[(p+3)*n : (p+4)*n]
+		b0 := rows[p*ldb : p*ldb+n]
+		b1 := rows[(p+1)*ldb : (p+1)*ldb+n]
+		b2 := rows[(p+2)*ldb : (p+2)*ldb+n]
+		b3 := rows[(p+3)*ldb : (p+3)*ldb+n]
 		if !skip || (a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0) {
 			axpy4(dst, b0, b1, b2, b3, a0, a1, a2, a3)
 		} else {
@@ -80,7 +76,7 @@ func accumRows(dst, coef, rows []float32, skip bool) {
 		if skip && av == 0 {
 			continue
 		}
-		bp := rows[p*n : (p+1)*n]
+		bp := rows[p*ldb : p*ldb+n]
 		for j, bv := range bp {
 			dst[j] += av * bv
 		}

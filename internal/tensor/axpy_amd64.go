@@ -57,6 +57,11 @@ func axpy4AVX2(dst, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
 //go:noescape
 func tile4x32AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int)
 
+// tile4x16AVX512 is tile4x32AVX512 on one block of 16 columns.
+//
+//go:noescape
+func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -160,6 +160,60 @@ step:
 	VZEROUPPER
 	RET
 
+// One row of the 4×16 tile at step p: the ROW step on a single 16-lane
+// accumulator, the b row segment in Z8.
+#define ROW16(A, ACC, C, P) \
+	VBROADCASTSS (A)(CX*4), C; \
+	VMULPS Z8, C, P;           \
+	VADDPS P, ACC, ACC
+
+// func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc int)
+//
+// tile4x32AVX512's loop on one block of 16 columns: the block lives in
+// Z0–Z3, one accumulator per row, and each of its 4·16 lanes sees the same
+// multiply, round, add, round for p = 0, 1, …, kc−1. It takes the 16-column
+// block the 4×32 blocks leave when n mod 32 ≥ 16 — all of a head-dim-16
+// output, the last third of a head-dim-48 one.
+TEXT ·tile4x16AVX512(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $2, R8
+	MOVQ kc+48(FP), CX
+	MOVQ a+16(FP), SI
+	LEAQ (SI)(CX*4), SI
+	MOVQ lda+24(FP), R9
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R10)(R9*2), R12
+	LEAQ (DI)(R8*2), R9 // dst row 2; row 1 is DI+R8, row 3 R9+R8
+	MOVQ b+32(FP), AX
+	MOVQ ldb+40(FP), DX
+	SHLQ $2, DX
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(R8*1), Z1
+	VMOVUPS (R9), Z2
+	VMOVUPS (R9)(R8*1), Z3
+	NEGQ    CX
+
+step16:
+	PREFETCHT0 (AX)(DX*8)
+	VMOVUPS    (AX), Z8
+	ROW16(SI, Z0, Z10, Z14)
+	ROW16(R10, Z1, Z11, Z15)
+	ROW16(R11, Z2, Z12, Z16)
+	ROW16(R12, Z3, Z13, Z17)
+	ADDQ       DX, AX
+	INCQ       CX
+	JNZ        step16
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, (DI)(R8*1)
+	VMOVUPS Z2, (R9)
+	VMOVUPS Z3, (R9)(R8*1)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

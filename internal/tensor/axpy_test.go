@@ -91,8 +91,11 @@ func FuzzAxpy4(f *testing.F) {
 // past a 4-row group), k = 1–300 (one, two or three tileK slabs) and
 // n = 1–300 (every column tail past a 32-block, one or two tileN chunks).
 // The fuzzed bytes plant zeros and specials at the group and slab
-// boundaries, so a product mixes tiled blocks with per-row fallbacks. On an
-// AVX-512 host it then calls tile4x32AVX512 itself on four rows, with the
+// boundaries, so a product mixes tiled blocks with per-row fallbacks. It
+// then runs AccumBlock on strided copies of the operands (ldo > n, lda > k,
+// ldb > n, canaries in every gap), skip on and off, with the register tiles
+// on and off, against the strided scalar loop. On an AVX-512 host it finally
+// calls tile4x32AVX512 and tile4x16AVX512 themselves on four rows, with the
 // dst row stride ldd past the tile's width and canaries around every dst
 // row, against the scalar loop that multiplies every term.
 func FuzzMatMulTile(f *testing.F) {
@@ -145,40 +148,101 @@ func FuzzMatMulTile(f *testing.F) {
 			}
 		}
 
-		nc := n &^ 31
-		if !useAVX512 || nc == 0 {
+		checkAccumBlockStrided(t, a, b, acc, 1+int(uint64(seed)%5), 1+int(uint64(seed)/5%7), 1+int(uint64(seed)/35%9))
+
+		if !useAVX512 || n < 16 {
 			return
 		}
 		const pad = 8
 		const canary = float32(-12345.5)
-		ldd := nc + 1 + int(uint64(seed)%9)
 		a4 := make([]float32, 4*k) // rows 0..3 of a, wrapping when m < 4
 		for r := 0; r < 4; r++ {
 			copy(a4[r*k:], a.Row(r%m))
 		}
-		got := make([]float32, pad+4*ldd+pad)
-		for i := range got {
-			got[i] = canary
-		}
-		for r := 0; r < 4; r++ {
-			for j := 0; j < nc; j++ {
-				got[pad+r*ldd+j] = float32(rng.NormFloat64())
+		for _, nc := range []int{n &^ 31, 16} {
+			if nc == 0 {
+				continue
 			}
-		}
-		want := append([]float32(nil), got...)
-		for r := 0; r < 4; r++ {
-			for p := 0; p < k; p++ {
+			ldd := nc + 1 + int(uint64(seed)%9)
+			got := make([]float32, pad+4*ldd+pad)
+			for i := range got {
+				got[i] = canary
+			}
+			for r := 0; r < 4; r++ {
 				for j := 0; j < nc; j++ {
-					want[pad+r*ldd+j] += a4[r*k+p] * b.Data[p*n+j]
+					got[pad+r*ldd+j] = float32(rng.NormFloat64())
+				}
+			}
+			want := append([]float32(nil), got...)
+			for r := 0; r < 4; r++ {
+				for p := 0; p < k; p++ {
+					for j := 0; j < nc; j++ {
+						want[pad+r*ldd+j] += a4[r*k+p] * b.Data[p*n+j]
+					}
+				}
+			}
+			if nc == 16 {
+				tile4x16AVX512(&got[pad], ldd, &a4[0], k, &b.Data[0], n, k)
+			} else {
+				tile4x32AVX512(&got[pad], ldd, &a4[0], k, &b.Data[0], n, k, nc)
+			}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("tile m=4 k=%d nc=%d ldd=%d ldb=%d: element %d (row %d col %d past the pad) = %v (%#x), want %v (%#x)",
+						k, nc, ldd, n, i, (i-pad)/ldd, (i-pad)%ldd, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 				}
 			}
 		}
-		tile4x32AVX512(&got[pad], ldd, &a4[0], k, &b.Data[0], n, k, nc)
-		for i := range got {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("tile m=4 k=%d nc=%d ldd=%d ldb=%d: element %d (row %d col %d past the pad) = %v (%#x), want %v (%#x)",
-					k, nc, ldd, n, i, (i-pad)/ldd, (i-pad)%ldd, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	})
+}
+
+// checkAccumBlockStrided runs AccumBlock on copies of a [m,k], b [k,n] and
+// the accumulator acc [m,n] laid out at row strides lda = k+xa, ldb = n+xb
+// and ldo = n+xo, every gap (and both ends of out) holding a canary, against
+// the strided scalar loop — skip on (a zero coefficient drops its term) and
+// off — with the register tiles on, when the host has them, and off. Only
+// out's m×n block may change.
+func checkAccumBlockStrided(t *testing.T, a, b, acc *Tensor, xa, xb, xo int) {
+	t.Helper()
+	const pad = 8
+	const canary = float32(-12345.5)
+	m, k, n := a.Rows(), a.Cols(), b.Cols()
+	lda, ldb, ldo := k+xa, n+xb, n+xo
+	strided := func(src *Tensor, ld, lead int) []float32 {
+		buf := make([]float32, lead+src.Rows()*ld+pad)
+		for i := range buf {
+			buf[i] = canary
+		}
+		for i := 0; i < src.Rows(); i++ {
+			copy(buf[lead+i*ld:], src.Row(i))
+		}
+		return buf
+	}
+	as, bs := strided(a, lda, 0), strided(b, ldb, 0)
+	defer func(sel bool) { useAVX512 = sel }(useAVX512)
+	for _, skip := range []bool{true, false} {
+		want := strided(acc, ldo, pad)
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p++ {
+				av := as[i*lda+p]
+				if skip && av == 0 {
+					continue
+				}
+				for j := 0; j < n; j++ {
+					want[pad+i*ldo+j] += av * bs[p*ldb+j]
+				}
 			}
 		}
-	})
+		for _, tiles := range []bool{useAVX512, false} {
+			useAVX512 = tiles
+			got := strided(acc, ldo, pad)
+			AccumBlock(got[pad:], ldo, as, lda, bs, ldb, m, k, n, skip)
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("AccumBlock m=%d k=%d n=%d lda=%d ldb=%d ldo=%d skip=%v tiles=%v: element %d (row %d col %d past the pad) = %v (%#x), want %v (%#x)",
+						m, k, n, lda, ldb, ldo, skip, tiles, i, (i-pad)/ldo, (i-pad)%ldo, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
 }

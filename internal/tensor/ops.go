@@ -108,55 +108,66 @@ func matMulRows(out, a, b *Tensor, workers int, skip bool) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Cols()
 	if workers <= 1 { // skip the closure: it heap-allocates even when unused
-		matmulInto(out.Data, a.Data, b.Data, m, k, n, skip)
+		AccumBlock(out.Data, n, a.Data, k, b.Data, n, m, k, n, skip)
 		return
 	}
 	ParallelRows(m, workers, func(lo, hi int) {
-		matmulInto(out.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n, skip)
+		AccumBlock(out.Data[lo*n:], n, a.Data[lo*k:], k, b.Data, n, hi-lo, k, n, skip)
 	})
 }
 
-// matmulInto accumulates out[m,n] += a[m,k] @ b[k,n] with an i-k-j loop
-// order, blocked over k so a tileK-row slab of b stays cache-resident while
-// the output rows sweep it. Per slab and per window of 64 4-row groups, each
-// group's coefficient block is tested once; a tileable group runs the
-// register tile over the leading multiple of 32 columns, tileN columns of
-// the slab at a time (the panel stays in L2 across the groups), and a scalar
-// loop per (row, p) over the rest; every other row is one accumRows call.
-// Each path adds the terms in increasing-p order as separately rounded +=,
-// and with skip a term is dropped exactly when its a value is zero, so the
-// result is bitwise identical to the one-p-at-a-time scalar kernel.
-func matmulInto(out, a, b []float32, m, k, n int, skip bool) {
-	n32 := 0 // columns the tile covers
+// AccumBlock accumulates out[i][j] += Σ_p a[i][p]·b[p][j] (i < m, j < n, p < k
+// increasing), row i of out at out[i·ldo], of a at a[i·lda], row p of b at
+// b[p·ldb]. With skip a term is dropped exactly when its a value is zero
+// (MatMul, TMatMul); without, every term is multiplied (MatMulT). It is the
+// kernel under every product in the package and under the blocked attention
+// engine's sweeps, one call per non-empty mask tile. The i-k-j loop is
+// blocked over k so a tileK-row slab of b stays cache-resident. Per slab and
+// per window of 64 4-row groups, each group's coefficient block is tested
+// once; a tileable group runs the register tiles — 4×32 blocks, then one
+// 4×16 block when n mod 32 ≥ 16 — tileN columns of the slab at a time, and a
+// scalar loop per (row, p) over the rest; every other row is one accumRows
+// call. Each path adds the terms in increasing-p order as separately rounded
+// +=, so the result is bitwise identical to the one-p-at-a-time scalar kernel.
+func AccumBlock(out []float32, ldo int, a []float32, lda int, b []float32, ldb, m, k, n int, skip bool) {
+	nt := 0 // columns the tiles cover
 	if useAVX512 && m >= 4 {
-		n32 = n &^ 31
+		nt = n &^ 15
 	}
 	for pt := 0; pt < k; pt += tileK {
-		kc, bs := min(tileK, k-pt), b[pt*n:min(pt+tileK, k)*n]
+		kc, bs := min(tileK, k-pt), b[pt*ldb:]
 		for i0 := 0; i0 < m; i0 += 4 * 64 {
 			i1 := min(i0+4*64, m)
 			var tiled uint64 // bit g: the group at row i0+4g runs on the tile
-			for g := 0; n32 > 0 && i0+4*g+4 <= i1; g++ {
-				if tileable(a[(i0+4*g)*k+pt:], k, kc, skip) {
+			for g := 0; nt > 0 && i0+4*g+4 <= i1; g++ {
+				if tileable(a[(i0+4*g)*lda+pt:], lda, kc, skip) {
 					tiled |= 1 << g
 				}
 			}
-			for jc := 0; jc < n32 && tiled != 0; jc += tileN {
+			for jc := 0; jc < nt && tiled != 0; jc += tileN {
+				nc := min(tileN, nt-jc)
+				n32 := nc &^ 31
 				for g := 0; tiled>>g != 0; g++ {
 					if i := i0 + 4*g; tiled>>g&1 != 0 {
-						tile4x32AVX512(&out[i*n+jc], n, &a[i*k+pt], k, &bs[jc], n, kc, min(tileN, n32-jc))
+						o, ai := out[i*ldo+jc:], &a[i*lda+pt]
+						if n32 > 0 {
+							tile4x32AVX512(&o[0], ldo, ai, lda, &bs[jc], ldb, kc, n32)
+						}
+						if n32 < nc {
+							tile4x16AVX512(&o[n32], ldo, ai, lda, &bs[jc+n32], ldb, kc)
+						}
 					}
 				}
 			}
 			for i := i0; i < i1; i++ {
-				ai, oi := a[i*k+pt:i*k+pt+kc], out[i*n:(i+1)*n]
+				ai, oi := a[i*lda+pt:i*lda+pt+kc], out[i*ldo:i*ldo+n]
 				if tiled>>((i-i0)/4)&1 == 0 {
-					accumRows(oi, ai, bs, skip)
+					accumRows(oi, ai, bs, ldb, skip)
 					continue
 				}
-				for p := 0; n32 < n && p < kc; p++ {
-					av, bp := ai[p], bs[p*n:(p+1)*n]
-					for j := n32; j < n; j++ {
+				for p := 0; nt < n && p < kc; p++ {
+					av, bp := ai[p], bs[p*ldb:p*ldb+n]
+					for j := nt; j < n; j++ {
 						oi[j] += av * bp[j]
 					}
 				}
@@ -165,12 +176,12 @@ func matmulInto(out, a, b []float32, m, k, n int, skip bool) {
 	}
 }
 
-// tileable reports whether the 4×kc coefficient block whose rows start at
-// a[0], a[k], a[2k], a[3k] may run on the register tile, which multiplies
-// every term: always with skip off, else only if no coefficient is zero.
-func tileable(a []float32, k, kc int, skip bool) bool {
+// tileable reports whether the 4×kc coefficient block whose row r starts at
+// a[r·lda] may run on the register tile, which multiplies every term: always
+// with skip off, else only if no coefficient is zero.
+func tileable(a []float32, lda, kc int, skip bool) bool {
 	for r := 0; skip && r < 4; r++ {
-		for _, v := range a[r*k : r*k+kc] {
+		for _, v := range a[r*lda : r*lda+kc] {
 			if v == 0 {
 				return false
 			}
