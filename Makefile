@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego fuzz-kernels test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
+.PHONY: all build test vet race purego fuzz-kernels exhaustive-exp test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
 
 all: check
 
@@ -26,11 +26,19 @@ purego:
 
 # Ten seconds of coverage-guided fuzzing per assembly kernel, each against
 # its scalar contract: FuzzMatMulTile (the GEMM paths and the register tile,
-# canaries around every dst row) and FuzzAxpy4. The committed corpora under
+# canaries around every dst row), FuzzAxpy4 and FuzzExpShift (the vector exp
+# under ExpShift and Sigmoid). The committed corpora under
 # internal/tensor/testdata/fuzz also run as plain tests in `make test`.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulTile$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAxpy4$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzExpShift$$' -fuzztime 10s ./internal/tensor
+
+# The vector exp on all 2^32 float32 inputs (not tier-1, about four
+# CPU-minutes): ExpShift and Sigmoid Float32bits-equal to their math.Exp contracts,
+# and every float64 lane before narrowing bit-equal to math.Exp.
+exhaustive-exp:
+	$(GO) test -tags exhaustive -run '^TestExpExhaustive$$' -timeout 30m -v ./internal/tensor
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models

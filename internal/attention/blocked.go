@@ -429,14 +429,16 @@ func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, zeroed bool, lo, hi int) 
 }
 
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
-// the non-empty tiles: full tiles run without mask checks, partial tiles
-// hoist the mask via RowMask, masked entries are written as exact +0 — the
-// value dense maskedSoftmaxRows produces via exp(-Inf). Max, exponential and
-// normalisation reproduce SoftmaxRow's arithmetic term for term; the sum
-// skips only exact-zero contributions, which IEEE addition from +0 cannot
-// observe. With a non-nil part the rows stay unnormalised — exp(score − max)
-// at allowed keys — and each row's max and sum are stored in part.M and
-// part.L instead (−Inf and 0 for a row with no allowed key): the flash-style
+// the non-empty tiles: full tiles run without mask checks; partial tiles
+// hoist the mask via RowMask, write masked entries as −Inf and run the exp
+// from their first to their last allowed key, where exp(−Inf − max) is exact
+// +0 for every max (dense maskedSoftmaxRows' value); masked entries outside
+// that span are set to +0 directly. Max, exponential and normalisation
+// reproduce SoftmaxRow's arithmetic term for term; the sum skips or adds
+// masked +0s, which IEEE addition from +0 cannot observe (no exp is −0).
+// With a non-nil part the rows stay unnormalised — exp(score − max) at
+// allowed keys — and each row's max and sum are stored in part.M and part.L
+// instead (−Inf and 0 for a row with no allowed key): the flash-style
 // statistics, one rounded add per allowed key in increasing key order, as
 // DensePartialForwardInto's sweep computes them.
 func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, part *Partial, lo, hi int) {
@@ -461,7 +463,7 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 			RowMask(m, qPos[i], kOff, allowed)
 		}
 		// Scale and row max over allowed entries; masked entries of partial
-		// tiles become +0 now so a fully-masked row needs no second pass.
+		// tiles become −Inf, which the exp pass turns into +0.
 		maxv := negInf
 		for ct, kind := range kinds {
 			if kind == TileEmpty {
@@ -484,7 +486,7 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 						maxv = row[j]
 					}
 				} else {
-					row[j] = 0
+					row[j] = negInf
 				}
 			}
 		}
@@ -511,20 +513,17 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 				continue
 			}
 			c0, c1 := g.colBand(ct)
-			if kind == TileFull {
-				for j := c0; j < c1; j++ {
-					e := float32(math.Exp(float64(row[j] - maxv)))
-					row[j] = e
-					sum += e
-				}
-				continue
+			for kind == TilePartial && c0 < c1 && !allowed[c0] {
+				row[c0] = 0
+				c0++
 			}
-			for j := c0; j < c1; j++ {
-				if allowed[j] {
-					e := float32(math.Exp(float64(row[j] - maxv)))
-					row[j] = e
-					sum += e
-				}
+			for kind == TilePartial && c1 > c0 && !allowed[c1-1] {
+				row[c1-1] = 0
+				c1--
+			}
+			tensor.ExpShift(row[c0:c1], maxv)
+			for _, e := range row[c0:c1] {
+				sum += e
 			}
 		}
 		if part != nil {

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"math/rand"
 
 	"llama4d/internal/tensor"
@@ -30,17 +29,31 @@ type ffnCtx struct {
 	c1, c3, c2 any
 }
 
-func sigmoid(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// swiglu is the activation silu(a) ∘ b; it consumes neither operand.
+// swiglu is the activation silu(a) ∘ b, av·sigmoid(av)·bv per element; it
+// consumes neither operand.
 func swiglu(a, b *tensor.Tensor) *tensor.Tensor {
 	h := tensor.GetUninit(a.Rows(), a.Cols())
+	tensor.Sigmoid(h.Data, a.Data)
 	for i, av := range a.Data {
-		h.Data[i] = av * sigmoid(av) * b.Data[i]
+		h.Data[i] = av * h.Data[i] * b.Data[i]
 	}
 	return h
+}
+
+// swigluGrad is swiglu's backward: the gradients of dh·(silu(a) ∘ b) with
+// respect to a and b, element by element, into fresh pooled tensors.
+func swigluGrad(dh, a, b *tensor.Tensor) (da, db *tensor.Tensor) {
+	da = tensor.GetUninit(dh.Rows(), dh.Cols())
+	db = tensor.GetUninit(dh.Rows(), dh.Cols())
+	tensor.Sigmoid(da.Data, a.Data)
+	for i, g := range dh.Data {
+		av, s := a.Data[i], da.Data[i]
+		silu := av * s
+		dSilu := s * (1 + av*(1-s))
+		da.Data[i] = g * b.Data[i] * dSilu
+		db.Data[i] = g * silu
+	}
+	return da, db
 }
 
 // Forward implements Layer.
@@ -69,16 +82,7 @@ func (f *FFN) Hidden(x *tensor.Tensor) *tensor.Tensor {
 func (f *FFN) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 	ctx := ctxAny.(*ffnCtx)
 	dh := f.W2.Backward(ctx.c2, dy)
-	da := tensor.GetUninit(dh.Rows(), dh.Cols())
-	db := tensor.GetUninit(dh.Rows(), dh.Cols())
-	for i := range dh.Data {
-		a := ctx.a.Data[i]
-		s := sigmoid(a)
-		silu := a * s
-		dSilu := s * (1 + a*(1-s))
-		da.Data[i] = dh.Data[i] * ctx.b.Data[i] * dSilu
-		db.Data[i] = dh.Data[i] * silu
-	}
+	da, db := swigluGrad(dh, ctx.a, ctx.b)
 	tensor.Put(dh)
 	dx := f.W1.Backward(ctx.c1, da)
 	t3 := f.W3.Backward(ctx.c3, db)

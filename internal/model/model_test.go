@@ -557,3 +557,50 @@ func TestCheckpointResumeContinuesTrainingIdentically(t *testing.T) {
 		}
 	}
 }
+
+// sigmoidScalar is the seed's sigmoid, the scalar contract of tensor.Sigmoid.
+func sigmoidScalar(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
+
+// TestSwiGLUMatchesScalar holds swiglu and swigluGrad — FFN's forward
+// activation and the element loop of its backward, on tensor.Sigmoid —
+// Float32bits-equal (NaN-ness for NaN) to the seed's scalar expressions,
+// one math.Exp call per element, in the same operation order. Rows run
+// across the vector exp's 8-lane blocks and its tail; the pre-activations
+// include NaN, ±Inf, a row of −Inf, denormals and values past ±104, where
+// sigmoid's exp under- or overflows.
+func TestSwiGLUMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rows, cols := 4, 37
+	a := tensor.RandN(rng, 3, rows, cols)
+	b := tensor.RandN(rng, 1, rows, cols)
+	dh := tensor.RandN(rng, 1, rows, cols)
+	inf := float32(math.Inf(1))
+	specials := []float32{float32(math.NaN()), inf, -inf, math.Float32frombits(1), -math.Float32frombits(0x7fffff),
+		0, float32(math.Copysign(0, -1)), 88.8, -88.8, 104.5, -104.5, 800, -800, math.MaxFloat32, -math.MaxFloat32}
+	for j, v := range specials {
+		a.Set(1, 2*j, v)
+	}
+	for j := 0; j < cols; j++ {
+		a.Set(2, j, -inf)
+	}
+	h := swiglu(a, b)
+	da, db := swigluGrad(dh, a, b)
+	for i, av := range a.Data {
+		s := sigmoidScalar(av)
+		silu := av * s
+		dSilu := s * (1 + av*(1-s))
+		for _, c := range []struct {
+			name      string
+			got, want float32
+		}{
+			{"swiglu", h.Data[i], av * s * b.Data[i]},
+			{"da", da.Data[i], dh.Data[i] * b.Data[i] * dSilu},
+			{"db", db.Data[i], dh.Data[i] * silu},
+		} {
+			if math.Float32bits(c.got) != math.Float32bits(c.want) && !(c.got != c.got && c.want != c.want) {
+				t.Fatalf("%s at a=%v (element %d) = %v (%#x), scalar %v (%#x)",
+					c.name, av, i, c.got, math.Float32bits(c.got), c.want, math.Float32bits(c.want))
+			}
+		}
+	}
+}

@@ -11,6 +11,11 @@ var useAVX2 = detectAVX2()
 // and the OS saves the opmask and all 32 ZMM registers.
 var useAVX512 = useAVX2 && detectAVX512()
 
+// useVecExp selects the vector exp (exp_amd64.s): the register tile's
+// AVX-512, plus FMA with the AVX state enabled — the predicate under which
+// math.Exp itself takes its FMA path, the one the kernel's lanes reproduce.
+var useVecExp = useAVX512 && detectFMA()
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -25,6 +30,15 @@ func detectAVX2() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0
+}
+
+func detectFMA() bool {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&fma == 0 || c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	lo, _ := xgetbv()
+	return lo&6 == 6
 }
 
 func detectAVX512() bool {
@@ -61,6 +75,40 @@ func tile4x32AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb,
 //
 //go:noescape
 func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc int)
+
+// expShiftVec runs the vector exp over the leading multiple of eight
+// elements of x and returns how many it covered.
+func expShiftVec(x []float32, shift float32) int {
+	n := len(x) &^ 7
+	if n == 0 || !useVecExp {
+		return 0
+	}
+	expShiftAVX512(&x[0], n, shift)
+	return n
+}
+
+// sigmoidVec is expShiftVec for Sigmoid; len(dst) == len(src).
+func sigmoidVec(dst, src []float32) int {
+	n := len(src) &^ 7
+	if n == 0 || !useVecExp {
+		return 0
+	}
+	sigmoidAVX512(&dst[0], &src[0], n)
+	return n
+}
+
+//go:noescape
+func expShiftAVX512(x *float32, n int, shift float32)
+
+//go:noescape
+func sigmoidAVX512(dst, src *float32, n int)
+
+// exp64AVX512 is the vector exp on float64 lanes, dst[j] = exp(src[j]) for
+// j < n, n a positive multiple of 8: what the tests compare with math.Exp
+// before narrowing.
+//
+//go:noescape
+func exp64AVX512(dst, src *float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

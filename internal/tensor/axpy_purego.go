@@ -8,6 +8,13 @@ const useAVX2 = false
 // it stays false, and neither register tile is ever reached.
 var useAVX512 = false
 
+// useVecExp is off: ExpShift and Sigmoid call math.Exp on every element.
+const useVecExp = false
+
+func expShiftVec(x []float32, shift float32) int { return 0 }
+
+func sigmoidVec(dst, src []float32) int { return 0 }
+
 // axpy4Vec covers nothing: axpy4's scalar loop does all the work.
 func axpy4Vec(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) int { return 0 }
 

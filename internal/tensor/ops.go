@@ -327,10 +327,9 @@ func SoftmaxRow(xs []float32) {
 		}
 		return
 	}
+	ExpShift(xs, maxv)
 	var sum float32
-	for i, v := range xs {
-		e := float32(math.Exp(float64(v - maxv)))
-		xs[i] = e
+	for _, e := range xs {
 		sum += e
 	}
 	inv := 1 / sum

@@ -116,6 +116,33 @@ func seedTMatMulAcc(out, a, b *Tensor) {
 	}
 }
 
+// seedSoftmaxRow is the seed's SoftmaxRow: one math.Exp call per element,
+// each added to the row sum as it is computed.
+func seedSoftmaxRow(xs []float32) {
+	maxv := float32(math.Inf(-1))
+	for _, v := range xs {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	if math.IsInf(float64(maxv), -1) {
+		for i := range xs {
+			xs[i] = 0
+		}
+		return
+	}
+	var sum float32
+	for i, v := range xs {
+		e := float32(math.Exp(float64(v - maxv)))
+		xs[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range xs {
+		xs[i] *= inv
+	}
+}
+
 // sameBits is Float32bits equality, except that any NaN equals any NaN: Go
 // leaves unspecified which payload survives when two different NaNs meet (it
 // depends on the operand order the compiler picks for a commutative op), so
@@ -202,7 +229,7 @@ func zeroGroups(rng *rand.Rand, a, _ *Tensor) {
 // the GEMM path selected at init and, on an AVX-512 host, again on the
 // per-row path.
 func TestKernelsMatchSeedBitwise(t *testing.T) {
-	t.Logf("kernels selected at init: AVX2 axpy4 = %v, AVX-512 register tile = %v", useAVX2, useAVX512)
+	t.Logf("kernels selected at init: AVX2 axpy4 = %v, AVX-512 register tile = %v, AVX-512 exp = %v", useAVX2, useAVX512, useVecExp)
 	eachGEMMKernel(func(kernel string) {
 		t.Logf("GEMM path: %s", kernel)
 		testKernelsMatchSeed(t, kernel)
@@ -264,6 +291,56 @@ func testKernelsMatchSeed(t *testing.T, kernel string) {
 			}
 			if sameTensorBits(skip, noSkip) {
 				t.Errorf("%s MatMulT m=%d k=%d n=%d: no NaN from 0·Inf — zeros in a were skipped", kernel, sh.m, sh.k, sh.n)
+			}
+		}
+	}
+}
+
+// softmaxRowCases are rows whose exps meet every kind of result: NaN, ±Inf
+// (an +Inf max turns every finite entry into +0 and itself into NaN), all
+// −Inf (the zeroed row), −Inf beside finite values, float32 denormals, and
+// gaps to the max past −87.3 (denormal exps) and −104 (exps of +0).
+var softmaxRowCases = [][]float32{
+	{float32(math.NaN()), 1, 2},
+	{1, float32(math.Inf(1)), -3, float32(math.Inf(-1))},
+	{float32(math.Inf(-1)), float32(math.Inf(-1)), float32(math.Inf(-1))},
+	{float32(math.Inf(-1)), 0.5, float32(math.Inf(-1)), -2},
+	{math.Float32frombits(1), -math.Float32frombits(0x7fffff), 0, float32(math.Copysign(0, -1))},
+	{0, -50, -87.5, -90, -103.5, -104.5, -120, -1000, -math.MaxFloat32},
+	{math.MaxFloat32, -math.MaxFloat32, 88.7, -88.7},
+}
+
+// TestSoftmaxRowMatchesSeed holds SoftmaxRow — its exp pass on the vector
+// exp where the host has it — Float32bits-equal (NaN-ness for NaN) to the
+// seed's, on softmaxRowCases and on random rows with those values planted,
+// at every length 0–70 (no 8-lane block, whole blocks, every tail).
+func TestSoftmaxRowMatchesSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var specials []float32
+	for _, row := range softmaxRowCases {
+		specials = append(specials, row...)
+	}
+	rows := softmaxRowCases
+	for n := 0; n <= 70; n++ {
+		for _, plant := range []int{0, 4, 16} {
+			row := make([]float32, n)
+			for j := range row {
+				row[j] = float32(rng.NormFloat64() * 10)
+				if plant > 0 && rng.Intn(plant) == 0 {
+					row[j] = specials[rng.Intn(len(specials))]
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	for _, row := range rows {
+		want, got := append([]float32(nil), row...), append([]float32(nil), row...)
+		seedSoftmaxRow(want)
+		SoftmaxRow(got)
+		for j := range row {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("SoftmaxRow(%v): element %d = %v (%#x), seed %v (%#x)",
+					row, j, got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
 			}
 		}
 	}

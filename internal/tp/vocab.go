@@ -130,10 +130,9 @@ func (h *VocabParallelHead) ForwardLoss(x *tensor.Tensor, targets []int, scale f
 	sumExp := tensor.GetUninit(rows)
 	for i := 0; i < rows; i++ {
 		row := logits.Row(i)
+		tensor.ExpShift(row, globalMax.Data[i]) // logits now hold local exp values
 		var s float32
-		for j, v := range row {
-			e := float32(math.Exp(float64(v - globalMax.Data[i])))
-			row[j] = e // logits now hold local exp values
+		for _, e := range row {
 			s += e
 		}
 		sumExp.Data[i] = s

@@ -92,6 +92,90 @@ func TestVocabParallelHeadMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestVocabParallelHeadProbsBitwise holds the vocab-parallel head's
+// probabilities Float32bits-equal (NaN-ness for NaN) to a scalar single-rank
+// definition at tp = 1 and 2: logits from the full projection, the row max,
+// one math.Exp call per element, each rank slice's exps summed in
+// increasing column, the slice sums added in rank order (two terms commute
+// exactly, so the all-reduce's order cannot show), then one multiply by the
+// reciprocal. Each input row is one-hot, so MatMul's zero skip makes logit
+// row i the projection's row i times one positive factor, and the rows plant
+// NaN, +Inf (every finite exp +0, the +Inf entry NaN), a row of all −Inf,
+// −Inf beside finite values, denormals and gaps to the max past −87.3 and
+// −104. Each rank's slice of 21 columns runs two vector blocks and a tail.
+func TestVocabParallelHeadProbsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	dim, vocab := 8, 42
+	seqHead := model.NewHead("head", dim, vocab, rng)
+	w := seqHead.Proj.P.W
+	inf := float32(math.Inf(1))
+	plant := map[int][]float32{
+		1: {float32(math.NaN())},
+		2: {inf},
+		4: {math.Float32frombits(1), -math.Float32frombits(0x7fffff), 0, float32(math.Copysign(0, -1))},
+		5: {0, -30, -31, -36, -37, -42, -60, -400},
+		6: {-inf, -inf, 1},
+		7: {30, 31.3, 35},
+	}
+	for i, vals := range plant {
+		for j, v := range vals {
+			w.Set(i, 5*j%vocab, v)
+		}
+	}
+	for j := 0; j < vocab; j++ {
+		w.Set(3, j, -inf)
+	}
+	x := tensor.New(dim, dim)
+	for i := 0; i < dim; i++ {
+		x.Set(i, i, 1)
+	}
+	targets := make([]int, dim)
+
+	normed, _ := seqHead.Norm.Forward(x, nil)
+	logits := tensor.MatMul(normed, w)
+	for _, tpSize := range []int{1, 2} {
+		want := logits.Clone()
+		per := vocab / tpSize
+		for i := 0; i < dim; i++ {
+			row := want.Row(i)
+			m := float32(math.Inf(-1))
+			for _, v := range row {
+				if v > m {
+					m = v
+				}
+			}
+			var sum float32
+			for r := 0; r < tpSize; r++ {
+				var s float32
+				for j := r * per; j < (r+1)*per; j++ {
+					row[j] = float32(math.Exp(float64(row[j] - m)))
+					s += row[j]
+				}
+				sum += s
+			}
+			inv := 1 / sum
+			for j := range row {
+				row[j] *= inv
+			}
+		}
+		probs := make([]*tensor.Tensor, tpSize)
+		if err := runTP(tpSize, func(ctx *Ctx) {
+			h := NewVocabParallelHeadFromFull(seqHead, ctx)
+			_, c := h.ForwardLoss(x, targets, 1, nil)
+			probs[ctx.Local()] = c.(*vocabHeadCtx).probs
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := tensor.ConcatCols(probs...)
+		for k, g := range got.Data {
+			if wv := want.Data[k]; math.Float32bits(g) != math.Float32bits(wv) && !(g != g && wv != wv) {
+				t.Fatalf("tp=%d: p[%d][%d] = %v (%#x), scalar %v (%#x) from logit %v",
+					tpSize, k/vocab, k%vocab, g, math.Float32bits(g), wv, math.Float32bits(wv), logits.Data[k])
+			}
+		}
+	}
+}
+
 func TestVocabParallelHeadIgnoredTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	seqHead := model.NewHead("head", 8, 16, rng)
