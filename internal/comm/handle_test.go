@@ -77,7 +77,7 @@ func TestIAllGatherMatchesBlockingAndInterops(t *testing.T) {
 			async[rank] = g.AllGather(rank, x)
 			return
 		}
-		h := g.IAllGather(rank, x)
+		h := g.IAllGather(rank, x, tensor.New(8))
 		async[rank] = h.Wait()
 	}); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestIReduceScatterAndIAllReduceBitwise(t *testing.T) {
 	if err := w.RunSPMD(func(rank int) {
 		// Issue both before waiting either: completion order is issue
 		// order (sequence numbers claimed at issue), not Wait order.
-		h1 := g.IReduceScatter(rank, mk(rank))
+		h1 := g.IReduceScatter(rank, mk(rank), tensor.New(2))
 		h2 := g.IAllReduce(rank, mk(rank))
 		ar := h2.Wait()
 		rs := h1.Wait()
@@ -186,7 +186,7 @@ func TestHandleWaitAfterAbortPanics(t *testing.T) {
 	w := NewWorld(2)
 	g := w.NewGroup([]int{0, 1})
 	g.Label = "dp"
-	h := g.IAllGather(0, tensor.New(1)) // peer never posts
+	h := g.IAllGather(0, tensor.New(1), tensor.New(2)) // peer never posts
 	w.Abort(errors.New("injected failure"))
 	defer func() {
 		p := recover()
@@ -206,7 +206,7 @@ func TestHandleWaitDeadline(t *testing.T) {
 	w.Timeout = 50 * time.Millisecond
 	g := w.NewGroup([]int{0, 1})
 	g.Label = "dp"
-	h := g.IAllGather(0, tensor.New(1)) // peer never posts
+	h := g.IAllGather(0, tensor.New(1), tensor.New(2)) // peer never posts
 	defer func() {
 		p := recover()
 		ae, ok := p.(*AbortError)
@@ -277,10 +277,10 @@ func TestHandleLeakOnPanic(t *testing.T) {
 		if rank == 0 {
 			// Outstanding handles of every flavour, then die.
 			w.IRecv(0, 1, 5) // never sent
-			g.IAllGather(0, tensor.New(1))
+			g.IAllGather(0, tensor.New(1), tensor.New(2))
 			panic(errors.New("rank 0 dies"))
 		}
-		h := g.IAllGather(1, tensor.New(1))
+		h := g.IAllGather(1, tensor.New(1), tensor.New(2))
 		h.Wait() // must panic *AbortError, not hang
 		panic("rank 1 Wait returned after peer death")
 	})

@@ -41,7 +41,7 @@ func newHierState(l HostLayout) *hierState {
 // lands on the group label, a carrier's split into its inter-host phase
 // (label+".inter") and the remainder — so per-rank comm seconds still sum to
 // wall in-collective time exactly once.
-func (g *Group) hierEnter(globalRank int, op string, contrib *tensor.Tensor, combine func(contribs, results []*tensor.Tensor)) *tensor.Tensor {
+func (g *Group) hierEnter(globalRank int, op string, contrib, dst *tensor.Tensor, stage bool, combine func(contribs, results []*tensor.Tensor)) *tensor.Tensor {
 	rec := g.world.Recorder
 	var start time.Time
 	if rec != nil {
@@ -58,22 +58,19 @@ func (g *Group) hierEnter(globalRank int, op string, contrib *tensor.Tensor, com
 	g.seq[lr].hier++
 
 	host := hs.hostRv[h].claim(seq, op, len(mem), len(mem))
-	st, pooled := stageContrib(contrib)
-	host.contribs[pos] = st
-	if pooled {
-		host.staged[pos] = st
-	}
+	host.deposit(pos, contrib, dst, stage)
 
 	var interSeconds float64
 	if int(host.arrived.Add(1)) == len(mem) {
-		// Carrier: escalate this host's contributions into the inter-host
-		// slot at their group-wide local-rank positions. Staging ownership
-		// moves with them — the inter combine's releaseStaged returns them.
+		// Carrier: escalate this host's deposits into the inter-host slot at
+		// their group-wide local-rank positions. Staging ownership moves
+		// with them — the inter combine's releaseStaged returns them.
 		H := len(hs.layout.Hosts)
 		inter := hs.interRv.claim(seq, op, H, len(g.ranks))
 		for i, mlr := range mem {
 			inter.contribs[mlr] = host.contribs[i]
 			inter.staged[mlr] = host.staged[i]
+			inter.result[mlr] = host.result[i]
 			host.staged[i] = nil
 		}
 		var interStart time.Time
@@ -110,11 +107,11 @@ func (g *Group) hierEnter(globalRank int, op string, contrib *tensor.Tensor, com
 // collEnter dispatches one blocking collective to the transport selected at
 // accounting time, so accounting and transport always agree even if the
 // global toggle flips mid-call.
-func (g *Group) collEnter(globalRank int, op string, hier bool, contrib *tensor.Tensor, combine func(contribs, results []*tensor.Tensor)) *tensor.Tensor {
+func (g *Group) collEnter(globalRank int, op string, hier bool, contrib, dst *tensor.Tensor, stage bool, combine func(contribs, results []*tensor.Tensor)) *tensor.Tensor {
 	if hier {
-		return g.hierEnter(globalRank, op, contrib, combine)
+		return g.hierEnter(globalRank, op, contrib, dst, stage, combine)
 	}
-	return g.enter(globalRank, op, contrib, combine)
+	return g.enter(globalRank, op, contrib, dst, stage, combine)
 }
 
 // collAccount records the closed-form per-rank volume of one collective

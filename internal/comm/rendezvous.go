@@ -36,16 +36,18 @@ type rvShard struct {
 }
 
 // collSlot is one collective-in-progress: contributions, results, and the
-// arrival/retirement counters, indexed by participant slot. Contributions
-// are staged into pool-backed buffers at deposit and released the moment the
-// combine has consumed them — the slot never holds staging past the combine.
+// arrival/retirement counters, indexed by participant slot. Staged
+// contributions are pool-backed copies released the moment the combine has
+// consumed them — the slot never holds staging past the combine. A result
+// entry filed at deposit is the participant's caller-owned destination,
+// which the combine writes in place.
 type collSlot struct {
 	seq      int
 	op       string
 	want     int32 // arrivals that complete, and readers that retire, the slot
 	contribs []*tensor.Tensor
 	staged   []*tensor.Tensor // pool-owned copies among contribs (nil = passthrough)
-	result   []*tensor.Tensor // per-participant results (views into shared data allowed)
+	result   []*tensor.Tensor // per-participant destinations or results (views into shared data allowed)
 	arrived  atomic.Int32
 	readers  atomic.Int32
 	done     chan struct{}
@@ -91,26 +93,31 @@ func (rv *rendezvous) retire(slot *collSlot) {
 	}
 }
 
-// stageContrib copies a contribution into an arena-backed staging buffer
-// ("coll" tag) so the collective owns its inputs: the caller may mutate or
-// pool its tensor the moment the op call returns, and the combine's consumed
-// inputs go straight back to the arena instead of pinning caller memory in
-// the slot until retirement. Nil and zero-length contributions pass through
-// unstaged (the pool skips empty tensors on Put, so staging them would
-// unbalance the tag's Gets/Puts ledger).
-func stageContrib(t *tensor.Tensor) (st *tensor.Tensor, pooled bool) {
-	if t == nil || t.Len() == 0 {
-		return t, false
+// deposit files participant i's contribution and destination (nil for the
+// ops and forms that return a fresh result). With stage set, the
+// contribution is copied into an arena-backed staging buffer ("coll" tag)
+// so the collective owns its input: the caller may mutate or pool its tensor
+// the moment the op call returns, and the combine's consumed inputs go
+// straight back to the arena instead of pinning caller memory in the slot
+// until retirement. Unstaged contributions are read in place by the combine.
+// Nil and zero-length contributions are never staged (the pool skips empty
+// tensors on Put, so staging them would unbalance the tag's Gets/Puts
+// ledger).
+func (s *collSlot) deposit(i int, contrib, dst *tensor.Tensor, stage bool) {
+	s.result[i] = dst
+	if !stage || contrib == nil || contrib.Len() == 0 {
+		s.contribs[i] = contrib
+		return
 	}
-	c := tensor.GetUninitTag(collTag, t.Shape...)
-	copy(c.Data, t.Data)
-	return c, true
+	c := tensor.GetUninitTag(collTag, contrib.Shape...)
+	copy(c.Data, contrib.Data)
+	s.contribs[i], s.staged[i] = c, c
 }
 
 // releaseStaged returns every staged contribution to the arena. Called by
 // the combining participant immediately after combine returns; combines must
-// therefore never alias a contribution into a result (they concatenate,
-// clone-and-accumulate, or clone before splitting).
+// therefore never alias a contribution into a result (they copy or
+// accumulate into a destination, or clone).
 func (s *collSlot) releaseStaged() {
 	for i, st := range s.staged {
 		if st != nil {

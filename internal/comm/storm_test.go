@@ -91,7 +91,8 @@ func TestAllReduceStorm1024(t *testing.T) {
 // "coll" arena tag must end every healthy run balanced — each staged Get
 // returned by a Put the moment its combine consumed it, none rejected. It
 // drives both transports (flat and hierarchical worlds), blocking and
-// nonblocking issues, and asserts on the tag's Gets/Puts delta.
+// nonblocking issues (the destination forms included), and asserts on the
+// tag's Gets/Puts delta.
 func TestCollectiveStagingPoolBalance(t *testing.T) {
 	before := tensor.DefaultPoolTagStats()[collTag]
 
@@ -113,6 +114,8 @@ func TestCollectiveStagingPoolBalance(t *testing.T) {
 			g.Barrier(rank) // zero-length contribs bypass staging
 			h := g.IAllReduce(rank, filled(2, 3, rank))
 			h.Wait()
+			g.IAllGather(rank, filled(2, 3, rank), tensor.New(world*2, 3)).Wait()
+			g.IReduceScatter(rank, filled(world, 3, rank), tensor.New(1, 3)).Wait()
 		}); err != nil {
 			t.Fatal(err)
 		}

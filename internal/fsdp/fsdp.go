@@ -6,10 +6,13 @@
 //	        (the gradient-memory/communication trade-off of Fig 4).
 //	ZeRO-3: additionally shard parameters at rest — all-gather before use.
 //
-// Parameters are flattened into one padded flat buffer per Shard; each rank
-// owns a contiguous 1/n slice of it. The optimizer only ever sees the local
-// shard (sharded optimizer states), and reductions accumulate in FP32 in
-// deterministic rank order (§6.2).
+// Each Shard owns one padded flat weight buffer and one padded flat
+// gradient buffer for its lifetime, and every managed parameter's W and G
+// are views into them (PyTorch FSDP1's FlatParameter). Each rank owns a
+// contiguous 1/n slice of the flat buffers; the collectives read and write
+// them in place. The optimizer only ever sees the local shard (sharded
+// optimizer states), and reductions accumulate in FP32 in deterministic
+// rank order (§6.2).
 package fsdp
 
 import (
@@ -55,30 +58,53 @@ type Shard struct {
 	OptID int
 
 	params    []*model.Param
-	flatLen   int // padded to a multiple of group size
+	w, g      *tensor.Tensor // padded flat weights and gradients; every W and G is a view
+	own       *tensor.Tensor // this rank's shard of w
 	shardLen  int
 	gradShard []float32 // this rank's accumulated reduced gradients
 	opt       *optim.AdamW
 	gathered  bool // ZeRO-3: whether full params are currently materialised
 }
 
-// New creates an FSDP shard over the given parameters. The parameter tensors
-// remain the compute buffers; for ZeRO-3 their contents are released between
-// uses (only the owner shard persists authoritative values).
+// New creates an FSDP shard over the given parameters. Their values are
+// copied once into the shard's flat buffers, in order, and each parameter's
+// W and G are rebound to views of them: layers keep reading p.W and p.G,
+// which now are the flat storage. For ZeRO-3 the non-owned ranges are
+// released between uses (only the owner shard persists authoritative
+// values). A parameter listed twice panics: it would alias two ranges.
 func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt *optim.AdamW) *Shard {
 	n := 0
+	seen := make(map[*model.Param]bool, len(params))
 	for _, p := range params {
+		if seen[p] {
+			panic(fmt.Sprintf("fsdp: parameter %q appears twice in one unit", p.Name))
+		}
+		seen[p] = true
 		n += p.W.Len()
 	}
 	size := group.Size()
 	flatLen := (n + size - 1) / size * size
+	shardLen := flatLen / size
 	s := &Shard{
 		Group: group, Rank: rank, Mode: mode,
-		params: params, flatLen: flatLen, shardLen: flatLen / size,
-		gradShard: make([]float32, flatLen/size),
+		params: params, w: tensor.New(flatLen), g: tensor.New(flatLen), shardLen: shardLen,
+		gradShard: make([]float32, shardLen),
 		opt:       opt,
+		gathered:  true, // freshly constructed: replicas hold full params
 	}
-	s.gathered = true // freshly constructed: replicas hold full params
+	off := 0
+	for _, p := range params {
+		k := p.W.Len()
+		copy(s.w.Data[off:], p.W.Data)
+		copy(s.g.Data[off:], p.G.Data)
+		// RowSlice and Reshape mark the views, so the pool refuses them even
+		// where a slice ends at the buffer's end (len == cap).
+		p.W = s.w.RowSlice(off, off+k).Reshape(p.W.Shape...)
+		p.G = s.g.RowSlice(off, off+k).Reshape(p.G.Shape...)
+		off += k
+	}
+	lr := group.LocalRank(rank)
+	s.own = s.w.RowSlice(lr*shardLen, (lr+1)*shardLen)
 	return s
 }
 
@@ -88,70 +114,25 @@ func (s *Shard) Params() []*model.Param { return s.params }
 // ShardLen returns the per-rank flat shard length (including padding).
 func (s *Shard) ShardLen() int { return s.shardLen }
 
-// flattenWeights copies all parameter values into a padded flat tensor drawn
-// from the tensor pool (zeroed Get: the padding tail must read as zero).
-func (s *Shard) flattenWeights() *tensor.Tensor {
-	flat := tensor.Get(s.flatLen)
-	off := 0
-	for _, p := range s.params {
-		copy(flat.Data[off:], p.W.Data)
-		off += p.W.Len()
-	}
-	return flat
-}
-
-// flattenGrads copies all gradient values into a padded flat tensor and
-// zeroes the per-parameter accumulators.
-func (s *Shard) flattenGrads() *tensor.Tensor {
-	flat := tensor.Get(s.flatLen)
-	off := 0
-	for _, p := range s.params {
-		copy(flat.Data[off:], p.G.Data)
-		p.G.Zero()
-		off += p.G.Len()
-	}
-	return flat
-}
-
-// unflattenWeights writes a full flat weight buffer back into the parameters.
-func (s *Shard) unflattenWeights(flat *tensor.Tensor) {
-	off := 0
-	for _, p := range s.params {
-		copy(p.W.Data, flat.Data[off:off+p.W.Len()])
-		off += p.W.Len()
-	}
-}
-
-// localShard returns this rank's slice of a full flat buffer.
-func (s *Shard) localShard(flat *tensor.Tensor) []float32 {
-	lr := s.Group.LocalRank(s.Rank)
-	return flat.Data[lr*s.shardLen : (lr+1)*s.shardLen]
-}
-
-// ReduceScatterGrads reduce-scatters the currently accumulated per-parameter
-// gradients across the group, adding the result into this rank's gradient
-// shard, and clears the full-size accumulators.
+// ReduceScatterGrads reduce-scatters the accumulated flat gradients across
+// the group, adding the result into this rank's gradient shard, and clears
+// the flat gradient buffer.
 //
 // ZeRO-2 calls this after every backward (resharding gradient memory at the
 // cost of more collectives); ZeRO-1 calls it once per step via Step — the
 // exact trade-off of Fig 4.
 func (s *Shard) ReduceScatterGrads() {
-	flat := s.flattenGrads()
-	reduced := s.Group.ReduceScatter(s.Rank, flat.Reshape(s.Group.Size(), s.shardLen))
-	tensor.Put(flat)
-	for i, v := range reduced.Data {
-		s.gradShard[i] += v
-	}
-	tensor.Put(reduced)
+	s.Group.ReduceScatterInto(s.Rank, s.g, tensor.FromSlice(s.gradShard, s.shardLen))
+	s.g.Zero()
 }
 
 // Pending is an in-flight nonblocking FSDP collective: the comm handle plus
-// the local completion work (unflatten, accumulate, pool returns) that runs
-// when it is waited. Wait is idempotent; a nil Pending waits as a no-op.
+// the local completion work that runs when it is waited. Wait is
+// idempotent; a nil Pending waits as a no-op.
 type Pending struct {
-	h      *comm.Handle
-	finish func(res *tensor.Tensor)
-	done   bool
+	h    *comm.Handle
+	then func() // nil: nothing left to do locally
+	done bool
 }
 
 // Wait blocks until the collective completes and applies its result. Abort-
@@ -160,7 +141,10 @@ func (p *Pending) Wait() {
 	if p == nil || p.done {
 		return
 	}
-	p.finish(p.h.Wait())
+	p.h.Wait()
+	if p.then != nil {
+		p.then()
+	}
 	p.done = true
 }
 
@@ -171,39 +155,27 @@ func (p *Pending) Done() bool { return p == nil || p.done || p.h.Done() }
 // IGatherParams issues the ZeRO-3 parameter all-gather nonblocking — the
 // prefetch primitive: issue unit i+1's gather while unit i computes
 // (§7.3.1). Returns nil if the parameters are already materialised. The
-// returned Pending's Wait unflattens the gathered weights; until then the
-// unit's parameters must not be touched.
+// gather writes the flat weight buffer; until the returned Pending's Wait,
+// the unit's parameters must not be touched.
 func (s *Shard) IGatherParams() *Pending {
 	if s.gathered {
 		return nil
 	}
-	shard := tensor.FromSlice(s.ownedWeights(), s.shardLen)
-	h := s.Group.IAllGather(s.Rank, shard)
-	return &Pending{h: h, finish: func(full *tensor.Tensor) {
-		s.unflattenWeights(full)
-		tensor.Put(full)
-		s.gathered = true
-	}}
+	h := s.Group.IAllGather(s.Rank, s.own, s.w)
+	return &Pending{h: h, then: func() { s.gathered = true }}
 }
 
 // IReduceScatterGrads issues the gradient reduce-scatter nonblocking: the
-// accumulators are flattened and zeroed now (so subsequent backwards
-// accumulate into fresh buffers), the reduction overlaps whatever the rank
-// computes next, and Wait folds the reduced shard into gradShard. Waiting
-// pendings in issue order reproduces the blocking accumulation order into
-// gradShard exactly — the bitwise-under-overlap invariant.
+// collective stages the flat gradients at issue, so the buffer is cleared
+// now and subsequent backwards accumulate into it while the reduction
+// overlaps whatever the rank computes next. The combine adds into
+// gradShard, in issue order — the blocking accumulation order exactly, the
+// bitwise-under-overlap invariant. gradShard is the collective's until the
+// returned Pending is waited.
 func (s *Shard) IReduceScatterGrads() *Pending {
-	flat := s.flattenGrads()
-	h := s.Group.IReduceScatter(s.Rank, flat.Reshape(s.Group.Size(), s.shardLen))
-	return &Pending{h: h, finish: func(reduced *tensor.Tensor) {
-		// flat is the registered contribution; it is only safe to recycle
-		// after the combine ran, i.e. after Wait returned.
-		tensor.Put(flat)
-		for i, v := range reduced.Data {
-			s.gradShard[i] += v
-		}
-		tensor.Put(reduced)
-	}}
+	h := s.Group.IReduceScatter(s.Rank, s.g, tensor.FromSlice(s.gradShard, s.shardLen))
+	s.g.Zero()
+	return &Pending{h: h}
 }
 
 // GatherParams materialises the full parameters (ZeRO-3 pre-forward /
@@ -212,45 +184,28 @@ func (s *Shard) GatherParams() {
 	if s.gathered {
 		return
 	}
-	// Owner shards are authoritative: broadcast them via all-gather.
-	shard := tensor.FromSlice(s.ownedWeights(), s.shardLen)
-	full := s.Group.AllGather(s.Rank, shard)
-	s.unflattenWeights(full)
-	tensor.Put(full)
+	// Owner shards are authoritative: every rank's own range is current.
+	s.Group.AllGatherInto(s.Rank, s.own, s.w)
 	s.gathered = true
 }
 
-// ownedWeights extracts this rank's authoritative weight shard from the
-// (currently materialised or stale) parameter buffers. Ranks always keep
-// their own shard region valid.
-func (s *Shard) ownedWeights() []float32 {
-	flat := s.flattenWeights()
-	owned := append([]float32(nil), s.localShard(flat)...)
-	tensor.Put(flat)
-	return owned
-}
-
 // ReleaseParams drops the full parameter materialisation (ZeRO-3 post-use
-// reshard): every region outside this rank's shard is zeroed. The paper's
-// memory optimisations (§6.3) are about exactly this kind of eager release.
+// reshard): every range of the flat weight buffer outside this rank's shard
+// is zeroed. The paper's memory optimisations (§6.3) are about exactly this
+// kind of eager release.
 func (s *Shard) ReleaseParams() {
 	if s.Mode != ZeRO3 {
 		return
 	}
-	owned := s.ownedWeights() // already an independent copy
-	for _, p := range s.params {
-		p.W.Zero()
-	}
-	flat := tensor.Get(s.flatLen)
-	copy(s.localShard(flat), owned)
-	s.unflattenWeights(flat)
-	tensor.Put(flat)
+	lo := s.Group.LocalRank(s.Rank) * s.shardLen
+	clear(s.w.Data[:lo])
+	clear(s.w.Data[lo+s.shardLen:])
 	s.gathered = false
 }
 
 // Step completes a training step: ensures gradients are reduced, runs the
-// (sharded) optimizer on this rank's weight shard, and all-gathers the
-// updated parameters back into the full buffers (ZeRO-1/2) or leaves them
+// (sharded) optimizer on this rank's weight shard in place, and all-gathers
+// the updated shards into the flat weight buffer (ZeRO-1/2) or leaves it
 // sharded (ZeRO-3 callers re-gather on next use via GatherParams).
 func (s *Shard) Step() {
 	// ZeRO-1 reduces once per step, on the last micro-batch (Fig 4a). For
@@ -259,44 +214,23 @@ func (s *Shard) Step() {
 	// the collective sequence identical on every rank.
 	s.ReduceScatterGrads()
 
-	flatW := s.flattenWeights()
-	local := s.localShard(flatW)
-	s.opt.Step(s.OptID, local, s.gradShard)
-	for i := range s.gradShard {
-		s.gradShard[i] = 0
-	}
+	s.opt.Step(s.OptID, s.own.Data, s.gradShard)
+	clear(s.gradShard)
 
-	updated := s.Group.AllGather(s.Rank, tensor.FromSlice(local, s.shardLen))
-	tensor.Put(flatW)
-	s.unflattenWeights(updated)
-	tensor.Put(updated)
+	s.Group.AllGatherInto(s.Rank, s.own, s.w)
 	s.gathered = true
 	if s.Mode == ZeRO3 {
 		s.ReleaseParams()
 	}
 }
 
-// GradShardMaxAbs returns the largest accumulated gradient-shard magnitude
-// (diagnostics).
-func (s *Shard) GradShardMaxAbs() float32 {
-	var m float32
-	for _, v := range s.gradShard {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // MemoryBytes reports the per-rank steady-state memory of this unit under
 // the shard's mode, in bytes, assuming 2-byte (BF16) parameters/gradients
 // and optStateBytesPerParam bytes of optimizer state per parameter — the
-// accounting behind the ZeRO rows of the paper's memory analysis.
+// accounting behind the ZeRO rows of the paper's memory analysis. Test
+// surface: TestMemoryBytesOrdering.
 func (s *Shard) MemoryBytes(optStateBytesPerParam int) int64 {
-	n := int64(s.flatLen)
+	n := int64(s.w.Len())
 	shard := int64(s.shardLen)
 	var params, grads int64
 	switch s.Mode {

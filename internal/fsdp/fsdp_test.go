@@ -1,8 +1,10 @@
 package fsdp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"llama4d/internal/comm"
@@ -276,6 +278,38 @@ func TestPaddingHandlesIndivisibleParamCount(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlatViewsStayOutOfThePool: every managed W and G is a view into the
+// shard's flat buffers, so Put must refuse each — the last parameter's
+// included, whose slice ends at the buffer's end (len == cap) and would pass
+// the pool's len != cap guard on its own.
+func TestFlatViewsStayOutOfThePool(t *testing.T) {
+	_, g := fullGroup(2)
+	ps := []*model.Param{model.NewParam("a", tensor.New(3)), model.NewParam("b", tensor.New(1, 5))}
+	New(g, 0, ZeRO1, ps, optim.NewAdamW(0.1))
+	last := ps[len(ps)-1]
+	if len(last.W.Data) != cap(last.W.Data) || len(last.G.Data) != cap(last.G.Data) {
+		t.Fatal("the last parameter must end at its flat buffer's end for this test to bite")
+	}
+	pool := tensor.NewPool()
+	for _, p := range ps {
+		pool.Put(p.W, p.G)
+	}
+	if st := pool.Stats(); st.Rejects != int64(2*len(ps)) || st.Puts != 0 {
+		t.Fatalf("pool stats %+v: want all %d parameter views rejected", st, 2*len(ps))
+	}
+}
+
+func TestNewPanicsOnDuplicateParam(t *testing.T) {
+	_, g := fullGroup(1)
+	p := model.NewParam("w", tensor.New(4))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"w" appears twice`) {
+			t.Fatalf("New with a repeated parameter: recovered %v, want a panic naming it", r)
+		}
+	}()
+	New(g, 0, ZeRO1, []*model.Param{p, p}, optim.NewAdamW(0.1))
 }
 
 func TestModeString(t *testing.T) {

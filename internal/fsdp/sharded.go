@@ -169,24 +169,3 @@ func (s *Sharded) Step() {
 		sh.Step()
 	}
 }
-
-// MemoryBytes sums the per-unit steady-state memory accounting.
-func (s *Sharded) MemoryBytes(optStateBytesPerParam int) int64 {
-	var total int64
-	for _, sh := range s.Units {
-		total += sh.MemoryBytes(optStateBytesPerParam)
-	}
-	return total
-}
-
-// GradShardMaxAbs returns the largest accumulated gradient-shard magnitude
-// across units (diagnostics).
-func (s *Sharded) GradShardMaxAbs() float32 {
-	var m float32
-	for _, sh := range s.Units {
-		if v := sh.GradShardMaxAbs(); v > m {
-			m = v
-		}
-	}
-	return m
-}
