@@ -18,27 +18,36 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The pure-Go build of the vector kernels (internal/tensor axpy4 and the
-# GEMM register tile): the packages whose bitwise contracts sit on them must
-# pass without the assembly, which is also what every non-amd64 host runs.
+# The pure-Go build of the vector kernels (internal/tensor axpy4, the GEMM
+# register tile, the vector exp, the AdamW kernel and the transpose):
+# the packages whose bitwise contracts sit on them must pass without the
+# assembly, which is also what every non-amd64 host runs — optim and fsdp
+# on AdamWUpdate's scalar loop.
 purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/tp ./internal/vision ./internal/serve ./internal/core
+	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/tp ./internal/vision ./internal/serve ./internal/core ./internal/optim ./internal/fsdp
 
 # Ten seconds of coverage-guided fuzzing per assembly kernel, each against
 # its scalar contract: FuzzMatMulTile (the GEMM paths and the register tile,
-# canaries around every dst row), FuzzAxpy4 and FuzzExpShift (the vector exp
-# under ExpShift and Sigmoid). The committed corpora under
-# internal/tensor/testdata/fuzz also run as plain tests in `make test`.
+# canaries around every dst row), FuzzAxpy4, FuzzExpShift (the vector exp
+# under ExpShift and Sigmoid), FuzzTranspose (TransposeBlock against the seed
+# transpose, canaries around and between the destination rows) and
+# FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice).
+# The committed corpora under internal/{tensor,optim}/testdata/fuzz also run
+# as plain tests in `make test`.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulTile$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAxpy4$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzExpShift$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzTranspose$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzAdamW$$' -fuzztime 10s ./internal/optim
 
-# The vector exp on all 2^32 float32 inputs (not tier-1, about four
-# CPU-minutes): ExpShift and Sigmoid Float32bits-equal to their math.Exp contracts,
-# and every float64 lane before narrowing bit-equal to math.Exp.
+# The vector exp and the AdamW kernel's square root on all 2^32 float32
+# inputs (not tier-1, about four CPU-minutes plus one): ExpShift and Sigmoid
+# Float32bits-equal to their math.Exp contracts, every float64 lane before
+# narrowing bit-equal to math.Exp, and VSQRTPS bit-equal to the float64
+# square root narrowed.
 exhaustive-exp:
-	$(GO) test -tags exhaustive -run '^TestExpExhaustive$$' -timeout 30m -v ./internal/tensor
+	$(GO) test -tags exhaustive -run '^Test(Exp|Sqrt)Exhaustive$$' -timeout 30m -v ./internal/tensor
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models

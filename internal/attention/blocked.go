@@ -347,12 +347,13 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 // of a plain [sk, d] matrix (blockedScoreRows). Each element is one running
 // sum from +0 over the head dim in increasing order — the dense MatMulT
 // rounding sequence. Empty-tile entries are left untouched. Per column tile
-// the key run is transposed once into a pooled [d, TileCols] panel; a band of
-// four or more rows clears its rows of the tile (unless zeroed: the plane
-// holds +0 there) and runs tensor.AccumBlock with skip off, whose register
-// tile lanes are score elements running exactly that sum. A band of one to
-// three rows (a decode step's query) runs a scalar 4-key nest on the keys in
-// place. Neither nesting order nor run boundaries change any element's sum.
+// the key run is transposed once (tensor.TransposeBlock) into a pooled
+// [d, TileCols] panel; a band of four or more rows clears its rows of the
+// tile (unless zeroed: the plane holds +0 there) and runs tensor.AccumBlock
+// with skip off, whose register tile lanes are score elements running
+// exactly that sum. A band of one to three rows (a decode step's query) runs
+// a scalar 4-key nest on the keys in place. Neither nesting order nor run
+// boundaries change any element's sum.
 func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, colEnd int, g *Grid, zeroed bool, lo, hi int) {
 	d := q.Cols()
 	n := s.Cols()
@@ -406,11 +407,7 @@ func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, c
 				if panel == nil {
 					panel = tensor.GetUninit(d, g.TileCols)
 				}
-				for j := c0; j < c1; j++ {
-					for p, v := range kd[base+j*kw : base+j*kw+d] {
-						panel.Data[p*w+j-c0] = v
-					}
-				}
+				tensor.TransposeBlock(panel.Data, w, kd[base+c0*kw:], kw, w, d)
 				packed = true
 			}
 			for i := r0; !zeroed && i < r1; i++ {
@@ -567,12 +564,12 @@ func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 
 // blockedKeyRows accumulates out[j] += Σ_i s[i][j]·b[i] for key rows
 // [lo, hi) from the row-major [sq, sk] plane s: per non-empty tile, its
-// block of s is transposed into a pooled [TileCols, TileRows] scratch and
-// the key rows accumulate scratch times the tile's b rows in one
-// tensor.AccumBlock call, skip on (DESIGN.md §4e). Reduction runs over
-// query row-tiles in increasing order, skipping empty tiles and exact-zero
-// coefficients — the dense TMatMul ordering. Serves both dV (s = P, b = dO)
-// and dK (s = dS, b = q).
+// block of s is transposed by tensor.TransposeBlock into a pooled
+// [TileCols, TileRows] scratch and the key rows accumulate scratch times the
+// tile's b rows in one tensor.AccumBlock call, skip on (DESIGN.md §4e).
+// Reduction runs over query row-tiles in increasing order, skipping empty
+// tiles and exact-zero coefficients — the dense TMatMul ordering. Serves
+// both dV (s = P, b = dO) and dK (s = dS, b = q).
 func blockedKeyRows(out, s, b *tensor.Tensor, g *Grid, lo, hi int) {
 	d := b.Cols()
 	n := s.Cols()
@@ -587,20 +584,7 @@ func blockedKeyRows(out, s, b *tensor.Tensor, g *Grid, lo, hi int) {
 			}
 			r0, r1 := g.rowBand(rt)
 			h := r1 - r0
-			i := r0
-			for ; i+4 <= r1; i += 4 { // four rows per pass: one 16-byte store per key
-				s0 := sd[i*n+c0 : i*n+c1]
-				s1, s2, s3 := sd[(i+1)*n+c0:][:len(s0)], sd[(i+2)*n+c0:][:len(s0)], sd[(i+3)*n+c0:][:len(s0)]
-				for j := range s0 {
-					t := sT.Data[j*h+i-r0:][:4]
-					t[0], t[1], t[2], t[3] = s0[j], s1[j], s2[j], s3[j]
-				}
-			}
-			for ; i < r1; i++ {
-				for j, x := range sd[i*n+c0 : i*n+c1] {
-					sT.Data[j*h+i-r0] = x
-				}
-			}
+			tensor.TransposeBlock(sT.Data, h, sd[r0*n+c0:], n, h, c1-c0)
 			tensor.AccumBlock(od[c0*d:], d, sT.Data, h, bd[r0*d:], d, c1-c0, h, d, true)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"llama4d/internal/cp"
@@ -536,5 +537,31 @@ func TestLRScheduleApplied(t *testing.T) {
 	}
 	if lrs[5] >= lrs[4] {
 		t.Fatalf("decay LRs not decreasing: %v", lrs)
+	}
+}
+
+// TestLoadFullStateRejectsOtherDPSize loads a DP=2 full-state checkpoint
+// into a DP=1 cluster of the same model: the weights fit, but rank 0's
+// moments are half its shard, and LoadFullState must say so instead of
+// leaving the next Step to index past them.
+func TestLoadFullStateRejectsOtherDPSize(t *testing.T) {
+	cfg2 := tinyCoreCfg(Topology{TP: 1, CP: 1, PP: 1, DP: 2}, 1, 1, 1, fsdp.ZeRO1, false)
+	gen := &data.Generator{Vocab: cfg2.Model.Vocab, Seq: cfg2.Seq, AvgDocLen: 6, Seed: 5}
+	cl2, err := NewCluster(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl2.Step(gen, 0)
+	var ckpt bytes.Buffer
+	if err := cl2.SaveFullState(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	cl1, err := NewCluster(tinyCoreCfg(Topology{TP: 1, CP: 1, PP: 1, DP: 1}, 1, 1, 1, fsdp.ZeRO1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl1.LoadFullState(bytes.NewReader(ckpt.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("DP=2 checkpoint into DP=1: error %v, want a moment/shard length mismatch", err)
 	}
 }

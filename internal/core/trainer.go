@@ -588,7 +588,9 @@ func (cl *Cluster) SaveFullState(w io.Writer) error {
 }
 
 // LoadFullState restores a SaveFullState checkpoint. The topology must
-// match exactly (optimizer shards are per-rank).
+// match exactly (optimizer shards are per-rank): a moment whose length is
+// not its unit's shard length on that rank — a checkpoint of another DP
+// size — is an error.
 func (cl *Cluster) LoadFullState(read io.Reader) error {
 	if err := cl.LoadFrom(read); err != nil {
 		return err
@@ -596,6 +598,12 @@ func (cl *Cluster) LoadFullState(read io.Reader) error {
 	for _, r := range cl.Ranks {
 		if err := r.Opt.LoadState(read); err != nil {
 			return fmt.Errorf("core: loading optimizer state of rank %d: %w", r.ID, err)
+		}
+		for _, u := range r.Shard.Units {
+			if n, ok := r.Opt.MomentLen(u.OptID); ok && n != u.ShardLen() {
+				return fmt.Errorf("core: optimizer state of rank %d: unit %d has %d-element moments for a %d-element shard",
+					r.ID, u.OptID, n, u.ShardLen())
+			}
 		}
 	}
 	return nil

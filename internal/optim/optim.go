@@ -6,9 +6,12 @@ package optim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"sort"
+
+	"llama4d/internal/tensor"
 )
 
 // AdamW is Adam with decoupled weight decay. Moments are kept in float32
@@ -41,8 +44,13 @@ func (a *AdamW) Tick() { a.steps++ }
 func (a *AdamW) StepCount() int { return a.steps }
 
 // Step applies one update to w given gradient g. The id distinguishes
-// independent parameter slices, which keep separate moments.
+// independent parameter slices, which keep separate moments. The update is
+// tensor.AdamWUpdate's, lane-wise on the vector kernel where the CPU has
+// one; len(g) and an existing id's moments must match len(w).
 func (a *AdamW) Step(id int, w, g []float32) {
+	if len(g) != len(w) {
+		panic(fmt.Sprintf("optim: AdamW.Step id %d: %d gradients for %d weights", id, len(g), len(w)))
+	}
 	m, ok := a.m[id]
 	if !ok {
 		m = make([]float32, len(w))
@@ -53,19 +61,25 @@ func (a *AdamW) Step(id int, w, g []float32) {
 		v = make([]float32, len(w))
 		a.v[id] = v
 	}
+	if len(m) != len(w) || len(v) != len(w) {
+		panic(fmt.Sprintf("optim: AdamW.Step id %d: moments of %d and %d elements for %d weights", id, len(m), len(v), len(w)))
+	}
 	t := float64(a.steps)
 	if t == 0 {
 		t = 1
 	}
-	bc1 := float32(1 - math.Pow(float64(a.Beta1), t))
-	bc2 := float32(1 - math.Pow(float64(a.Beta2), t))
-	for i := range w {
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
-		mh := m[i] / bc1
-		vh := v[i] / bc2
-		w[i] -= a.LR * (mh/(float32(math.Sqrt(float64(vh)))+a.Eps) + a.WeightDecay*w[i])
-	}
+	tensor.AdamWUpdate(w, g, m, v, tensor.AdamWCoef{
+		Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WeightDecay: a.WeightDecay, LR: a.LR,
+		BC1: float32(1 - math.Pow(float64(a.Beta1), t)),
+		BC2: float32(1 - math.Pow(float64(a.Beta2), t)),
+	})
+}
+
+// MomentLen reports the length of id's moment buffers, and false when id
+// has none.
+func (a *AdamW) MomentLen(id int) (int, bool) {
+	m, ok := a.m[id]
+	return len(m), ok
 }
 
 // SaveState writes the optimizer's step counter and moment buffers. Each
@@ -101,40 +115,77 @@ func (a *AdamW) SaveState(w io.Writer) error {
 	return nil
 }
 
-// LoadState restores a SaveState stream, replacing all moments.
+// LoadState restores a SaveState stream, replacing all moments. Moment
+// data is read in bounded chunks, so a stream that ends before its headers'
+// lengths are met returns io.ErrUnexpectedEOF having allocated no more than
+// it read.
 func (a *AdamW) LoadState(r io.Reader) error {
+	read := func(x *uint32) error {
+		err := binary.Read(r, binary.LittleEndian, x)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
 	var steps, nIDs uint32
-	if err := binary.Read(r, binary.LittleEndian, &steps); err != nil {
+	if err := read(&steps); err != nil {
 		return err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nIDs); err != nil {
+	if err := read(&nIDs); err != nil {
 		return err
 	}
-	a.steps = int(steps)
-	a.m = make(map[int][]float32, nIDs)
-	a.v = make(map[int][]float32, nIDs)
-	for i := 0; i < int(nIDs); i++ {
+	ms, vs := make(map[int][]float32), make(map[int][]float32)
+	for i := uint32(0); i < nIDs; i++ {
 		var id, n uint32
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
+		if err := read(&id); err != nil {
 			return err
 		}
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		if err := read(&n); err != nil {
 			return err
 		}
-		buf := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		m, err := readFloats(r, n)
+		if err != nil {
 			return err
 		}
-		m := make([]float32, n)
-		v := make([]float32, n)
-		for j := 0; j < int(n); j++ {
-			m[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-			v[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*int(n)+4*j:]))
+		v, err := readFloats(r, n)
+		if err != nil {
+			return err
 		}
-		a.m[int(id)] = m
-		a.v[int(id)] = v
+		ms[int(id)], vs[int(id)] = m, v
 	}
+	a.steps, a.m, a.v = int(steps), ms, vs
 	return nil
+}
+
+// loadChunk bounds how many floats readFloats reads, and first allocates,
+// at a time.
+const loadChunk = 1 << 14
+
+// readFloats reads n little-endian float32s, at most loadChunk at a time.
+// The result grows by doubling, capped at n, so what it holds is never more
+// than twice what was read and the finished slice has capacity exactly n.
+func readFloats(r io.Reader, n uint32) ([]float32, error) {
+	buf := make([]byte, 4*min(n, loadChunk))
+	out := make([]float32, 0, min(n, loadChunk))
+	for left := n; left > 0; {
+		b := buf[:4*min(left, loadChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(out) == cap(out) {
+			grown := make([]float32, len(out), min(int(n), 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		for j := 0; j < len(b); j += 4 {
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(b[j:])))
+		}
+		left -= uint32(len(b) / 4)
+	}
+	return out, nil
 }
 
 // WarmupCosine returns the learning-rate schedule used for Llama 3

@@ -2,7 +2,13 @@ package optim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -159,5 +165,108 @@ func TestWarmupCosineShape(t *testing.T) {
 	mid := lr(55)
 	if math.Abs(mid-0.55) > 0.02 {
 		t.Fatalf("cosine midpoint %v", mid)
+	}
+}
+
+// TestAdamWLoadStateRejectsLyingHeader feeds LoadState a header whose
+// moment length the stream does not deliver — 2²⁹ floats, where 8·n wraps
+// to zero in uint32, and 2³²−1 — with a few bytes of moment data behind it:
+// it must return io.ErrUnexpectedEOF without allocating the claimed size,
+// and leave the optimizer as it was.
+func TestAdamWLoadStateRejectsLyingHeader(t *testing.T) {
+	for _, n := range []uint32{1 << 29, 1<<32 - 1} {
+		var buf bytes.Buffer
+		for _, x := range []uint32{3, 1, 0, n, 1, 2, 3} { // steps, ids, id, n, then 12 bytes of m
+			binary.Write(&buf, binary.LittleEndian, x)
+		}
+		a := NewAdamW(1e-3)
+		a.Tick()
+		a.Step(0, []float32{1, 2}, []float32{0.5, -0.5})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := a.LoadState(&buf)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("n=%d: LoadState error %v, want io.ErrUnexpectedEOF", n, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("n=%d: LoadState allocated %d bytes for a 28-byte stream", n, grew)
+		}
+		if l, ok := a.MomentLen(0); a.StepCount() != 1 || !ok || l != 2 {
+			t.Fatalf("n=%d: failed load changed the state: steps %d, moments %d %v", n, a.StepCount(), l, ok)
+		}
+	}
+}
+
+func TestAdamWLoadStateTruncated(t *testing.T) {
+	a := NewAdamW(1e-3)
+	a.Tick()
+	a.Step(0, make([]float32, 5), []float32{1, 2, 3, 4, 5})
+	var buf bytes.Buffer
+	if err := a.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if err := NewAdamW(1e-3).LoadState(bytes.NewReader(full[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d bytes: error %v, want io.ErrUnexpectedEOF", cut, len(full), err)
+		}
+	}
+}
+
+// TestAdamWLoadStateMultiChunk round-trips moments around and past
+// loadChunk: the restored moments are bit-equal and have no spare capacity.
+func TestAdamWLoadStateMultiChunk(t *testing.T) {
+	a := NewAdamW(1e-3)
+	a.Tick()
+	sizes := []int{1, loadChunk - 1, loadChunk, loadChunk + 1, 5*loadChunk + 3}
+	for id, n := range sizes {
+		g := make([]float32, n)
+		for j := range g {
+			g[j] = float32(j%97) - 48
+		}
+		a.Step(id, make([]float32, n), g)
+	}
+	var buf bytes.Buffer
+	if err := a.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := NewAdamW(1e-3)
+	if err := b.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range sizes {
+		for _, pair := range [][2][]float32{{a.m[id], b.m[id]}, {a.v[id], b.v[id]}} {
+			want, got := pair[0], pair[1]
+			if len(got) != n || cap(got) != n {
+				t.Fatalf("id %d: restored moment len %d cap %d, want %d", id, len(got), cap(got), n)
+			}
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("id %d [%d]: restored %v, saved %v", id, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+func TestAdamWStepPanicsOnLengthMismatch(t *testing.T) {
+	for name, step := range map[string]func(a *AdamW){
+		"gradient": func(a *AdamW) { a.Step(4, make([]float32, 3), make([]float32, 2)) },
+		"moments": func(a *AdamW) {
+			a.Step(4, make([]float32, 3), make([]float32, 3))
+			a.Step(4, make([]float32, 4), make([]float32, 4))
+		},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "id 4") {
+					t.Fatalf("%s mismatch: panic %v, want one naming id 4", name, p)
+				}
+			}()
+			a := NewAdamW(1e-3)
+			a.Tick()
+			step(a)
+		}()
 	}
 }

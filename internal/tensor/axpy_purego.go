@@ -15,6 +15,9 @@ func expShiftVec(x []float32, shift float32) int { return 0 }
 
 func sigmoidVec(dst, src []float32) int { return 0 }
 
+// adamwVec covers nothing: AdamWUpdate's scalar loop does all the work.
+func adamwVec(w, g, m, v []float32, c AdamWCoef, c1, c2 float32) int { return 0 }
+
 // axpy4Vec covers nothing: axpy4's scalar loop does all the work.
 func axpy4Vec(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) int { return 0 }
 
@@ -24,4 +27,8 @@ func tile4x32AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb,
 
 func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc int) {
 	panic("tensor: no register-tile kernel in this build")
+}
+
+func transpose16AVX(dst *float32, ldd int, src *float32, lds int, n int) {
+	panic("tensor: no vector transpose in this build")
 }

@@ -26,7 +26,7 @@ const copyThreshold = 1 << 20
 const (
 	tileK = 128 // reduction-dim tile of the i-k-j MatMul kernel
 	tileN = 256 // column chunk of the register-tile path (a 128 KiB b panel)
-	tileT = 32  // square tile edge of the blocked Transpose kernel
+	tileT = 128 // column chunk of TransposeBlock
 )
 
 // Workers returns the number of row-parallel workers a kernel producing
@@ -271,41 +271,58 @@ func TransposeInto(dst, a *Tensor) {
 }
 
 // transposeRows splits the output rows (input columns) across goroutines
-// when the element count warrants it; each chunk runs the blocked serial
-// kernel. A pure permutation: trivially bitwise under any split.
+// when the element count warrants it; each chunk runs TransposeBlock on its
+// column band. A pure permutation: trivially bitwise under any split.
 func transposeRows(out, a *Tensor, workers, elems int) {
 	m, n := a.Rows(), a.Cols()
 	if workers > 1 && elems < copyThreshold {
 		workers = 1
 	}
 	if workers <= 1 {
-		transposeBlock(out.Data, a.Data, m, n, 0, n)
+		TransposeBlock(out.Data, m, a.Data, n, m, n)
 		return
 	}
 	ParallelRows(n, workers, func(lo, hi int) {
-		transposeBlock(out.Data, a.Data, m, n, lo, hi)
+		TransposeBlock(out.Data[lo*m:], m, a.Data[lo:], n, m, hi-lo)
 	})
 }
 
-// transposeBlock writes out[j,i] = a[i,j] for j in [lo,hi), in tileT×tileT
-// blocks so both the strided reads and the sequential writes hit cache lines
-// that are still resident.
-func transposeBlock(out, a []float32, m, n, lo, hi int) {
-	for jt := lo; jt < hi; jt += tileT {
-		jHi := jt + tileT
-		if jHi > hi {
-			jHi = hi
+// TransposeBlock writes dst[j·ldd+i] = src[i·lds+j] for i < m and j < n
+// (strides in elements; lds ≥ n, ldd ≥ m): the one transpose kernel, under
+// TransposeInto (MatMulT's weight, TMatMulAcc's activation) and the blocked
+// attention engine's key panels and tile scratch. It walks the columns in
+// chunks of tileT; per chunk, each 16-row panel of the part whose row count
+// is a multiple of 16 and column count a multiple of 8 runs the in-register
+// kernel (transpose_amd64.s) when the CPU has AVX2, and a scalar loop takes
+// the remaining rows and columns — and everything in the pure-Go build.
+// A permutation of 32-bit words: bitwise by construction, NaN payloads
+// included.
+func TransposeBlock(dst []float32, ldd int, src []float32, lds int, m, n int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if lds < n || ldd < m {
+		panic(fmt.Sprintf("tensor: TransposeBlock %dx%d with strides src %d, dst %d", m, n, lds, ldd))
+	}
+	src, dst = src[:(m-1)*lds+n], dst[:(n-1)*ldd+m] // the vector kernel trusts these extents
+	m16, n8 := 0, 0
+	if useAVX2 {
+		m16, n8 = m&^15, n&^7
+	}
+	for jt := 0; jt < n; jt += tileT {
+		j1 := min(jt+tileT, n)
+		v1 := max(jt, min(j1, n8)) // the chunk's vector columns are [jt, v1)
+		for i := 0; i < m16 && jt < v1; i += 16 {
+			transpose16AVX(&dst[jt*ldd+i], ldd, &src[i*lds+jt], lds, v1-jt)
 		}
-		for it := 0; it < m; it += tileT {
-			iHi := it + tileT
-			if iHi > m {
-				iHi = m
+		for j := jt; j < j1; j++ {
+			r0 := 0 // rows the vector panels did not cover in this column
+			if j < v1 {
+				r0 = m16
 			}
-			for j := jt; j < jHi; j++ {
-				oj := out[j*m : (j+1)*m]
-				for i := it; i < iHi; i++ {
-					oj[i] = a[i*n+j]
-				}
+			dj := dst[j*ldd:]
+			for r := r0; r < m; r++ {
+				dj[r] = src[r*lds+j]
 			}
 		}
 	}
