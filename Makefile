@@ -28,7 +28,9 @@ purego:
 
 # Ten seconds of coverage-guided fuzzing per assembly kernel, each against
 # its scalar contract: FuzzMatMulTile (the GEMM paths and the register tile,
-# canaries around every dst row), FuzzAxpy4, FuzzExpShift (the vector exp
+# canaries around every dst row), FuzzAccumBlockSkip (the masked tiles at
+# widths 1–48 against the zero-skipping scalar loop, b ending at a guard
+# page), FuzzZeroScan (the vector zero scan against `v == 0`), FuzzAxpy4, FuzzExpShift (the vector exp
 # under ExpShift and Sigmoid), FuzzTranspose (TransposeBlock against the seed
 # transpose, canaries around and between the destination rows) and
 # FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice).
@@ -36,6 +38,8 @@ purego:
 # as plain tests in `make test`.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulTile$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzAccumBlockSkip$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzZeroScan$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAxpy4$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzExpShift$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzTranspose$$' -fuzztime 10s ./internal/tensor

@@ -427,12 +427,13 @@ func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, zeroed bool, lo, hi int) 
 
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
 // the non-empty tiles: full tiles run without mask checks; partial tiles
-// hoist the mask via RowMask, write masked entries as −Inf and run the exp
-// from their first to their last allowed key, where exp(−Inf − max) is exact
-// +0 for every max (dense maskedSoftmaxRows' value); masked entries outside
-// that span are set to +0 directly. Max, exponential and normalisation
-// reproduce SoftmaxRow's arithmetic term for term; the sum skips or adds
-// masked +0s, which IEEE addition from +0 cannot observe (no exp is −0).
+// hoist the mask via RowMask over their own columns, write masked entries
+// as −Inf and run the exp from their first to their last allowed key, where
+// exp(−Inf − max) is exact +0 for every max (dense maskedSoftmaxRows'
+// value); masked entries outside that span are set to +0 directly. Max,
+// exponential and normalisation reproduce SoftmaxRow's arithmetic term for
+// term; the sum skips or adds masked +0s, which IEEE addition from +0
+// cannot observe (no exp is −0).
 // With a non-nil part the rows stay unnormalised — exp(score − max) at
 // allowed keys — and each row's max and sum are stored in part.M and part.L
 // instead (−Inf and 0 for a row with no allowed key): the flash-style
@@ -446,21 +447,9 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 		rt := i / g.TileRows
 		row := s.Row(i)
 		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
-		needMask := false
-		for _, kind := range kinds {
-			if kind == TilePartial {
-				needMask = true
-				break
-			}
-		}
-		if needMask {
-			if allowed == nil {
-				allowed = make([]bool, sk)
-			}
-			RowMask(m, qPos[i], kOff, allowed)
-		}
 		// Scale and row max over allowed entries; masked entries of partial
-		// tiles become −Inf, which the exp pass turns into +0.
+		// tiles become −Inf, which the exp pass turns into +0. Only partial
+		// tiles read the mask, so it is built over their columns alone.
 		maxv := negInf
 		for ct, kind := range kinds {
 			if kind == TileEmpty {
@@ -476,6 +465,10 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 				}
 				continue
 			}
+			if allowed == nil {
+				allowed = make([]bool, sk)
+			}
+			RowMask(m, qPos[i], kOff+c0, allowed[c0:c1])
 			for j := c0; j < c1; j++ {
 				if allowed[j] {
 					row[j] *= scale

@@ -1,7 +1,7 @@
 package tensor
 
-// axpy4 is the one fused inner loop under every GEMM and every attention
-// accumulate sweep: for every j,
+// axpy4 is the fused inner loop of accumRows, the per-row path AccumBlock
+// takes where the register tile does not run: for every j,
 //
 //	dst[j] += a0·b0[j]; += a1·b1[j]; += a2·b2[j]; += a3·b3[j]
 //

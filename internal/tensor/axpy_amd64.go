@@ -76,6 +76,27 @@ func tile4x32AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb,
 //go:noescape
 func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc int)
 
+// tile4x32MaskAVX512 is tile4x32AVX512 with the zero skip: row r's term at
+// step p is dropped exactly when a[r][p] is ±0. nc is a positive multiple
+// of 32.
+//
+//go:noescape
+func tile4x32MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int)
+
+// tile4x16MaskAVX512 is tile4x16AVX512 under the AVX-512 opmask, over nc ≥ 1
+// columns in blocks of 16, the last block masked to the low nc mod 16 lanes:
+// nothing at or past column nc of a dst or b row is read or written. With
+// skip, a row's term at step p is dropped exactly when a[r][p] is ±0.
+//
+//go:noescape
+func tile4x16MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int, skip bool)
+
+// zeroGroupsAVX512 returns the set of g < ng (1 ≤ ng ≤ 64) whose 4×kc block,
+// row r at a+(4g+r)·lda, holds a ±0: bit g set when it does.
+//
+//go:noescape
+func zeroGroupsAVX512(a *float32, lda, kc, ng int) uint64
+
 // expShiftVec runs the vector exp over the leading multiple of eight
 // elements of x and returns how many it covered.
 func expShiftVec(x []float32, shift float32) int {

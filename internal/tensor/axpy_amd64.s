@@ -77,6 +77,27 @@ done:
 	VZEROUPPER
 	RET
 
+// A 4×32 block of dst in Z0–Z7, two accumulators per row.
+#define LOAD4x32 \
+	VMOVUPS (DI), Z0;         \
+	VMOVUPS 64(DI), Z1;       \
+	VMOVUPS (DI)(R8*1), Z2;   \
+	VMOVUPS 64(DI)(R8*1), Z3; \
+	VMOVUPS (R9), Z4;         \
+	VMOVUPS 64(R9), Z5;       \
+	VMOVUPS (R9)(R8*1), Z6;   \
+	VMOVUPS 64(R9)(R8*1), Z7
+
+#define STORE4x32 \
+	VMOVUPS Z0, (DI);         \
+	VMOVUPS Z1, 64(DI);       \
+	VMOVUPS Z2, (DI)(R8*1);   \
+	VMOVUPS Z3, 64(DI)(R8*1); \
+	VMOVUPS Z4, (R9);         \
+	VMOVUPS Z5, 64(R9);       \
+	VMOVUPS Z6, (R9)(R8*1);   \
+	VMOVUPS Z7, 64(R9)(R8*1)
+
 // One row of the tile at step p: broadcast its coefficient, two rounded
 // VMULPS against the b row segment in Z8/Z9, two rounded VADDPS into the
 // row's accumulators — again never VFMADD, accumulator first.
@@ -119,14 +140,7 @@ TEXT ·tile4x32AVX512(SB), NOSPLIT, $0-64
 	MOVQ nc+56(FP), R13
 
 block:
-	VMOVUPS (DI), Z0
-	VMOVUPS 64(DI), Z1
-	VMOVUPS (DI)(R8*1), Z2
-	VMOVUPS 64(DI)(R8*1), Z3
-	VMOVUPS (R9), Z4
-	VMOVUPS 64(R9), Z5
-	VMOVUPS (R9)(R8*1), Z6
-	VMOVUPS 64(R9)(R8*1), Z7
+	LOAD4x32
 	MOVQ    BX, AX
 	MOVQ    kc+48(FP), CX
 	NEGQ    CX
@@ -144,19 +158,77 @@ step:
 	INCQ       CX
 	JNZ        step
 
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, (DI)(R8*1)
-	VMOVUPS Z3, 64(DI)(R8*1)
-	VMOVUPS Z4, (R9)
-	VMOVUPS Z5, 64(R9)
-	VMOVUPS Z6, (R9)(R8*1)
-	VMOVUPS Z7, 64(R9)(R8*1)
+	STORE4x32
 	ADDQ    $128, DI
 	ADDQ    $128, R9
 	ADDQ    $128, BX
 	SUBQ    $32, R13
 	JNZ     block
+	VZEROUPPER
+	RET
+
+// ROW with the zero skip: K is set where the broadcast coefficient is not
+// ±0 (VCMPPS NEQ_UQ: true for a NaN), and both adds are merge-masked by it,
+// so a ±0 coefficient leaves the row's 32 accumulators as they were.
+#define ROWSKIP32(A, ACC0, ACC1, C, P0, P1, K) \
+	VBROADCASTSS (A)(CX*4), C; \
+	VCMPPS $4, Z31, C, K;      \
+	VMULPS Z8, C, P0;          \
+	VMULPS Z9, C, P1;          \
+	VADDPS P0, ACC0, K, ACC0;  \
+	VADDPS P1, ACC1, K, ACC1
+
+// func tile4x32MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int)
+//
+// tile4x32AVX512 with the zero skip: the same blocks, loads, stores and
+// prefetches, each row's two adds at step p merge-masked by ROWSKIP32's
+// compare. Each of the 4·32 lanes of a block sees the scalar loop's
+// multiply, round, add, round for p = 0, 1, …, kc−1, the add dropped
+// exactly when a[r][p] is ±0. nc is a positive multiple of 32.
+TEXT ·tile4x32MaskAVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $2, R8
+	MOVQ kc+48(FP), CX
+	MOVQ a+16(FP), SI
+	LEAQ (SI)(CX*4), SI
+	MOVQ lda+24(FP), R9
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R10)(R9*2), R12
+	LEAQ (DI)(R8*2), R9 // dst row 2; row 1 is DI+R8, row 3 R9+R8
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), DX
+	SHLQ $2, DX
+	MOVQ   nc+56(FP), R13
+	VPXORD Z31, Z31, Z31
+
+blockx:
+	LOAD4x32
+	MOVQ    BX, AX
+	MOVQ    kc+48(FP), CX
+	NEGQ    CX
+
+stepx:
+	PREFETCHT0 (AX)(DX*8)
+	PREFETCHT0 64(AX)(DX*8)
+	VMOVUPS    (AX), Z8
+	VMOVUPS    64(AX), Z9
+	ROWSKIP32(SI, Z0, Z1, Z10, Z14, Z15, K3)
+	ROWSKIP32(R10, Z2, Z3, Z11, Z16, Z17, K4)
+	ROWSKIP32(R11, Z4, Z5, Z12, Z18, Z19, K5)
+	ROWSKIP32(R12, Z6, Z7, Z13, Z20, Z21, K6)
+	ADDQ       DX, AX
+	INCQ       CX
+	JNZ        stepx
+
+	STORE4x32
+	ADDQ    $128, DI
+	ADDQ    $128, R9
+	ADDQ    $128, BX
+	SUBQ    $32, R13
+	JNZ     blockx
 	VZEROUPPER
 	RET
 
@@ -211,6 +283,182 @@ step16:
 	VMOVUPS Z1, (DI)(R8*1)
 	VMOVUPS Z2, (R9)
 	VMOVUPS Z3, (R9)(R8*1)
+	VZEROUPPER
+	RET
+
+// One row of the masked tile at step p with the zero skip: broadcast the
+// coefficient, set K to the column mask K2 and-ed with "coefficient ≠ 0 or
+// NaN" (VCMPPS NEQ_UQ under K2), then the ROW16 multiply and add, the add
+// merge-masked by K: a lane whose coefficient is ±0 keeps its accumulator
+// bits, whatever the b lane holds — the scalar `if av == 0 { continue }`.
+#define ROWSKIP(A, ACC, C, P, K) \
+	VBROADCASTSS (A)(CX*4), C; \
+	VCMPPS $4, Z31, C, K2, K;  \
+	VMULPS Z8, C, P;           \
+	VADDPS P, ACC, K, ACC
+
+// func tile4x16MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int, skip bool)
+//
+// tile4x16AVX512 under the opmask, over nc ≥ 1 columns in blocks of 16
+// left to right. The column mask K2 is all sixteen lanes, and the low
+// nc mod 16 on the last block when nc is not a multiple of 16; it masks the
+// dst loads (zeroing), the b loads (zeroing) and the dst stores, so a lane
+// at or past column nc is never read or written (masked-off lanes do not
+// fault). With skip, each row's add at each step is merge-masked by its
+// ROWSKIP mask; without, every term is added as in tile4x16AVX512. Each
+// stored lane is one output element that sees, for p = 0, 1, …, kc−1, the
+// scalar loop's multiply, round, add, round — the add dropped exactly when
+// skip is on and a[r][p] is ±0 (a NaN coefficient adds).
+TEXT ·tile4x16MaskAVX512(SB), NOSPLIT, $0-65
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	SHLQ $2, R8
+	MOVQ kc+48(FP), CX
+	MOVQ a+16(FP), SI
+	LEAQ (SI)(CX*4), SI
+	MOVQ lda+24(FP), R9
+	SHLQ $2, R9
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R10)(R9*2), R12
+	LEAQ (DI)(R8*2), R9 // dst row 2; row 1 is DI+R8, row 3 R9+R8
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), DX
+	SHLQ $2, DX
+	MOVQ    nc+56(FP), R13
+	MOVBQZX skip+64(FP), R14
+	VPXORD  Z31, Z31, Z31
+	MOVL    $0xffff, AX
+	KMOVW   AX, K2
+
+blockm:
+	CMPQ R13, $16
+	JGE  loadm
+	MOVQ R13, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K2 // the last, partial block: the low nc mod 16 lanes
+
+loadm:
+	VMOVUPS.Z (DI), K2, Z0
+	VMOVUPS.Z (DI)(R8*1), K2, Z1
+	VMOVUPS.Z (R9), K2, Z2
+	VMOVUPS.Z (R9)(R8*1), K2, Z3
+	MOVQ      BX, AX
+	MOVQ      kc+48(FP), CX
+	NEGQ      CX
+	TESTQ     R14, R14
+	JZ        stepm
+
+stepskip:
+	PREFETCHT0 (AX)(DX*8)
+	VMOVUPS.Z  (AX), K2, Z8
+	ROWSKIP(SI, Z0, Z10, Z14, K3)
+	ROWSKIP(R10, Z1, Z11, Z15, K4)
+	ROWSKIP(R11, Z2, Z12, Z16, K5)
+	ROWSKIP(R12, Z3, Z13, Z17, K6)
+	ADDQ       DX, AX
+	INCQ       CX
+	JNZ        stepskip
+	JMP        storem
+
+stepm:
+	PREFETCHT0 (AX)(DX*8)
+	VMOVUPS.Z  (AX), K2, Z8
+	ROW16(SI, Z0, Z10, Z14)
+	ROW16(R10, Z1, Z11, Z15)
+	ROW16(R11, Z2, Z12, Z16)
+	ROW16(R12, Z3, Z13, Z17)
+	ADDQ       DX, AX
+	INCQ       CX
+	JNZ        stepm
+
+storem:
+	VMOVUPS Z0, K2, (DI)
+	VMOVUPS Z1, K2, (DI)(R8*1)
+	VMOVUPS Z2, K2, (R9)
+	VMOVUPS Z3, K2, (R9)(R8*1)
+	ADDQ    $64, DI
+	ADDQ    $64, R9
+	ADDQ    $64, BX
+	SUBQ    $16, R13
+	JG      blockm
+	VZEROUPPER
+	RET
+
+// func zeroGroupsAVX512(a *float32, lda, kc, ng int) uint64
+//
+// Bit g of the result is set when the 4×kc block whose row r starts at
+// a[(4g+r)·lda] holds a coefficient equal to zero, for g < ng, 1 ≤ ng ≤ 64.
+// Per 16-column block the four rows are compared with VCMPPS EQ_OQ against
+// +0 — true exactly for ±0, false for NaN: the scalar `v == 0` — and one
+// KORTESTW of the or-ed masks leaves the group at its first zero block. The
+// last kc mod 16 lanes of each row are loaded under the mask K2 (zeroing;
+// masked-off lanes do not fault) and compared under it, so nothing at or
+// past a[(4g+r)·lda+kc] is read.
+TEXT ·zeroGroupsAVX512(SB), NOSPLIT, $0-40
+	MOVQ   a+0(FP), SI
+	MOVQ   lda+8(FP), R9
+	SHLQ   $2, R9
+	MOVQ   kc+16(FP), CX
+	MOVQ   ng+24(FP), R13
+	MOVQ   CX, DX
+	ANDQ   $~15, DX // elements in whole 16-lane blocks
+	ANDQ   $15, CX
+	MOVL   $1, AX
+	SHLL   CX, AX
+	DECL   AX
+	KMOVW  AX, K2   // the tail lanes; none when kc is a multiple of 16
+	VPXORD Z31, Z31, Z31
+	XORQ   BX, BX   // result
+	XORQ   R8, R8   // g
+
+groupz:
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R10)(R9*2), R12
+	XORQ AX, AX
+
+blockz:
+	CMPQ     AX, DX
+	JGE      tailz
+	VCMPPS   $0, (SI)(AX*4), Z31, K1
+	VCMPPS   $0, (R10)(AX*4), Z31, K3
+	VCMPPS   $0, (R11)(AX*4), Z31, K4
+	VCMPPS   $0, (R12)(AX*4), Z31, K5
+	KORW     K1, K3, K1
+	KORW     K4, K5, K4
+	KORTESTW K1, K4
+	JNZ      foundz
+	ADDQ     $16, AX
+	JMP      blockz
+
+tailz:
+	TESTQ     CX, CX
+	JZ        nextz
+	VMOVUPS.Z (SI)(AX*4), K2, Z0
+	VMOVUPS.Z (R10)(AX*4), K2, Z1
+	VMOVUPS.Z (R11)(AX*4), K2, Z2
+	VMOVUPS.Z (R12)(AX*4), K2, Z3
+	VCMPPS    $0, Z0, Z31, K2, K1
+	VCMPPS    $0, Z1, Z31, K2, K3
+	VCMPPS    $0, Z2, Z31, K2, K4
+	VCMPPS    $0, Z3, Z31, K2, K5
+	KORW      K1, K3, K1
+	KORW      K4, K5, K4
+	KORTESTW  K1, K4
+	JZ        nextz
+
+foundz:
+	BTSQ R8, BX
+
+nextz:
+	LEAQ (SI)(R9*4), SI
+	INCQ R8
+	CMPQ R8, R13
+	JLT  groupz
+	MOVQ BX, ret+32(FP)
 	VZEROUPPER
 	RET
 

@@ -29,6 +29,18 @@ func tile4x16AVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb,
 	panic("tensor: no register-tile kernel in this build")
 }
 
+func tile4x32MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int) {
+	panic("tensor: no register-tile kernel in this build")
+}
+
+func tile4x16MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, ldb, kc, nc int, skip bool) {
+	panic("tensor: no register-tile kernel in this build")
+}
+
+func zeroGroupsAVX512(a *float32, lda, kc, ng int) uint64 {
+	panic("tensor: no register-tile kernel in this build")
+}
+
 func transpose16AVX(dst *float32, ldd int, src *float32, lds int, n int) {
 	panic("tensor: no vector transpose in this build")
 }

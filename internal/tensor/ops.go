@@ -121,73 +121,70 @@ func matMulRows(out, a, b *Tensor, workers int, skip bool) {
 // b[p·ldb]. With skip a term is dropped exactly when its a value is zero
 // (MatMul, TMatMul); without, every term is multiplied (MatMulT). It is the
 // kernel under every product in the package and under the blocked attention
-// engine's sweeps, one call per non-empty mask tile. The i-k-j loop is
-// blocked over k so a tileK-row slab of b stays cache-resident. Per slab and
-// per window of 64 4-row groups, each group's coefficient block is tested
-// once; a tileable group runs the register tiles — 4×32 blocks, then one
-// 4×16 block when n mod 32 ≥ 16 — tileN columns of the slab at a time, and a
-// scalar loop per (row, p) over the rest; every other row is one accumRows
-// call. Each path adds the terms in increasing-p order as separately rounded
-// +=, so the result is bitwise identical to the one-p-at-a-time scalar kernel.
+// engine's sweeps, one call per non-empty mask tile. It panics unless
+// ldo ≥ n, lda ≥ k, ldb ≥ n and each slice holds its (rows−1)·ld + cols
+// extent, before it writes anything. The i-k-j loop is blocked over k so a
+// tileK-row slab of b stays cache-resident. On an AVX-512 host every whole
+// 4-row group runs on the register tile, tileN columns of the slab at a time,
+// one rule per group and slab: per window of 64 groups one vector scan finds
+// the groups whose coefficient block holds a zero (skip only). A zero-free
+// group runs the plain tiles — 4×32 blocks, then one 4×16 block when
+// n mod 32 ≥ 16 — and the masked 4×16 tile over the last n mod 16 columns; a
+// group holding a zero runs the 4×32 blocks with the zero skip, then the
+// masked 4×16 tile with it over the last n mod 32 columns. The m mod 4
+// leftover rows, and every row on a host without AVX-512 or in the purego
+// build, are one accumRows call each. Each path adds the terms in
+// increasing-p order as separately rounded +=, so the result is bitwise
+// identical to the one-p-at-a-time scalar kernel.
 func AccumBlock(out []float32, ldo int, a []float32, lda int, b []float32, ldb, m, k, n int, skip bool) {
-	nt := 0 // columns the tiles cover
-	if useAVX512 && m >= 4 {
-		nt = n &^ 15
+	if m <= 0 || k <= 0 || n <= 0 {
+		return
+	}
+	if ldo < n || lda < k || ldb < n || len(out) < (m-1)*ldo+n || len(a) < (m-1)*lda+k || len(b) < (k-1)*ldb+n {
+		panic(fmt.Sprintf("tensor: AccumBlock %dx%dx%d with strides out %d, a %d, b %d over %d, %d and %d floats",
+			m, k, n, ldo, lda, ldb, len(out), len(a), len(b)))
+	}
+	// The tiles trust these extents.
+	out, a, b = out[:(m-1)*ldo+n], a[:(m-1)*lda+k], b[:(k-1)*ldb+n]
+	mt := 0 // rows the tiles cover
+	if useAVX512 {
+		mt = m &^ 3
 	}
 	for pt := 0; pt < k; pt += tileK {
 		kc, bs := min(tileK, k-pt), b[pt*ldb:]
-		for i0 := 0; i0 < m; i0 += 4 * 64 {
-			i1 := min(i0+4*64, m)
-			var tiled uint64 // bit g: the group at row i0+4g runs on the tile
-			for g := 0; nt > 0 && i0+4*g+4 <= i1; g++ {
-				if tileable(a[(i0+4*g)*lda+pt:], lda, kc, skip) {
-					tiled |= 1 << g
-				}
+		for i0 := 0; i0 < mt; i0 += 4 * 64 {
+			ng := min(64, (mt-i0)/4)
+			var zeros uint64 // bit g: the group at row i0+4g holds a zero coefficient
+			if skip {
+				zeros = zeroGroupsAVX512(&a[i0*lda+pt], lda, kc, ng)
 			}
-			for jc := 0; jc < nt && tiled != 0; jc += tileN {
-				nc := min(tileN, nt-jc)
-				n32 := nc &^ 31
-				for g := 0; tiled>>g != 0; g++ {
-					if i := i0 + 4*g; tiled>>g&1 != 0 {
-						o, ai := out[i*ldo+jc:], &a[i*lda+pt]
-						if n32 > 0 {
-							tile4x32AVX512(&o[0], ldo, ai, lda, &bs[jc], ldb, kc, n32)
-						}
-						if n32 < nc {
-							tile4x16AVX512(&o[n32], ldo, ai, lda, &bs[jc+n32], ldb, kc)
-						}
+			for jc := 0; jc < n; jc += tileN {
+				nc := min(tileN, n-jc)
+				n16, n32 := nc&^15, nc&^31
+				for g := 0; g < ng; g++ {
+					o, ai := out[(i0+4*g)*ldo+jc:], &a[(i0+4*g)*lda+pt]
+					z := zeros>>g&1 != 0
+					switch {
+					case n32 > 0 && z:
+						tile4x32MaskAVX512(&o[0], ldo, ai, lda, &bs[jc], ldb, kc, n32)
+					case n32 > 0:
+						tile4x32AVX512(&o[0], ldo, ai, lda, &bs[jc], ldb, kc, n32)
 					}
-				}
-			}
-			for i := i0; i < i1; i++ {
-				ai, oi := a[i*lda+pt:i*lda+pt+kc], out[i*ldo:i*ldo+n]
-				if tiled>>((i-i0)/4)&1 == 0 {
-					accumRows(oi, ai, bs, ldb, skip)
-					continue
-				}
-				for p := 0; nt < n && p < kc; p++ {
-					av, bp := ai[p], bs[p*ldb:p*ldb+n]
-					for j := nt; j < n; j++ {
-						oi[j] += av * bp[j]
+					j := n32 // columns done
+					if !z && n32 < n16 {
+						tile4x16AVX512(&o[n32], ldo, ai, lda, &bs[jc+n32], ldb, kc)
+						j = n16
+					}
+					if j < nc {
+						tile4x16MaskAVX512(&o[j], ldo, ai, lda, &bs[jc+j], ldb, kc, nc-j, z)
 					}
 				}
 			}
 		}
-	}
-}
-
-// tileable reports whether the 4×kc coefficient block whose row r starts at
-// a[r·lda] may run on the register tile, which multiplies every term: always
-// with skip off, else only if no coefficient is zero.
-func tileable(a []float32, lda, kc int, skip bool) bool {
-	for r := 0; skip && r < 4; r++ {
-		for _, v := range a[r*lda : r*lda+kc] {
-			if v == 0 {
-				return false
-			}
+		for i := mt; i < m; i++ {
+			accumRows(out[i*ldo:i*ldo+n], a[i*lda+pt:i*lda+pt+kc], bs, ldb, skip)
 		}
 	}
-	return true
 }
 
 // MatMulT returns a @ bᵀ for a [m,k] and b [n,k] — the attention-score path
