@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego fuzz-kernels exhaustive-exp test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
+.PHONY: all build test vet race purego v3 fuzz-kernels exhaustive-exp test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
 
 all: check
 
@@ -19,7 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # The pure-Go build of the vector kernels (internal/tensor axpy4, the GEMM
-# register tile, the vector exp, the AdamW kernel and the transpose):
+# register tile, the vector exp, the AdamW kernel, the transpose and the
+# softmax sweeps' lanes; the row chains are Go in both builds):
 # the packages whose bitwise contracts sit on them must pass without the
 # assembly, which is also what every non-amd64 host runs — optim and fsdp
 # on AdamWUpdate's scalar loop.
@@ -33,9 +34,21 @@ purego:
 # page), FuzzZeroScan (the vector zero scan against `v == 0`), FuzzAxpy4, FuzzExpShift (the vector exp
 # under ExpShift and Sigmoid), FuzzTranspose (TransposeBlock against the seed
 # transpose, canaries around and between the destination rows) and
-# FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice).
+# FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice),
+# then the softmax sweeps' kernels against their scalar loops at lengths
+# 0–80, with canaries and at a guard page: FuzzScaleMax (ScaleMax and the
+# read-only max, NaN/±Inf/±0 ties), FuzzScaleRow, FuzzSoftmaxGradRow (dot
+# ±Inf and NaN), FuzzSumRows8 and FuzzDotRows8 (the eight-row chains).
 # The committed corpora under internal/{tensor,optim}/testdata/fuzz also run
 # as plain tests in `make test`.
+# The kernel-bound packages built for x86-64-v3 (AVX2, FMA): the language
+# lets the compiler fuse x*y+z into one FMA, which would split a Go chain or
+# scalar tail from the never-FMA assembly beside it. Every product feeding a
+# chain is written float32(x*y), which may not be fused; this gate holds the
+# bitwise tests to it at the level that has FMA.
+v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor ./internal/attention ./internal/model ./internal/optim
+
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulTile$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumBlockSkip$$' -fuzztime 10s ./internal/tensor
@@ -44,6 +57,11 @@ fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpShift$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzTranspose$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAdamW$$' -fuzztime 10s ./internal/optim
+	$(GO) test -run '^$$' -fuzz '^FuzzScaleMax$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzScaleRow$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzSoftmaxGradRow$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzSumRows8$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzDotRows8$$' -fuzztime 10s ./internal/tensor
 
 # The vector exp and the AdamW kernel's square root on all 2^32 float32
 # inputs (not tier-1, about four CPU-minutes plus one): ExpShift and Sigmoid
@@ -154,7 +172,7 @@ dead:
 # subsystem exercise real cross-goroutine communication; the
 # measured-vs-modeled sweep and the kernels' bitwise-vs-oracle guards are
 # ordinary tests inside it),
-# rerun the kernel-bound packages on the pure-Go build, fuzz the assembly
-# kernels, replay the planner loop-closure guard, type-check the bench/
-# module against the tree, and report the code size.
-check: build vet dead race purego fuzz-kernels check-planner bench-build loc
+# rerun the kernel-bound packages on the pure-Go build and at GOAMD64=v3,
+# fuzz the assembly kernels, replay the planner loop-closure guard,
+# type-check the bench/ module against the tree, and report the code size.
+check: build vet dead race purego v3 fuzz-kernels check-planner bench-build loc

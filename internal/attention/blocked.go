@@ -425,110 +425,158 @@ func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, zeroed bool, lo, hi int) 
 	scoreRows(s, q, k.Data, k.Cols(), 0, 0, 0, s.Cols(), g, zeroed, lo, hi)
 }
 
+// span is the column range [c0, c1) of one or more adjacent non-empty tiles
+// of a row band; full when every one of them is.
+type span struct {
+	c0, c1 int
+	full   bool
+}
+
+// appendSpans appends the column ranges of row-tile rt's non-empty tiles to
+// dst in increasing column order, merging adjacent tiles when both are full,
+// or always when merge is set (the band's runs of non-empty tiles).
+func (g *Grid) appendSpans(dst []span, rt int, merge bool) []span {
+	for ct, kind := range g.Kinds[rt*g.NCols : (rt+1)*g.NCols] {
+		if kind == TileEmpty {
+			continue
+		}
+		c0, c1 := g.colBand(ct)
+		full := kind == TileFull
+		if n := len(dst); n > 0 && dst[n-1].c1 == c0 && (merge || full && dst[n-1].full) {
+			dst[n-1].c1, dst[n-1].full = c1, full && dst[n-1].full
+			continue
+		}
+		dst = append(dst, span{c0, c1, full})
+	}
+	return dst
+}
+
+// groupRows is how many rows of a band run their sum or dot chains side by
+// side (tensor.SumRows8, tensor.DotRows8).
+const groupRows = 8
+
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
-// the non-empty tiles: full tiles run without mask checks; partial tiles
-// hoist the mask via RowMask over their own columns, write masked entries
-// as −Inf and run the exp from their first to their last allowed key, where
-// exp(−Inf − max) is exact +0 for every max (dense maskedSoftmaxRows'
-// value); masked entries outside that span are set to +0 directly. Max,
+// the non-empty tiles: runs of full tiles scale and take the max on lanes
+// (tensor.ScaleMax). Partial tiles hoist the mask via RowMask over their own
+// columns, set the masked entries outside the span from their first to their
+// last allowed key to +0 directly (the exp's value for them) and run the exp
+// over the span alone. A span with no masked key inside (a causal or
+// document row's usual case) scales and takes the max on lanes like a full
+// tile; any other writes its masked entries as −Inf, where exp(−Inf − max)
+// is exact +0 for every max (dense maskedSoftmaxRows' value). Max,
 // exponential and normalisation reproduce SoftmaxRow's arithmetic term for
-// term; the sum skips or adds masked +0s, which IEEE addition from +0
-// cannot observe (no exp is −0).
+// term. Each row's sum is one chain over its band's runs of non-empty tiles
+// in increasing key order, eight rows' chains at a time (tensor.SumRows8);
+// it adds masked +0s SoftmaxRow skips, which IEEE addition from +0 cannot
+// observe (no exp is −0).
 // With a non-nil part the rows stay unnormalised — exp(score − max) at
 // allowed keys — and each row's max and sum are stored in part.M and part.L
 // instead (−Inf and 0 for a row with no allowed key): the flash-style
 // statistics, one rounded add per allowed key in increasing key order, as
-// DensePartialForwardInto's sweep computes them.
+// DensePartialForwardInto's sweep computes them. ScaleMax keeps the scan's
+// sign on a ±0-tied max, so part.M has the dense bits.
 func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, part *Partial, lo, hi int) {
 	sk := s.Cols()
 	negInf := float32(math.Inf(-1))
 	var allowed []bool
-	for i := lo; i < hi; i++ {
-		rt := i / g.TileRows
-		row := s.Row(i)
-		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
-		// Scale and row max over allowed entries; masked entries of partial
-		// tiles become −Inf, which the exp pass turns into +0. Only partial
-		// tiles read the mask, so it is built over their columns alone.
-		maxv := negInf
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
+	var spans, runs []span
+	var cuts [][2]int // per partial span of the row: its allowed keys' first and last+1
+	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+		r0, r1 := g.rowBand(rt)
+		r0, r1 = max(r0, lo), min(r1, hi)
+		spans = g.appendSpans(spans[:0], rt, false)
+		runs = g.appendSpans(runs[:0], rt, true)
+		cuts = slices.Grow(cuts[:0], len(spans))[:len(spans)]
+		for i := r0; i < r1; {
+			rows := 1
+			if r1-i >= groupRows {
+				rows = groupRows
 			}
-			c0, c1 := g.colBand(ct)
-			if kind == TileFull {
-				for j := c0; j < c1; j++ {
-					row[j] *= scale
-					if row[j] > maxv {
-						maxv = row[j]
+			var live [groupRows]bool
+			for r := range rows {
+				row := s.Row(i + r)
+				// Scale and row max over allowed entries; a partial tile's
+				// masked entries become +0 outside its allowed span and −Inf
+				// inside it, which the exp pass turns into +0. Only partial
+				// tiles read the mask, so it is built over their columns
+				// alone.
+				maxv := negInf
+				for k, c := range spans {
+					if c.full {
+						maxv = tensor.ScaleMax(row[c.c0:c.c1], scale, maxv)
+						continue
+					}
+					if allowed == nil {
+						allowed = make([]bool, sk)
+					}
+					RowMask(m, qPos[i+r], kOff+c.c0, allowed[c.c0:c.c1])
+					a, b := c.c0, c.c1
+					for a < b && !allowed[a] {
+						a++
+					}
+					for b > a && !allowed[b-1] {
+						b--
+					}
+					clear(row[c.c0:a])
+					clear(row[b:c.c1])
+					cuts[k] = [2]int{a, b}
+					if slices.Index(allowed[a:b], false) < 0 {
+						maxv = tensor.ScaleMax(row[a:b], scale, maxv)
+						continue
+					}
+					for j := a; j < b; j++ {
+						if allowed[j] {
+							row[j] *= scale
+							if row[j] > maxv {
+								maxv = row[j]
+							}
+						} else {
+							row[j] = negInf
+						}
 					}
 				}
-				continue
-			}
-			if allowed == nil {
-				allowed = make([]bool, sk)
-			}
-			RowMask(m, qPos[i], kOff+c0, allowed[c0:c1])
-			for j := c0; j < c1; j++ {
-				if allowed[j] {
-					row[j] *= scale
-					if row[j] > maxv {
-						maxv = row[j]
-					}
-				} else {
-					row[j] = negInf
+				if part != nil {
+					part.M[i+r], part.L[i+r] = maxv, 0
 				}
-			}
-		}
-		if part != nil {
-			part.M[i], part.L[i] = maxv, 0
-		}
-		if math.IsInf(float64(maxv), -1) {
-			// No allowed key (or every allowed score NaN): dense SoftmaxRow
-			// zeroes the row. Empty tiles already hold +0.
-			for ct, kind := range kinds {
-				if kind == TileEmpty {
+				if math.IsInf(float64(maxv), -1) {
+					// No allowed key (or every allowed score NaN): dense
+					// SoftmaxRow zeroes the row. Empty tiles already hold +0.
+					for _, c := range runs {
+						clear(row[c.c0:c.c1])
+					}
 					continue
 				}
-				c0, c1 := g.colBand(ct)
-				for j := c0; j < c1; j++ {
-					row[j] = 0
+				live[r] = true
+				for k, c := range spans {
+					if !c.full {
+						c.c0, c.c1 = cuts[k][0], cuts[k][1]
+					}
+					tensor.ExpShift(row[c.c0:c.c1], maxv)
 				}
 			}
-			continue
-		}
-		var sum float32
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
+			var sum [groupRows]float32
+			for _, c := range runs {
+				if rows == groupRows {
+					tensor.SumRows8(&sum, s.Data[i*sk+c.c0:], sk, c.c1-c.c0)
+					continue
+				}
+				for _, e := range s.Row(i)[c.c0:c.c1] {
+					sum[0] += e
+				}
 			}
-			c0, c1 := g.colBand(ct)
-			for kind == TilePartial && c0 < c1 && !allowed[c0] {
-				row[c0] = 0
-				c0++
+			for r, ok := range live[:rows] {
+				switch {
+				case !ok:
+				case part != nil:
+					part.L[i+r] = sum[r]
+				default:
+					row, inv := s.Row(i+r), 1/sum[r]
+					for _, c := range runs {
+						tensor.ScaleRow(row[c.c0:c.c1], inv) // masked entries are +0: unchanged
+					}
+				}
 			}
-			for kind == TilePartial && c1 > c0 && !allowed[c1-1] {
-				row[c1-1] = 0
-				c1--
-			}
-			tensor.ExpShift(row[c0:c1], maxv)
-			for _, e := range row[c0:c1] {
-				sum += e
-			}
-		}
-		if part != nil {
-			part.L[i] = sum
-			continue
-		}
-		inv := 1 / sum
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
-			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				row[j] *= inv // masked entries are +0: unchanged
-			}
+			i += rows
 		}
 	}
 }
@@ -635,33 +683,42 @@ func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int
 
 // blockedSoftmaxBackwardRows turns dP into dS = P ∘ (dP − rowsum(dP ∘ P)) in
 // place for rows [lo, hi) over the non-empty tiles: an element needs only its
-// own dP and the row's finished dot. The row dot accumulates every swept
-// term like dense softmaxBackwardRows; empty-tile terms are P·dP products
-// with P exactly +0, whose signed-zero contributions IEEE addition from a
-// non-negative accumulator cannot observe.
+// own dP and the row's finished dot (tensor.SoftmaxGradRow). The row dot
+// accumulates every swept term like dense softmaxBackwardRows, one chain in
+// increasing key order, eight rows' chains at a time (tensor.DotRows8);
+// empty-tile terms are P·dP products with P exactly +0, whose signed-zero
+// contributions IEEE addition from a non-negative accumulator cannot
+// observe.
 func blockedSoftmaxBackwardRows(dS, p *tensor.Tensor, g *Grid, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rt := i / g.TileRows
-		pi, dsi := p.Row(i), dS.Row(i)
-		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
-		var dot float32
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
+	sk := p.Cols()
+	var runs []span
+	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+		r0, r1 := g.rowBand(rt)
+		r0, r1 = max(r0, lo), min(r1, hi)
+		runs = g.appendSpans(runs[:0], rt, true)
+		for i := r0; i < r1; {
+			rows := 1
+			if r1-i >= groupRows {
+				rows = groupRows
 			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				dot += pi[j] * dsi[j]
+			var dot [groupRows]float32
+			for _, c := range runs {
+				if rows == groupRows {
+					tensor.DotRows8(&dot, p.Data[i*sk+c.c0:], sk, dS.Data[i*sk+c.c0:], sk, c.c1-c.c0)
+					continue
+				}
+				pi, dsi := p.Row(i)[c.c0:c.c1], dS.Row(i)[c.c0:c.c1]
+				for j, pj := range pi {
+					dot[0] += float32(pj * dsi[j])
+				}
 			}
-		}
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
+			for r := range rows {
+				pi, dsi := p.Row(i+r), dS.Row(i+r)
+				for _, c := range runs {
+					tensor.SoftmaxGradRow(dsi[c.c0:c.c1], pi[c.c0:c.c1], dot[r])
+				}
 			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				dsi[j] = pi[j] * (dsi[j] - dot)
-			}
+			i += rows
 		}
 	}
 }

@@ -147,7 +147,7 @@ func softmaxBackwardRows(dS, p, dP *tensor.Tensor, lo, hi int) {
 		pi, dpi, dsi := p.Row(i), dP.Row(i), dS.Row(i)
 		var dot float32
 		for j := range pi {
-			dot += pi[j] * dpi[j]
+			dot += float32(pi[j] * dpi[j]) // never fused into an FMA
 		}
 		for j := range pi {
 			dsi[j] = pi[j] * (dpi[j] - dot)

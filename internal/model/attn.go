@@ -95,8 +95,7 @@ func (a *Attention) project(x *tensor.Tensor, env *Env, ctx *attnCtx) (q0, k0, v
 
 // rotate applies RoPE to the Q and K projections and releases them.
 func (a *Attention) rotate(q0, k0 *tensor.Tensor, pos []int) (q, k *tensor.Tensor) {
-	q = a.Rope.Apply(q0, pos)
-	k = a.Rope.Apply(k0, pos)
+	q, k = a.Rope.Apply(q0, k0, pos)
 	tensor.Put(q0, k0) // pre-RoPE projections are dead once rotated
 	return q, k
 }
@@ -267,8 +266,7 @@ func (a *Attention) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 		dk, dv = dKFull, dVFull
 	}
 
-	dqRot := a.Rope.ApplyGrad(dq, env.QPos)
-	dkRot := a.Rope.ApplyGrad(dk, env.QPos)
+	dqRot, dkRot := a.Rope.ApplyGrad(dq, dk, env.QPos)
 	tensor.Put(dq, dk)
 
 	dx := a.Wq.Backward(ctx.qCtx, dqRot)

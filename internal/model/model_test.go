@@ -77,7 +77,7 @@ func TestRoPEPreservesNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := tensor.RandN(rng, 1, 6, 16) // 2 heads
 	pos := []int{0, 5, 10, 100, 1000, 7}
-	y := r.Apply(x, pos)
+	y, _ := r.Apply(x, x, pos)
 	for i := 0; i < 6; i++ {
 		var nx, ny float64
 		for j := 0; j < 16; j++ {
@@ -90,11 +90,44 @@ func TestRoPEPreservesNorm(t *testing.T) {
 	}
 }
 
+// TestRoPEMatchesPerHeadAngles holds rotate, which computes each row's
+// (cos, sin) pairs once with math.Sincos for all the heads of Q and K,
+// Float32bits-equal to the per-head definition that calls math.Cos and
+// math.Sin for every (tensor, row, head, pair): three query heads and one
+// key head, both directions, negative, large and random positions.
+func TestRoPEMatchesPerHeadAngles(t *testing.T) {
+	r := RoPE{HeadDim: 8, Base: 10000}
+	rng := rand.New(rand.NewSource(8))
+	pos := []int{0, 1, -7, 4095, 123456}
+	for i := 0; i < 200; i++ {
+		pos = append(pos, rng.Intn(1<<20)-1<<19)
+	}
+	q := tensor.RandN(rng, 1, len(pos), 3*8)
+	k := tensor.RandN(rng, 1, len(pos), 8)
+	for _, sign := range []float64{1, -1} {
+		qr, kr := r.rotate(q, k, pos, sign)
+		for _, c := range []struct{ x, got *tensor.Tensor }{{q, qr}, {k, kr}} {
+			for i, p := range pos {
+				for col := 0; col < c.x.Cols(); col += 2 {
+					theta := sign * float64(p) * r.invFreq(col%r.HeadDim/2)
+					cos, sin := float32(math.Cos(theta)), float32(math.Sin(theta))
+					a, b := c.x.At(i, col), c.x.At(i, col+1)
+					want0, want1 := float32(a*cos)-float32(b*sin), float32(a*sin)+float32(b*cos)
+					if c.got.At(i, col) != want0 || c.got.At(i, col+1) != want1 {
+						t.Fatalf("sign %v row %d column %d of %d: got (%v, %v), want (%v, %v)",
+							sign, i, col, c.x.Cols(), c.got.At(i, col), c.got.At(i, col+1), want0, want1)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRoPEPositionZeroIsIdentity(t *testing.T) {
 	r := RoPE{HeadDim: 4, Base: 10000}
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.RandN(rng, 1, 3, 4)
-	y := r.Apply(x, []int{0, 0, 0})
+	y, _ := r.Apply(x, x, []int{0, 0, 0})
 	if tensor.MaxDiff(x, y) > 1e-6 {
 		t.Fatal("RoPE at position 0 must be identity")
 	}
@@ -105,7 +138,8 @@ func TestRoPEGradInvertsApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.RandN(rng, 1, 4, 8)
 	pos := []int{3, 7, 11, 200}
-	back := r.ApplyGrad(r.Apply(x, pos), pos)
+	y, _ := r.Apply(x, x, pos)
+	back, _ := r.ApplyGrad(y, y, pos)
 	if tensor.MaxDiff(back, x) > 1e-5 {
 		t.Fatal("ApplyGrad must invert Apply")
 	}
@@ -118,8 +152,8 @@ func TestRoPERelativeProperty(t *testing.T) {
 	q := tensor.RandN(rng, 1, 1, 8)
 	k := tensor.RandN(rng, 1, 1, 8)
 	dot := func(m, n int) float64 {
-		qr := r.Apply(q, []int{m})
-		kr := r.Apply(k, []int{n})
+		qr, _ := r.Apply(q, q, []int{m})
+		kr, _ := r.Apply(k, k, []int{n})
 		return tensor.Dot(qr, kr)
 	}
 	if math.Abs(dot(5, 3)-dot(12, 10)) > 1e-4 {

@@ -131,6 +131,85 @@ func sigmoidAVX512(dst, src *float32, n int)
 //go:noescape
 func exp64AVX512(dst, src *float64, n int)
 
+// scaleMaxVec runs ScaleMax's lanes over the leading multiple of sixteen
+// elements of x and returns how many it covered and their max from m.
+func scaleMaxVec(x []float32, scale, m float32) (int, float32) {
+	n := len(x) &^ 15
+	if n == 0 || !useAVX512 {
+		return 0, m
+	}
+	return n, scaleMaxAVX512(&x[0], n, scale, m)
+}
+
+// maxVec is scaleMaxVec for rowMax: x is only read.
+func maxVec(x []float32, m float32) (int, float32) {
+	n := len(x) &^ 15
+	if n == 0 || !useAVX512 {
+		return 0, m
+	}
+	return n, maxAVX512(&x[0], n, m)
+}
+
+// scaleVec runs ScaleRow's lanes over the leading multiple of sixteen
+// elements and returns how many it covered.
+func scaleVec(x []float32, a float32) int {
+	n := len(x) &^ 15
+	if n == 0 || !useAVX512 {
+		return 0
+	}
+	scaleAVX512(&x[0], n, a)
+	return n
+}
+
+// softmaxGradVec is scaleVec for SoftmaxGradRow; len(p) == len(ds).
+func softmaxGradVec(ds, p []float32, dot float32) int {
+	n := len(ds) &^ 15
+	if n == 0 || !useAVX512 {
+		return 0
+	}
+	softmaxGradAVX512(&ds[0], &p[0], n, dot)
+	return n
+}
+
+// sumRows8Vec runs SumRows8's row lanes over the leading multiple of eight
+// columns and returns how many it covered; x holds 7·ld+n elements.
+func sumRows8Vec(acc *[8]float32, x []float32, ld, n int) int {
+	n &^= 7
+	if n == 0 || !useAVX2 {
+		return 0
+	}
+	sumRows8AVX(acc, &x[0], ld, n)
+	return n
+}
+
+// dotRows8Vec is sumRows8Vec for DotRows8.
+func dotRows8Vec(acc *[8]float32, a []float32, lda int, b []float32, ldb, n int) int {
+	n &^= 7
+	if n == 0 || !useAVX2 {
+		return 0
+	}
+	dotRows8AVX(acc, &a[0], lda, &b[0], ldb, n)
+	return n
+}
+
+//go:noescape
+func scaleMaxAVX512(x *float32, n int, scale, m float32) float32
+
+//go:noescape
+func maxAVX512(x *float32, n int, m float32) float32
+
+//go:noescape
+func scaleAVX512(x *float32, n int, a float32)
+
+//go:noescape
+func softmaxGradAVX512(ds, p *float32, n int, dot float32)
+
+//go:noescape
+func sumRows8AVX(acc *[8]float32, x *float32, ld, n int)
+
+//go:noescape
+func dotRows8AVX(acc *[8]float32, a *float32, lda int, b *float32, ldb, n int)
+
 // adamwVec runs the lane-wise AdamW kernel over the leading multiple of
 // sixteen elements and returns how many it covered; the slices all have
 // len(w), and c1, c2 are 1−β1 and 1−β2.

@@ -15,6 +15,20 @@ func expShiftVec(x []float32, shift float32) int { return 0 }
 
 func sigmoidVec(dst, src []float32) int { return 0 }
 
+// The softmax sweeps' lane kernels cover nothing: their scalar loops do all
+// the work.
+func scaleMaxVec(x []float32, scale, m float32) (int, float32) { return 0, m }
+
+func maxVec(x []float32, m float32) (int, float32) { return 0, m }
+
+func scaleVec(x []float32, a float32) int { return 0 }
+
+func softmaxGradVec(ds, p []float32, dot float32) int { return 0 }
+
+func sumRows8Vec(acc *[8]float32, x []float32, ld, n int) int { return 0 }
+
+func dotRows8Vec(acc *[8]float32, a []float32, lda int, b []float32, ldb, n int) int { return 0 }
+
 // adamwVec covers nothing: AdamWUpdate's scalar loop does all the work.
 func adamwVec(w, g, m, v []float32, c AdamWCoef, c1, c2 float32) int { return 0 }
 

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -323,42 +322,6 @@ func TransposeBlock(dst []float32, ldd int, src []float32, lds int, m, n int) {
 			}
 		}
 	}
-}
-
-// SoftmaxRow computes a numerically stable softmax of xs in place.
-func SoftmaxRow(xs []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range xs {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	if math.IsInf(float64(maxv), -1) {
-		// Entire row masked out: define the result as uniform zeros so a
-		// fully-padded query attends to nothing (used by document masks).
-		for i := range xs {
-			xs[i] = 0
-		}
-		return
-	}
-	ExpShift(xs, maxv)
-	var sum float32
-	for _, e := range xs {
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range xs {
-		xs[i] *= inv
-	}
-}
-
-// SoftmaxRows applies SoftmaxRow to every row of a 2-D tensor in place.
-func SoftmaxRows(a *Tensor) *Tensor {
-	m := a.Rows()
-	for i := 0; i < m; i++ {
-		SoftmaxRow(a.Row(i))
-	}
-	return a
 }
 
 // ConcatRows stacks tensors with identical column counts along dimension 0.

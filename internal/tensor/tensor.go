@@ -173,9 +173,7 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 
 // Scale computes t *= a.
 func (t *Tensor) Scale(a float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= a
-	}
+	ScaleRow(t.Data, a)
 	return t
 }
 
