@@ -31,16 +31,20 @@ purego:
 # its scalar contract: FuzzMatMulTile (the GEMM paths and the register tile,
 # canaries around every dst row), FuzzAccumBlockSkip (the masked tiles at
 # widths 1–48 against the zero-skipping scalar loop, b ending at a guard
-# page), FuzzZeroScan (the vector zero scan against `v == 0`), FuzzAxpy4, FuzzExpShift (the vector exp
-# under ExpShift and Sigmoid), FuzzTranspose (TransposeBlock against the seed
+# page), FuzzZeroScan (the vector zero scan against `v == 0`), FuzzAxpy4,
+# FuzzExpShift (the vector exp under ExpShift and Sigmoid, its masked last
+# block at a guard page), FuzzTranspose (TransposeBlock against the seed
 # transpose, canaries around and between the destination rows) and
 # FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice),
 # then the softmax sweeps' kernels against their scalar loops at lengths
 # 0–80, with canaries and at a guard page: FuzzScaleMax (ScaleMax and the
 # read-only max, NaN/±Inf/±0 ties), FuzzScaleRow, FuzzSoftmaxGradRow (dot
-# ±Inf and NaN), FuzzSumRows8 and FuzzDotRows8 (the eight-row chains).
-# The committed corpora under internal/{tensor,optim}/testdata/fuzz also run
-# as plain tests in `make test`.
+# ±Inf and NaN), FuzzSumRows8 and FuzzDotRows8 (the eight-row chains), and
+# last the blocked attention engine that calls them: FuzzGridAttention (random
+# document layouts, tilings, sq/sk/kOff and head dims 1–48, the grid entries
+# and the streamed forward on NaN-poisoned planes against the dense oracles).
+# The committed corpora under internal/{tensor,optim,attention}/testdata/fuzz
+# also run as plain tests in `make test`.
 # The kernel-bound packages built for x86-64-v3 (AVX2, FMA): the language
 # lets the compiler fuse x*y+z into one FMA, which would split a Go chain or
 # scalar tail from the never-FMA assembly beside it. Every product feeding a
@@ -62,6 +66,7 @@ fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzSoftmaxGradRow$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzSumRows8$$' -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzDotRows8$$' -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzGridAttention$$' -fuzztime 10s ./internal/attention
 
 # The vector exp and the AdamW kernel's square root on all 2^32 float32
 # inputs (not tier-1, about four CPU-minutes plus one): ExpShift and Sigmoid

@@ -300,24 +300,24 @@ func sweptWork(g *Grid, d int) int {
 	return int((g.TotalPairs() - g.EmptyPairs) * int64(d))
 }
 
-// forward is the one attention forward, a row-band loop: scores, masked
-// softmax, P·V, each stage over the non-empty tiles of g only and all three of
-// a row band inside one worker. Every accumulation keeps the dense kernels'
-// ordering and zero-skips, so the result is bitwise identical to DenseForward.
-// Three entries run it:
+// forward is the one attention forward, a row-band loop: per band, scores,
+// masked softmax and P·V run back to back while the band's rows are in
+// cache, each stage over the non-empty tiles of g only. Every accumulation
+// keeps the dense kernels' ordering and zero-skips, so the result is bitwise
+// identical to DenseForward. No stage reads or writes an empty tile of s.
+// The bands split by rows over workers goroutines (rows are independent, so
+// the split is bitwise invisible). Three entries run it:
 //
-//   - Forward (q, k non-nil, part nil): s is a zeroed plane — empty-tile
-//     probabilities are exact +0 — and ends as the probabilities, o is a
-//     zeroed [sq, d] output; the census goes to rec and both products' FLOPs
-//     are counted.
+//   - ForwardRecorded and Forward (q, k non-nil, part nil): s ends as the
+//     probabilities, o is a zeroed [sq, d] output; the census goes to rec and
+//     both products' FLOPs are counted.
 //   - StreamFinish (q nil): the score stage already ran (StreamScores); the
 //     rest is the Forward case.
 //   - PartialForwardInto (part non-nil, o its zeroed part.O): the rows' final
 //     × 1/sum is replaced by storing their max and sum in part.M/part.L, so o
 //     stays unnormalised. Only the score sweep's FLOPs are counted and
-//     nothing is recorded, as that kernel always has; s may be uninitialised
-//     because no stage reads an empty tile.
-func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder, part *Partial) {
+//     nothing is recorded, as that kernel always has.
+func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder, part *Partial, workers int) {
 	sq, sk, d := s.Rows(), s.Cols(), v.Cols()
 	scale := float32(1 / math.Sqrt(float64(d)))
 	eff := effFLOPs(g, d)
@@ -326,103 +326,101 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 		rec.Record(g, 2, d)
 		tensor.CountMatMulFLOPs(sq, sk, d, eff) // output p@v
 	}
-	work := sweptWork(g, d)
+	var kT *tensor.Tensor
 	if q != nil {
-		work *= 2
+		kT = keyPanel(k.Data, d, 0, d, 0, sk, g)
 	}
-	body := func(lo, hi int) {
-		if q != nil {
-			blockedScoreRows(s, q, k, g, part == nil, lo, hi)
+	tensor.ParallelRows(sq, workers, func(lo, hi int) {
+		var sc softmaxScratch
+		for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+			r0, r1 := g.rowBand(rt)
+			r0, r1 = max(r0, lo), min(r1, hi)
+			if q != nil {
+				scoreRows(s.Data[r0*sk:], sk, q.Data[r0*d:], d, k.Data, d, 0, kT, 0, sk, g, r0, r1)
+			}
+			blockedSoftmaxRows(s, m, qPos, kOff, g, scale, part, &sc, r0, r1)
+			blockedPVRows(o, s.Data[r0*sk:], sk, v, g, r0, r1)
 		}
-		blockedSoftmaxRows(s, m, qPos, kOff, g, scale, part, lo, hi)
-		blockedPVRows(o, s, v, g, lo, hi)
+	})
+	tensor.Put(kT)
+}
+
+// keyPanel returns the keys of score columns [c0, c1), key j the d floats at
+// kd[base+j·kw:], transposed into a pooled [d, c1−c0] panel: the score
+// tiles' b operand. It returns nil when no row band has four rows (a decode
+// step's query): scoreRows then reads the keys in place.
+func keyPanel(kd []float32, kw, base, d, c0, c1 int, g *Grid) *tensor.Tensor {
+	if min(g.TileRows, g.Sq) < 4 {
+		return nil
 	}
-	tensor.ParallelRows(sq, tensor.Workers(sq, work), body)
+	w := c1 - c0
+	kT := tensor.GetUninit(d, w)
+	tensor.TransposeBlock(kT.Data, w, kd[base+c0*kw:], kw, w, d)
+	return kT
 }
 
 // scoreRows computes s[i][j] = q[i]·key(j) for query rows [lo, hi) and score
-// columns [colStart, colEnd) at every non-empty tile, where key j is the d
-// floats at kd[(rowOff+j-colStart)·kw+kvOff:] — a run of rows of a packed
-// multi-head block (StreamScores) or, with kw = d and the offsets zero, row j
-// of a plain [sk, d] matrix (blockedScoreRows). Each element is one running
-// sum from +0 over the head dim in increasing order — the dense MatMulT
-// rounding sequence. Empty-tile entries are left untouched. Per column tile
-// the key run is transposed once (tensor.TransposeBlock) into a pooled
-// [d, TileCols] panel; a band of four or more rows clears its rows of the
-// tile (unless zeroed: the plane holds +0 there) and runs tensor.AccumBlock
-// with skip off, whose register tile lanes are score elements running
-// exactly that sum. A band of one to three rows (a decode step's query) runs
-// a scalar 4-key nest on the keys in place. Neither nesting order nor run
-// boundaries change any element's sum.
-func scoreRows(s, q *tensor.Tensor, kd []float32, kw, kvOff, rowOff, colStart, colEnd int, g *Grid, zeroed bool, lo, hi int) {
-	d := q.Cols()
-	n := s.Cols()
-	sd, qd := s.Data, q.Data
-	base := (rowOff-colStart)*kw + kvOff
-	var panel *tensor.Tensor // fetched from the pool on first use
-	for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
-		c0, c1 := g.colBand(ct)
-		c0, c1 = max(c0, colStart), min(c1, colEnd)
-		if c0 >= c1 {
-			break
-		}
-		w, packed := c1-c0, false
-		for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+// columns [colStart, colEnd) at every non-empty tile, where sd and qd start
+// at row lo (row strides n and d) and key j is the d floats at
+// kd[base+j·kw:] — a run of rows of a packed multi-head block (StreamScores)
+// or, with kw = d and base 0, row j of a plain [sk, d] matrix. Each element is
+// one running sum from +0 over the head dim in increasing order — the dense
+// MatMulT rounding sequence. Empty-tile entries are left untouched. A band of
+// four or more rows clears its rows of the tile and runs tensor.AccumBlock
+// with skip off on kT, the run's keys transposed (keyPanel), whose register
+// tile lanes are score elements running exactly that sum. A band of one to
+// three rows (a decode step's query) runs a scalar nest on the keys in place,
+// four keys' chains side by side. Neither nesting order nor run boundaries
+// change any element's sum.
+func scoreRows(sd []float32, n int, qd []float32, d int, kd []float32, kw, base int, kT *tensor.Tensor, colStart, colEnd int, g *Grid, lo, hi int) {
+	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+		r0, r1 := g.rowBand(rt)
+		r0, r1 = max(r0, lo), min(r1, hi)
+		for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
+			c0, c1 := g.colBand(ct)
+			c0, c1 = max(c0, colStart), min(c1, colEnd)
+			if c0 >= c1 {
+				break
+			}
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
-			r0, r1 := g.rowBand(rt)
-			r0, r1 = max(r0, lo), min(r1, hi)
-			if r1-r0 < 4 {
-				for i := r0; i < r1; i++ {
-					qi := qd[i*d : (i+1)*d]
-					si := sd[i*n : (i+1)*n]
-					j := c0
-					for ; j+3 < c1; j += 4 {
-						a0 := base + j*kw
-						a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
-						k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
-						var s0, s1, s2, s3 float32
-						for p, qp := range qi {
-							s0 += qp * k0[p]
-							s1 += qp * k1[p]
-							s2 += qp * k2[p]
-							s3 += qp * k3[p]
-						}
-						si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
-					}
-					for ; j < c1; j++ {
-						a := base + j*kw
-						kj := kd[a : a+d]
-						var sum float32
-						for p, qp := range qi {
-							sum += qp * kj[p]
-						}
-						si[j] = sum
-					}
+			if r1-r0 >= 4 {
+				for i := r0 - lo; i < r1-lo; i++ {
+					clear(sd[i*n+c0 : i*n+c1])
 				}
+				tensor.AccumBlock(sd[(r0-lo)*n+c0:], n, qd[(r0-lo)*d:], d, kT.Data[c0-colStart:], colEnd-colStart, r1-r0, d, c1-c0, false)
 				continue
 			}
-			if !packed {
-				if panel == nil {
-					panel = tensor.GetUninit(d, g.TileCols)
+			for i := r0 - lo; i < r1-lo; i++ {
+				qi := qd[i*d : (i+1)*d]
+				si := sd[i*n : (i+1)*n]
+				j := c0
+				for ; j+3 < c1; j += 4 {
+					a0 := base + j*kw
+					a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
+					k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
+					var s0, s1, s2, s3 float32
+					for p, qp := range qi {
+						s0 += qp * k0[p]
+						s1 += qp * k1[p]
+						s2 += qp * k2[p]
+						s3 += qp * k3[p]
+					}
+					si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
 				}
-				tensor.TransposeBlock(panel.Data, w, kd[base+c0*kw:], kw, w, d)
-				packed = true
+				for ; j < c1; j++ {
+					a := base + j*kw
+					kj := kd[a : a+d]
+					var sum float32
+					for p, qp := range qi {
+						sum += qp * kj[p]
+					}
+					si[j] = sum
+				}
 			}
-			for i := r0; !zeroed && i < r1; i++ {
-				clear(sd[i*n+c0 : i*n+c1])
-			}
-			tensor.AccumBlock(sd[r0*n+c0:], n, qd[r0*d:], d, panel.Data, w, r1-r0, d, w, false)
 		}
 	}
-	tensor.Put(panel)
-}
-
-// blockedScoreRows is scoreRows over the whole key axis of a contiguous
-// [sk, d] key matrix: the forward's q·kᵀ and the backward's dP = dO·vᵀ.
-func blockedScoreRows(s, q, k *tensor.Tensor, g *Grid, zeroed bool, lo, hi int) {
-	scoreRows(s, q, k.Data, k.Cols(), 0, 0, 0, s.Cols(), g, zeroed, lo, hi)
 }
 
 // span is the column range [c0, c1) of one or more adjacent non-empty tiles
@@ -455,6 +453,14 @@ func (g *Grid) appendSpans(dst []span, rt int, merge bool) []span {
 // side (tensor.SumRows8, tensor.DotRows8).
 const groupRows = 8
 
+// softmaxScratch is one band loop's blockedSoftmaxRows scratch: a row's
+// mask, its band's spans and runs, and per partial span its allowed keys.
+type softmaxScratch struct {
+	allowed     []bool
+	spans, runs []span
+	cuts        [][2]int
+}
+
 // blockedSoftmaxRows scales and softmaxes score rows [lo, hi) in place over
 // the non-empty tiles: runs of full tiles scale and take the max on lanes
 // (tensor.ScaleMax). Partial tiles hoist the mask via RowMask over their own
@@ -474,13 +480,12 @@ const groupRows = 8
 // instead (−Inf and 0 for a row with no allowed key): the flash-style
 // statistics, one rounded add per allowed key in increasing key order, as
 // DensePartialForwardInto's sweep computes them. ScaleMax keeps the scan's
-// sign on a ±0-tied max, so part.M has the dense bits.
-func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, part *Partial, lo, hi int) {
+// sign on a ±0-tied max, so part.M has the dense bits. sc is the caller's
+// scratch, reused across its bands.
+func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, part *Partial, sc *softmaxScratch, lo, hi int) {
 	sk := s.Cols()
 	negInf := float32(math.Inf(-1))
-	var allowed []bool
-	var spans, runs []span
-	var cuts [][2]int // per partial span of the row: its allowed keys' first and last+1
+	allowed, spans, runs, cuts := sc.allowed, sc.spans, sc.runs, sc.cuts
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
@@ -540,7 +545,7 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 				}
 				if math.IsInf(float64(maxv), -1) {
 					// No allowed key (or every allowed score NaN): dense
-					// SoftmaxRow zeroes the row. Empty tiles already hold +0.
+					// SoftmaxRow zeroes the row, here on its non-empty tiles.
 					for _, c := range runs {
 						clear(row[c.c0:c.c1])
 					}
@@ -579,17 +584,18 @@ func blockedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid,
 			i += rows
 		}
 	}
+	sc.allowed, sc.spans, sc.runs, sc.cuts = allowed, spans, runs, cuts
 }
 
-// blockedPVRows accumulates o[i] += Σ_j p[i][j]·v[j] for rows [lo, hi),
-// skipping empty tiles and, like the dense MatMul kernel, every exact-zero
-// probability — one separately-rounded add per nonzero term in increasing
-// key order: per band, one tensor.AccumBlock call per non-empty tile in
-// increasing ct.
-func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
+// blockedPVRows accumulates o[i] += Σ_j p[i][j]·v[j] for rows [lo, hi), where
+// pd holds p from row lo on (row stride n), skipping empty tiles and, like
+// the dense MatMul kernel, every exact-zero coefficient — one
+// separately-rounded add per nonzero term in increasing key order: per band,
+// one tensor.AccumBlock call per non-empty tile in increasing ct. It serves
+// the forward's P·V and the backward's dQ = dS·K.
+func blockedPVRows(o *tensor.Tensor, pd []float32, n int, v *tensor.Tensor, g *Grid, lo, hi int) {
 	d := v.Cols()
-	n := p.Cols()
-	od, pd, vd := o.Data, p.Data, v.Data
+	od, vd := o.Data, v.Data
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
@@ -598,53 +604,21 @@ func blockedPVRows(o, p, v *tensor.Tensor, g *Grid, lo, hi int) {
 				continue
 			}
 			c0, c1 := g.colBand(ct)
-			tensor.AccumBlock(od[r0*d:], d, pd[r0*n+c0:], n, vd[c0*d:], d, r1-r0, c1-c0, d, true)
+			tensor.AccumBlock(od[r0*d:], d, pd[(r0-lo)*n+c0:], n, vd[c0*d:], d, r1-r0, c1-c0, d, true)
 		}
 	}
 }
 
-// blockedKeyRows accumulates out[j] += Σ_i s[i][j]·b[i] for key rows
-// [lo, hi) from the row-major [sq, sk] plane s: per non-empty tile, its
-// block of s is transposed by tensor.TransposeBlock into a pooled
-// [TileCols, TileRows] scratch and the key rows accumulate scratch times the
-// tile's b rows in one tensor.AccumBlock call, skip on (DESIGN.md §4e).
-// Reduction runs over query row-tiles in increasing order, skipping empty
-// tiles and exact-zero coefficients — the dense TMatMul ordering. Serves
-// both dV (s = P, b = dO) and dK (s = dS, b = q).
-func blockedKeyRows(out, s, b *tensor.Tensor, g *Grid, lo, hi int) {
-	d := b.Cols()
-	n := s.Cols()
-	od, sd, bd := out.Data, s.Data, b.Data
-	sT := tensor.GetUninit(g.TileCols, g.TileRows)
-	for ct := lo / g.TileCols; ct < g.NCols && ct*g.TileCols < hi; ct++ {
-		c0, c1 := g.colBand(ct)
-		c0, c1 = max(c0, lo), min(c1, hi)
-		for rt := 0; rt < g.NRows; rt++ {
-			if g.Kind(rt, ct) == TileEmpty {
-				continue
-			}
-			r0, r1 := g.rowBand(rt)
-			h := r1 - r0
-			tensor.TransposeBlock(sT.Data, h, sd[r0*n+c0:], n, h, c1-c0)
-			tensor.AccumBlock(od[c0*d:], d, sT.Data, h, bd[r0*d:], d, c1-c0, h, d, true)
-		}
-	}
-	tensor.Put(sT)
-}
-
-// blockedBackward is the blocked engine behind Backward: the same four
-// gradient products as DenseBackward as sweeps over the non-empty tiles — dV
-// reads P; dP, dS and dQ run fused per query row; dK reads dS — with one
-// [sq, sk] temporary, dS written in place over dP. No sweep touches an empty
-// tile, so the plane needs no zero-fill and nothing is transposed. Masked
-// probabilities are exact zeros, so dense already skips their terms
-// value-by-value; the grid skips them tile-by-tile (including the dP and dS
-// sweeps dense pays in full) without changing a bit.
-func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
+// backward is the blocked engine behind Backward: DenseBackward's four
+// gradient products as one serial pass over the query row bands, each band's
+// dP = dO·Vᵀ, dS = P ∘ (dP − rowsum(dP ∘ P)), dQ += dS·K, dV += Pᵀ·dO and
+// dK += dSᵀ·q done while it is in cache (backwardRows), dS in one
+// [TileRows, sk] band buffer and V transposed once. No sweep touches an empty
+// tile, whose exact-zero terms dense skips value by value.
+func backward(q, k, v, p, dO *tensor.Tensor, g *Grid, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
 	sq, d := q.Rows(), q.Cols()
 	sk := k.Rows()
 	scale := float32(1 / math.Sqrt(float64(d)))
-	g := BuildGrid(m, qPos, kOff, sk)
 	rec.Record(g, 4, d)
 	eff := effFLOPs(g, d)
 	tensor.CountMatMulFLOPs(sk, sq, d, eff) // dV = pᵀ@dO
@@ -652,44 +626,57 @@ func blockedBackward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int
 	tensor.CountMatMulFLOPs(sq, sk, d, eff) // dQ = dS@k
 	tensor.CountMatMulFLOPs(sk, sq, d, eff) // dK = dSᵀ@q
 
-	work := sweptWork(g, d)
-	keyWorkers := tensor.Workers(sk, work)
-
-	// dV: reduce over query rows per key row.
-	dV = tensor.Get(sk, d)
-	tensor.ParallelRows(sk, keyWorkers, func(lo, hi int) {
-		blockedKeyRows(dV, p, dO, g, lo, hi)
-	})
-
-	// dP, dS = P ∘ (dP − rowsum(dP ∘ P)) and dQ, fused per query row.
-	dS := tensor.GetUninit(sq, sk)
-	dQ = tensor.Get(sq, d)
-	tensor.ParallelRows(sq, tensor.Workers(sq, 2*work), func(lo, hi int) {
-		blockedScoreRows(dS, dO, v, g, false, lo, hi)
-		blockedSoftmaxBackwardRows(dS, p, g, lo, hi)
-		blockedPVRows(dQ, dS, k, g, lo, hi)
-	})
+	dQ, dK, dV = tensor.Get(sq, d), tensor.Get(sk, d), tensor.Get(sk, d)
+	vT := keyPanel(v.Data, d, 0, d, 0, sk, g)
+	dS := tensor.GetUninit(min(g.TileRows, sq), sk)
+	backwardRows(dQ, dK, dV, dS.Data, q, k, v, vT, p, dO, g, 0, sq)
+	tensor.Put(vT, dS)
 	dQ.Scale(scale)
-
-	// dK: reduce over query rows per key row.
-	dK = tensor.Get(sk, d)
-	tensor.ParallelRows(sk, keyWorkers, func(lo, hi int) {
-		blockedKeyRows(dK, dS, q, g, lo, hi)
-	})
-	tensor.Put(dS)
 	dK.Scale(scale)
 	return dQ, dK, dV
 }
 
+// backwardRows runs the backward's band loop over query rows [lo, hi) —
+// each band's dP, dS, dQ, dV and dK — with dS a one-band buffer (row stride
+// sk) and vT nil or V's keyPanel. Per non-empty tile, the band's block of P,
+// then of dS, is transposed into sT, a [TileCols, TileRows] scratch, and one
+// tensor.AccumBlock call, skip on, adds it times the band's dO, then q, rows
+// into the tile's dV, then dK, rows. So every dV and dK element adds its terms
+// in increasing query row, skipping exact zeros — DenseBackward's TMatMul
+// order — and splitting [0, sq) into increasing ranges gives the same bits.
+func backwardRows(dQ, dK, dV *tensor.Tensor, dS []float32, q, k, v, vT, p, dO *tensor.Tensor, g *Grid, lo, hi int) {
+	sk, d := p.Cols(), q.Cols()
+	sT := tensor.GetUninit(g.TileCols, g.TileRows)
+	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
+		r0, r1 := g.rowBand(rt)
+		r0, r1 = max(r0, lo), min(r1, hi)
+		scoreRows(dS, sk, dO.Data[r0*d:], d, v.Data, d, 0, vT, 0, sk, g, r0, r1)
+		blockedSoftmaxBackwardRows(dS, p, g, r0, r1)
+		blockedPVRows(dQ, dS, sk, k, g, r0, r1)
+		h := r1 - r0
+		for ct := range g.NCols {
+			if g.Kind(rt, ct) == TileEmpty {
+				continue
+			}
+			c0, c1 := g.colBand(ct)
+			tensor.TransposeBlock(sT.Data, h, p.Data[r0*sk+c0:], sk, h, c1-c0)
+			tensor.AccumBlock(dV.Data[c0*d:], d, sT.Data, h, dO.Data[r0*d:], d, c1-c0, h, d, true)
+			tensor.TransposeBlock(sT.Data, h, dS[c0:], sk, h, c1-c0)
+			tensor.AccumBlock(dK.Data[c0*d:], d, sT.Data, h, q.Data[r0*d:], d, c1-c0, h, d, true)
+		}
+	}
+	tensor.Put(sT)
+}
+
 // blockedSoftmaxBackwardRows turns dP into dS = P ∘ (dP − rowsum(dP ∘ P)) in
-// place for rows [lo, hi) over the non-empty tiles: an element needs only its
-// own dP and the row's finished dot (tensor.SoftmaxGradRow). The row dot
-// accumulates every swept term like dense softmaxBackwardRows, one chain in
-// increasing key order, eight rows' chains at a time (tensor.DotRows8);
-// empty-tile terms are P·dP products with P exactly +0, whose signed-zero
-// contributions IEEE addition from a non-negative accumulator cannot
-// observe.
-func blockedSoftmaxBackwardRows(dS, p *tensor.Tensor, g *Grid, lo, hi int) {
+// place for rows [lo, hi) over the non-empty tiles, where ds holds dP from
+// row lo on (row stride sk): an element needs only its own dP and the row's
+// finished dot (tensor.SoftmaxGradRow). The row dot accumulates every swept
+// term like dense softmaxBackwardRows, one chain in increasing key order,
+// eight rows' chains at a time (tensor.DotRows8); empty-tile terms are P·dP
+// products with P exactly +0, whose signed-zero contributions IEEE addition
+// from a non-negative accumulator cannot observe.
+func blockedSoftmaxBackwardRows(ds []float32, p *tensor.Tensor, g *Grid, lo, hi int) {
 	sk := p.Cols()
 	var runs []span
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
@@ -701,19 +688,20 @@ func blockedSoftmaxBackwardRows(dS, p *tensor.Tensor, g *Grid, lo, hi int) {
 			if r1-i >= groupRows {
 				rows = groupRows
 			}
+			di := ds[(i-lo)*sk:]
 			var dot [groupRows]float32
 			for _, c := range runs {
 				if rows == groupRows {
-					tensor.DotRows8(&dot, p.Data[i*sk+c.c0:], sk, dS.Data[i*sk+c.c0:], sk, c.c1-c.c0)
+					tensor.DotRows8(&dot, p.Data[i*sk+c.c0:], sk, di[c.c0:], sk, c.c1-c.c0)
 					continue
 				}
-				pi, dsi := p.Row(i)[c.c0:c.c1], dS.Row(i)[c.c0:c.c1]
+				pi, dsi := p.Row(i)[c.c0:c.c1], di[c.c0:c.c1]
 				for j, pj := range pi {
 					dot[0] += float32(pj * dsi[j])
 				}
 			}
 			for r := range rows {
-				pi, dsi := p.Row(i+r), dS.Row(i+r)
+				pi, dsi := p.Row(i+r), di[r*sk:(r+1)*sk]
 				for _, c := range runs {
 					tensor.SoftmaxGradRow(dsi[c.c0:c.c1], pi[c.c0:c.c1], dot[r])
 				}

@@ -497,7 +497,7 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 
 	tensor.ResetFLOPCount()
 	rec := &Recorder{}
-	out := ForwardRecorded(q, k, v, m, qPos, 0, rec)
+	out := ForwardRecorded(q, k, v, m, qPos, 0, g, rec)
 	nominalFwd := int64(2 * 2 * sq * sk * d)
 	if got := tensor.FLOPCount(); got != nominalFwd {
 		t.Fatalf("forward nominal FLOPs %d, want %d", got, nominalFwd)
@@ -516,7 +516,7 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	tensor.ResetFLOPCount()
 	rec.Reset()
 	dO := tensor.RandN(rand.New(rand.NewSource(516)), 1, sq, d)
-	BackwardRecorded(q, k, v, out.P, dO, m, qPos, 0, rec)
+	BackwardRecorded(q, k, v, out.P, dO, g, rec)
 	nominalBwd := int64(4 * 2 * sq * sk * d)
 	if got := tensor.FLOPCount(); got != nominalBwd {
 		t.Fatalf("backward nominal FLOPs %d, want %d", got, nominalBwd)

@@ -23,19 +23,31 @@ type Output struct {
 // (DenseForward), which tests call directly as the oracle. The band loop is
 // row-parallel above the tensor package's FLOP threshold: each query row is
 // scored, masked and normalised independently, so the split is bitwise
-// invisible (the §6.2 determinism contract).
+// invisible (the §6.2 determinism contract). P's empty tiles are cleared.
 func Forward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
-	return ForwardRecorded(q, k, v, m, qPos, kOff, nil)
-}
-
-// ForwardRecorded is Forward with a per-rank census recorder: the call's
-// tile grid is folded into rec (2 sweeps — scores and P·V). A nil rec
-// records nothing.
-func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) *Output {
 	checkShapes(q, k, v, qPos)
 	g := BuildGrid(m, qPos, kOff, k.Rows())
-	o, s := tensor.Get(q.Rows(), q.Cols()), tensor.Get(q.Rows(), k.Rows())
-	forward(o, s, q, k, v, m, qPos, kOff, g, rec, nil)
+	o, s := tensor.Get(q.Rows(), q.Cols()), tensor.GetUninit(q.Rows(), k.Rows())
+	forward(o, s, q, k, v, m, qPos, kOff, g, nil, nil, tensor.Workers(q.Rows(), 2*sweptWork(g, q.Cols())))
+	for i := range g.Sq {
+		for ct := range g.NCols {
+			if c0, c1 := g.colBand(ct); g.Kind(i/g.TileRows, ct) == TileEmpty {
+				clear(s.Row(i)[c0:c1])
+			}
+		}
+	}
+	return &Output{O: o, P: s}
+}
+
+// ForwardRecorded is the per-head entry of model.MultiHead, which runs heads
+// in parallel: Forward over the caller's grid g as one serial pass, the tile
+// census folded into rec (2 sweeps; a nil rec records nothing). P is defined
+// on g's non-empty tiles only; no sweep, BackwardRecorded's included, reads
+// the others, which hold whatever the pool left there.
+func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder) *Output {
+	checkShapes(q, k, v, qPos)
+	o, s := tensor.Get(q.Rows(), q.Cols()), tensor.GetUninit(q.Rows(), k.Rows())
+	forward(o, s, q, k, v, m, qPos, kOff, g, rec, nil, 1)
 	return &Output{O: o, P: s}
 }
 
@@ -97,20 +109,20 @@ func maskedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, scale flo
 // every gradient — but it lets the blocked engine classify and skip empty
 // tiles of the dP/dS sweeps instead of discovering the zeros value by value,
 // and keeps the measured skipped-tile volume equal to the closed-form
-// prediction (metrics/xval) rather than dependent on float underflow.
+// prediction (metrics/xval) rather than dependent on float underflow. One
+// serial pass over the row bands (blocked.go, backward).
 func Backward(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int) (dQ, dK, dV *tensor.Tensor) {
-	return BackwardRecorded(q, k, v, p, dO, m, qPos, kOff, nil)
+	return BackwardRecorded(q, k, v, p, dO, BuildGrid(m, qPos, kOff, k.Rows()), nil)
 }
 
-// BackwardRecorded is Backward with a per-rank census recorder: the call's
-// tile grid is folded into rec (4 sweeps — dV, dP, dQ, dK). A nil rec
-// records nothing.
-func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, m Mask, qPos []int, kOff int, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
-	checkShapes(q, k, v, qPos)
-	if sq, sk, d := q.Rows(), k.Rows(), q.Cols(); p.Rows() != sq || p.Cols() != sk || dO.Rows() != sq || dO.Cols() != d {
-		panic(fmt.Sprintf("attention: shape mismatch q%v k%v p%v dO%v", q.Shape, k.Shape, p.Shape, dO.Shape))
+// BackwardRecorded is Backward over the caller's grid g, the per-head entry
+// of model.MultiHeadBackward, with the tile census folded into rec (4 sweeps
+// — dV, dP, dQ, dK). It reads p on g's non-empty tiles only.
+func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, g *Grid, rec *Recorder) (dQ, dK, dV *tensor.Tensor) {
+	if sq, sk, d := q.Rows(), k.Rows(), q.Cols(); k.Cols() != d || v.Rows() != sk || v.Cols() != d || p.Rows() != sq || p.Cols() != sk || dO.Rows() != sq || dO.Cols() != d {
+		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v p%v dO%v", q.Shape, k.Shape, v.Shape, p.Shape, dO.Shape))
 	}
-	return blockedBackward(q, k, v, p, dO, m, qPos, kOff, rec)
+	return backward(q, k, v, p, dO, g, rec)
 }
 
 // DenseBackward is the dense reference backward pass: every gradient product
@@ -180,8 +192,8 @@ func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int
 	checkShapes(q, k, v, qPos)
 	sq, sk := q.Rows(), k.Rows()
 	out = preparePartial(out, sq, q.Cols())
-	s := tensor.GetUninit(sq, sk)
-	forward(out.O, s, q, k, v, m, qPos, kOff, BuildGrid(m, qPos, kOff, sk), nil, out)
+	s, g := tensor.GetUninit(sq, sk), BuildGrid(m, qPos, kOff, sk)
+	forward(out.O, s, q, k, v, m, qPos, kOff, g, nil, out, tensor.Workers(sq, 2*sweptWork(g, q.Cols())))
 	tensor.Put(s)
 	return out
 }

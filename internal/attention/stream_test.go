@@ -132,9 +132,9 @@ func TestStreamFinishRecordingParity(t *testing.T) {
 	qPos := Iota(seq)
 
 	recWant := &Recorder{}
-	want := ForwardRecorded(q, k, v, m, qPos, 0, recWant)
-	recGot := &Recorder{}
 	g := BuildGrid(m, qPos, 0, seq)
+	want := ForwardRecorded(q, k, v, m, qPos, 0, g, recWant)
+	recGot := &Recorder{}
 	s := tensor.Get(seq, seq)
 	StreamScores(s, q, k, 0, 0, 0, seq, g)
 	got := StreamFinish(s, v, m, qPos, g, recGot)

@@ -40,18 +40,19 @@ func TestSoftmaxSweepsSplitAndGroupBitwise(t *testing.T) {
 		for off := 1; off <= 7; off++ {
 			cuts := []int{0, off, 64 + off, sq}
 			o, s := tensor.Get(sq, d), tensor.Get(sq, sk)
-			dS, dQ, dK := tensor.GetUninit(sq, sk), tensor.Get(sq, d), tensor.Get(sk, d)
+			dS, dQ, dK := tensor.GetUninit(g.TileRows, sk), tensor.Get(sq, d), tensor.Get(sk, d)
+			dV := tensor.Get(sk, d)
+			kT, vT := keyPanel(k.Data, d, 0, d, 0, sk, g), keyPanel(v.Data, d, 0, d, 0, sk, g)
+			var sc softmaxScratch
 			for c := 1; c < len(cuts); c++ {
 				lo, hi := cuts[c-1], cuts[c]
-				blockedScoreRows(s, q, k, g, true, lo, hi)
-				blockedSoftmaxRows(s, m, qPos, 0, g, scale, nil, lo, hi)
-				blockedPVRows(o, s, v, g, lo, hi)
+				scoreRows(s.Data[lo*sk:], sk, q.Data[lo*d:], d, k.Data, d, 0, kT, 0, sk, g, lo, hi)
+				blockedSoftmaxRows(s, m, qPos, 0, g, scale, nil, &sc, lo, hi)
+				blockedPVRows(o, s.Data[lo*sk:], sk, v, g, lo, hi)
 
-				blockedScoreRows(dS, dO, v, g, false, lo, hi)
-				blockedSoftmaxBackwardRows(dS, dense.P, g, lo, hi)
-				blockedPVRows(dQ, dS, k, g, lo, hi)
+				backwardRows(dQ, dK, dV, dS.Data, q, k, v, vT, dense.P, dO, g, lo, hi)
 			}
-			blockedKeyRows(dK, dS, q, g, 0, sk)
+			tensor.Put(kT, vT, dV)
 			dQ.Scale(scale)
 			dK.Scale(scale)
 			switch {

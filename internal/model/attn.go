@@ -54,24 +54,27 @@ func headCols(t *tensor.Tensor, h, hd int) *tensor.Tensor {
 
 // headColsInto copies the column block of head h (width hd) of t into dst.
 func headColsInto(dst, t *tensor.Tensor, h, hd int) {
-	rows := t.Rows()
-	w := t.Cols()
-	for i := 0; i < rows; i++ {
-		copy(dst.Row(i), t.Data[i*w+h*hd:i*w+h*hd+hd])
+	w, src := t.Cols(), t.Data[h*hd:]
+	for i, o := 0, 0; o < len(dst.Data); i, o = i+w, o+hd {
+		copy(dst.Data[o:o+hd], src[i:i+hd])
 	}
 }
 
 // addHeadCols accumulates src into the column block of head h of dst.
 func addHeadCols(dst, src *tensor.Tensor, h, hd int) {
-	rows := dst.Rows()
-	w := dst.Cols()
-	for i := 0; i < rows; i++ {
-		di := dst.Data[i*w+h*hd : i*w+h*hd+hd]
-		si := src.Row(i)
+	w, dd := dst.Cols(), dst.Data[h*hd:]
+	for i, o := 0, 0; o < len(src.Data); i, o = i+w, o+hd {
+		di, si := dd[i:i+hd], src.Data[o:o+hd]
 		for j := range di {
 			di[j] += si[j]
 		}
 	}
+}
+
+// headWorkers is how many goroutines an attention call's heads split over:
+// tensor.Workers for sweeps sweeps of g per head, summed over the heads.
+func headWorkers(g *attention.Grid, nHeads, sweeps, hd int) int {
+	return tensor.Workers(nHeads, nHeads*sweeps*hd*int(g.TotalPairs()-g.EmptyPairs))
 }
 
 // QKV is the forward-only first half of Forward over an input the caller is
@@ -105,25 +108,34 @@ func (a *Attention) rotate(q0, k0 *tensor.Tensor, pos []int) (q, k *tensor.Tenso
 // of q and of the K/V head its group shares (k and v carry
 // k.Cols()/headDim heads), runs the attention kernel under mask with the
 // rows at qPos, and accumulates its output into its column block of the
-// returned [q.Rows(), q.Cols()] tensor. probs, when non-nil, receives every
-// head's probability plane for MultiHeadBackward; a forward-only caller
-// passes nil and the planes are released. Caller owns the pooled result.
+// returned [q.Rows(), q.Cols()] tensor. Heads split over goroutines
+// (headWorkers), one serial kernel pass each, and fold in with their census
+// after the join, in increasing head order. probs, when non-nil, receives
+// every head's probability plane for MultiHeadBackward, defined on the
+// grid's non-empty tiles only; a forward-only caller passes nil and the
+// planes are released. Caller owns the pooled result.
 func MultiHead(q, k, v *tensor.Tensor, nHeads int, mask attention.Mask, qPos []int, rec *attention.Recorder, probs []*tensor.Tensor) *tensor.Tensor {
 	hd := q.Cols() / nHeads
 	group := nHeads / (k.Cols() / hd)
+	g := attention.BuildGrid(mask, qPos, 0, k.Rows())
+	outs, recs := make([]*attention.Output, nHeads), make([]attention.Recorder, nHeads)
+	tensor.ParallelRows(nHeads, headWorkers(g, nHeads, 2, hd), func(lo, hi int) {
+		qh, kh, vh := tensor.GetUninit(q.Rows(), hd), tensor.GetUninit(k.Rows(), hd), tensor.GetUninit(v.Rows(), hd)
+		for h := lo; h < hi; h++ {
+			headColsInto(qh, q, h, hd)
+			if h == lo || h%group == 0 { // a new group: load its shared K/V head
+				headColsInto(kh, k, h/group, hd)
+				headColsInto(vh, v, h/group, hd)
+			}
+			outs[h] = attention.ForwardRecorded(qh, kh, vh, mask, qPos, 0, g, &recs[h])
+		}
+		tensor.Put(qh, kh, vh)
+	})
 	// Zeroed Get + addHeadCols (rather than a copy) keeps the accumulate
 	// semantics of the unpooled version, signed zeros included.
 	concat := tensor.Get(q.Rows(), q.Cols())
-	qh := tensor.GetUninit(q.Rows(), hd)
-	kh := tensor.GetUninit(k.Rows(), hd)
-	vh := tensor.GetUninit(v.Rows(), hd)
-	for h := 0; h < nHeads; h++ {
-		headColsInto(qh, q, h, hd)
-		if h%group == 0 { // first query head of a group: load its shared K/V head
-			headColsInto(kh, k, h/group, hd)
-			headColsInto(vh, v, h/group, hd)
-		}
-		out := attention.ForwardRecorded(qh, kh, vh, mask, qPos, 0, rec)
+	for h, out := range outs {
+		rec.Add(&recs[h])
 		addHeadCols(concat, out.O, h, hd)
 		tensor.Put(out.O)
 		if probs != nil {
@@ -132,41 +144,45 @@ func MultiHead(q, k, v *tensor.Tensor, nHeads int, mask attention.Mask, qPos []i
 			tensor.Put(out.P)
 		}
 	}
-	tensor.Put(qh, kh, vh)
 	return concat
 }
 
 // MultiHeadBackward back-propagates MultiHead through the planes it kept
 // (one per head, released here): dConcat is the gradient of its result, and
 // the returned dq, dk, dv have the shapes of q, k, v — the query heads of a
-// group accumulate into their shared K/V head.
+// group accumulate into their shared K/V head, after the join, in increasing
+// head order: the adds of a serial head loop.
 func MultiHeadBackward(q, k, v, dConcat *tensor.Tensor, probs []*tensor.Tensor, mask attention.Mask, qPos []int, rec *attention.Recorder) (dq, dk, dv *tensor.Tensor) {
 	nHeads := len(probs)
 	hd := q.Cols() / nHeads
 	group := nHeads / (k.Cols() / hd)
-	dq = tensor.Get(q.Rows(), q.Cols())
-	dk = tensor.Get(k.Rows(), k.Cols())
-	dv = tensor.Get(v.Rows(), v.Cols())
-	qh := tensor.GetUninit(q.Rows(), hd)
-	kh := tensor.GetUninit(k.Rows(), hd)
-	vh := tensor.GetUninit(v.Rows(), hd)
-	dOh := tensor.GetUninit(q.Rows(), hd)
-	for h := 0; h < nHeads; h++ {
-		headColsInto(qh, q, h, hd)
-		kv := h / group
-		if h%group == 0 {
-			headColsInto(kh, k, kv, hd)
-			headColsInto(vh, v, kv, hd)
+	g := attention.BuildGrid(mask, qPos, 0, k.Rows())
+	grads, recs := make([][3]*tensor.Tensor, nHeads), make([]attention.Recorder, nHeads)
+	tensor.ParallelRows(nHeads, headWorkers(g, nHeads, 4, hd), func(lo, hi int) {
+		qh, kh, vh := tensor.GetUninit(q.Rows(), hd), tensor.GetUninit(k.Rows(), hd), tensor.GetUninit(v.Rows(), hd)
+		dOh := tensor.GetUninit(q.Rows(), hd)
+		for h := lo; h < hi; h++ {
+			headColsInto(qh, q, h, hd)
+			if h == lo || h%group == 0 {
+				headColsInto(kh, k, h/group, hd)
+				headColsInto(vh, v, h/group, hd)
+			}
+			headColsInto(dOh, dConcat, h, hd)
+			dqh, dkh, dvh := attention.BackwardRecorded(qh, kh, vh, probs[h], dOh, g, &recs[h])
+			grads[h] = [3]*tensor.Tensor{dqh, dkh, dvh}
+			tensor.Put(probs[h])
+			probs[h] = nil
 		}
-		headColsInto(dOh, dConcat, h, hd)
-		dqh, dkh, dvh := attention.BackwardRecorded(qh, kh, vh, probs[h], dOh, mask, qPos, 0, rec)
-		addHeadCols(dq, dqh, h, hd)
-		addHeadCols(dk, dkh, kv, hd)
-		addHeadCols(dv, dvh, kv, hd)
-		tensor.Put(dqh, dkh, dvh, probs[h])
-		probs[h] = nil
+		tensor.Put(qh, kh, vh, dOh)
+	})
+	dq, dk, dv = tensor.Get(q.Rows(), q.Cols()), tensor.Get(k.Rows(), k.Cols()), tensor.Get(v.Rows(), v.Cols())
+	for h, gr := range grads {
+		rec.Add(&recs[h])
+		addHeadCols(dq, gr[0], h, hd)
+		addHeadCols(dk, gr[1], h/group, hd)
+		addHeadCols(dv, gr[2], h/group, hd)
+		tensor.Put(gr[:]...)
 	}
-	tensor.Put(qh, kh, vh, dOh)
 	return dq, dk, dv
 }
 
@@ -208,23 +224,24 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 // forwardStreamed is the KVStreamer fast path of Forward: one tile grid is
 // built for the full sequence, each head's score plane fills incrementally
 // from the exchange callback (only non-empty tiles are swept), and the
-// blocked softmax + P·V finish once assembly completes. Per-head probability
-// planes, outputs, FLOP counts and the tile census are all identical to the
-// gather-then-attend path, so Backward is oblivious to how K/V arrived.
+// blocked softmax + P·V finish once assembly completes, heads split as in
+// MultiHead. Per-head planes, outputs, FLOP counts and the tile census are
+// identical to the gather-then-attend path's, so Backward is oblivious to
+// how K/V arrived.
 func (a *Attention) forwardStreamed(x, q, k, v *tensor.Tensor, ks KVStreamer, env *Env, ctx *attnCtx) (*tensor.Tensor, any) {
 	seq := ks.SeqLen()
-	sq := x.Rows()
+	sq, nH, hd := x.Rows(), a.NHeads, a.HeadDim
 	g := attention.BuildGrid(env.Mask, env.QPos, 0, seq)
-	group := a.NHeads / a.NKVHeads
-	ctx.probs = make([]*tensor.Tensor, a.NHeads)
-	qhs := make([]*tensor.Tensor, a.NHeads)
+	group := nH / a.NKVHeads
+	ctx.probs = make([]*tensor.Tensor, nH)
+	qhs := make([]*tensor.Tensor, nH)
 	for h := range qhs {
-		qhs[h] = headCols(q, h, a.HeadDim)
-		ctx.probs[h] = tensor.Get(sq, seq) // zeroed: empty tiles stay exact +0
+		qhs[h] = headCols(q, h, hd)
+		ctx.probs[h] = tensor.GetUninit(sq, seq)
 	}
 	ctx.kFull, ctx.vFull = ks.StreamKV(k, v, func(kBlk, _ *tensor.Tensor, runs []PosRun) {
-		for h := 0; h < a.NHeads; h++ {
-			kvOff := (h / group) * a.HeadDim
+		for h := 0; h < nH; h++ {
+			kvOff := (h / group) * hd
 			for _, run := range runs {
 				attention.StreamScores(ctx.probs[h], qhs[h], kBlk, kvOff, run.Off, run.Start, run.Rows, g)
 			}
@@ -232,15 +249,23 @@ func (a *Attention) forwardStreamed(x, q, k, v *tensor.Tensor, ks KVStreamer, en
 	})
 	tensor.Put(k, v) // local chunks are dead once circulated
 
-	concat := tensor.Get(sq, a.NHeads*a.HeadDim)
-	vh := tensor.GetUninit(seq, a.HeadDim)
-	for h := 0; h < a.NHeads; h++ {
-		headColsInto(vh, ctx.vFull, h/group, a.HeadDim)
-		out := attention.StreamFinish(ctx.probs[h], vh, env.Mask, env.QPos, g, env.Rec)
-		addHeadCols(concat, out.O, h, a.HeadDim) // out.P aliases ctx.probs[h]
+	outs, recs := make([]*attention.Output, nH), make([]attention.Recorder, nH)
+	tensor.ParallelRows(nH, headWorkers(g, nH, 1, hd), func(lo, hi int) {
+		vh := tensor.GetUninit(seq, hd)
+		for h := lo; h < hi; h++ {
+			if h == lo || h%group == 0 {
+				headColsInto(vh, ctx.vFull, h/group, hd)
+			}
+			outs[h] = attention.StreamFinish(ctx.probs[h], vh, env.Mask, env.QPos, g, &recs[h])
+		}
+		tensor.Put(vh)
+	})
+	concat := tensor.Get(sq, nH*hd)
+	for h, out := range outs {
+		env.Rec.Add(&recs[h])
+		addHeadCols(concat, out.O, h, hd) // out.P aliases ctx.probs[h]
 		tensor.Put(out.O, qhs[h])
 	}
-	tensor.Put(vh)
 
 	y, oCtx := a.Wo.Forward(concat, env)
 	ctx.oCtx = oCtx

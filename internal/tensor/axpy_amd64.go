@@ -97,25 +97,24 @@ func tile4x16MaskAVX512(dst *float32, ldd int, a *float32, lda int, b *float32, 
 //go:noescape
 func zeroGroupsAVX512(a *float32, lda, kc, ng int) uint64
 
-// expShiftVec runs the vector exp over the leading multiple of eight
-// elements of x and returns how many it covered.
+// expShiftVec runs the vector exp over all of x, the last len(x) mod 8
+// elements as a masked block, and returns how many it covered: len(x), or
+// 0 without the vector exp.
 func expShiftVec(x []float32, shift float32) int {
-	n := len(x) &^ 7
-	if n == 0 || !useVecExp {
+	if len(x) == 0 || !useVecExp {
 		return 0
 	}
-	expShiftAVX512(&x[0], n, shift)
-	return n
+	expShiftAVX512(&x[0], len(x), shift)
+	return len(x)
 }
 
 // sigmoidVec is expShiftVec for Sigmoid; len(dst) == len(src).
 func sigmoidVec(dst, src []float32) int {
-	n := len(src) &^ 7
-	if n == 0 || !useVecExp {
+	if len(src) == 0 || !useVecExp {
 		return 0
 	}
-	sigmoidAVX512(&dst[0], &src[0], n)
-	return n
+	sigmoidAVX512(&dst[0], &src[0], len(src))
+	return len(src)
 }
 
 //go:noescape

@@ -3,10 +3,11 @@ package tensor
 import "math"
 
 // ExpShift replaces every x[j] by float32(math.Exp(float64(x[j] - shift))),
-// the exponent pass of a softmax. The vector exp (exp_amd64.s) takes the
-// leading multiple of eight elements when the CPU has it; its lanes run
-// math.Exp's own instruction sequence, so every element has the bits the
-// scalar loop below, which takes the rest, would give it.
+// the exponent pass of a softmax. The vector exp (exp_amd64.s) takes every
+// element when the CPU has it, eight a block and the last len(x) mod 8 as a
+// masked block; its lanes run math.Exp's own instruction sequence, so every
+// element has the bits the scalar loop below, which runs without it, would
+// give it.
 func ExpShift(x []float32, shift float32) {
 	for j := expShiftVec(x, shift); j < len(x); j++ {
 		x[j] = float32(math.Exp(float64(x[j] - shift)))

@@ -114,56 +114,102 @@ GLOBL expconst<>(SB), RODATA, $168
 	VMOVAPD      Z30, K5, Z0;        \
 	VMOVAPD      Z7, K2, Z0
 
+// TAILMASK leaves CX = n − AX (n in R8), the elements left from AX, and when
+// fewer than eight are left sets K6 to their low lanes and jumps to tail: the
+// last, partial block loads and stores under K6 on Z registers (AVX-512F
+// alone), so no lane at or past n is read or written, and a zeroed lane's
+// result is discarded. Whole blocks keep plain YMM loads and stores: a
+// 64-byte masked access splits a cache line almost always. Clobbers DX.
+#define TAILMASK(tail) \
+	MOVQ  R8, CX;    \
+	SUBQ  AX, CX;    \
+	CMPQ  CX, $8;    \
+	JGE   6(PC);     \
+	MOVL  $1, DX;    \
+	SHLL  CX, DX;    \
+	DECL  DX;        \
+	KMOVW DX, K6;    \
+	JMP   tail
+
 // func expShiftAVX512(x *float32, n int, shift float32)
 //
-// x[j] = float32(exp(float64(x[j] − shift))) for j in [0, n), n a positive
-// multiple of 8: the float32 subtract (VSUBPS), the exact widening
-// (VCVTPS2PD, like CVTSS2SD), EXP8, and the narrowing (VCVTPD2PS, nearest
-// even like CVTSD2SS) — the scalar expression's operations, lane by lane.
+// x[j] = float32(exp(float64(x[j] − shift))) for j in [0, n), n ≥ 1, eight
+// lanes a block and the last n mod 8 elements as a masked block: the float32
+// subtract (VSUBPS), the exact widening (VCVTPS2PD, like CVTSS2SD), EXP8, and
+// the narrowing (VCVTPD2PS, nearest even like CVTSD2SS) — the scalar
+// expression's operations, lane by lane.
 TEXT ·expShiftAVX512(SB), NOSPLIT, $0-20
 	MOVQ         x+0(FP), DI
-	MOVQ         n+8(FP), CX
+	MOVQ         n+8(FP), R8
 	VBROADCASTSS shift+16(FP), Y15
 	EXPCONST
 	XORQ         AX, AX
 
 expLoop:
-	VMOVUPS   (DI)(AX*4), Y0
+	TAILMASK(expTail)
+	VMOVUPS (DI)(AX*4), Y0
+	JMP     expBody
+
+expTail:
+	VMOVUPS.Z (DI)(AX*4), K6, Z0
+
+expBody:
 	VSUBPS    Y15, Y0, Y0
 	VCVTPS2PD Y0, Z0
 	EXP8
 	VCVTPD2PS Z0, Y0
+	CMPQ      CX, $8
+	JLT       expStoreTail
 	VMOVUPS   Y0, (DI)(AX*4)
 	ADDQ      $8, AX
-	CMPQ      AX, CX
+	CMPQ      AX, R8
 	JLT       expLoop
+	VZEROUPPER
+	RET
+
+expStoreTail:
+	VMOVUPS Z0, K6, (DI)(AX*4)
 	VZEROUPPER
 	RET
 
 // func sigmoidAVX512(dst, src *float32, n int)
 //
-// dst[j] = float32(1 / (1 + exp(−float64(src[j])))) for j in [0, n), n a
-// positive multiple of 8: the widening, the sign flip, EXP8, then one
+// dst[j] = float32(1 / (1 + exp(−float64(src[j])))) for j in [0, n), n ≥ 1,
+// blocked like expShiftAVX512: the widening, the sign flip, EXP8, then one
 // rounded VADDPD and one rounded VDIVPD, as the scalar ADDSD and DIVSD.
 TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
+	MOVQ n+16(FP), R8
 	EXPCONST
 	XORQ AX, AX
 
 sigmoidLoop:
-	VMOVUPS   (SI)(AX*4), Y0
+	TAILMASK(sigmoidTail)
+	VMOVUPS (SI)(AX*4), Y0
+	JMP     sigmoidBody
+
+sigmoidTail:
+	VMOVUPS.Z (SI)(AX*4), K6, Z0
+
+sigmoidBody:
 	VCVTPS2PD Y0, Z0
 	VPXORQ    Z13, Z0, Z0
 	EXP8
 	VADDPD    Z27, Z0, Z0
 	VDIVPD    Z0, Z27, Z0
 	VCVTPD2PS Z0, Y0
+	CMPQ      CX, $8
+	JLT       sigmoidStoreTail
 	VMOVUPS   Y0, (DI)(AX*4)
 	ADDQ      $8, AX
-	CMPQ      AX, CX
+	CMPQ      AX, R8
 	JLT       sigmoidLoop
+	VZEROUPPER
+	RET
+
+sigmoidStoreTail:
+	VMOVUPS Z0, K6, (DI)(AX*4)
 	VZEROUPPER
 	RET
 

@@ -75,11 +75,12 @@ func TestExpShiftSamples(t *testing.T) {
 }
 
 // FuzzExpShift holds ExpShift and Sigmoid Float32bits-equal (NaN-ness for
-// NaN) to their contracts at every length 0–300 — no 8-lane block, whole
-// blocks, every scalar tail — on random bit patterns, with canaries past the
-// slice end that neither may touch. The fuzzed bytes choose the shift's bits
-// and how often an element is drawn from the whole float32 range instead of
-// around zero.
+// NaN) to their contracts at every length 0–300 — whole 8-lane blocks and
+// every masked last block — on random bit patterns, with canaries past the
+// slice end that neither may touch, and again on a slice that ends at a
+// guard page, where a lane read or written past the end faults. The fuzzed
+// bytes choose the shift's bits and how often an element is drawn from the
+// whole float32 range instead of around zero.
 func FuzzExpShift(f *testing.F) {
 	f.Add(int64(1), uint32(0), byte(0))
 	f.Add(int64(2), math.Float32bits(30), byte(0x80))
@@ -98,7 +99,19 @@ func FuzzExpShift(f *testing.F) {
 				src[i] = float32(rng.NormFloat64() * 40)
 			}
 		}
+		guard, guardSig := guardedFloats(t, maxLen), guardedFloats(t, maxLen)
 		for n := 0; n <= maxLen; n++ {
+			x, sx := guardedCopy(guard, src[:n]), guardedCopy(guardSig, src[:n])
+			ExpShift(x, shift)
+			Sigmoid(sx, sx)
+			for i := range x {
+				if want := expRef(src[i], shift); !sameBits(x[i], want) {
+					t.Fatalf("ExpShift n=%d at a guard page: element %d = %v, want %v", n, i, x[i], want)
+				}
+				if want := sigmoidRef(src[i]); !sameBits(sx[i], want) {
+					t.Fatalf("Sigmoid n=%d at a guard page: element %d = %v, want %v", n, i, sx[i], want)
+				}
+			}
 			got := append([]float32(nil), src...)
 			sig := make([]float32, len(src))
 			for i := n; i < len(got); i++ {
