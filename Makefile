@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race purego v3 fuzz-kernels exhaustive-exp test-metrics check-planner bench-build bench-e2e bench-pairs cover loc dead check
+.PHONY: all build test vet race purego v3 fuzz-kernels exhaustive-exp test-metrics check-planner bench-build bench-e2e bench-pairs profile cover loc dead check
 
 all: check
 
@@ -34,7 +34,8 @@ purego:
 # page), FuzzZeroScan (the vector zero scan against `v == 0`), FuzzAxpy4,
 # FuzzExpShift (the vector exp under ExpShift and Sigmoid, its masked last
 # block at a guard page), FuzzTranspose (TransposeBlock against the seed
-# transpose, canaries around and between the destination rows) and
+# transpose, canaries around and between the destination rows, and the GEMM
+# driver's split transposes against the seed products) and
 # FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice),
 # then the softmax sweeps' kernels against their scalar loops at lengths
 # 0–80, with canaries and at a guard page: FuzzScaleMax (ScaleMax and the
@@ -115,6 +116,15 @@ bench-e2e:
 bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(W) $(N) $(SEED)
 
+# Where one workload's CPU goes (not tier-1, about 25 s): `make profile
+# W=<workload> [SEED=<seed>]` runs a 10 s untraced bench/ run of it under
+# -cpuprofile and prints its CPU use, the share of samples under
+# tensor.ParallelRows workers against rank or main goroutines, and the top
+# 8 functions by flat samples — the before/after table of a perf change.
+# The profile stays in .profile/ for `go tool pprof`.
+profile:
+	bash scripts/profile.sh $(W) $(SEED)
+
 # Per-package coverage summary plus the total (the number quoted in
 # README.md). cover.out is left behind for `go tool cover -html`.
 cover:
@@ -152,8 +162,7 @@ DEAD_ALLOW := \
 	comm.Contains comm.Broadcast comm.Barrier \
 	model.StepLoss model.CopyWeightsTo model.GradientVector model.ParamByName \
 	tp.ReplicatedGradAllReduce xval.PredictCollective xval.PredictCPPerRank \
-	engine.DecodeFLOPs engine.DecodeTPTraffic cp.LocalRows testutil.CaptureStdout ft.ReadCheckpoint \
-	fsdp.MemoryBytes
+	engine.DecodeFLOPs engine.DecodeTPTraffic cp.LocalRows testutil.CaptureStdout ft.ReadCheckpoint
 
 dead:
 	@out=$$(find . -name '*.go' ! -name '*_test.go' | xargs awk -v allow="$(DEAD_ALLOW)" ' \

@@ -201,14 +201,23 @@ func combineAllGather(contribs, results []*tensor.Tensor) {
 }
 
 // combineSum is AllReduce's combine: element-wise sum accumulated in
-// local-rank order (the determinism contract), handed to every member.
+// local-rank order (the determinism contract), formed once and handed to
+// every member as its own copy.
 func combineSum(contribs, results []*tensor.Tensor) {
 	sum := contribs[0].Clone()
 	for _, c := range contribs[1:] {
 		sum.Add(c)
 	}
-	for i := range results {
-		results[i] = sum
+	handOut(sum, results)
+}
+
+// handOut gives every member its own pooled result: the first member gets
+// res, the others copies of it. A member owns what it returns (it may Put
+// it), so no result is shared and none is left to leak from the pool.
+func handOut(res *tensor.Tensor, results []*tensor.Tensor) {
+	results[0] = res
+	for i := 1; i < len(results); i++ {
+		results[i] = res.Clone()
 	}
 }
 
@@ -279,16 +288,12 @@ func (g *Group) allReduceBytes(x *tensor.Tensor) int64 {
 
 // AllGatherCols concatenates the members' tensors along columns in local-rank
 // order — the output assembly of a gather-output column-parallel linear. One
-// shared concatenation plus one clone per rank, instead of a clone per part
-// and a second concatenation copy.
+// concatenation, then a copy of it for every other member.
 func (g *Group) AllGatherCols(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 	g.account(globalRank, "allgather", g.allGatherBytes(x))
 	return g.enter(globalRank, "allgathercols", x, nil, true, func(contribs, results []*tensor.Tensor) {
-		shared := tensor.ConcatCols(contribs...)
-		for i := range results {
-			results[i] = shared
-		}
-	}).Clone()
+		handOut(tensor.ConcatCols(contribs...), results)
+	})
 }
 
 // AllGather concatenates the members' tensors along dimension 0 (rows) in
@@ -365,7 +370,7 @@ func checkDst(op string, part, whole *tensor.Tensor, n int) {
 // returns the full sum to every member.
 func (g *Group) AllReduce(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 	hier := g.collAccount(globalRank, "allreduce", int64(x.Len()), g.allReduceBytes(x))
-	return g.collEnter(globalRank, "allreduce", hier, x, nil, true, combineSum).Clone()
+	return g.collEnter(globalRank, "allreduce", hier, x, nil, true, combineSum)
 }
 
 // IAllReduce is the nonblocking AllReduce, with the blocking op's local-rank
@@ -373,10 +378,7 @@ func (g *Group) AllReduce(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 func (g *Group) IAllReduce(globalRank int, x *tensor.Tensor) *Handle {
 	bytes := g.allReduceBytes(x)
 	g.account(globalRank, "allreduce", bytes)
-	h := g.iColl(globalRank, "allreduce", bytes, x, nil, combineSum)
-	shared := h.finish
-	h.finish = func() *tensor.Tensor { return shared().Clone() }
-	return h
+	return g.iColl(globalRank, "allreduce", bytes, x, nil, combineSum)
 }
 
 // AllReduceMax returns the element-wise maximum of the members' tensors —
@@ -392,10 +394,8 @@ func (g *Group) AllReduceMax(globalRank int, x *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-		for i := range results {
-			results[i] = m
-		}
-	}).Clone()
+		handOut(m, results)
+	})
 }
 
 // Broadcast distributes root's tensor (root is a local rank) to all members.
@@ -423,13 +423,10 @@ func (g *Group) Broadcast(globalRank, rootLocal int, x *tensor.Tensor) *tensor.T
 		if src == nil {
 			panic(fmt.Sprintf("comm: broadcast root local rank %d passed nil", rootLocal))
 		}
-		// Clone once: results must not alias the staged contribution, which
+		// Clone: results must not alias the staged contribution, which
 		// returns to the arena as soon as this combine returns.
-		shared := src.Clone()
-		for i := range results {
-			results[i] = shared
-		}
-	}).Clone()
+		handOut(src.Clone(), results)
+	})
 }
 
 // Barrier blocks until every member has reached it. No library path needs

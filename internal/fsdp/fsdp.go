@@ -62,6 +62,7 @@ type Shard struct {
 	own       *tensor.Tensor // this rank's shard of w
 	shardLen  int
 	gradShard []float32 // this rank's accumulated reduced gradients
+	alias     bool      // gradShard is g's storage: ZeRO-1 over a group of one
 	opt       *optim.AdamW
 	gathered  bool // ZeRO-3: whether full params are currently materialised
 }
@@ -72,6 +73,11 @@ type Shard struct {
 // which now are the flat storage. For ZeRO-3 the non-owned ranges are
 // released between uses (only the owner shard persists authoritative
 // values). A parameter listed twice panics: it would alias two ranges.
+//
+// ZeRO-1 over a group of one has nothing to reduce: its gradient shard is
+// the flat gradient buffer, and no reduce-scatter is issued. No bit changes:
+// AdamW reads g instead of +0 + g, and for β1 > ½ it does not see a zero
+// gradient's sign (DESIGN.md §4k). ZeRO-2/3 keep their reductions.
 func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt *optim.AdamW) *Shard {
 	n := 0
 	seen := make(map[*model.Param]bool, len(params))
@@ -89,8 +95,12 @@ func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt *opt
 		Group: group, Rank: rank, Mode: mode,
 		params: params, w: tensor.New(flatLen), g: tensor.New(flatLen), shardLen: shardLen,
 		gradShard: make([]float32, shardLen),
+		alias:     mode == ZeRO1 && size == 1,
 		opt:       opt,
 		gathered:  true, // freshly constructed: replicas hold full params
+	}
+	if s.alias {
+		s.gradShard = s.g.Data
 	}
 	off := 0
 	for _, p := range params {
@@ -120,8 +130,11 @@ func (s *Shard) ShardLen() int { return s.shardLen }
 //
 // ZeRO-2 calls this after every backward (resharding gradient memory at the
 // cost of more collectives); ZeRO-1 calls it once per step via Step — the
-// exact trade-off of Fig 4.
+// exact trade-off of Fig 4. ZeRO-1 over a group of one issues nothing.
 func (s *Shard) ReduceScatterGrads() {
+	if s.alias {
+		return
+	}
 	s.Group.ReduceScatterInto(s.Rank, s.g, tensor.FromSlice(s.gradShard, s.shardLen))
 	s.g.Zero()
 }
@@ -171,8 +184,11 @@ func (s *Shard) IGatherParams() *Pending {
 // overlaps whatever the rank computes next. The combine adds into
 // gradShard, in issue order — the blocking accumulation order exactly, the
 // bitwise-under-overlap invariant. gradShard is the collective's until the
-// returned Pending is waited.
+// returned Pending is waited. ZeRO-1 over a group of one issues nothing.
 func (s *Shard) IReduceScatterGrads() *Pending {
+	if s.alias {
+		return nil
+	}
 	h := s.Group.IReduceScatter(s.Rank, s.g, tensor.FromSlice(s.gradShard, s.shardLen))
 	s.g.Zero()
 	return &Pending{h: h}
@@ -208,10 +224,11 @@ func (s *Shard) ReleaseParams() {
 // the updated shards into the flat weight buffer (ZeRO-1/2) or leaves it
 // sharded (ZeRO-3 callers re-gather on next use via GatherParams).
 func (s *Shard) Step() {
-	// ZeRO-1 reduces once per step, on the last micro-batch (Fig 4a). For
-	// ZeRO-2/3 the per-backward reductions already emptied the accumulators,
-	// so this final reduce-scatter sums zeros; keeping it unconditional keeps
-	// the collective sequence identical on every rank.
+	// ZeRO-1 reduces once per step, on the last micro-batch (Fig 4a), or
+	// over a group of one steps on the flat gradients and clears them below.
+	// For ZeRO-2/3 the per-backward reductions already emptied the
+	// accumulators, so this final reduce-scatter sums zeros; keeping it
+	// unconditional keeps the collective sequence identical on every rank.
 	s.ReduceScatterGrads()
 
 	s.opt.Step(s.OptID, s.own.Data, s.gradShard)
@@ -222,24 +239,4 @@ func (s *Shard) Step() {
 	if s.Mode == ZeRO3 {
 		s.ReleaseParams()
 	}
-}
-
-// MemoryBytes reports the per-rank steady-state memory of this unit under
-// the shard's mode, in bytes, assuming 2-byte (BF16) parameters/gradients
-// and optStateBytesPerParam bytes of optimizer state per parameter — the
-// accounting behind the ZeRO rows of the paper's memory analysis. Test
-// surface: TestMemoryBytesOrdering.
-func (s *Shard) MemoryBytes(optStateBytesPerParam int) int64 {
-	n := int64(s.w.Len())
-	shard := int64(s.shardLen)
-	var params, grads int64
-	switch s.Mode {
-	case ZeRO1:
-		params, grads = 2*n, 2*n
-	case ZeRO2:
-		params, grads = 2*n, 2*shard
-	case ZeRO3:
-		params, grads = 2*shard, 2*shard
-	}
-	return params + grads + int64(optStateBytesPerParam)*shard
 }

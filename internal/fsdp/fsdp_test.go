@@ -222,6 +222,26 @@ func TestZeRO3ReleaseAndGather(t *testing.T) {
 	}
 }
 
+// MemoryBytes reports the per-rank steady-state memory of this unit under
+// the shard's mode, in bytes, assuming 2-byte (BF16) parameters/gradients
+// and optStateBytesPerParam bytes of optimizer state per parameter — the
+// accounting behind the ZeRO rows of the paper's memory analysis, held to
+// its ordering by TestMemoryBytesOrdering.
+func (s *Shard) MemoryBytes(optStateBytesPerParam int) int64 {
+	n := int64(s.w.Len())
+	shard := int64(s.shardLen)
+	var params, grads int64
+	switch s.Mode {
+	case ZeRO1:
+		params, grads = 2*n, 2*n
+	case ZeRO2:
+		params, grads = 2*n, 2*shard
+	case ZeRO3:
+		params, grads = 2*shard, 2*shard
+	}
+	return params + grads + int64(optStateBytesPerParam)*shard
+}
+
 func TestMemoryBytesOrdering(t *testing.T) {
 	// ZeRO-3 < ZeRO-2 < ZeRO-1 in steady-state bytes for n > 1 ranks.
 	ndp := 4

@@ -159,13 +159,21 @@ func oracleUnits() [][]*model.Param {
 // fakeBackward accumulates a gradient into every parameter of a unit. It
 // reads the weights, so a unit whose ZeRO-3 gather went wrong produces
 // wrong gradients; the rest is a deterministic per-(rank, step, micro-batch,
-// element) term that makes ranks differ.
-func fakeBackward(unit []*model.Param, rank, step, mb int) {
+// element) term that makes ranks differ. With specials, the first
+// parameter's element 2 is left −0 (a sum that starts at +0 can never
+// reach it, so it is set) and element 5 accumulates a NaN: what a
+// reduction's +0 + g changes and what it must carry.
+func fakeBackward(unit []*model.Param, rank, step, mb int, specials bool) {
 	for pi, p := range unit {
 		for i, w := range p.W.Data {
 			seed := float64(((rank*7+step)*5+mb)*31 + pi*13 + i)
 			p.G.Data[i] += 0.5*w + float32(math.Sin(seed)*math.Exp2(float64(i%7-3)))
 		}
+	}
+	if specials {
+		g := unit[0].G.Data
+		g[2] = float32(math.Copysign(0, -1))
+		g[5] += float32(math.NaN())
 	}
 }
 
@@ -190,12 +198,35 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// sameBitsButZeroSign is sameBits, except that +0 and −0 match.
+func sameBitsButZeroSign(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && (a[i] != 0 || b[i] != 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestShardedMatchesSeedOracleBitwise runs ZeRO-1/2/3 over groups of 1, 2
 // and 3 ranks, each blocking, with overlapped gradient reduce-scatters, and
 // with a one-unit ZeRO-3 gather prefetch, for three steps of two
 // micro-batches through Sharded, against the frozen copy-based path. After
 // every backward phase the gradients and gradient shards, and after every
 // step the weights and both AdamW moments, must be Float32bits-equal.
+//
+// ZeRO-1 over one rank reduces nothing: its gradient shard is the flat
+// gradient buffer, so between backward and Step it holds the accumulated
+// gradients where the seed's shard is still empty. There the gradient the
+// optimizer consumes is compared instead with the seed's reduced shard,
+// reduced early for the comparison (its Step then reduces zeros into a
+// shard without −0, which changes no bit). The two differ only in the sign
+// of zero: the seed's +0 + g turns the −0 that n1's fakeBackward plants
+// into +0. The weights and moments after the step, which hold AdamW's
+// argument that the sign does not matter, stay Float32bits-equal.
 func TestShardedMatchesSeedOracleBitwise(t *testing.T) {
 	overlaps := []struct {
 		name     string
@@ -239,18 +270,23 @@ func runOracleGrid(t *testing.T, mode Mode, n int, async bool, prefetch int) {
 			t.Fatal(err)
 		}
 	}
-	compare := func(what string, step int, headOf, seedOf func(r, u, i int) []float32) {
+	compareBy := func(same func(a, b []float32) bool, what string, step int, headOf, seedOf func(r, u, i int) []float32) {
 		t.Helper()
 		for r := 0; r < n; r++ {
 			for u := range seedUnits[r] {
 				for i := range seedUnits[r][u] {
-					if !sameBits(headOf(r, u, i), seedOf(r, u, i)) {
+					if !same(headOf(r, u, i), seedOf(r, u, i)) {
 						t.Fatalf("step %d rank %d unit %d: %s %d differs from the seed path", step, r, u, what, i)
 					}
 				}
 			}
 		}
 	}
+	compare := func(what string, step int, headOf, seedOf func(r, u, i int) []float32) {
+		t.Helper()
+		compareBy(sameBits, what, step, headOf, seedOf)
+	}
+	aliased := mode == ZeRO1 && n == 1
 	for step := 0; step < steps; step++ {
 		spmd(hw, func(rank int) {
 			sh := heads[rank]
@@ -264,7 +300,7 @@ func runOracleGrid(t *testing.T, mode Mode, n int, async bool, prefetch int) {
 			for mb := 0; mb < mbs; mb++ {
 				for u, ps := range headUnits[rank] {
 					sh.EnsureUnit(u)
-					fakeBackward(ps, rank, step, mb)
+					fakeBackward(ps, rank, step, mb, n == 1 && u == 0)
 				}
 				if mode != ZeRO1 {
 					sh.ReduceScatterGrads()
@@ -279,8 +315,8 @@ func runOracleGrid(t *testing.T, mode Mode, n int, async bool, prefetch int) {
 				}
 			}
 			for mb := 0; mb < mbs; mb++ {
-				for _, ps := range seedUnits[rank] {
-					fakeBackward(ps, rank, step, mb)
+				for u, ps := range seedUnits[rank] {
+					fakeBackward(ps, rank, step, mb, n == 1 && u == 0)
 				}
 				if mode != ZeRO1 {
 					for _, s := range seeds[rank] {
@@ -292,9 +328,23 @@ func runOracleGrid(t *testing.T, mode Mode, n int, async bool, prefetch int) {
 		compare("gradient", step,
 			func(r, u, i int) []float32 { return headUnits[r][u][i].G.Data },
 			func(r, u, i int) []float32 { return seedUnits[r][u][i].G.Data })
-		compare("gradient shard", step,
-			func(r, u, _ int) []float32 { return heads[r].Units[u].gradShard },
-			func(r, u, _ int) []float32 { return seeds[r][u].gradShard })
+		if aliased {
+			spmd(ow, func(rank int) {
+				for _, s := range seeds[rank] {
+					s.reduceScatterGrads()
+				}
+			})
+			compareBy(sameBitsButZeroSign, "consumed gradient", step,
+				func(r, u, _ int) []float32 { return heads[r].Units[u].gradShard },
+				func(r, u, _ int) []float32 { return seeds[r][u].gradShard })
+			if g := heads[0].Units[0].gradShard[2]; g != 0 || !math.Signbit(float64(g)) {
+				t.Fatalf("step %d: the planted −0 reaches the optimizer as %v", step, g)
+			}
+		} else {
+			compare("gradient shard", step,
+				func(r, u, _ int) []float32 { return heads[r].Units[u].gradShard },
+				func(r, u, _ int) []float32 { return seeds[r][u].gradShard })
+		}
 
 		spmd(hw, func(rank int) {
 			headOpts[rank].Tick()

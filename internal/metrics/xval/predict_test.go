@@ -346,13 +346,16 @@ func predictRankPerOp(cfg core.Config, sched *pp.Schedule, counts []int, rv rank
 		}
 	}
 
-	// Step end, per unit: unconditional gradient reduce-scatter + parameter
-	// all-gather (fsdp.Shard.Step) — always blocking — plus ZeRO-3's
-	// re-gather of released parameters at the start of every steady-state
-	// step, which the prefetch engine issues nonblocking when
+	// Step end, per unit: gradient reduce-scatter + parameter all-gather
+	// (fsdp.Shard.Step) — always blocking; ZeRO-1 over an FSDP group of one
+	// steps on its flat gradients and issues no reduce-scatter — plus
+	// ZeRO-3's re-gather of released parameters at the start of every
+	// steady-state step, which the prefetch engine issues nonblocking when
 	// Overlap.Params > 0.
 	for _, sl := range unitLens {
-		addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
+		if cfg.ZeRO != fsdp.ZeRO1 || fs > 1 {
+			addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
+		}
 		addC(&rv.fsdp, "allgather", int64(sl), 1)
 		if cfg.ZeRO == fsdp.ZeRO3 && steadyState {
 			if cfg.Overlap.Params > 0 {

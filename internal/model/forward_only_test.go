@@ -89,12 +89,9 @@ func TestForwardOnlyMatchesForward(t *testing.T) {
 						}
 						tensor.Put(got[rank])
 					}
-					// Still out: got itself, and under TP the shared sum of each
-					// of the block's two all-reduces, which comm never pools back.
+					// Still out: got itself (every all-reduce result under TP is
+					// its member's own, put back by the block).
 					out := int64(degree)
-					if degree > 1 {
-						out += 2
-					}
 					if live := (after.Gets - after.Puts) - (before.Gets - before.Puts); live != out {
 						t.Fatalf("forward-only pass left %d pooled buffers unreturned", live-out)
 					}

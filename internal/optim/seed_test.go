@@ -94,7 +94,7 @@ func checkAdamWStep(t *testing.T, a *AdamW, rng *rand.Rand, n int, plant byte) {
 }
 
 // TestAdamWMatchesSeed holds Step to the seed loop on every length 0–300,
-// 1<<16, and one past copyThreshold (where the update splits across
+// 1<<16, and 1<<20 + 5 at GOMAXPROCS 4 (where the update splits across
 // workers), at steps 1, 2 and 1000, with specials in every operand and
 // v = 0 elements.
 func TestAdamWMatchesSeed(t *testing.T) {

@@ -118,7 +118,9 @@ func FuzzScheduler(f *testing.F) {
 		if err := s.Submit(reqs...); err != nil {
 			t.Fatalf("Submit under budget >= maxNeed: %v", err)
 		}
-		s.RunToCompletion()
+		if err := s.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
 
 		if got := len(s.Completed()); got != len(reqs) {
 			t.Fatalf("completed %d of %d requests", got, len(reqs))

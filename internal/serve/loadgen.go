@@ -103,15 +103,18 @@ func itls(ts []time.Time) []float64 {
 }
 
 // RunLoad submits the requests and drives the scheduler to completion,
-// measuring throughput and latency into a Report. The KV pool accounting
-// is the tagged-stats delta across the run.
+// measuring throughput and latency into a Report; a livelocked scheduler's
+// *LivelockError is returned. The KV pool accounting is the tagged-stats
+// delta across the run.
 func RunLoad(s *Scheduler, reqs []*Request) (*Report, error) {
 	kv0 := tensor.DefaultPoolTagStats()[KVPoolTag]
 	start := time.Now()
 	if err := s.Submit(reqs...); err != nil {
 		return nil, err
 	}
-	s.RunToCompletion()
+	if err := s.RunToCompletion(); err != nil {
+		return nil, err
+	}
 	wall := time.Since(start).Seconds()
 	kv1 := tensor.DefaultPoolTagStats()[KVPoolTag]
 

@@ -223,10 +223,18 @@ func (s *Scheduler) completeFinished() {
 	s.running = keep
 }
 
-// RunToCompletion drives Step until every submitted request completes,
-// panicking after a generous bound to turn scheduler livelock into a test
-// failure rather than a hang.
-func (s *Scheduler) RunToCompletion() {
+// LivelockError is RunToCompletion's report that the scheduler stopped
+// making progress: Steps steps, the bound it allows, left requests unfinished.
+type LivelockError struct{ Steps int }
+
+func (e *LivelockError) Error() string {
+	return fmt.Sprintf("serve: scheduler made no progress after %d steps", e.Steps)
+}
+
+// RunToCompletion drives Step until every submitted request completes. It
+// returns a *LivelockError after a generous bound on the steps instead of
+// hanging.
+func (s *Scheduler) RunToCompletion() error {
 	var total int
 	for _, r := range s.pending {
 		total += r.MaxNew + r.Arrival + len(r.Prompt)
@@ -234,7 +242,8 @@ func (s *Scheduler) RunToCompletion() {
 	bound := 16 * (total + 16) // every step emits >= 1 token or admits, absent livelock
 	for steps := 0; s.Step(); steps++ {
 		if steps > bound {
-			panic(fmt.Sprintf("serve: scheduler made no progress after %d steps", bound))
+			return &LivelockError{Steps: bound}
 		}
 	}
+	return nil
 }

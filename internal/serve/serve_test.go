@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,7 +141,9 @@ func serveOnce(t *testing.T, m *model.Model, reqs []*Request, tp, pageSize, budg
 		if err := s.Submit(local...); err != nil {
 			panic(err)
 		}
-		s.RunToCompletion()
+		if err := s.RunToCompletion(); err != nil {
+			panic(err)
+		}
 		if rank == 0 {
 			logits = captured
 			for _, seq := range s.Completed() {
@@ -381,7 +384,9 @@ func TestSchedulerTokenOrder(t *testing.T) {
 	if err := s.Submit(reqs...); err != nil {
 		t.Fatal(err)
 	}
-	s.RunToCompletion()
+	if err := s.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Completed()) != len(reqs) {
 		t.Fatalf("completed %d of %d", len(s.Completed()), len(reqs))
 	}
@@ -397,5 +402,33 @@ func TestSchedulerTokenOrder(t *testing.T) {
 	}
 	if kv.Alloc.Leased() != 0 {
 		t.Fatalf("%d pages leaked", kv.Alloc.Leased())
+	}
+}
+
+// stalledRunner runs the cache bookkeeping but never emits a token, so no
+// sequence can finish: the scheduler livelocks.
+type stalledRunner struct{ kv *KVCache }
+
+func (r stalledRunner) Prefill(seqs []*SeqState) {
+	for _, s := range seqs {
+		r.kv.Advance(s.Cache, len(s.feedTokens()))
+	}
+}
+
+func (r stalledRunner) DecodeStep([]*SeqState) {}
+
+// TestRunLoadReturnsLivelockError: a scheduler that stops making progress
+// ends RunToCompletion, and RunLoad, with a *LivelockError carrying the
+// step bound, instead of a panic or a hang.
+func TestRunLoadReturnsLivelockError(t *testing.T) {
+	kv := NewKVCache(1, 4, 1, 8)
+	s := NewScheduler(kv, stalledRunner{kv}, 2)
+	rep, err := RunLoad(s, []*Request{{ID: 0, Prompt: []int{1, 2}, MaxNew: 2}})
+	var le *LivelockError
+	if !errors.As(err, &le) || rep != nil {
+		t.Fatalf("RunLoad = %v, %v; want a nil report and a *LivelockError", rep, err)
+	}
+	if want := 16 * (2 + 2 + 16); le.Steps != want || s.Steps <= want {
+		t.Fatalf("livelock reported at a bound of %d after %d steps, want the bound %d", le.Steps, s.Steps, want)
 	}
 }

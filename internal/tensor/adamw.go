@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 )
 
 // AdamWCoef holds one AdamW step's constants: the hyper-parameters and the
@@ -25,17 +24,14 @@ type AdamWCoef struct {
 // paper's §6.2. With AVX-512 the leading multiple of sixteen elements runs
 // on the lane-wise kernel (adamw_amd64.s), which performs the same rounding
 // sequence per lane; the scalar loop takes the rest, and everything in the
-// pure-Go build. Elements are independent, so from copyThreshold elements
-// the update splits across GOMAXPROCS workers with no bit changed.
+// pure-Go build. Elements are independent, so the update splits into
+// Workers chunks, sixteen scalar operations an element, with no bit changed.
 func AdamWUpdate(w, g, m, v []float32, c AdamWCoef) {
 	n := len(w)
 	if len(g) != n || len(m) != n || len(v) != n {
 		panic(fmt.Sprintf("tensor: AdamWUpdate lengths w %d, g %d, m %d, v %d", n, len(g), len(m), len(v)))
 	}
-	workers := 1
-	if n >= copyThreshold {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := Workers(n, 16*n)
 	if workers <= 1 {
 		adamwRange(w, g, m, v, c)
 		return

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -62,7 +63,7 @@ func testMatMulForcedWorkers(t *testing.T, kernel string) {
 		a := randMat(int64(sh.m*1000+sh.n), sh.m, sh.k)
 		b := randMat(int64(sh.k*1000+sh.m), sh.k, sh.n)
 		ref := New(sh.m, sh.n)
-		matMulRows(ref, a, b, 1, true)
+		matMulRows(ref, a, b, nil, 1, true, false)
 
 		// The serial tiled kernel must also match the textbook i-j-k triple
 		// loop exactly: per element, both sum a[i][p]·b[p][j] in increasing p.
@@ -79,14 +80,24 @@ func testMatMulForcedWorkers(t *testing.T, kernel string) {
 			t.Fatalf("%s m=%d k=%d n=%d: tiled serial MatMul differs from naive", kernel, sh.m, sh.k, sh.n)
 		}
 
-		for _, w := range forcedWorkers[1:] {
-			out := New(sh.m, sh.n)
-			matMulRows(out, a, b, w, true)
+		// The overwriting form on a poisoned output: every worker clears
+		// its own rows.
+		for _, w := range forcedWorkers {
+			out := poisoned(sh.m, sh.n)
+			matMulRows(out, a, b, nil, w, true, true)
 			if !BitwiseEqual(ref, out) {
 				t.Fatalf("%s m=%d k=%d n=%d workers=%d: MatMul not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
 			}
 		}
 	}
+}
+
+// poisoned returns an [r, c] tensor of NaNs: an output row a kernel leaves
+// unwritten stays NaN and fails a bitwise comparison.
+func poisoned(r, c int) *Tensor {
+	t := New(r, c)
+	t.Fill(float32(math.NaN()))
+	return t
 }
 
 func TestMatMulTForcedWorkersBitwise(t *testing.T) {
@@ -98,10 +109,10 @@ func testMatMulTForcedWorkers(t *testing.T, kernel string) {
 		// a [m,k] @ b[n,k]ᵀ -> [m,n]
 		a := randMat(int64(sh.m+7), sh.m, sh.k)
 		b := randMat(int64(sh.n+13), sh.n, sh.k)
-		ref := New(sh.m, sh.n)
+		ref := poisoned(sh.m, sh.n)
 		matMulTRows(ref, a, b, 1)
 		for _, w := range forcedWorkers[1:] {
-			out := New(sh.m, sh.n)
+			out := poisoned(sh.m, sh.n)
 			matMulTRows(out, a, b, w)
 			if !BitwiseEqual(ref, out) {
 				t.Fatalf("%s m=%d k=%d n=%d workers=%d: MatMulT not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
@@ -124,37 +135,45 @@ func testTMatMulAccForcedWorkers(t *testing.T, kernel string) {
 		b := randMat(int64(sh.k+31), sh.k, sh.n)
 		init := randMat(int64(sh.m+37), sh.m, sh.n)
 		ref := init.Clone()
-		tMatMulRows(ref, a, b, 1)
-		for _, w := range forcedWorkers[1:] {
+		tMatMulRows(ref, a, b, 1, false)
+		zeroRef := New(sh.m, sh.n)
+		tMatMulRows(zeroRef, a, b, 1, false)
+		for _, w := range forcedWorkers {
 			out := init.Clone()
-			tMatMulRows(out, a, b, w)
+			tMatMulRows(out, a, b, w, false)
 			if !BitwiseEqual(ref, out) {
 				t.Fatalf("%s m=%d k=%d n=%d workers=%d: TMatMulAcc not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
+			}
+			// The overwriting form (TMatMul) on a poisoned output equals
+			// accumulating from zero.
+			out = poisoned(sh.m, sh.n)
+			tMatMulRows(out, a, b, w, true)
+			if !BitwiseEqual(zeroRef, out) {
+				t.Fatalf("%s m=%d k=%d n=%d workers=%d: TMatMul not bitwise equal to serial", kernel, sh.m, sh.k, sh.n, w)
 			}
 		}
 	}
 }
 
+// TestTransposeForcedWorkersBitwise runs the GEMM driver's split transposes
+// at forced worker counts: each shape is the transposed operand of a MatMulT
+// (b, its columns split over the product's workers) and of a TMatMul (a, one
+// band of columns per worker), and both products must equal the seed kernels
+// bit for bit.
 func TestTransposeForcedWorkersBitwise(t *testing.T) {
 	for _, sh := range []struct{ m, n int }{{1, 5}, {7, 3}, {63, 65}, {128, 127}, {200, 77}} {
-		a := randMat(int64(sh.m*sh.n), sh.m, sh.n)
-		ref := New(sh.n, sh.m)
-		// Pass elems = copyThreshold so the size clamp does not silently
-		// force the serial path for these small test shapes.
-		transposeRows(ref, a, 1, copyThreshold)
-		for _, w := range forcedWorkers[1:] {
-			out := New(sh.n, sh.m)
-			transposeRows(out, a, w, copyThreshold)
-			if !BitwiseEqual(ref, out) {
-				t.Fatalf("m=%d n=%d workers=%d: Transpose not bitwise equal to serial", sh.m, sh.n, w)
+		src := randMat(int64(sh.m*sh.n), sh.m, sh.n)
+		x := randMat(int64(sh.m+sh.n), 5, sh.n)
+		y := randMat(int64(sh.m+sh.n+1), sh.m, 6)
+		wantT, wantTM := seedMatMulT(x, src), seedTMatMul(src, y)
+		for _, w := range forcedWorkers {
+			gotT := poisoned(5, sh.m)
+			matMulTRows(gotT, x, src, w)
+			gotTM := poisoned(sh.n, 6)
+			tMatMulRows(gotTM, src, y, w, true)
+			if !BitwiseEqual(wantT, gotT) || !BitwiseEqual(wantTM, gotTM) {
+				t.Fatalf("m=%d n=%d workers=%d: a split transpose changed a product", sh.m, sh.n, w)
 			}
-		}
-		// The clamp itself: below copyThreshold a multi-worker request runs
-		// serial and must (trivially) still produce the same permutation.
-		clamped := New(sh.n, sh.m)
-		transposeRows(clamped, a, 8, a.Len())
-		if !BitwiseEqual(ref, clamped) {
-			t.Fatalf("m=%d n=%d: clamped Transpose differs", sh.m, sh.n)
 		}
 	}
 }
@@ -192,7 +211,7 @@ func TestPublicOpsParallelBitwise(t *testing.T) {
 	b := randMat(2, s, s)
 
 	ref := New(s, s)
-	matMulRows(ref, a, b, 1, true)
+	matMulRows(ref, a, b, nil, 1, true, true)
 	if got := MatMul(a, b); !BitwiseEqual(ref, got) {
 		t.Fatal("parallel MatMul differs from serial")
 	}
@@ -204,16 +223,70 @@ func TestPublicOpsParallelBitwise(t *testing.T) {
 	}
 
 	ref = New(s, s)
-	tMatMulRows(ref, a, b, 1)
+	tMatMulRows(ref, a, b, 1, true)
 	if got := TMatMul(a, b); !BitwiseEqual(ref, got) {
 		t.Fatal("parallel TMatMul differs from serial")
 	}
+}
 
-	big := randMat(3, 1024, 1024) // 2^20 elements: at copyThreshold exactly
-	ref = New(1024, 1024)
-	transposeRows(ref, big, 1, copyThreshold)
-	if got := transposed(big); !BitwiseEqual(ref, got) {
-		t.Fatal("parallel Transpose differs from serial")
+// TestGEMMEntryPointsOnPoisonedPool holds MatMul, TMatMul, MatMulT and
+// TMatMulAcc Float32bits-equal to the seed kernels when every buffer they
+// take from the default pool — the uninitialised output and the transpose
+// scratch — comes back full of NaNs: a worker that skips its rows' clear,
+// or its band of a transpose, leaves NaNs in the result. Shapes sit on both
+// sides of parallelThreshold, with k = 0 and with fewer rows than workers;
+// GOMAXPROCS runs 1–4, pooled and unpooled.
+func TestGEMMEntryPointsOnPoisonedPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer SetPooling(SetPooling(true))
+	// poison retires two NaN-filled tensors of each element count into the
+	// default pool.
+	poison := func(sizes ...int) {
+		for _, n := range sizes {
+			for range 2 {
+				Put(poisoned(1, n))
+			}
+		}
+	}
+	shapes := []struct{ m, k, n int }{
+		{7, 5, 9},       // serial
+		{5, 0, 7},       // k = 0: the outputs are all zeros
+		{64, 256, 256},  // at the threshold exactly
+		{65, 257, 300},  // above it, m mod 4 = 1, odd columns
+		{3, 1024, 1400}, // above it with fewer rows than workers
+		{170, 170, 170},
+	}
+	for _, sh := range shapes {
+		m, k, n := sh.m, sh.k, sh.n
+		a, b := randMat(int64(m+k), m, k), randMat(int64(k+n), k, n)
+		aT, bT := seedTranspose(a), seedTranspose(b) // [k,m], [n,k]
+		acc := randMat(int64(m*n), m, n)
+		wantAcc := acc.Clone()
+		seedTMatMulAcc(wantAcc, aT, b)
+		want := []*Tensor{seedMatMul(a, b), seedMatMulT(a, bT), seedTMatMul(aT, b), wantAcc}
+		for _, pooled := range []bool{true, false} {
+			SetPooling(pooled)
+			for procs := 1; procs <= 4; procs++ {
+				runtime.GOMAXPROCS(procs)
+				gotAcc := acc.Clone()
+				var got []*Tensor
+				for _, op := range []func() *Tensor{
+					func() *Tensor { return MatMul(a, b) },
+					func() *Tensor { return MatMulT(a, bT) },
+					func() *Tensor { return TMatMul(aT, b) },
+					func() *Tensor { TMatMulAcc(gotAcc, aT, b); return gotAcc },
+				} {
+					poison(m*n, m*k, k*n)
+					got = append(got, op())
+				}
+				for i, name := range []string{"MatMul", "MatMulT", "TMatMul", "TMatMulAcc"} {
+					if !BitwiseEqual(want[i], got[i]) {
+						t.Fatalf("pooled=%v GOMAXPROCS=%d m=%d k=%d n=%d: %s differs from its seed kernel",
+							pooled, procs, m, k, n, name)
+					}
+				}
+			}
+		}
 	}
 }
 

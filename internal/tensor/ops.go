@@ -13,10 +13,6 @@ import (
 // invisible to the paper's §6.2 bitwise-match debugging methodology.
 const parallelThreshold = 1 << 22
 
-// copyThreshold is the element count above which memory-bound kernels
-// (Transpose) split their output rows across goroutines.
-const copyThreshold = 1 << 20
-
 // Cache-blocking tile sizes for the serial kernels. Tiles keep the streamed
 // operand slab resident in L1/L2 while the other operand is swept past it.
 // Tiling never reorders the per-element accumulation: for every output
@@ -95,24 +91,37 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul %v @ %v", a.Shape, b.Shape))
 	}
 	countMatMul(m, k, n)
-	out := Get(m, n)
-	matMulRows(out, a, b, Workers(m, m*k*n), true)
+	out := GetUninit(m, n)
+	matMulRows(out, a, b, nil, Workers(m, m*k*n), true, true)
 	return out
 }
 
-// matMulRows accumulates out += a @ b (callers zero out for the overwrite
-// semantics), running the serial kernel over row chunks. Every product in the
-// package ends here.
-func matMulRows(out, a, b *Tensor, workers int, skip bool) {
-	m, k := a.Rows(), a.Cols()
-	n := b.Cols()
+// matMulRows accumulates out += a @ b, or with overwrite sets out = a @ b,
+// over row chunks, one per worker. Each worker clears its own rows of out
+// (overwrite) just before it accumulates into them; with src set, a is
+// scratch whose rows the worker first fills with the transpose of src's
+// columns (TMatMul's a). Every product in the package ends here.
+func matMulRows(out, a, b, src *Tensor, workers int, skip, overwrite bool) {
 	if workers <= 1 { // skip the closure: it heap-allocates even when unused
-		AccumBlock(out.Data, n, a.Data, k, b.Data, n, m, k, n, skip)
+		matMulBand(out, a, b, src, 0, a.Rows(), skip, overwrite)
 		return
 	}
-	ParallelRows(m, workers, func(lo, hi int) {
-		AccumBlock(out.Data[lo*n:], n, a.Data[lo*k:], k, b.Data, n, hi-lo, k, n, skip)
+	ParallelRows(a.Rows(), workers, func(lo, hi int) {
+		matMulBand(out, a, b, src, lo, hi, skip, overwrite)
 	})
+}
+
+// matMulBand is matMulRows on output rows [lo, hi).
+func matMulBand(out, a, b, src *Tensor, lo, hi int, skip, overwrite bool) {
+	k, n := a.Cols(), b.Cols()
+	if src != nil {
+		TransposeBlock(a.Data[lo*k:], k, src.Data[lo:], a.Rows(), k, hi-lo)
+	}
+	o := out.Data[lo*n : hi*n]
+	if overwrite {
+		clear(o)
+	}
+	AccumBlock(o, n, a.Data[lo*k:], k, b.Data, n, hi-lo, k, n, skip)
 }
 
 // AccumBlock accumulates out[i][j] += Σ_p a[i][p]·b[p][j] (i < m, j < n, p < k
@@ -200,18 +209,25 @@ func MatMulT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matMulTRows overwrites out = a @ bᵀ: b is transposed once (pure data
-// movement, pooled buffer) and the product runs the MatMul kernel from a
-// zeroed out, so the vector lanes are distinct output columns — a dot product
-// vectorised across k would sum lane-wise partials in a different order.
-// Each element is the dot kernel's single running sum from +0 over p in
-// increasing order; skipping is off because that sum multiplies every term: a
-// zero in a must still meet a NaN or Inf in b.
+// matMulTRows overwrites out = a @ bᵀ: b is transposed once into a pooled
+// buffer, its columns split over the product's own workers (pure data
+// movement), and the product runs the MatMul kernel, so the vector lanes are
+// distinct output columns — a dot product vectorised across k would sum
+// lane-wise partials in a different order. Each element is the dot kernel's
+// single running sum from +0 over p in increasing order; skipping is off
+// because that sum multiplies every term: a zero in a must still meet a NaN
+// or Inf in b.
 func matMulTRows(out, a, b *Tensor, workers int) {
-	bT := GetUninit(b.Cols(), b.Rows())
-	TransposeInto(bT, b)
-	out.Zero()
-	matMulRows(out, a, bT, workers, false)
+	n, k := b.Rows(), b.Cols()
+	bT := GetUninit(k, n)
+	if workers <= 1 {
+		TransposeBlock(bT.Data, n, b.Data, k, n, k)
+	} else {
+		ParallelRows(k, workers, func(lo, hi int) {
+			TransposeBlock(bT.Data[lo*n:], n, b.Data[lo:], k, n, hi-lo)
+		})
+	}
+	matMulRows(out, a, bT, nil, workers, false, true)
 	Put(bT)
 }
 
@@ -224,69 +240,40 @@ func TMatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul %vᵀ @ %v", a.Shape, b.Shape))
 	}
 	countMatMul(m, k, n)
-	out := Get(m, n)
-	tMatMulRows(out, a, b, Workers(m, m*k*n))
+	out := GetUninit(m, n)
+	tMatMulRows(out, a, b, Workers(m, m*k*n), true)
 	return out
 }
 
 // TMatMulAcc accumulates aᵀ @ b into out, used for gradient accumulation
 // across micro-batches (FP32 accumulation per §6.2).
 func TMatMulAcc(out, a, b *Tensor) {
-	checkTMatMul(out, a, b, "TMatMulAcc")
-	countMatMul(a.Cols(), a.Rows(), b.Cols())
-	tMatMulRows(out, a, b, Workers(a.Cols(), a.Rows()*a.Cols()*b.Cols()))
-}
-
-func checkTMatMul(out, a, b *Tensor, op string) {
-	k, m := a.Rows(), a.Cols()
-	k2, n := b.Rows(), b.Cols()
-	if k != k2 || out.Rows() != m || out.Cols() != n {
-		panic(fmt.Sprintf("tensor: %s %vᵀ @ %v -> %v", op, a.Shape, b.Shape, out.Shape))
+	k, m, n := a.Rows(), a.Cols(), b.Cols()
+	if b.Rows() != k || out.Rows() != m || out.Cols() != n {
+		panic(fmt.Sprintf("tensor: TMatMulAcc %vᵀ @ %v -> %v", a.Shape, b.Shape, out.Shape))
 	}
+	countMatMul(m, k, n)
+	tMatMulRows(out, a, b, Workers(m, m*k*n), false)
 }
 
-// tMatMulRows accumulates out += aᵀ @ b (callers zero out for the overwrite
-// semantics): a is transposed once (pure data movement, pooled buffer) and
-// the product runs the MatMul kernel. Every output element (i,j) sums
-// a[p,i]·b[p,j] over p in increasing order and skips a term exactly when
-// a[p,i] is zero, so the result — under any row split — is bitwise identical
-// to the p-outer loop over the untransposed a.
-func tMatMulRows(out, a, b *Tensor, workers int) {
+// tMatMulRows accumulates out += aᵀ @ b, or with overwrite sets out = aᵀ @ b:
+// each worker transposes the band of a's columns that are its output rows
+// (pure data movement, into a pooled buffer) and runs the MatMul kernel on
+// it. Every output element (i,j) sums a[p,i]·b[p,j] over p in increasing
+// order and skips a term exactly when a[p,i] is zero, so the result — under
+// any row split — is bitwise identical to the p-outer loop over the
+// untransposed a.
+func tMatMulRows(out, a, b *Tensor, workers int, overwrite bool) {
 	aT := GetUninit(a.Cols(), a.Rows())
-	TransposeInto(aT, a)
-	matMulRows(out, aT, b, workers, true)
+	matMulRows(out, aT, b, a, workers, true, overwrite)
 	Put(aT)
-}
-
-// TransposeInto computes dst = aᵀ, overwriting dst ([cols(a), rows(a)]).
-func TransposeInto(dst, a *Tensor) {
-	if dst.Rows() != a.Cols() || dst.Cols() != a.Rows() {
-		panic(fmt.Sprintf("tensor: TransposeInto %v -> %v", a.Shape, dst.Shape))
-	}
-	transposeRows(dst, a, runtime.GOMAXPROCS(0), a.Len())
-}
-
-// transposeRows splits the output rows (input columns) across goroutines
-// when the element count warrants it; each chunk runs TransposeBlock on its
-// column band. A pure permutation: trivially bitwise under any split.
-func transposeRows(out, a *Tensor, workers, elems int) {
-	m, n := a.Rows(), a.Cols()
-	if workers > 1 && elems < copyThreshold {
-		workers = 1
-	}
-	if workers <= 1 {
-		TransposeBlock(out.Data, m, a.Data, n, m, n)
-		return
-	}
-	ParallelRows(n, workers, func(lo, hi int) {
-		TransposeBlock(out.Data[lo*m:], m, a.Data[lo:], n, m, hi-lo)
-	})
 }
 
 // TransposeBlock writes dst[j·ldd+i] = src[i·lds+j] for i < m and j < n
 // (strides in elements; lds ≥ n, ldd ≥ m): the one transpose kernel, under
-// TransposeInto (MatMulT's weight, TMatMulAcc's activation) and the blocked
-// attention engine's key panels and tile scratch. It walks the columns in
+// the GEMM driver (MatMulT's b, split over its workers; TMatMul's and
+// TMatMulAcc's a, one band per worker) and the blocked attention engine's key
+// panels and tile scratch. It walks the columns in
 // chunks of tileT; per chunk, each 16-row panel of the part whose row count
 // is a multiple of 16 and column count a multiple of 8 runs the in-register
 // kernel (transpose_amd64.s) when the CPU has AVX2, and a scalar loop takes

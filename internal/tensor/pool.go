@@ -57,8 +57,8 @@ func (p *Pool) Get(shape ...int) *Tensor {
 }
 
 // GetUninit returns a tensor of the given shape with UNDEFINED contents —
-// for destinations the caller fully overwrites (MatMulT, TransposeInto,
-// Clone). A nil pool degrades to New (which zeroes).
+// for destinations the caller fully overwrites (the GEMM outputs, Clone).
+// A nil pool degrades to New (which zeroes).
 func (p *Pool) GetUninit(shape ...int) *Tensor {
 	return p.getUninitTagged("", shape)
 }

@@ -88,10 +88,11 @@ func seedTranspose(a *Tensor) *Tensor {
 	return out
 }
 
-// transposed is TransposeInto with a fresh destination.
+// transposed is TransposeBlock over the whole of a, into a fresh
+// destination.
 func transposed(a *Tensor) *Tensor {
 	out := New(a.Cols(), a.Rows())
-	TransposeInto(out, a)
+	TransposeBlock(out.Data, a.Rows(), a.Data, a.Cols(), a.Rows(), a.Cols())
 	return out
 }
 

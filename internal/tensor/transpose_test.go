@@ -49,8 +49,10 @@ func checkTransposeBlock(t *testing.T, rng *rand.Rand, m, n, lds, ldd int) {
 }
 
 // TestTransposeMatchesSeed holds TransposeBlock to seedTranspose on every
-// shape up to 40×40 at tight and padded strides, and TransposeInto on shapes
-// at and past copyThreshold, where it splits across workers.
+// shape up to 40×40 at tight and padded strides, and on two shapes of about
+// 2²⁰ elements; at those, also the GEMM entry points that transpose them
+// split across workers: MatMulT's b (split over the product's workers) and
+// TMatMul's a (one band per worker), against the seed kernels.
 func TestTransposeMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for m := 0; m <= 40; m++ {
@@ -64,7 +66,16 @@ func TestTransposeMatchesSeed(t *testing.T) {
 	for _, sh := range [][2]int{{1024, 1024}, {1030, 1019}} {
 		a := randMat(int64(sh[0]), sh[0], sh[1])
 		if got := transposed(a); !BitwiseEqual(seedTranspose(a), got) {
-			t.Fatalf("TransposeInto %dx%d differs from seedTranspose", sh[0], sh[1])
+			t.Fatalf("TransposeBlock %dx%d differs from seedTranspose", sh[0], sh[1])
+		}
+		// Four rows or columns on the other side put each product just
+		// above parallelThreshold.
+		x, y := randMat(1, 4, sh[1]), randMat(2, sh[0], 4)
+		if got := MatMulT(x, a); !BitwiseEqual(seedMatMulT(x, a), got) {
+			t.Fatalf("MatMulT with b %dx%d differs from seedMatMulT", sh[0], sh[1])
+		}
+		if got := TMatMul(a, y); !BitwiseEqual(seedTMatMul(a, y), got) {
+			t.Fatalf("TMatMul with a %dx%d differs from seedTMatMul", sh[0], sh[1])
 		}
 	}
 }
@@ -85,8 +96,9 @@ func TestTransposeBlockRejectsOverlappingStrides(t *testing.T) {
 // FuzzTranspose holds TransposeBlock to seedTranspose on fuzzed shapes up
 // to 70×70 — sizes on and off multiples of 8, source and destination rows
 // wider than the block, canaries around and between the destination rows —
-// and transposeRows' worker split, past the copyThreshold clamp, to the
-// serial kernel.
+// and the GEMM driver's split transposes at a forced worker count to the
+// seed kernels: the shape as MatMulT's b and as TMatMul's a, each product
+// written over a poisoned output.
 func FuzzTranspose(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(2), uint8(70), uint8(69), uint8(3), uint8(5), uint8(2))
@@ -98,12 +110,14 @@ func FuzzTranspose(f *testing.F) {
 		if m == 0 || n == 0 {
 			return
 		}
+		w := 1 + int(wb)%8
 		a := randMat(seed, m, n)
-		ref, out := New(n, m), New(n, m)
-		transposeRows(ref, a, 1, copyThreshold)
-		transposeRows(out, a, 1+int(wb)%8, copyThreshold)
-		if !BitwiseEqual(ref, out) {
-			t.Fatalf("m=%d n=%d workers=%d: split transpose differs from serial", m, n, 1+int(wb)%8)
+		x, y := randMat(seed+1, 3, n), randMat(seed+2, m, 5)
+		gotT, gotTM := poisoned(3, m), poisoned(n, 5)
+		matMulTRows(gotT, x, a, w)
+		tMatMulRows(gotTM, a, y, w, true)
+		if !BitwiseEqual(seedMatMulT(x, a), gotT) || !BitwiseEqual(seedTMatMul(a, y), gotTM) {
+			t.Fatalf("m=%d n=%d workers=%d: a split transpose changed a product", m, n, w)
 		}
 	})
 }
