@@ -19,11 +19,11 @@ race:
 	$(GO) test -race ./...
 
 # The pure-Go build of the vector kernels (internal/tensor axpy4, the GEMM
-# register tile, the vector exp, the AdamW kernel, the transpose and the
-# softmax sweeps' lanes; the row chains are Go in both builds):
+# register tile, the vector exp, the transpose and the softmax sweeps' lanes;
+# internal/optim's AdamW kernel; the row chains are Go in both builds):
 # the packages whose bitwise contracts sit on them must pass without the
 # assembly, which is also what every non-amd64 host runs — optim and fsdp
-# on AdamWUpdate's scalar loop.
+# on AdamW's scalar loop.
 purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/attention ./internal/model ./internal/tp ./internal/vision ./internal/serve ./internal/core ./internal/optim ./internal/fsdp
 
@@ -36,7 +36,8 @@ purego:
 # block at a guard page), FuzzTranspose (TransposeBlock against the seed
 # transpose, canaries around and between the destination rows, and the GEMM
 # driver's split transposes against the seed products) and
-# FuzzAdamW (AdamW.Step against the seed loop, canaries past every slice),
+# FuzzAdamW (internal/optim: AdamW.Step, whose kernel adamw_amd64.s lives
+# there, against the seed loop, canaries past every slice),
 # then the softmax sweeps' kernels against their scalar loops at lengths
 # 0–80, with canaries and at a guard page: FuzzScaleMax (ScaleMax and the
 # read-only max, NaN/±Inf/±0 ties), FuzzScaleRow, FuzzSoftmaxGradRow (dot
@@ -72,10 +73,11 @@ fuzz-kernels:
 # The vector exp and the AdamW kernel's square root on all 2^32 float32
 # inputs (not tier-1, about four CPU-minutes plus one): ExpShift and Sigmoid
 # Float32bits-equal to their math.Exp contracts, every float64 lane before
-# narrowing bit-equal to math.Exp, and VSQRTPS bit-equal to the float64
-# square root narrowed.
+# narrowing bit-equal to math.Exp (internal/tensor), and VSQRTPS bit-equal
+# to the float64 square root narrowed (internal/optim).
 exhaustive-exp:
-	$(GO) test -tags exhaustive -run '^Test(Exp|Sqrt)Exhaustive$$' -timeout 30m -v ./internal/tensor
+	$(GO) test -tags exhaustive -run '^TestExpExhaustive$$' -timeout 30m -v ./internal/tensor
+	$(GO) test -tags exhaustive -run '^TestSqrtExhaustive$$' -timeout 30m -v ./internal/optim
 
 # The measured-vs-modeled gate: the xval conformance sweep (measured comm
 # bytes, FLOPs, activation peaks, and schedules against the analytic models
@@ -134,12 +136,14 @@ cover:
 	@$(GO) test -cover ./... 2>/dev/null | grep -v 'no test files' | awk '{print "  " $$2 "\t" $$5}'
 
 # Non-test Go lines outside bench/ — the number ROADMAP aim 2 tracks — in
-# total and per internal/* package. Plain wc -l: comments and blank lines
-# count, so the figure moves only when code is written or deleted.
+# total and per internal/* package, then the DESIGN.md + EXPERIMENTS.md line
+# total, aim 2's doc budget. Plain wc -l: comments and blank lines count, so
+# the figures move only when code or docs are written or deleted.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l \
 		| awk '$$2 != "total" { n += $$1; split($$2, p, "/"); if (p[2] == "internal") pkg[p[2] "/" p[3]] += $$1 } \
 		END { for (k in pkg) printf "%7d  %s\n", pkg[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total non-test Go lines outside bench/\n", n }'
+	@cat DESIGN.md EXPERIMENTS.md | wc -l | awk '{ printf "%7d  DESIGN.md + EXPERIMENTS.md lines\n", $$1 }'
 
 # The census gate: exported functions and methods declared in non-test files
 # under internal/ whose name appears in no non-test .go file of the repo
@@ -156,13 +160,12 @@ loc:
 # only call each other (fsdp.Sharded.GradShardMaxAbs and .MemoryBytes called
 # fsdp.Shard's): a clean report is not proof.
 DEAD_ALLOW := \
-	attention.Tiling attention.DenseForward attention.DenseBackward attention.DensePartialForwardInto \
-	tensor.SetPooling tensor.ResetFLOPCount tensor.Set tensor.Sum tensor.MaxAbs tensor.AllClose tensor.BitwiseEqual \
-	tensor.Dot tensor.MaxDiff tensor.SplitCols core.ParamsByName xval.PredictConfig \
+	tensor.SetPooling tensor.ResetFLOPCount tensor.Set tensor.MaxAbs tensor.BitwiseEqual \
+	tensor.Dot tensor.MaxDiff tensor.SplitCols xval.PredictConfig \
 	comm.Contains comm.Broadcast comm.Barrier \
 	model.StepLoss model.CopyWeightsTo model.GradientVector model.ParamByName \
-	tp.ReplicatedGradAllReduce xval.PredictCollective xval.PredictCPPerRank \
-	engine.DecodeFLOPs engine.DecodeTPTraffic cp.LocalRows testutil.CaptureStdout ft.ReadCheckpoint
+	tp.ReplicatedGradAllReduce xval.PredictCollective \
+	engine.DecodeFLOPs engine.DecodeTPTraffic testutil.CaptureStdout ft.ReadCheckpoint
 
 dead:
 	@out=$$(find . -name '*.go' ! -name '*_test.go' | xargs awk -v allow="$(DEAD_ALLOW)" ' \

@@ -56,10 +56,6 @@ func SetTiling(rows, cols int) (prevRows, prevCols int) {
 	return prevRows, prevCols
 }
 
-// Tiling returns the blocked engine's current tile geometry. Test surface:
-// the blocked and kernel suites read it to save and restore SetTiling.
-func Tiling() (rows, cols int) { return tileRows, tileCols }
-
 // TileKind classifies one score tile against the mask.
 type TileKind uint8
 

@@ -59,7 +59,7 @@ var gridTilings = [][2]int{{4, 4}, {8, 8}, {16, 8}, {64, 64}}
 // bitwise against the dense references.
 func TestBlockedMatchesDenseGrid(t *testing.T) {
 	const d = 8
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 
 	seed := int64(9000)
@@ -159,9 +159,12 @@ func docLengths(avg, seq int, seed int64) []int {
 // TestBlockedMatchesDensePerDistribution is the training-shape complement of
 // the grid above: one 1024-token head at d=64 under the default 64×64 tiling
 // — large enough that the row-parallel split and the 4-wide unrolled inner
-// loops run — for document masks of mean length 64 to 512 plus plain causal.
-// Forward, backward and the partial kernel must match the dense oracles
-// bitwise on every distribution.
+// loops run — for document masks of mean length 64 to 512 plus plain causal;
+// then the two head shapes of model's TestMultiHeadSplitBitwise, whose
+// serial head loop takes Forward and Backward as its reference: d=8 over 40
+// rows on its 13/20/7-token documents, and d=16 over 384 causal rows, the
+// shape whose heads split over workers there. Forward, backward and the
+// partial kernel must match the dense oracles bitwise on every input.
 func TestBlockedMatchesDensePerDistribution(t *testing.T) {
 	const seq, d = 1024, 64
 	for di, avgLen := range []int{64, 128, 256, 512, 0} { // 0 = plain causal
@@ -170,6 +173,150 @@ func TestBlockedMatchesDensePerDistribution(t *testing.T) {
 			m = Document{DocID: DocIDsFromLengths(docLengths(avgLen, seq, int64(1000+di)), seq)}
 		}
 		checkBlockedVsDense(t, fmt.Sprintf("docs%d", avgLen), int64(2000+di), seq, seq, d, m, Iota(seq), 0)
+	}
+	checkBlockedVsDense(t, "model-small", 2100, 40, 40, 8, Document{DocID: DocIDsFromLengths([]int{13, 20, 7}, 40)}, Iota(40), 0)
+	checkBlockedVsDense(t, "model-large", 2101, 384, 384, 16, Causal{}, Iota(384), 0)
+}
+
+// DenseForward is the dense reference kernel: the full score matrix is
+// materialised and swept with per-row masking regardless of mask structure.
+// It is the oracle the blocked engine is property-tested against.
+func DenseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
+	checkShapes(q, k, v, qPos)
+	sq, d := q.Rows(), q.Cols()
+	sk := k.Rows()
+	scale := float32(1 / math.Sqrt(float64(d)))
+	s := tensor.MatMulT(q, k)
+	if workers := tensor.Workers(sq, sq*sk*d); workers <= 1 {
+		maskedSoftmaxRows(s, m, qPos, kOff, scale, 0, sq)
+	} else {
+		tensor.ParallelRows(sq, workers, func(lo, hi int) {
+			maskedSoftmaxRows(s, m, qPos, kOff, scale, lo, hi)
+		})
+	}
+	return &Output{O: tensor.MatMul(s, v), P: s}
+}
+
+// maskedSoftmaxRows scales and softmaxes score rows [lo, hi) in place,
+// sending disallowed positions to -Inf. Each worker hoists the mask into
+// one reusable per-row []bool instead of an Allowed call per element.
+func maskedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, scale float32, lo, hi int) {
+	sk := s.Cols()
+	allowed := make([]bool, sk)
+	neg := float32(math.Inf(-1))
+	for i := lo; i < hi; i++ {
+		RowMask(m, qPos[i], kOff, allowed)
+		row := s.Row(i)
+		for j := 0; j < sk; j++ {
+			if allowed[j] {
+				row[j] *= scale
+			} else {
+				row[j] = neg
+			}
+		}
+		tensor.SoftmaxRow(row)
+	}
+}
+
+// DenseBackward is the dense reference backward pass: every gradient product
+// sweeps the full score plane, relying only on the exact zeros of masked
+// probabilities. The blocked backward's oracle.
+func DenseBackward(q, k, v, p, dO *tensor.Tensor) (dQ, dK, dV *tensor.Tensor) {
+	d := q.Cols()
+	scale := float32(1 / math.Sqrt(float64(d)))
+
+	dV = tensor.TMatMul(p, dO)  // [sk, d]
+	dP := tensor.MatMulT(dO, v) // [sq, sk]
+	// dS = P ∘ (dP − rowsum(dP ∘ P))
+	sq, sk := p.Rows(), p.Cols()
+	dS := tensor.GetUninit(sq, sk)
+	if workers := tensor.Workers(sq, 2*sq*sk); workers <= 1 {
+		softmaxBackwardRows(dS, p, dP, 0, sq)
+	} else {
+		tensor.ParallelRows(sq, workers, func(lo, hi int) {
+			softmaxBackwardRows(dS, p, dP, lo, hi)
+		})
+	}
+	tensor.Put(dP)
+	dQ = tensor.MatMul(dS, k).Scale(scale)
+	dK = tensor.TMatMul(dS, q).Scale(scale)
+	tensor.Put(dS)
+	return dQ, dK, dV
+}
+
+// softmaxBackwardRows writes dS = P ∘ (dP − rowsum(dP ∘ P)) for rows
+// [lo, hi). Row-independent, so any ParallelRows split is bitwise invisible.
+func softmaxBackwardRows(dS, p, dP *tensor.Tensor, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		pi, dpi, dsi := p.Row(i), dP.Row(i), dS.Row(i)
+		var dot float32
+		for j := range pi {
+			dot += float32(pi[j] * dpi[j]) // never fused into an FMA
+		}
+		for j := range pi {
+			dsi[j] = pi[j] * (dpi[j] - dot)
+		}
+	}
+}
+
+// DensePartialForwardInto is the dense reference partial kernel: the oracle
+// PartialForwardInto is held to.
+func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
+	checkShapes(q, k, v, qPos)
+	sq, d := q.Rows(), q.Cols()
+	sk := k.Rows()
+	scale := float32(1 / math.Sqrt(float64(d)))
+	s := tensor.MatMulT(q, k)
+	out = preparePartial(out, sq, d)
+	if workers := tensor.Workers(sq, sq*sk*d); workers <= 1 {
+		partialSweepRows(out, s, v, m, qPos, kOff, scale, 0, sq)
+	} else {
+		tensor.ParallelRows(sq, workers, func(lo, hi int) {
+			partialSweepRows(out, s, v, m, qPos, kOff, scale, lo, hi)
+		})
+	}
+	tensor.Put(s)
+	return out
+}
+
+// partialSweepRows runs the online-softmax accumulation for query rows
+// [lo, hi): mask, scale, row max, exp-weights into out.O with per-row M/L
+// statistics. Rows are independent, so worker splits never change bits.
+func partialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOff int, scale float32, lo, hi int) {
+	sk, d := s.Cols(), v.Cols()
+	allowed := make([]bool, sk)
+	negInf := float32(math.Inf(-1))
+	for i := lo; i < hi; i++ {
+		RowMask(m, qPos[i], kOff, allowed)
+		row := s.Row(i)
+		maxv := negInf
+		for j := 0; j < sk; j++ {
+			if allowed[j] {
+				row[j] *= scale
+				if row[j] > maxv {
+					maxv = row[j]
+				}
+			}
+		}
+		out.M[i] = maxv
+		out.L[i] = 0
+		if math.IsInf(float64(maxv), -1) {
+			continue
+		}
+		oi := out.O.Row(i)
+		var l float32
+		for j := 0; j < sk; j++ {
+			if !allowed[j] {
+				continue
+			}
+			e := float32(math.Exp(float64(row[j] - maxv)))
+			l += e
+			vj := v.Row(j)
+			for c := 0; c < d; c++ {
+				oi[c] += e * vj[c]
+			}
+		}
+		out.L[i] = l
 	}
 }
 
@@ -364,7 +511,7 @@ func TestRecurringDocIDsTakeConservativeGrid(t *testing.T) {
 		ids[i] = 1
 	}
 	m := Document{DocID: ids}
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 	for _, til := range gridTilings {
 		SetTiling(til[0], til[1])
@@ -391,7 +538,7 @@ func labelFor(mask string, til [2]int, sq, kOff int) string {
 // contiguous query positions the classification must also be tight: a tile
 // with no allowed pair is marked empty, an all-allowed tile full.
 func TestGridClassificationExact(t *testing.T) {
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 	SetTiling(4, 4)
 
@@ -482,7 +629,7 @@ func contiguous(qPos []int) bool {
 // grid summary — and the same FLOPs the tensor counters saw — into the
 // caller's Recorder.
 func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 	SetTiling(4, 4)
 
@@ -545,7 +692,7 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 // TestSetTilingValidation covers the tiling API: SetTiling rejects
 // non-positive tiles and returns the previous values for restoration.
 func TestSetTilingValidation(t *testing.T) {
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 	defer func() {
 		if recover() == nil {

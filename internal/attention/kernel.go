@@ -2,7 +2,6 @@ package attention
 
 import (
 	"fmt"
-	"math"
 
 	"llama4d/internal/tensor"
 )
@@ -20,7 +19,7 @@ type Output struct {
 // The mask-structured blocked engine runs (blocked.go, forward): score tiles
 // with no allowed pair are skipped in every sweep and fully-allowed tiles run
 // without per-element mask checks — bitwise identical to the dense reference
-// (DenseForward), which tests call directly as the oracle. The band loop is
+// (DenseForward, the oracle in this package's tests). The band loop is
 // row-parallel above the tensor package's FLOP threshold: each query row is
 // scored, masked and normalised independently, so the split is bitwise
 // invisible (the §6.2 determinism contract). P's empty tiles are cleared.
@@ -51,26 +50,6 @@ func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Gr
 	return &Output{O: o, P: s}
 }
 
-// DenseForward is the dense reference kernel: the full score matrix is
-// materialised and swept with per-row masking regardless of mask structure.
-// It is the oracle the blocked engine is property-tested against
-// (blocked_test.go, kernels_test.go); no training or serving path calls it.
-func DenseForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
-	checkShapes(q, k, v, qPos)
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	s := tensor.MatMulT(q, k)
-	if workers := tensor.Workers(sq, sq*sk*d); workers <= 1 {
-		maskedSoftmaxRows(s, m, qPos, kOff, scale, 0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, func(lo, hi int) {
-			maskedSoftmaxRows(s, m, qPos, kOff, scale, lo, hi)
-		})
-	}
-	return &Output{O: tensor.MatMul(s, v), P: s}
-}
-
 func checkShapes(q, k, v *tensor.Tensor, qPos []int) {
 	sq, d := q.Rows(), q.Cols()
 	sk := k.Rows()
@@ -79,27 +58,6 @@ func checkShapes(q, k, v *tensor.Tensor, qPos []int) {
 	}
 	if k.Cols() != d || v.Rows() != sk || v.Cols() != d {
 		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v", q.Shape, k.Shape, v.Shape))
-	}
-}
-
-// maskedSoftmaxRows scales and softmaxes score rows [lo, hi) in place,
-// sending disallowed positions to -Inf. Each worker hoists the mask into
-// one reusable per-row []bool instead of an Allowed call per element.
-func maskedSoftmaxRows(s *tensor.Tensor, m Mask, qPos []int, kOff int, scale float32, lo, hi int) {
-	sk := s.Cols()
-	allowed := make([]bool, sk)
-	neg := float32(math.Inf(-1))
-	for i := lo; i < hi; i++ {
-		RowMask(m, qPos[i], kOff, allowed)
-		row := s.Row(i)
-		for j := 0; j < sk; j++ {
-			if allowed[j] {
-				row[j] *= scale
-			} else {
-				row[j] = neg
-			}
-		}
-		tensor.SoftmaxRow(row)
 	}
 }
 
@@ -123,48 +81,6 @@ func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, g *Grid, rec *Recorder) (dQ
 		panic(fmt.Sprintf("attention: shape mismatch q%v k%v v%v p%v dO%v", q.Shape, k.Shape, v.Shape, p.Shape, dO.Shape))
 	}
 	return backward(q, k, v, p, dO, g, rec)
-}
-
-// DenseBackward is the dense reference backward pass: every gradient product
-// sweeps the full score plane, relying only on the exact zeros of masked
-// probabilities. Oracle for the blocked engine in blocked_test.go and
-// kernels_test.go; no training path calls it.
-func DenseBackward(q, k, v, p, dO *tensor.Tensor) (dQ, dK, dV *tensor.Tensor) {
-	d := q.Cols()
-	scale := float32(1 / math.Sqrt(float64(d)))
-
-	dV = tensor.TMatMul(p, dO)  // [sk, d]
-	dP := tensor.MatMulT(dO, v) // [sq, sk]
-	// dS = P ∘ (dP − rowsum(dP ∘ P))
-	sq, sk := p.Rows(), p.Cols()
-	dS := tensor.GetUninit(sq, sk)
-	if workers := tensor.Workers(sq, 2*sq*sk); workers <= 1 {
-		softmaxBackwardRows(dS, p, dP, 0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, func(lo, hi int) {
-			softmaxBackwardRows(dS, p, dP, lo, hi)
-		})
-	}
-	tensor.Put(dP)
-	dQ = tensor.MatMul(dS, k).Scale(scale)
-	dK = tensor.TMatMul(dS, q).Scale(scale)
-	tensor.Put(dS)
-	return dQ, dK, dV
-}
-
-// softmaxBackwardRows writes dS = P ∘ (dP − rowsum(dP ∘ P)) for rows
-// [lo, hi). Row-independent, so any ParallelRows split is bitwise invisible.
-func softmaxBackwardRows(dS, p, dP *tensor.Tensor, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		pi, dpi, dsi := p.Row(i), dP.Row(i), dS.Row(i)
-		var dot float32
-		for j := range pi {
-			dot += float32(pi[j] * dpi[j]) // never fused into an FMA
-		}
-		for j := range pi {
-			dsi[j] = pi[j] * (dpi[j] - dot)
-		}
-	}
 }
 
 // Partial is the result of attending a block of keys: an unnormalised output
@@ -198,26 +114,6 @@ func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int
 	return out
 }
 
-// DensePartialForwardInto is the dense reference partial kernel: the oracle
-// blocked_test.go holds the blocked one to. No serving path calls it.
-func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	checkShapes(q, k, v, qPos)
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	s := tensor.MatMulT(q, k)
-	out = preparePartial(out, sq, d)
-	if workers := tensor.Workers(sq, sq*sk*d); workers <= 1 {
-		partialSweepRows(out, s, v, m, qPos, kOff, scale, 0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, func(lo, hi int) {
-			partialSweepRows(out, s, v, m, qPos, kOff, scale, lo, hi)
-		})
-	}
-	tensor.Put(s)
-	return out
-}
-
 // preparePartial returns out ready to accumulate an [sq, d] partial: a nil
 // out allocates from the tensor pool, an existing one has its O zeroed (or
 // reallocated on shape change) and its M/L slices resized. It serves the
@@ -239,45 +135,4 @@ func preparePartial(out *Partial, sq, d int) *Partial {
 	out.M = out.M[:sq]
 	out.L = out.L[:sq]
 	return out
-}
-
-// partialSweepRows runs the online-softmax accumulation for query rows
-// [lo, hi): mask, scale, row max, exp-weights into out.O with per-row M/L
-// statistics. Rows are independent, so worker splits never change bits.
-func partialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOff int, scale float32, lo, hi int) {
-	sk, d := s.Cols(), v.Cols()
-	allowed := make([]bool, sk)
-	negInf := float32(math.Inf(-1))
-	for i := lo; i < hi; i++ {
-		RowMask(m, qPos[i], kOff, allowed)
-		row := s.Row(i)
-		maxv := negInf
-		for j := 0; j < sk; j++ {
-			if allowed[j] {
-				row[j] *= scale
-				if row[j] > maxv {
-					maxv = row[j]
-				}
-			}
-		}
-		out.M[i] = maxv
-		out.L[i] = 0
-		if math.IsInf(float64(maxv), -1) {
-			continue
-		}
-		oi := out.O.Row(i)
-		var l float32
-		for j := 0; j < sk; j++ {
-			if !allowed[j] {
-				continue
-			}
-			e := float32(math.Exp(float64(row[j] - maxv)))
-			l += e
-			vj := v.Row(j)
-			for c := 0; c < d; c++ {
-				oi[c] += e * vj[c]
-			}
-		}
-		out.L[i] = l
-	}
 }

@@ -126,7 +126,7 @@ func TestBackwardRowSliceBitwise(t *testing.T) {
 // call leaves exactly its three results checked out of the arena.
 func TestBackwardIgnoresEmptyTiles(t *testing.T) {
 	defer tensor.SetPooling(tensor.SetPooling(true))
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 
 	const sq, sk, d = 200, 211, 8

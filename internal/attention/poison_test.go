@@ -92,7 +92,7 @@ func checkPoisonedPlane(t *testing.T, label string, g *Grid, got, want *Output) 
 func TestGridEntriesLeaveEmptyTilesPoisoned(t *testing.T) {
 	const d = 8
 	defer tensor.SetPooling(tensor.SetPooling(true))
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 
 	seed := int64(9500)
@@ -147,7 +147,7 @@ func FuzzGridAttention(f *testing.F) {
 	f.Add(int64(4), []byte{}, uint8(0x7a), uint8(40), uint8(30), int8(5), uint8(15), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, docs []byte, til, sqB, skB uint8, kOffB int8, dB, mode uint8) {
 		defer tensor.SetPooling(tensor.SetPooling(true))
-		pr, pc := Tiling()
+		pr, pc := tileRows, tileCols
 		defer SetTiling(pr, pc)
 		SetTiling(1+int(til>>4), 1+int(til&15))
 		sq, sk, d, kOff := 1+int(sqB)%96, 1+int(skB)%96, 1+int(dB)%48, int(kOffB)%16

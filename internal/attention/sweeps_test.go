@@ -17,7 +17,7 @@ import (
 // forward's P and O, and the dQ and dK that read dS, are compared. Under
 // the full mask every tile is full and every row has keys.
 func TestSoftmaxSweepsSplitAndGroupBitwise(t *testing.T) {
-	pr, pc := Tiling()
+	pr, pc := tileRows, tileCols
 	defer SetTiling(pr, pc)
 	SetTiling(64, 64)
 

@@ -16,6 +16,29 @@ import (
 	"llama4d/internal/tensor"
 )
 
+// ParamsByName gathers one full copy of the model's parameters from the
+// cluster (TP shards reassembled, stages collected), for comparison against
+// a sequential reference. Only valid when TP == 1; with TP > 1 use
+// GradOrWeightShardsFor to compare shard-wise.
+func (cl *Cluster) ParamsByName() map[string]*tensor.Tensor {
+	if cl.Cfg.Topo.TP != 1 {
+		panic("core: ParamsByName requires TP == 1 (shards are partial)")
+	}
+	out := make(map[string]*tensor.Tensor)
+	// DP/CP replicas are identical; take dp=0, cp=0 ranks.
+	for _, r := range cl.Ranks {
+		if r.Coord.DP != 0 || r.Coord.CP != 0 || r.Coord.TP != 0 {
+			continue
+		}
+		for _, st := range r.Exec.Stages {
+			for _, p := range st.Params() {
+				out[p.Name] = p.W
+			}
+		}
+	}
+	return out
+}
+
 func TestTopologyCoordsRoundTrip(t *testing.T) {
 	topo := Topology{TP: 2, CP: 3, PP: 4, DP: 5}
 	if topo.World() != 120 {
@@ -253,6 +276,25 @@ func TestConfigValidateRejectsBadShapes(t *testing.T) {
 	bad.Topo.TP = 3
 	if bad.Validate() == nil {
 		t.Fatal("heads %% tp must be rejected")
+	}
+	// A vocabulary or FFN width that tp does not divide is an error from
+	// NewCluster, not a panic inside tp's sharding.
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.Model.Vocab = 63 },
+		func(c *Config) { c.Model.Hidden = 63 },
+	} {
+		bad = base
+		edit(&bad)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("vocab %d, hidden %d: NewCluster panicked: %v", bad.Model.Vocab, bad.Model.Hidden, r)
+				}
+			}()
+			if _, err := NewCluster(bad); err == nil {
+				t.Fatalf("vocab %d, hidden %d: NewCluster accepted tp %d", bad.Model.Vocab, bad.Model.Hidden, bad.Topo.TP)
+			}
+		}()
 	}
 	if base.Validate() != nil {
 		t.Fatalf("base config must validate: %v", base.Validate())

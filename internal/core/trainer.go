@@ -158,6 +158,11 @@ func (c Config) Validate() error {
 	if c.Topo.TP > 1 && (c.Model.NHeads%c.Topo.TP != 0 || c.Model.NKVHeads%c.Topo.TP != 0) {
 		return fmt.Errorf("core: heads not divisible by tp %d", c.Topo.TP)
 	}
+	// tp shards the vocabulary and the FFN hidden width by columns, and
+	// panics on a remainder.
+	if c.Model.Vocab%c.Topo.TP != 0 || c.Model.Hidden%c.Topo.TP != 0 {
+		return fmt.Errorf("core: vocab %d or FFN hidden width %d not divisible by tp %d", c.Model.Vocab, c.Model.Hidden, c.Topo.TP)
+	}
 	stages := c.Topo.PP * c.V
 	need := c.Model.NLayers
 	if c.Balanced {
@@ -616,28 +621,4 @@ func (cl *Cluster) MaterializeParams() error {
 	return cl.World.RunSPMD(func(id int) {
 		cl.Ranks[id].Shard.GatherParams()
 	})
-}
-
-// ParamsByName gathers one full copy of the model's parameters from the
-// cluster (TP shards reassembled, stages collected), for comparison against
-// a sequential reference. Only valid when TP == 1; with TP > 1 use
-// GradOrWeightShardsFor to compare shard-wise. Test surface:
-// TestFSDPGroupCombinesDPAndCP.
-func (cl *Cluster) ParamsByName() map[string]*tensor.Tensor {
-	if cl.Cfg.Topo.TP != 1 {
-		panic("core: ParamsByName requires TP == 1 (shards are partial)")
-	}
-	out := make(map[string]*tensor.Tensor)
-	// DP/CP replicas are identical; take dp=0, cp=0 ranks.
-	for _, r := range cl.Ranks {
-		if r.Coord.DP != 0 || r.Coord.CP != 0 || r.Coord.TP != 0 {
-			continue
-		}
-		for _, st := range r.Exec.Stages {
-			for _, p := range st.Params() {
-				out[p.Name] = p.W
-			}
-		}
-	}
-	return out
 }

@@ -92,12 +92,6 @@ func packRows(t *tensor.Tensor, idx []int) *tensor.Tensor {
 	return out
 }
 
-// LocalRows returns local rank lr's rows of a full-sequence tensor (copy).
-// Test surface: the cp suites slice their sequential oracles with it.
-func LocalRows(l Layout, full *tensor.Tensor, lr int) *tensor.Tensor {
-	return packRows(full, l.LocalPositions(lr))
-}
-
 // pickInts returns the idx-selected entries of full.
 func pickInts(full, idx []int) []int {
 	out := make([]int, len(idx))

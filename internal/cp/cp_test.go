@@ -12,6 +12,12 @@ import (
 	"llama4d/internal/tensor"
 )
 
+// LocalRows returns local rank lr's rows of a full-sequence tensor (copy).
+// The cp suites slice their sequential oracles with it.
+func LocalRows(l Layout, full *tensor.Tensor, lr int) *tensor.Tensor {
+	return packRows(full, l.LocalPositions(lr))
+}
+
 func TestShardingChunks(t *testing.T) {
 	s := NewSharding(16, 2)
 	if s.ChunkLen() != 4 {

@@ -77,7 +77,7 @@ type Shard struct {
 // ZeRO-1 over a group of one has nothing to reduce: its gradient shard is
 // the flat gradient buffer, and no reduce-scatter is issued. No bit changes:
 // AdamW reads g instead of +0 + g, and for β1 > ½ it does not see a zero
-// gradient's sign (DESIGN.md §4k). ZeRO-2/3 keep their reductions.
+// gradient's sign (DESIGN.md §4d). ZeRO-2/3 keep their reductions.
 func New(group *comm.Group, rank int, mode Mode, params []*model.Param, opt *optim.AdamW) *Shard {
 	n := 0
 	seen := make(map[*model.Param]bool, len(params))

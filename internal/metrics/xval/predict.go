@@ -199,7 +199,8 @@ func predictRank(cfg core.Config, counts []int, rv rankView, steadyState bool) *
 	// Without a document mask every sample is one causal document, so the
 	// per-sample plan is config-derivable and this branch is exact;
 	// per-document plans under UseDocMask are data-dependent —
-	// PredictCPPerRank covers those from the sample stream.
+	// the conformance test's PredictCPPerRank covers those from the sample
+	// stream.
 	cpRing := cpN > 1 && cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), rv.cp.ranks, cfg.Seq,
 		nil, false, int(nHl), int(nKVl), int(hd)).HasRing()
 	ringNext, ringPrev := rv.id, rv.id

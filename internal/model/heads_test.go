@@ -13,10 +13,12 @@ import (
 
 // serialHeads is the head loop MultiHead and MultiHeadBackward ran before
 // the heads were split over goroutines, frozen as the oracle of
-// TestMultiHeadSplitBitwise: one head after another, each the dense
-// reference kernels on its column blocks, its output and gradients added
-// into the results in increasing head order, its census recorded as one
-// Forward (2 sweeps) and one Backward (4 sweeps) call.
+// TestMultiHeadSplitBitwise: one head after another, each attention.Forward
+// and attention.Backward on its column blocks (both held bitwise to the
+// dense reference kernels in attention's own tests, on this test's two
+// shapes among others), its output and gradients added into the results in
+// increasing head order, its census recorded as one Forward (2 sweeps) and
+// one Backward (4 sweeps) call.
 func serialHeads(q, k, v, dConcat *tensor.Tensor, nHeads int, mask attention.Mask, qPos []int, rec *attention.Recorder) (concat, dq, dk, dv *tensor.Tensor, probs []*tensor.Tensor) {
 	hd := q.Cols() / nHeads
 	group := nHeads / (k.Cols() / hd)
@@ -40,11 +42,11 @@ func serialHeads(q, k, v, dConcat *tensor.Tensor, nHeads int, mask attention.Mas
 	dq, dk, dv = tensor.New(q.Rows(), q.Cols()), tensor.New(k.Rows(), k.Cols()), tensor.New(v.Rows(), v.Cols())
 	for h := 0; h < nHeads; h++ {
 		qh, kh, vh := cols(q, h), cols(k, h/group), cols(v, h/group)
-		out := attention.DenseForward(qh, kh, vh, mask, qPos, 0)
+		out := attention.Forward(qh, kh, vh, mask, qPos, 0)
 		rec.Record(g, 2, hd)
 		add(concat, out.O, h)
 		probs = append(probs, out.P)
-		dqh, dkh, dvh := attention.DenseBackward(qh, kh, vh, out.P, cols(dConcat, h))
+		dqh, dkh, dvh := attention.Backward(qh, kh, vh, out.P, cols(dConcat, h), mask, qPos, 0)
 		rec.Record(g, 4, hd)
 		add(dq, dqh, h)
 		add(dk, dkh, h/group)

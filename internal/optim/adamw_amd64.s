@@ -5,7 +5,7 @@
 // func adamwAVX512(w, grad, m, v *float32, n int, b1, c1, b2, c2, bc1, bc2, eps, wd, lr float32)
 //
 // One AdamW step on elements [0, n), n a positive multiple of 16, sixteen
-// lanes per iteration. Each lane is one element and runs AdamWUpdate's
+// lanes per iteration. Each lane is one element and runs AdamW.update's
 // scalar loop, one separately rounded instruction per operation, never a
 // fused multiply-add:
 //

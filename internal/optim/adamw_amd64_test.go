@@ -1,11 +1,13 @@
 //go:build !purego
 
-package tensor
+package optim
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"llama4d/internal/tensor"
 )
 
 // sqrt64 keeps the float64 square root a call away, so the compiler cannot
@@ -36,7 +38,7 @@ func checkSqrt32(t *testing.T, xs []float32) {
 // zeros, infinities, signalling and quiet NaNs with payloads, denormals,
 // every exponent at a spread of mantissas, negatives and random patterns.
 func TestSqrt32MatchesMathSqrt(t *testing.T) {
-	if !useAVX512 {
+	if !tensor.HasAVX512() {
 		t.Skip("no AVX-512 on this CPU")
 	}
 	bits := []uint32{0, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00000, 0x7f800001, 0x7fa5a5a5, 0xffc12345,

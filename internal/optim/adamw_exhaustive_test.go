@@ -1,12 +1,14 @@
 //go:build exhaustive && amd64 && !purego
 
-package tensor
+package optim
 
 import (
 	"math"
 	"runtime"
 	"sync"
 	"testing"
+
+	"llama4d/internal/tensor"
 )
 
 // TestSqrtExhaustive runs every one of the 2³² float32 bit patterns through
@@ -15,7 +17,7 @@ import (
 // argument of adamw_amd64.s checked on every input. Not tier-1: `make
 // exhaustive-exp` runs it.
 func TestSqrtExhaustive(t *testing.T) {
-	if !useAVX512 {
+	if !tensor.HasAVX512() {
 		t.Skip("no AVX-512 on this CPU")
 	}
 	const chunk = 1 << 20

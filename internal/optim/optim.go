@@ -10,8 +10,6 @@ import (
 	"io"
 	"math"
 	"sort"
-
-	"llama4d/internal/tensor"
 )
 
 // AdamW is Adam with decoupled weight decay. Moments are kept in float32
@@ -45,8 +43,8 @@ func (a *AdamW) StepCount() int { return a.steps }
 
 // Step applies one update to w given gradient g. The id distinguishes
 // independent parameter slices, which keep separate moments. The update is
-// tensor.AdamWUpdate's, lane-wise on the vector kernel where the CPU has
-// one; len(g) and an existing id's moments must match len(w).
+// update's, lane-wise on the vector kernel where the CPU has one; len(g) and
+// an existing id's moments must match len(w).
 func (a *AdamW) Step(id int, w, g []float32) {
 	if len(g) != len(w) {
 		panic(fmt.Sprintf("optim: AdamW.Step id %d: %d gradients for %d weights", id, len(g), len(w)))
@@ -68,11 +66,7 @@ func (a *AdamW) Step(id int, w, g []float32) {
 	if t == 0 {
 		t = 1
 	}
-	tensor.AdamWUpdate(w, g, m, v, tensor.AdamWCoef{
-		Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WeightDecay: a.WeightDecay, LR: a.LR,
-		BC1: float32(1 - math.Pow(float64(a.Beta1), t)),
-		BC2: float32(1 - math.Pow(float64(a.Beta2), t)),
-	})
+	a.update(w, g, m, v, float32(1-math.Pow(float64(a.Beta1), t)), float32(1-math.Pow(float64(a.Beta2), t)))
 }
 
 // MomentLen reports the length of id's moment buffers, and false when id

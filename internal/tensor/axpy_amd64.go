@@ -209,28 +209,6 @@ func sumRows8AVX(acc *[8]float32, x *float32, ld, n int)
 //go:noescape
 func dotRows8AVX(acc *[8]float32, a *float32, lda int, b *float32, ldb, n int)
 
-// adamwVec runs the lane-wise AdamW kernel over the leading multiple of
-// sixteen elements and returns how many it covered; the slices all have
-// len(w), and c1, c2 are 1−β1 and 1−β2.
-func adamwVec(w, g, m, v []float32, c AdamWCoef, c1, c2 float32) int {
-	n := len(w) &^ 15
-	if n == 0 || !useAVX512 {
-		return 0
-	}
-	adamwAVX512(&w[0], &g[0], &m[0], &v[0], n, c.Beta1, c1, c.Beta2, c2, c.BC1, c.BC2, c.Eps, c.WeightDecay, c.LR)
-	return n
-}
-
-//go:noescape
-func adamwAVX512(w, grad, m, v *float32, n int, b1, c1, b2, c2, bc1, bc2, eps, wd, lr float32)
-
-// sqrt32AVX512 is the AdamW kernel's square root alone, dst[j] =
-// VSQRTPS(src[j]) for j < n, n a positive multiple of 16: what the tests
-// compare with math.Sqrt.
-//
-//go:noescape
-func sqrt32AVX512(dst, src *float32, n int)
-
 // transpose16AVX writes dst[j·ldd+i] = src[i·lds+j] for i < 16 and j < n,
 // n a positive multiple of 8 (strides in elements): the in-register 16-row
 // panels under TransposeBlock.

@@ -29,9 +29,6 @@ func sumRows8Vec(acc *[8]float32, x []float32, ld, n int) int { return 0 }
 
 func dotRows8Vec(acc *[8]float32, a []float32, lda int, b []float32, ldb, n int) int { return 0 }
 
-// adamwVec covers nothing: AdamWUpdate's scalar loop does all the work.
-func adamwVec(w, g, m, v []float32, c AdamWCoef, c1, c2 float32) int { return 0 }
-
 // axpy4Vec covers nothing: axpy4's scalar loop does all the work.
 func axpy4Vec(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) int { return 0 }
 

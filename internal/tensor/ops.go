@@ -124,6 +124,10 @@ func matMulBand(out, a, b, src *Tensor, lo, hi int, skip, overwrite bool) {
 	AccumBlock(o, n, a.Data[lo*k:], k, b.Data, n, hi-lo, k, n, skip)
 }
 
+// HasAVX512 reports whether the register tile runs: the CPU has AVX-512F and
+// the OS saves the opmask and ZMM state (false in the pure-Go build).
+func HasAVX512() bool { return useAVX512 }
+
 // AccumBlock accumulates out[i][j] += Σ_p a[i][p]·b[p][j] (i < m, j < n, p < k
 // increasing), row i of out at out[i·ldo], of a at a[i·lda], row p of b at
 // b[p·ldb]. With skip a term is dropped exactly when its a value is zero

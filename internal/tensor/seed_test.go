@@ -230,7 +230,7 @@ func zeroGroups(rng *rand.Rand, a, _ *Tensor) {
 // the GEMM path selected at init and, on an AVX-512 host, again on the
 // per-row path.
 func TestKernelsMatchSeedBitwise(t *testing.T) {
-	t.Logf("kernels selected at init: AVX2 axpy4 and transpose = %v, AVX-512 register tile and AdamW = %v, AVX-512 exp = %v",
+	t.Logf("kernels selected at init: AVX2 axpy4 and transpose = %v, AVX-512 register tile = %v, AVX-512 exp = %v",
 		useAVX2, useAVX512, useVecExp)
 	eachGEMMKernel(func(kernel string) {
 		t.Logf("GEMM path: %s", kernel)

@@ -186,16 +186,6 @@ func (t *Tensor) AxpyFrom(a float32, o *Tensor) *Tensor {
 	return t
 }
 
-// Sum returns the sum of all elements in float64 precision. Test surface:
-// tensor_test.go.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
 // Dot returns the float64 inner product of the flattened tensors. Test
 // surface: the scalar loss of the gradient checks (model gradCheck and
 // TestRoPERelativeProperty, attention TestBackwardGradCheck, vision
@@ -225,24 +215,6 @@ func checkSameLen(a, b *Tensor, op string) {
 	if len(a.Data) != len(b.Data) {
 		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", op, a.Shape, b.Shape))
 	}
-}
-
-// AllClose reports whether every pair of elements differs by at most
-// atol + rtol*|b|. Test surface: tensor_test.go's tolerance checks.
-func AllClose(a, b *Tensor, rtol, atol float64) bool {
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		x, y := float64(a.Data[i]), float64(b.Data[i])
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return false
-		}
-		if math.Abs(x-y) > atol+rtol*math.Abs(y) {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxDiff returns the largest absolute element-wise difference. Test

@@ -7,6 +7,33 @@ import (
 	"testing/quick"
 )
 
+// Sum returns the sum of all elements in float64 precision.
+func (t *Tensor) Sum() float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
+}
+
+// AllClose reports whether every pair of elements differs by at most
+// atol + rtol*|b|.
+func AllClose(a, b *Tensor, rtol, atol float64) bool {
+	if len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		x, y := float64(a.Data[i]), float64(b.Data[i])
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return false
+		}
+		if math.Abs(x-y) > atol+rtol*math.Abs(y) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewShapes(t *testing.T) {
 	a := New(3, 4)
 	if a.Rows() != 3 || a.Cols() != 4 || a.Len() != 12 {
