@@ -165,7 +165,7 @@ DEAD_ALLOW := \
 	comm.Contains comm.Broadcast comm.Barrier \
 	model.StepLoss model.CopyWeightsTo model.GradientVector model.ParamByName \
 	tp.ReplicatedGradAllReduce xval.PredictCollective \
-	engine.DecodeFLOPs engine.DecodeTPTraffic testutil.CaptureStdout ft.ReadCheckpoint
+	engine.DecodeFLOPs engine.DecodeTPTraffic testutil.CaptureStdout
 
 dead:
 	@out=$$(find . -name '*.go' ! -name '*_test.go' | xargs awk -v allow="$(DEAD_ALLOW)" ' \

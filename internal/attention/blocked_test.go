@@ -644,7 +644,8 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 
 	tensor.ResetFLOPCount()
 	rec := &Recorder{}
-	out := ForwardRecorded(q, k, v, m, qPos, 0, g, rec)
+	out := &Output{O: tensor.New(sq, d), P: tensor.New(sq, sk)}
+	ForwardRecorded(out.O, out.P, q, k, v, m, qPos, 0, g, rec)
 	nominalFwd := int64(2 * 2 * sq * sk * d)
 	if got := tensor.FLOPCount(); got != nominalFwd {
 		t.Fatalf("forward nominal FLOPs %d, want %d", got, nominalFwd)

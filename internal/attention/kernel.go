@@ -39,15 +39,19 @@ func Forward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Output {
 }
 
 // ForwardRecorded is the per-head entry of model.MultiHead, which runs heads
-// in parallel: Forward over the caller's grid g as one serial pass, the tile
-// census folded into rec (2 sweeps; a nil rec records nothing). P is defined
-// on g's non-empty tiles only; no sweep, BackwardRecorded's included, reads
-// the others, which hold whatever the pool left there.
-func ForwardRecorded(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder) *Output {
+// in parallel: Forward over the caller's grid g as one serial pass into the
+// caller's buffers, the tile census folded into rec (2 sweeps; a nil rec
+// records nothing). o ([sq, d], any contents) is overwritten with the output
+// and s ([sq, sk], any contents) with the probabilities, defined on g's
+// non-empty tiles only; no sweep, BackwardRecorded's included, reads the
+// others, which keep whatever s held.
+func ForwardRecorded(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, rec *Recorder) {
 	checkShapes(q, k, v, qPos)
-	o, s := tensor.Get(q.Rows(), q.Cols()), tensor.GetUninit(q.Rows(), k.Rows())
+	if o.Rows() != q.Rows() || o.Cols() != q.Cols() || s.Rows() != q.Rows() || s.Cols() != k.Rows() {
+		panic(fmt.Sprintf("attention: destinations o%v s%v for q%v k%v", o.Shape, s.Shape, q.Shape, k.Shape))
+	}
+	clear(o.Data)
 	forward(o, s, q, k, v, m, qPos, kOff, g, rec, nil, 1)
-	return &Output{O: o, P: s}
 }
 
 func checkShapes(q, k, v *tensor.Tensor, qPos []int) {

@@ -21,8 +21,8 @@ func poison(shape ...int) {
 }
 
 // checkGridPoisoned holds the grid entries to the dense oracles on planes
-// whose every word starts as NaN: ForwardRecorded (its pooled plane and the
-// backward's band buffer, key panel and tile scratch primed with NaN), then
+// whose every word starts as NaN: ForwardRecorded (its output and plane, and
+// the backward's band buffer, key panel and tile scratch primed with NaN), then
 // BackwardRecorded on that P, and, at kOff 0, StreamScores over key runs of
 // blk columns into a NaN plane followed by StreamFinish. O and P on the
 // non-empty tiles must be Float32bits-equal to DenseForward, every empty-tile
@@ -37,7 +37,9 @@ func checkGridPoisoned(t *testing.T, label string, q, k, v, dO *tensor.Tensor, m
 	wdq, wdk, wdv := DenseBackward(q, k, v, dense.P, dO)
 
 	poison(sq, sk)
-	out := ForwardRecorded(q, k, v, m, qPos, kOff, g, nil)
+	poison(sq, d)
+	out := &Output{O: tensor.GetUninit(sq, d), P: tensor.GetUninit(sq, sk)}
+	ForwardRecorded(out.O, out.P, q, k, v, m, qPos, kOff, g, nil)
 	checkPoisonedPlane(t, label+": ForwardRecorded", g, out, dense)
 	poison(min(g.TileRows, sq), sk)
 	poison(d, sk)

@@ -133,7 +133,8 @@ func TestStreamFinishRecordingParity(t *testing.T) {
 
 	recWant := &Recorder{}
 	g := BuildGrid(m, qPos, 0, seq)
-	want := ForwardRecorded(q, k, v, m, qPos, 0, g, recWant)
+	want := &Output{O: tensor.New(seq, d), P: tensor.New(seq, seq)}
+	ForwardRecorded(want.O, want.P, q, k, v, m, qPos, 0, g, recWant)
 	recGot := &Recorder{}
 	s := tensor.Get(seq, seq)
 	StreamScores(s, q, k, 0, 0, 0, seq, g)

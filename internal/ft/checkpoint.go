@@ -88,33 +88,3 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	}
 	return n, bw.Flush()
 }
-
-// ReadCheckpoint deserializes a WriteTo stream: the read half of the
-// coordinated checkpoint format, which TestCheckpointSerialization
-// round-trips bitwise. Recovery restores from memory and does not call it.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != checkpointMagic {
-		return nil, fmt.Errorf("ft: bad checkpoint magic %#x", magic)
-	}
-	var step uint64
-	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
-		return nil, err
-	}
-	c := &Checkpoint{Step: int64(step)}
-	for _, dst := range []*[]byte{&c.Data, &c.State} {
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		*dst = buf
-	}
-	return c, nil
-}

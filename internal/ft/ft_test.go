@@ -2,7 +2,10 @@ package ft
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +234,37 @@ func TestDetectionIsFast(t *testing.T) {
 	if _, err := cl.TryStep(tinyGen(cfg), 1); err == nil {
 		t.Fatal("aborted world accepted another step")
 	}
+}
+
+// ReadCheckpoint deserializes a WriteTo stream: the read half of the
+// coordinated checkpoint format, which TestCheckpointSerialization
+// round-trips bitwise. Recovery restores from memory, so only the test
+// reads a stream back.
+func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	var magic uint32
+	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+		return nil, err
+	}
+	if magic != checkpointMagic {
+		return nil, fmt.Errorf("ft: bad checkpoint magic %#x", magic)
+	}
+	var step uint64
+	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{Step: int64(step)}
+	for _, dst := range []*[]byte{&c.Data, &c.State} {
+		var n uint64
+		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+			return nil, err
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		*dst = buf
+	}
+	return c, nil
 }
 
 // TestCheckpointSerialization: WriteTo/ReadCheckpoint round-trips bitwise

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"llama4d/internal/attention"
 	"llama4d/internal/tensor"
@@ -42,6 +43,7 @@ type attnCtx struct {
 	qRot                   *tensor.Tensor   // post-RoPE local queries [rows, nH*hd]
 	kFull                  *tensor.Tensor   // post-RoPE full-sequence keys [fullSeq, nKV*hd]
 	vFull                  *tensor.Tensor   // full-sequence values
+	concat                 *tensor.Tensor   // the heads' outputs, Wo's saved input
 	probs                  []*tensor.Tensor // per local head
 }
 
@@ -80,9 +82,24 @@ func headWorkers(g *attention.Grid, nHeads, sweeps, hd int) int {
 // QKV is the forward-only first half of Forward over an input the caller is
 // done with (a block's normed hidden state): x is released as soon as the
 // three projections have read it, Q and K are rotated by ropePos, nothing
-// is saved. Caller owns all three results.
+// is saved. The K and V projections are independent products: when each is
+// too small to split its own rows (tensor.Workers), the two run side by side
+// on up to two cores. Caller owns all three results.
 func (a *Attention) QKV(x *tensor.Tensor, ropePos []int) (q, k, v *tensor.Tensor) {
-	q0, k0, v := a.project(x, nil, &attnCtx{})
+	q0, _ := a.Wq.Forward(x, nil)
+	var k0 *tensor.Tensor
+	side := 1
+	if tensor.Workers(x.Rows(), x.Rows()*x.Cols()*a.NKVHeads*a.HeadDim) == 1 {
+		side = min(2, runtime.GOMAXPROCS(0))
+	}
+	tensor.ParallelRows(2, side, func(lo, hi int) {
+		if lo == 0 {
+			k0, _ = a.Wk.Forward(x, nil)
+		}
+		if hi == 2 {
+			v, _ = a.Wv.Forward(x, nil)
+		}
+	})
 	tensor.Put(x)
 	q, k = a.rotate(q0, k0, ropePos)
 	return q, k, v
@@ -107,42 +124,50 @@ func (a *Attention) rotate(q0, k0 *tensor.Tensor, pos []int) (q, k *tensor.Tenso
 // and cross-attention: each of nHeads query heads gathers its column block
 // of q and of the K/V head its group shares (k and v carry
 // k.Cols()/headDim heads), runs the attention kernel under mask with the
-// rows at qPos, and accumulates its output into its column block of the
-// returned [q.Rows(), q.Cols()] tensor. Heads split over goroutines
-// (headWorkers), one serial kernel pass each, and fold in with their census
-// after the join, in increasing head order. probs, when non-nil, receives
-// every head's probability plane for MultiHeadBackward, defined on the
-// grid's non-empty tiles only; a forward-only caller passes nil and the
-// planes are released. Caller owns the pooled result.
+// rows at qPos, and adds its output into its column block of the returned
+// [q.Rows(), q.Cols()] tensor. Heads split over goroutines (headWorkers),
+// one serial kernel pass each into its worker's output buffer; the census
+// folds in after the join, in increasing head order. probs, when non-nil,
+// receives every head's probability plane for MultiHeadBackward, defined on
+// the grid's non-empty tiles only; a forward-only caller passes nil and
+// each worker reuses one plane for all its heads. Caller owns the pooled
+// result.
 func MultiHead(q, k, v *tensor.Tensor, nHeads int, mask attention.Mask, qPos []int, rec *attention.Recorder, probs []*tensor.Tensor) *tensor.Tensor {
 	hd := q.Cols() / nHeads
 	group := nHeads / (k.Cols() / hd)
 	g := attention.BuildGrid(mask, qPos, 0, k.Rows())
-	outs, recs := make([]*attention.Output, nHeads), make([]attention.Recorder, nHeads)
+	// Zeroed Get + addHeadCols (rather than a copy) keeps the accumulate
+	// semantics of the unpooled version, signed zeros included. Every
+	// element takes exactly one add, from its own head's worker, so the
+	// fold's place and order cannot change a bit.
+	concat := tensor.Get(q.Rows(), q.Cols())
+	recs := make([]attention.Recorder, nHeads)
 	tensor.ParallelRows(nHeads, headWorkers(g, nHeads, 2, hd), func(lo, hi int) {
 		qh, kh, vh := tensor.GetUninit(q.Rows(), hd), tensor.GetUninit(k.Rows(), hd), tensor.GetUninit(v.Rows(), hd)
+		oh := tensor.GetUninit(q.Rows(), hd)
+		var s *tensor.Tensor
 		for h := lo; h < hi; h++ {
 			headColsInto(qh, q, h, hd)
 			if h == lo || h%group == 0 { // a new group: load its shared K/V head
 				headColsInto(kh, k, h/group, hd)
 				headColsInto(vh, v, h/group, hd)
 			}
-			outs[h] = attention.ForwardRecorded(qh, kh, vh, mask, qPos, 0, g, &recs[h])
+			if s == nil || probs != nil {
+				s = tensor.GetUninit(q.Rows(), k.Rows())
+			}
+			attention.ForwardRecorded(oh, s, qh, kh, vh, mask, qPos, 0, g, &recs[h])
+			addHeadCols(concat, oh, h, hd)
+			if probs != nil {
+				probs[h] = s
+			}
 		}
-		tensor.Put(qh, kh, vh)
+		if probs == nil {
+			tensor.Put(s)
+		}
+		tensor.Put(qh, kh, vh, oh)
 	})
-	// Zeroed Get + addHeadCols (rather than a copy) keeps the accumulate
-	// semantics of the unpooled version, signed zeros included.
-	concat := tensor.Get(q.Rows(), q.Cols())
-	for h, out := range outs {
+	for h := range recs {
 		rec.Add(&recs[h])
-		addHeadCols(concat, out.O, h, hd)
-		tensor.Put(out.O)
-		if probs != nil {
-			probs[h] = out.P
-		} else {
-			tensor.Put(out.P)
-		}
 	}
 	return concat
 }
@@ -215,8 +240,8 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	}
 
 	ctx.probs = make([]*tensor.Tensor, a.NHeads)
-	concat := MultiHead(q, ctx.kFull, ctx.vFull, a.NHeads, env.Mask, env.QPos, env.Rec, ctx.probs)
-	y, oCtx := a.Wo.Forward(concat, env)
+	ctx.concat = MultiHead(q, ctx.kFull, ctx.vFull, a.NHeads, env.Mask, env.QPos, env.Rec, ctx.probs)
+	y, oCtx := a.Wo.Forward(ctx.concat, env)
 	ctx.oCtx = oCtx
 	return y, ctx
 }
@@ -260,14 +285,14 @@ func (a *Attention) forwardStreamed(x, q, k, v *tensor.Tensor, ks KVStreamer, en
 		}
 		tensor.Put(vh)
 	})
-	concat := tensor.Get(sq, nH*hd)
+	ctx.concat = tensor.Get(sq, nH*hd)
 	for h, out := range outs {
 		env.Rec.Add(&recs[h])
-		addHeadCols(concat, out.O, h, hd) // out.P aliases ctx.probs[h]
+		addHeadCols(ctx.concat, out.O, h, hd) // out.P aliases ctx.probs[h]
 		tensor.Put(out.O, qhs[h])
 	}
 
-	y, oCtx := a.Wo.Forward(concat, env)
+	y, oCtx := a.Wo.Forward(ctx.concat, env)
 	ctx.oCtx = oCtx
 	return y, ctx
 }
@@ -300,8 +325,8 @@ func (a *Attention) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 	tv := a.Wv.Backward(ctx.vCtx, dv)
 	dx.Add(tv)
 	tensor.Put(dqRot, dkRot, dv, tk, tv)
-	tensor.Put(ctx.qRot, ctx.kFull, ctx.vFull)
-	ctx.qRot, ctx.kFull, ctx.vFull = nil, nil, nil
+	tensor.Put(ctx.qRot, ctx.kFull, ctx.vFull, ctx.concat)
+	ctx.qRot, ctx.kFull, ctx.vFull, ctx.concat = nil, nil, nil, nil
 	return dx
 }
 

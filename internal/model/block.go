@@ -52,6 +52,9 @@ func NewBlock(name string, cfg Config, rng *rand.Rand) *Block {
 
 type blockCtx struct {
 	n1, at, n2, ff any
+	// The two norms' outputs, the saved inputs of the projections they
+	// feed: dead once Backward has run those projections' backwards.
+	n1Out, n2Out *tensor.Tensor
 	// Recompute mode: only the checkpointed input and environment survive.
 	x   *tensor.Tensor
 	env *Env
@@ -61,13 +64,13 @@ type blockCtx struct {
 func (b *Block) forwardFull(x *tensor.Tensor, env *Env) (*tensor.Tensor, *blockCtx) {
 	ctx := &blockCtx{}
 	n1, c1 := b.Norm1.Forward(x, env)
-	ctx.n1 = c1
+	ctx.n1, ctx.n1Out = c1, n1
 	ao, ca := b.Attn.Forward(n1, env)
 	ctx.at = ca
 	h := x.Clone().Add(ao)
 	tensor.Put(ao)
 	n2, c2 := b.Norm2.Forward(h, env)
-	ctx.n2 = c2
+	ctx.n2, ctx.n2Out = c2, n2
 	fo, cf := b.FFN.Forward(n2, env)
 	ctx.ff = cf
 	h.Add(fo)
@@ -115,7 +118,7 @@ func (b *Block) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	case RecomputeSelective:
 		// Keep the FFN path; the attention contexts (holding the O(seq²)
 		// probability matrices) release and are replayed in Backward.
-		return out, &blockCtx{x: x, env: env, n2: ctx.n2, ff: ctx.ff}
+		return out, &blockCtx{x: x, env: env, n2: ctx.n2, ff: ctx.ff, n2Out: ctx.n2Out}
 	}
 	return out, ctx
 }
@@ -135,7 +138,7 @@ func (b *Block) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 			n1, c1 := b.Norm1.Forward(ctx.x, ctx.env)
 			ao, ca := b.Attn.Forward(n1, ctx.env)
 			tensor.Put(ao)
-			ctx.n1, ctx.at = c1, ca
+			ctx.n1, ctx.at, ctx.n1Out = c1, ca, n1
 		}
 	}
 	var saved []*tensor.Tensor
@@ -154,7 +157,7 @@ func (b *Block) Backward(ctxAny any, dy *tensor.Tensor) *tensor.Tensor {
 	dx := b.Norm1.Backward(ctx.n1, ta)
 	tensor.Put(ta)
 	dx.Add(dh) // residual
-	tensor.Put(dh)
+	tensor.Put(dh, ctx.n1Out, ctx.n2Out)
 	if b.Frozen {
 		for i, p := range b.Params() {
 			copy(p.G.Data, saved[i].Data)

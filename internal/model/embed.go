@@ -79,6 +79,7 @@ func NewHead(name string, dim, vocab int, rng *rand.Rand) *Head {
 
 type headCtx struct {
 	nCtx, pCtx any
+	n          *tensor.Tensor // the norm's output, Proj's saved input
 	probs      *tensor.Tensor // softmax(logits)
 	targets    []int
 	scale      float32
@@ -109,7 +110,7 @@ func (h *Head) ForwardLoss(x *tensor.Tensor, targets []int, scale float32, env *
 	if count > 0 {
 		loss /= float64(count)
 	}
-	return loss, &headCtx{nCtx: c1, pCtx: c2, probs: probs, targets: targets, scale: scale / float32(max(count, 1))}
+	return loss, &headCtx{nCtx: c1, pCtx: c2, n: n, probs: probs, targets: targets, scale: scale / float32(max(count, 1))}
 }
 
 // BackwardLoss back-propagates the loss, returning dx for the stage input.
@@ -130,8 +131,8 @@ func (h *Head) BackwardLoss(ctxAny any) *tensor.Tensor {
 		}
 	}
 	dn := h.Proj.Backward(ctx.pCtx, dLogits)
-	tensor.Put(dLogits, ctx.probs)
-	ctx.probs = nil
+	tensor.Put(dLogits, ctx.probs, ctx.n)
+	ctx.probs, ctx.n = nil, nil
 	dx := h.Norm.Backward(ctx.nCtx, dn)
 	tensor.Put(dn)
 	return dx

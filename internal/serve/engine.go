@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+
 	"llama4d/internal/attention"
 	"llama4d/internal/comm"
 	"llama4d/internal/model"
@@ -254,20 +256,25 @@ func (e *Engine) DecodeStep(seqs []*SeqState) {
 
 		// Attention chunk by chunk, each row over its own paged history;
 		// under TP each chunk's partial output projection all-reduces
-		// nonblocking while the next chunk computes.
+		// nonblocking while the next chunk computes. A chunk's rows split
+		// over up to GOMAXPROCS row workers (capped by the rows): row i
+		// reads only its own pages and writes only its own output row, so
+		// the split is bitwise invisible.
 		for c, cb := range bounds {
 			lo, hi := cb[0], cb[1]
 			concat := tensor.GetUninit(hi-lo, q.Cols())
-			for i := lo; i < hi; i++ {
-				s := seqs[i]
-				t := s.Cache.Used() + 1 // history plus the row staged above
-				kBuf := tensor.GetUninit(t, e.KV.Width)
-				vBuf := tensor.GetUninit(t, e.KV.Width)
-				e.KV.Gather(s.Cache, l, t, kBuf, vBuf)
-				row := model.MultiHead(q.RowSlice(i, i+1), kBuf, vBuf, b.Attn.NHeads, attention.Causal{}, pos[i:i+1], nil, nil)
-				copy(concat.Row(i-lo), row.Data)
-				tensor.Put(row, kBuf, vBuf)
-			}
+			tensor.ParallelRows(hi-lo, runtime.GOMAXPROCS(0), func(r0, r1 int) {
+				for i := lo + r0; i < lo+r1; i++ {
+					s := seqs[i]
+					t := s.Cache.Used() + 1 // history plus the row staged above
+					kBuf := tensor.GetUninit(t, e.KV.Width)
+					vBuf := tensor.GetUninit(t, e.KV.Width)
+					e.KV.Gather(s.Cache, l, t, kBuf, vBuf)
+					row := model.MultiHead(q.RowSlice(i, i+1), kBuf, vBuf, b.Attn.NHeads, attention.Causal{}, pos[i:i+1], nil, nil)
+					copy(concat.Row(i-lo), row.Data)
+					tensor.Put(row, kBuf, vBuf)
+				}
+			})
 			partials[c], handles[c] = e.partialSum(b.Attn.Wo, concat)
 			tensor.Put(concat)
 		}

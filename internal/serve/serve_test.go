@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"llama4d/internal/attention"
@@ -181,13 +182,18 @@ func oracleLogits(t *testing.T, m *model.Model, tokens []int, tp int) *tensor.Te
 // TestDecodeBitwiseContract is the acceptance property grid: for every
 // (TP degree × batch size × GQA ratio) config, batched incremental decode
 // through the paged cache emits Float32bits-identical logits to the
-// single-sequence dense full-forward oracle at every generated position.
+// single-sequence dense full-forward oracle at every generated position, at
+// GOMAXPROCS 1, 2 and 4 — and so equal across worker counts. The decode step
+// splits each chunk's rows over up to GOMAXPROCS workers: batches 3, 5 and 8
+// run uneven worker chunks (under TP, inside uneven decode chunks), and
+// GOMAXPROCS 4 runs four workers on a host with fewer cores too.
 func TestDecodeBitwiseContract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	heads := []struct{ nh, nkv int }{{4, 2}, {8, 2}, {4, 4}}
 	for _, hs := range heads {
 		m := testModel(hs.nh, hs.nkv)
 		for _, tp := range []int{1, 2} {
-			for _, batch := range []int{1, 3} {
+			for _, batch := range []int{1, 3, 5, 8} {
 				name := fmt.Sprintf("gqa%d-%d/tp%d/b%d", hs.nh, hs.nkv, tp, batch)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(41*hs.nh + 7*tp + batch)))
@@ -199,21 +205,26 @@ func TestDecodeBitwiseContract(t *testing.T) {
 							MaxNew: 2 + rng.Intn(4),
 						})
 					}
-					logits, outputs, _ := serveOnce(t, m, reqs, tp, 4, 1<<20, batch)
-
-					for _, r := range reqs {
-						tokens := append(append([]int(nil), r.Prompt...), outputs[r.ID]...)
-						want := oracleLogits(t, m, tokens, tp)
-						got := logits[r.ID]
-						if len(got) != r.MaxNew {
-							t.Fatalf("req %d: captured %d positions, want %d", r.ID, len(got), r.MaxNew)
-						}
-						for pos, row := range got {
-							wrow := want.Row(pos)
-							for j := range row {
-								if math.Float32bits(row[j]) != math.Float32bits(wrow[j]) {
-									t.Fatalf("req %d pos %d logit %d: decode %v vs oracle %v",
-										r.ID, pos, j, row[j], wrow[j])
+					want := map[int]*tensor.Tensor{}
+					for _, procs := range []int{1, 2, 4} {
+						runtime.GOMAXPROCS(procs)
+						logits, outputs, _ := serveOnce(t, m, reqs, tp, 4, 1<<20, batch)
+						for _, r := range reqs {
+							if want[r.ID] == nil {
+								tokens := append(append([]int(nil), r.Prompt...), outputs[r.ID]...)
+								want[r.ID] = oracleLogits(t, m, tokens, tp)
+							}
+							got := logits[r.ID]
+							if len(got) != r.MaxNew {
+								t.Fatalf("procs %d req %d: captured %d positions, want %d", procs, r.ID, len(got), r.MaxNew)
+							}
+							for pos, row := range got {
+								wrow := want[r.ID].Row(pos)
+								for j := range row {
+									if math.Float32bits(row[j]) != math.Float32bits(wrow[j]) {
+										t.Fatalf("procs %d req %d pos %d logit %d: decode %v vs oracle %v",
+											procs, r.ID, pos, j, row[j], wrow[j])
+									}
 								}
 							}
 						}
