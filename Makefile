@@ -44,7 +44,7 @@ purego:
 # ±Inf and NaN), FuzzSumRows8 and FuzzDotRows8 (the eight-row chains), and
 # last the blocked attention engine that calls them: FuzzGridAttention (random
 # document layouts, tilings, sq/sk/kOff and head dims 1–48, the grid entries
-# and the streamed forward on NaN-poisoned planes against the dense oracles).
+# on NaN-poisoned planes against the dense oracles).
 # The committed corpora under internal/{tensor,optim,attention}/testdata/fuzz
 # also run as plain tests in `make test`.
 # The kernel-bound packages built for x86-64-v3 (AVX2, FMA): the language

@@ -784,16 +784,15 @@ func balanceStudy() {
 	fmt.Println("(internal/balance's live-cluster test sweeps three length distributions with bitwise placement guards)")
 }
 
-// cpStudy sweeps the per-document Fig 13 crossover with the shared strategy
-// prices (cost.CPAllGatherTime / CPRingTime — the exact functions the runtime
-// chooser and the planner annotation call): for 405B at tp=8 the table walks
-// document lengths across intra-host (NVLink) and cross-host (RoCE) CP
-// groups, prints both prices and the winner, and locates the crossover. A
-// mixed-document sample then shows the adaptive rule pricing at or below the
-// better pure strategy, and a live 4-rank toy step confirms the routing split
-// and the fully-overlapped ring issue end to end.
+// cpStudy sweeps the modeled per-document Fig 13 crossover with the CP
+// exchange prices (cost.CPAllGatherTime / CPRingTime — the functions the
+// Figs 11–13 sweeps and the planner annotation call): for 405B at tp=8 the
+// table walks document lengths across intra-host (NVLink) and cross-host
+// (RoCE) CP groups, prints both prices and the winner, and locates the
+// crossover. A mixed-document sample then prices a per-document choice at or
+// below either exchange used throughout.
 func cpStudy() {
-	fmt.Println("adaptive CP: per-document ring-vs-all-gather crossover (Fig 13, §7.2)")
+	fmt.Println("CP exchange: per-document ring-vs-all-gather crossover, modeled (Fig 13, §7.2)")
 	m := cost.Default()
 	mc := model.Llama3_405B()
 	tp := 8
@@ -834,8 +833,8 @@ func cpStudy() {
 		}
 	}
 
-	// Adaptive on one mixed sample: per-document minimum is additive, so it
-	// never prices above either pure strategy.
+	// One mixed sample: the per-document minimum is additive, so it never
+	// prices above either exchange used throughout.
 	g := group(8, 8)
 	docs := []int{1024, 4096, 16384, 109568}
 	var agT, ringT, adT float64
@@ -852,56 +851,9 @@ func cpStudy() {
 		ringT += ring
 		adT += math.Min(ag, ring)
 	}
-	fmt.Printf("  exchange totals: all-gather %.4fms, ring %.4fms, adaptive %.4fms\n",
+	fmt.Printf("  exchange totals: all-gather %.4fms, ring %.4fms, per-document minimum %.4fms\n",
 		1e3*agT, 1e3*ringT, 1e3*adT)
-
-	// Live toy run: a 4-rank document-masked step under the adaptive strategy
-	// with a crossover-scaled cost model (xval's toyCPCost), confirming the
-	// routing genuinely splits and every ring transfer is issued nonblocking.
-	toy := cost.Default()
-	toy.AttnMFU = 1e-12
-	toy.KernelLaunchUs = 800
-	toy.Cluster.Net.NVLinkGBs, toy.Cluster.Net.RoCEGBs = 1e-4, 1e-4
-	toy.Cluster.Net.NVLinkLatencyUs, toy.Cluster.Net.RoCELatencyUs = 0, 0
-	cfg := core.Config{
-		Model: model.Config{Vocab: 64, Dim: 32, Hidden: 64, NHeads: 4, NKVHeads: 2,
-			NLayers: 2, MaxSeq: 64, RopeBase: 10000},
-		Topo: core.Topology{TP: 1, CP: 4, PP: 1, DP: 1},
-		V:    1, NMB: 2, NC: 2,
-		ZeRO: fsdp.ZeRO1, Seq: 64, GBS: 4, LR: 2e-3,
-		UseDocMask: true, Seed: 11,
-		CPStrategy: cp.StrategyAdaptive, CPCost: &toy,
-	}
-	cl, err := core.NewCluster(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		os.Exit(1)
-	}
-	src := &data.Generator{Vocab: 64, Seq: 64, AvgDocLen: 8, LongDocFrac: 0.25, Seed: 5}
-	reg := metrics.NewRegistry(cfg.Topo.World())
-	cl.Attach(reg)
-	reg.BeginStep(0)
-	cl.Step(src, 0)
-	rep := reg.EndStep()
-	var ringBytes, agBytes int64
-	overlapped := true
-	for _, rr := range rep.Ranks {
-		ringBytes += rr.Comm["cp.ring/send"].Bytes
-		agBytes += rr.Comm[cl.Ranks[rr.Rank].Groups.CP.Label+"/allgather"].Bytes
-		for _, key := range []string{"cp.ring/send", "cp.ring/recv"} {
-			if rr.Overlapped[key] != rr.Comm[key] {
-				overlapped = false
-			}
-		}
-	}
-	fmt.Printf("\nlive 4-rank adaptive step (toy crossover model, geometric docs + long tail):\n")
-	fmt.Printf("  ring P2P bytes %d, all-gather bytes %d — both routes active\n", ringBytes, agBytes)
-	status := "yes"
-	if !overlapped {
-		status = "NO (bug!)"
-	}
-	fmt.Printf("  every ring transfer issued nonblocking (overlapped == issued): %s\n", status)
-	fmt.Println("(the xval sweep pins these bytes to the closed-form model exactly, per rank)")
+	fmt.Println("(the functional layer all-gathers only: at its head shapes the ring first wins at 16,384 tokens, above every length it runs)")
 }
 
 // serveStudy projects the serving subsystem onto H100s: the roofline

@@ -10,8 +10,8 @@ import (
 // stdoutDigests pins the FNV-64a digest of the stdout of every experiment
 // that prints no wall-clock number, so a change to any simulator price
 // surfaces here, named by the experiment it moved. fig11-fig13 print the CP
-// exchange at the runtime chooser's own prices (cost.CPAllGatherTime and
-// cost.CPRingTime). train, losscurve, metrics, overlap and balance are not
+// exchange at the per-document prices cost.CPAllGatherTime and
+// cost.CPRingTime. train, losscurve, metrics, overlap and balance are not
 // pinned: they print wall-clock columns or measured live-cluster numbers.
 var stdoutDigests = map[string]uint64{
 	"table2":   0x000c8b0102af720f,
@@ -32,7 +32,7 @@ var stdoutDigests = map[string]uint64{
 	"goodput":  0x20280efd5f506960,
 	"serve":    0x543ac208010b97ec,
 	"planner":  0x59b2282452cfc1c0,
-	"cp":       0xb67469ecf22437dc,
+	"cp":       0x6974c98e918028a4,
 }
 
 // TestAllExperimentsRun executes every experiment end to end — the CLI's

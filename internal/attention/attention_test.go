@@ -133,44 +133,6 @@ func TestDocumentMaskBlocksCrossDocAttention(t *testing.T) {
 	}
 }
 
-// streamedForward feeds the key axis to StreamScores in blocks of blockSize
-// and finishes once — the ring's structure, at block sizes far below a tile.
-func streamedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, blockSize int) *Output {
-	sk := k.Rows()
-	g := BuildGrid(m, qPos, 0, sk)
-	s := tensor.Get(q.Rows(), sk)
-	for off := 0; off < sk; off += blockSize {
-		end := min(off+blockSize, sk)
-		StreamScores(s, q, k.RowSlice(off, end), 0, 0, off, end-off, g)
-	}
-	return StreamFinish(s, v, m, qPos, g, nil)
-}
-
-func TestStreamedMatchesForward(t *testing.T) {
-	for _, blockSize := range []int{1, 2, 3, 8, 64} {
-		q, k, v := randQKV(4, 16, 16, 8)
-		want := Forward(q, k, v, Causal{}, Iota(16), 0)
-		got := streamedForward(q, k, v, Causal{}, Iota(16), blockSize)
-		if !tensor.BitwiseEqual(want.O, got.O) || !tensor.BitwiseEqual(want.P, got.P) {
-			t.Fatalf("block %d: streamed differs from Forward", blockSize)
-		}
-	}
-}
-
-func TestStreamedMatchesForwardDocumentMask(t *testing.T) {
-	seq := 32
-	ids := DocIDsFromLengths([]int{5, 11, 9, 7}, seq)
-	q, k, v := randQKV(5, seq, seq, 8)
-	m := Document{DocID: ids}
-	want := Forward(q, k, v, m, Iota(seq), 0)
-	for _, bs := range []int{4, 7, 32} {
-		got := streamedForward(q, k, v, m, Iota(seq), bs)
-		if !tensor.BitwiseEqual(want.O, got.O) || !tensor.BitwiseEqual(want.P, got.P) {
-			t.Fatalf("doc mask, block %d: streamed differs from Forward", bs)
-		}
-	}
-}
-
 // TestMergeWithEmptyBlockIsNeutral: a key block entirely after every query
 // contributes the log-sum-exp merge's neutral element — each row's statistics
 // are M = -Inf, L = 0 and its unnormalised output is zero. (The merge itself
@@ -271,7 +233,7 @@ func TestBackwardMaskedGradientsZero(t *testing.T) {
 	_ = dV
 }
 
-func TestStreamedFullyMaskedRowIsZero(t *testing.T) {
+func TestForwardFullyMaskedRowIsZero(t *testing.T) {
 	q, k, v := randQKV(13, 2, 4, 4)
 	// Query positions before all keys: nothing allowed under causal mask.
 	blocked := Forward(q, k, v, Causal{}, []int{-1, -2}, 0)

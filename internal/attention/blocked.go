@@ -174,7 +174,7 @@ func BuildGrid(m Mask, qPos []int, kOff, sk int) *Grid {
 // BuildGridFromStarts classifies tiles for the document mask expressed as a
 // DocStarts interval index: query q attends exactly keys [starts[q], q]. A
 // nil starts means plain causal attention (every document starts at 0).
-// Negative query positions (ring-attention probes) attend nothing under a
+// Negative query positions (before every key) attend nothing under a
 // document mask, matching RowMask. This is the entry point shared with the
 // simulator (internal/sim/engine), which models sparsity from the same
 // docStarts vectors the measured kernels classify with.
@@ -302,13 +302,11 @@ func sweptWork(g *Grid, d int) int {
 // keeps the dense kernels' ordering and zero-skips, so the result is bitwise
 // identical to DenseForward. No stage reads or writes an empty tile of s.
 // The bands split by rows over workers goroutines (rows are independent, so
-// the split is bitwise invisible). Three entries run it:
+// the split is bitwise invisible). Two kinds of entry run it:
 //
-//   - ForwardRecorded and Forward (q, k non-nil, part nil): s ends as the
-//     probabilities, o is a zeroed [sq, d] output; the census goes to rec and
-//     both products' FLOPs are counted.
-//   - StreamFinish (q nil): the score stage already ran (StreamScores); the
-//     rest is the Forward case.
+//   - ForwardRecorded and Forward (part nil): s ends as the probabilities, o
+//     is a zeroed [sq, d] output; the census goes to rec and both products'
+//     FLOPs are counted.
 //   - PartialForwardInto (part non-nil, o its zeroed part.O): the rows' final
 //     × 1/sum is replaced by storing their max and sum in part.M/part.L, so o
 //     stays unnormalised. Only the score sweep's FLOPs are counted and
@@ -322,18 +320,13 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 		rec.Record(g, 2, d)
 		tensor.CountMatMulFLOPs(sq, sk, d, eff) // output p@v
 	}
-	var kT *tensor.Tensor
-	if q != nil {
-		kT = keyPanel(k.Data, d, 0, d, 0, sk, g)
-	}
+	kT := keyPanel(k, g)
 	tensor.ParallelRows(sq, workers, func(lo, hi int) {
 		var sc softmaxScratch
 		for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 			r0, r1 := g.rowBand(rt)
 			r0, r1 = max(r0, lo), min(r1, hi)
-			if q != nil {
-				scoreRows(s.Data[r0*sk:], sk, q.Data[r0*d:], d, k.Data, d, 0, kT, 0, sk, g, r0, r1)
-			}
+			scoreRows(s.Data[r0*sk:], sk, q.Data[r0*d:], d, k.Data, kT, g, r0, r1)
 			blockedSoftmaxRows(s, m, qPos, kOff, g, scale, part, &sc, r0, r1)
 			blockedPVRows(o, s.Data[r0*sk:], sk, v, g, r0, r1)
 		}
@@ -341,51 +334,44 @@ func forward(o, s, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid
 	tensor.Put(kT)
 }
 
-// keyPanel returns the keys of score columns [c0, c1), key j the d floats at
-// kd[base+j·kw:], transposed into a pooled [d, c1−c0] panel: the score
-// tiles' b operand. It returns nil when no row band has four rows (a decode
-// step's query): scoreRows then reads the keys in place.
-func keyPanel(kd []float32, kw, base, d, c0, c1 int, g *Grid) *tensor.Tensor {
+// keyPanel returns the rows of k ([sk, d], one key per row) transposed into
+// a pooled [d, sk] panel: the score tiles' b operand. It returns nil when no
+// row band has four rows (a decode step's query): scoreRows then reads the
+// keys in place.
+func keyPanel(k *tensor.Tensor, g *Grid) *tensor.Tensor {
 	if min(g.TileRows, g.Sq) < 4 {
 		return nil
 	}
-	w := c1 - c0
-	kT := tensor.GetUninit(d, w)
-	tensor.TransposeBlock(kT.Data, w, kd[base+c0*kw:], kw, w, d)
+	sk, d := k.Rows(), k.Cols()
+	kT := tensor.GetUninit(d, sk)
+	tensor.TransposeBlock(kT.Data, sk, k.Data, d, sk, d)
 	return kT
 }
 
-// scoreRows computes s[i][j] = q[i]·key(j) for query rows [lo, hi) and score
-// columns [colStart, colEnd) at every non-empty tile, where sd and qd start
-// at row lo (row strides n and d) and key j is the d floats at
-// kd[base+j·kw:] — a run of rows of a packed multi-head block (StreamScores)
-// or, with kw = d and base 0, row j of a plain [sk, d] matrix. Each element is
-// one running sum from +0 over the head dim in increasing order — the dense
-// MatMulT rounding sequence. Empty-tile entries are left untouched. A band of
-// four or more rows clears its rows of the tile and runs tensor.AccumBlock
-// with skip off on kT, the run's keys transposed (keyPanel), whose register
-// tile lanes are score elements running exactly that sum. A band of one to
-// three rows (a decode step's query) runs a scalar nest on the keys in place,
-// four keys' chains side by side. Neither nesting order nor run boundaries
-// change any element's sum.
-func scoreRows(sd []float32, n int, qd []float32, d int, kd []float32, kw, base int, kT *tensor.Tensor, colStart, colEnd int, g *Grid, lo, hi int) {
+// scoreRows computes s[i][j] = q[i]·k[j] for query rows [lo, hi) at every
+// non-empty tile, where sd and qd start at row lo (row strides n and d) and
+// kd holds the n keys as a plain [n, d] matrix. Each element is one running
+// sum from +0 over the head dim in increasing order — the dense MatMulT
+// rounding sequence. Empty-tile entries are left untouched. A band of four
+// or more rows clears its rows of the tile and runs tensor.AccumBlock with
+// skip off on kT, the keys transposed (keyPanel), whose register tile lanes
+// are score elements running exactly that sum. A band of one to three rows
+// (a decode step's query) runs a scalar nest on the keys in place, four
+// keys' chains side by side. The nesting order changes no element's sum.
+func scoreRows(sd []float32, n int, qd []float32, d int, kd []float32, kT *tensor.Tensor, g *Grid, lo, hi int) {
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
-		for ct := colStart / g.TileCols; ct < g.NCols; ct++ {
-			c0, c1 := g.colBand(ct)
-			c0, c1 = max(c0, colStart), min(c1, colEnd)
-			if c0 >= c1 {
-				break
-			}
+		for ct := range g.NCols {
 			if g.Kind(rt, ct) == TileEmpty {
 				continue
 			}
+			c0, c1 := g.colBand(ct)
 			if r1-r0 >= 4 {
 				for i := r0 - lo; i < r1-lo; i++ {
 					clear(sd[i*n+c0 : i*n+c1])
 				}
-				tensor.AccumBlock(sd[(r0-lo)*n+c0:], n, qd[(r0-lo)*d:], d, kT.Data[c0-colStart:], colEnd-colStart, r1-r0, d, c1-c0, false)
+				tensor.AccumBlock(sd[(r0-lo)*n+c0:], n, qd[(r0-lo)*d:], d, kT.Data[c0:], n, r1-r0, d, c1-c0, false)
 				continue
 			}
 			for i := r0 - lo; i < r1-lo; i++ {
@@ -393,8 +379,8 @@ func scoreRows(sd []float32, n int, qd []float32, d int, kd []float32, kw, base 
 				si := sd[i*n : (i+1)*n]
 				j := c0
 				for ; j+3 < c1; j += 4 {
-					a0 := base + j*kw
-					a1, a2, a3 := a0+kw, a0+2*kw, a0+3*kw
+					a0 := j * d
+					a1, a2, a3 := a0+d, a0+2*d, a0+3*d
 					k0, k1, k2, k3 := kd[a0:a0+d], kd[a1:a1+d], kd[a2:a2+d], kd[a3:a3+d]
 					var s0, s1, s2, s3 float32
 					for p, qp := range qi {
@@ -406,7 +392,7 @@ func scoreRows(sd []float32, n int, qd []float32, d int, kd []float32, kw, base 
 					si[j], si[j+1], si[j+2], si[j+3] = s0, s1, s2, s3
 				}
 				for ; j < c1; j++ {
-					a := base + j*kw
+					a := j * d
 					kj := kd[a : a+d]
 					var sum float32
 					for p, qp := range qi {
@@ -623,7 +609,7 @@ func backward(q, k, v, p, dO *tensor.Tensor, g *Grid, rec *Recorder) (dQ, dK, dV
 	tensor.CountMatMulFLOPs(sk, sq, d, eff) // dK = dSᵀ@q
 
 	dQ, dK, dV = tensor.Get(sq, d), tensor.Get(sk, d), tensor.Get(sk, d)
-	vT := keyPanel(v.Data, d, 0, d, 0, sk, g)
+	vT := keyPanel(v, g)
 	dS := tensor.GetUninit(min(g.TileRows, sq), sk)
 	backwardRows(dQ, dK, dV, dS.Data, q, k, v, vT, p, dO, g, 0, sq)
 	tensor.Put(vT, dS)
@@ -646,7 +632,7 @@ func backwardRows(dQ, dK, dV *tensor.Tensor, dS []float32, q, k, v, vT, p, dO *t
 	for rt := lo / g.TileRows; rt < g.NRows && rt*g.TileRows < hi; rt++ {
 		r0, r1 := g.rowBand(rt)
 		r0, r1 = max(r0, lo), min(r1, hi)
-		scoreRows(dS, sk, dO.Data[r0*d:], d, v.Data, d, 0, vT, 0, sk, g, r0, r1)
+		scoreRows(dS, sk, dO.Data[r0*d:], d, v.Data, vT, g, r0, r1)
 		blockedSoftmaxBackwardRows(dS, p, g, r0, r1)
 		blockedPVRows(dQ, dS, sk, k, g, r0, r1)
 		h := r1 - r0

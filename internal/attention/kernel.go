@@ -91,8 +91,8 @@ func BackwardRecorded(q, k, v, p, dO *tensor.Tensor, g *Grid, rec *Recorder) (dQ
 // plus per-query-row softmax statistics (running max m and sum l), the
 // log-sum-exp form flash attention and TransformerEngine's ring merge partial
 // results in (the "scaling and rescaling" of §4). Nothing in this repository
-// merges partials any more — the CP ring streams score columns and finishes
-// once — so the type's only caller outside tests is bench/'s
+// merges partials — CP all-gathers K/V and runs one fused kernel — so the
+// type's only caller outside tests is bench/'s
 // attention.partial_fwd_ms.doc2048 probe; retiring it is a [benchmark] PR.
 type Partial struct {
 	O *tensor.Tensor // [sq, d]; rows scaled by their block-local softmax

@@ -244,12 +244,12 @@ func checkPartialEqual(t *testing.T, label string, got, want *Partial) {
 	}
 }
 
-// TestStreamedForwardParallelBitwise checks the one forward stays
+// TestForwardParallelBitwise checks the one forward stays
 // deterministic when its band loop dispatches to goroutines: the same inputs
 // at serial (GOMAXPROCS=1) and parallel (GOMAXPROCS=4) settings must produce
 // identical bits, through the normalising entry (Forward: O and P) and
 // through the statistics-storing one (PartialForwardInto: O, M and L).
-func TestStreamedForwardParallelBitwise(t *testing.T) {
+func TestForwardParallelBitwise(t *testing.T) {
 	const sq, sk, d = 320, 320, 64
 	q, k, v := randQKV(606, sq, sk, d)
 	m := Document{DocID: DocIDsFromLengths([]int{130, 90, 100}, sk)}

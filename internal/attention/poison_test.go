@@ -22,14 +22,12 @@ func poison(shape ...int) {
 
 // checkGridPoisoned holds the grid entries to the dense oracles on planes
 // whose every word starts as NaN: ForwardRecorded (its output and plane, and
-// the backward's band buffer, key panel and tile scratch primed with NaN), then
-// BackwardRecorded on that P, and, at kOff 0, StreamScores over key runs of
-// blk columns into a NaN plane followed by StreamFinish. O and P on the
-// non-empty tiles must be Float32bits-equal to DenseForward, every empty-tile
-// word must still be NaN, and dQ, dK, dV must equal DenseBackward on the
-// dense P. A sweep that read an empty tile or an unwritten word would carry
+// the backward's band buffer, key panel and tile scratch primed with NaN),
+// then BackwardRecorded on that P. O and P on the non-empty tiles must be
+// Float32bits-equal to DenseForward, every empty-tile word must still be
+// NaN, and dQ, dK, dV must equal DenseBackward on the dense P. A sweep that read an empty tile or an unwritten word would carry
 // the NaN into a result; one that wrote an empty tile would clear it.
-func checkGridPoisoned(t *testing.T, label string, q, k, v, dO *tensor.Tensor, m Mask, qPos []int, kOff, blk int) {
+func checkGridPoisoned(t *testing.T, label string, q, k, v, dO *tensor.Tensor, m Mask, qPos []int, kOff int) {
 	t.Helper()
 	sq, sk, d := q.Rows(), k.Rows(), q.Cols()
 	g := BuildGrid(m, qPos, kOff, sk)
@@ -49,19 +47,6 @@ func checkGridPoisoned(t *testing.T, label string, q, k, v, dO *tensor.Tensor, m
 		t.Fatalf("%s: BackwardRecorded on the poisoned P differs from DenseBackward", label)
 	}
 	tensor.Put(out.O, out.P, dq, dk, dv)
-
-	if kOff != 0 {
-		return
-	}
-	s := tensor.New(sq, sk)
-	s.Fill(float32(math.NaN()))
-	for c := 0; c < sk; c += blk {
-		e := min(c+blk, sk)
-		StreamScores(s, q, k.RowSlice(c, e), 0, 0, c, e-c, g)
-	}
-	got := StreamFinish(s, v, m, qPos, g, nil)
-	checkPoisonedPlane(t, fmt.Sprintf("%s: streamed in runs of %d", label, blk), g, got, dense)
-	tensor.Put(got.O)
 }
 
 // checkPoisonedPlane fails unless got.O equals want.O bit for bit, got.P
@@ -88,9 +73,8 @@ func checkPoisonedPlane(t *testing.T, label string, g *Grid, got, want *Output) 
 
 // TestGridEntriesLeaveEmptyTilesPoisoned runs checkGridPoisoned over
 // TestBlockedMatchesDenseGrid's points: every mask family × sequence lengths
-// straddling the tile × key offsets {0, +3, −3} × the four tilings, with the
-// ring probes' negative and mixed query positions, streaming in runs of 1,
-// 5 and all key columns.
+// straddling the tile × key offsets {0, +3, −3} × the four tilings, with
+// negative and mixed query positions.
 func TestGridEntriesLeaveEmptyTilesPoisoned(t *testing.T) {
 	const d = 8
 	defer tensor.SetPooling(tensor.SetPooling(true))
@@ -126,9 +110,7 @@ func TestGridEntriesLeaveEmptyTilesPoisoned(t *testing.T) {
 						}
 					}
 					for pname, qPos := range map[string][]int{"": Iota(sq), "/qneg": qNeg, "/qmix": qMix} {
-						for _, blk := range []int{1, 5, sk} {
-							checkGridPoisoned(t, labelFor(name, til, sq, kOff)+pname, q, k, v, dO, m, qPos, kOff, blk)
-						}
+						checkGridPoisoned(t, labelFor(name, til, sq, kOff)+pname, q, k, v, dO, m, qPos, kOff)
 					}
 				}
 			}
@@ -138,9 +120,8 @@ func TestGridEntriesLeaveEmptyTilesPoisoned(t *testing.T) {
 
 // FuzzGridAttention draws random document layouts, tilings (1–16 each way),
 // sq and sk (1–96), key offsets, head dims 1–48, query positions (plain,
-// or every odd row before the first key) and streaming runs, and holds the
-// grid entries on NaN-poisoned planes to the dense oracles
-// (checkGridPoisoned). The mask is full, causal or the document layout;
+// or every odd row before the first key), and holds the grid entries on
+// NaN-poisoned planes to the dense oracles (checkGridPoisoned). The mask is full, causal or the document layout;
 // negative key offsets, which no document mask meets, fall back to causal.
 func FuzzGridAttention(f *testing.F) {
 	f.Add(int64(1), []byte{5, 0, 9, 3}, uint8(0x33), uint8(20), uint8(25), int8(0), uint8(7), uint8(2))
@@ -174,7 +155,6 @@ func FuzzGridAttention(f *testing.F) {
 		}
 		q, k, v := randQKV(seed, sq, sk, d)
 		dO := tensor.RandN(rand.New(rand.NewSource(seed+1)), 1, sq, d)
-		blk := 1 + int(uint64(seed)>>8)%sk
-		checkGridPoisoned(t, fmt.Sprintf("seed %d tiling %v sq %d sk %d d %d kOff %d", seed, til, sq, sk, d, kOff), q, k, v, dO, m, qPos, kOff, blk)
+		checkGridPoisoned(t, fmt.Sprintf("seed %d tiling %v sq %d sk %d d %d kOff %d", seed, til, sq, sk, d, kOff), q, k, v, dO, m, qPos, kOff)
 	})
 }

@@ -10,8 +10,8 @@ package attention
 // (RunSPMD's join publishes the writes). A nil *Recorder is a valid no-op
 // receiver, so un-instrumented call sites pass nil at zero cost.
 //
-// Recording fires once per ForwardRecorded/BackwardRecorded/StreamFinish
-// invocation, with the same Grid the kernels classify with.
+// Recording fires once per ForwardRecorded/BackwardRecorded invocation,
+// with the same Grid the kernels classify with.
 type Recorder struct {
 	// Stats is the unscaled census sum: one Summary() per recorded call.
 	Stats Stats

@@ -42,11 +42,11 @@ func TestSoftmaxSweepsSplitAndGroupBitwise(t *testing.T) {
 			o, s := tensor.Get(sq, d), tensor.Get(sq, sk)
 			dS, dQ, dK := tensor.GetUninit(g.TileRows, sk), tensor.Get(sq, d), tensor.Get(sk, d)
 			dV := tensor.Get(sk, d)
-			kT, vT := keyPanel(k.Data, d, 0, d, 0, sk, g), keyPanel(v.Data, d, 0, d, 0, sk, g)
+			kT, vT := keyPanel(k, g), keyPanel(v, g)
 			var sc softmaxScratch
 			for c := 1; c < len(cuts); c++ {
 				lo, hi := cuts[c-1], cuts[c]
-				scoreRows(s.Data[lo*sk:], sk, q.Data[lo*d:], d, k.Data, d, 0, kT, 0, sk, g, lo, hi)
+				scoreRows(s.Data[lo*sk:], sk, q.Data[lo*d:], d, k.Data, kT, g, lo, hi)
 				blockedSoftmaxRows(s, m, qPos, 0, g, scale, nil, &sc, lo, hi)
 				blockedPVRows(o, s.Data[lo*sk:], sk, v, g, lo, hi)
 

@@ -259,20 +259,11 @@ func (w *World) mailbox(k p2pKey) chan *tensor.Tensor {
 // same failure-detection deadline as Recv: it aborts the world with a
 // *DeadlineError instead of hanging until some other rank notices.
 func (w *World) Send(from, to, tag int, t *tensor.Tensor) {
-	w.SendLabeled(from, to, tag, t, "p2p")
-}
-
-// SendLabeled is Send with an explicit accounting label: the transfer is
-// metered under (label, "send") instead of ("p2p", "send"), so subsystems
-// with their own traffic class — the ring CP exchange uses "cp.ring" — stay
-// separable in the per-rank comm breakdown. Delivery semantics are identical
-// to Send; labels never affect matching (only (from, to, tag) does).
-func (w *World) SendLabeled(from, to, tag int, t *tensor.Tensor, label string) {
 	w.checkRank(from)
 	w.checkRank(to)
 	msg := t.Clone()
-	w.beforeOp(from, label+".send", msg)
-	w.account(from, label, "send", int64(t.Len())*4)
+	w.beforeOp(from, "p2p.send", msg)
+	w.account(from, "p2p", "send", int64(t.Len())*4)
 	var deadline <-chan time.Time
 	if w.Timeout > 0 {
 		tm := time.NewTimer(w.Timeout)
@@ -282,10 +273,10 @@ func (w *World) SendLabeled(from, to, tag int, t *tensor.Tensor, label string) {
 	select {
 	case w.mailbox(p2pKey{from, to, tag}) <- msg:
 	case <-w.abort:
-		panic(&AbortError{Rank: from, Op: label + ".send", Err: w.Err()})
+		panic(&AbortError{Rank: from, Op: "p2p.send", Err: w.Err()})
 	case <-deadline:
-		w.Abort(&DeadlineError{Rank: from, Op: label + ".send", Timeout: w.Timeout})
-		panic(&AbortError{Rank: from, Op: label + ".send", Err: w.Err()})
+		w.Abort(&DeadlineError{Rank: from, Op: "p2p.send", Timeout: w.Timeout})
+		panic(&AbortError{Rank: from, Op: "p2p.send", Err: w.Err()})
 	}
 }
 
@@ -295,21 +286,16 @@ func (w *World) SendLabeled(from, to, tag int, t *tensor.Tensor, label string) {
 // never waits for the receiver. Waiting is optional; an unwaited handle
 // still delivers (or is released by an abort).
 func (w *World) ISend(from, to, tag int, t *tensor.Tensor) *Handle {
-	return w.ISendLabeled(from, to, tag, t, "p2p")
-}
-
-// ISendLabeled is ISend metered under (label, "send") — see SendLabeled.
-func (w *World) ISendLabeled(from, to, tag int, t *tensor.Tensor, label string) *Handle {
 	w.checkRank(from)
 	w.checkRank(to)
 	msg := t.Clone()
-	w.beforeOp(from, label+".send", msg)
+	w.beforeOp(from, "p2p.send", msg)
 	bytes := int64(t.Len()) * 4
-	w.account(from, label, "send", bytes)
+	w.account(from, "p2p", "send", bytes)
 	h := &Handle{
 		w:      w,
 		rank:   from,
-		label:  label,
+		label:  "p2p",
 		op:     "send",
 		bytes:  bytes,
 		issued: time.Now(),
@@ -317,7 +303,7 @@ func (w *World) ISendLabeled(from, to, tag int, t *tensor.Tensor, label string) 
 	}
 	h.finish = func() *tensor.Tensor {
 		if !h.sent {
-			panic(&AbortError{Rank: from, Op: label + ".send", Err: w.Err()})
+			panic(&AbortError{Rank: from, Op: "p2p.send", Err: w.Err()})
 		}
 		return nil
 	}
@@ -348,14 +334,9 @@ func (w *World) ISendLabeled(from, to, tag int, t *tensor.Tensor, label string) 
 // outstanding IRecvs on the same key — it would race the chain for the
 // message.
 func (w *World) IRecv(to, from, tag int) *Handle {
-	return w.IRecvLabeled(to, from, tag, "p2p")
-}
-
-// IRecvLabeled is IRecv metered under (label, "recv") — see SendLabeled.
-func (w *World) IRecvLabeled(to, from, tag int, label string) *Handle {
 	w.checkRank(from)
 	w.checkRank(to)
-	w.beforeOp(to, label+".recv", nil)
+	w.beforeOp(to, "p2p.recv", nil)
 	ch := w.mailbox(p2pKey{from, to, tag})
 	w.mu.Lock()
 	prev := w.recvTail[p2pKey{from, to, tag}]
@@ -365,14 +346,14 @@ func (w *World) IRecvLabeled(to, from, tag int, label string) *Handle {
 	h := &Handle{
 		w:      w,
 		rank:   to,
-		label:  label,
+		label:  "p2p",
 		op:     "recv",
 		issued: time.Now(),
 		ready:  make(chan struct{}),
 	}
 	h.finish = func() *tensor.Tensor {
 		if h.res0 == nil {
-			panic(&AbortError{Rank: to, Op: label + ".recv", Err: w.Err()})
+			panic(&AbortError{Rank: to, Op: "p2p.recv", Err: w.Err()})
 		}
 		return h.res0
 	}
@@ -389,7 +370,7 @@ func (w *World) IRecvLabeled(to, from, tag int, label string) *Handle {
 		case t := <-ch:
 			h.res0 = t
 			h.bytes = int64(t.Len()) * 4
-			w.account(to, label, "recv", h.bytes)
+			w.account(to, "p2p", "recv", h.bytes)
 			close(got)
 		case <-w.abort:
 		}
@@ -400,14 +381,9 @@ func (w *World) IRecvLabeled(to, from, tag int, label string) *Handle {
 // Recv blocks until a tensor tagged `tag` from rank `from` arrives at `to`,
 // the world aborts, or the failure-detection deadline expires.
 func (w *World) Recv(to, from, tag int) *tensor.Tensor {
-	return w.RecvLabeled(to, from, tag, "p2p")
-}
-
-// RecvLabeled is Recv metered under (label, "recv") — see SendLabeled.
-func (w *World) RecvLabeled(to, from, tag int, label string) *tensor.Tensor {
 	w.checkRank(from)
 	w.checkRank(to)
-	w.beforeOp(to, label+".recv", nil)
+	w.beforeOp(to, "p2p.recv", nil)
 	ch := w.mailbox(p2pKey{from, to, tag})
 	var deadline <-chan time.Time
 	if w.Timeout > 0 {
@@ -417,13 +393,13 @@ func (w *World) RecvLabeled(to, from, tag int, label string) *tensor.Tensor {
 	}
 	select {
 	case t := <-ch:
-		w.account(to, label, "recv", int64(t.Len())*4)
+		w.account(to, "p2p", "recv", int64(t.Len())*4)
 		return t
 	case <-w.abort:
-		panic(&AbortError{Rank: to, Op: label + ".recv", Err: w.Err()})
+		panic(&AbortError{Rank: to, Op: "p2p.recv", Err: w.Err()})
 	case <-deadline:
-		w.Abort(&DeadlineError{Rank: to, Op: label + ".recv", Timeout: w.Timeout})
-		panic(&AbortError{Rank: to, Op: label + ".recv", Err: w.Err()})
+		w.Abort(&DeadlineError{Rank: to, Op: "p2p.recv", Timeout: w.Timeout})
+		panic(&AbortError{Rank: to, Op: "p2p.recv", Err: w.Err()})
 	}
 }
 

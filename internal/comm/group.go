@@ -55,10 +55,6 @@ func (w *World) NewGroup(ranks []int) *Group {
 	return g
 }
 
-// World returns the world the group's ranks live in — the point-to-point
-// transport next to the group's collectives.
-func (g *Group) World() *World { return g.world }
-
 // Size returns the number of ranks in the group.
 func (g *Group) Size() int { return len(g.ranks) }
 

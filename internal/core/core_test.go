@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"llama4d/internal/cp"
 	"llama4d/internal/data"
 	"llama4d/internal/fsdp"
 	"llama4d/internal/model"
@@ -323,50 +321,6 @@ func TestNewClusterRejectsZeroDims(t *testing.T) {
 	}
 }
 
-// TestConfigValidateRejectsUnaddressableCP: an unknown CPStrategy, a ring
-// group larger than the tag layout's step field, or more exchanges per
-// instance than its call field must come back from NewCluster as an error —
-// the tag shapes as a *cp.TagRangeError — never as a message delivered to the
-// wrong exchange mid-step. The same shapes under the all-gather strategy use
-// no tags and stay valid.
-func TestConfigValidateRejectsUnaddressableCP(t *testing.T) {
-	base := tinyCoreCfg(Topology{TP: 1, CP: 2, PP: 1, DP: 1}, 1, 2, 2, fsdp.ZeRO1, false)
-	for _, tc := range []struct {
-		name     string
-		edit     func(*Config)
-		ok, tags bool
-	}{
-		{"ring at the tag ceilings", func(c *Config) {
-			c.CPStrategy, c.Topo.CP, c.Seq, c.Model.NLayers = cp.StrategyRing, 256, 512, 2048
-		}, true, false},
-		{"strategy below range", func(c *Config) { c.CPStrategy = -1 }, false, false},
-		{"strategy above range", func(c *Config) { c.CPStrategy = cp.StrategyAdaptive + 1 }, false, false},
-		{"ring group too large", func(c *Config) {
-			c.CPStrategy, c.Topo.CP, c.Seq = cp.StrategyRing, 257, 514
-		}, false, true},
-		{"adaptive, too many layers", func(c *Config) {
-			c.CPStrategy, c.Model.NLayers = cp.StrategyAdaptive, 2049
-		}, false, true},
-		{"ring, recompute doubles the exchanges", func(c *Config) {
-			c.CPStrategy, c.Model.NLayers, c.Recompute = cp.StrategyRing, 1025, model.RecomputeFull
-		}, false, true},
-		{"all-gather needs no tags", func(c *Config) {
-			c.Topo.CP, c.Seq, c.Model.NLayers = 257, 514, 2049
-		}, true, false},
-	} {
-		cfg := base
-		tc.edit(&cfg)
-		err := cfg.Validate()
-		if !tc.ok {
-			_, err = NewCluster(cfg) // Validate is the only thing that can fail there
-		}
-		var tre *cp.TagRangeError
-		if (err == nil) != tc.ok || errors.As(err, &tre) != tc.tags {
-			t.Errorf("%s: got %v", tc.name, err)
-		}
-	}
-}
-
 func TestDPReplicasStayBitwiseAligned(t *testing.T) {
 	// After steps, all DP/CP replicas of the same (tp, pp) shard must hold
 	// bitwise-identical weights: the determinism FSDP guarantees.
@@ -605,5 +559,39 @@ func TestLoadFullStateRejectsOtherDPSize(t *testing.T) {
 	err = cl1.LoadFullState(bytes.NewReader(ckpt.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("DP=2 checkpoint into DP=1: error %v, want a moment/shard length mismatch", err)
+	}
+}
+
+// TestStepReturnsEveryPooledBuffer: at steady state a training step hands
+// back to the default tensor pool every buffer it takes from it — the
+// residual stream the pipeline executor threads through embedding, blocks
+// and head (forward outputs, incoming gradients, packed P2P messages) and
+// the loss all-reduce included — so no step's Get misses the pool for want
+// of a buffer an earlier step dropped. Checked on a one-stage and a
+// two-stage pipeline and on the 16-rank 4D cluster.
+func TestStepReturnsEveryPooledBuffer(t *testing.T) {
+	defer tensor.SetPooling(tensor.SetPooling(true))
+	for _, topo := range []Topology{
+		{TP: 1, CP: 1, PP: 1, DP: 1},
+		{TP: 1, CP: 1, PP: 2, DP: 1},
+		{TP: 2, CP: 2, PP: 2, DP: 2},
+	} {
+		cfg := tinyCoreCfg(topo, 1, 2, 2, fsdp.ZeRO1, true)
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := &data.Generator{Vocab: cfg.Model.Vocab, Seq: cfg.Seq, AvgDocLen: 6, Seed: 5}
+		cl.Step(gen, 0) // first step: optimizer state and pools warm up
+		for step := int64(1); step < 4; step++ {
+			before := tensor.DefaultPoolStats()
+			cl.Step(gen, step)
+			after := tensor.DefaultPoolStats()
+			gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
+			if gets != puts || after.Rejects != before.Rejects {
+				t.Errorf("%+v step %d: %d pool gets, %d puts (%d leaked), %d rejects",
+					topo, step, gets, puts, gets-puts, after.Rejects-before.Rejects)
+			}
+		}
 	}
 }

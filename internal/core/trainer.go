@@ -14,15 +14,9 @@ import (
 	"llama4d/internal/model"
 	"llama4d/internal/optim"
 	"llama4d/internal/pp"
-	"llama4d/internal/sim/cost"
 	"llama4d/internal/tensor"
 	"llama4d/internal/tp"
 )
-
-// cpCost is the calibrated cost model the adaptive CP strategy prices
-// documents with — the same model the planner's full-space search and the
-// Fig 13 experiment use, so the chooser and the search never disagree.
-var cpCost = cost.Default()
 
 // Config describes a 4D-parallel training run.
 type Config struct {
@@ -68,34 +62,7 @@ type Config struct {
 	// outputs are bitwise independent of the layout — only cross-rank
 	// reduction grouping moves — so the planner trades nothing but skew.
 	ShardPlanner func(s *model.Sample, cpSize int) [][]int
-
-	// CPStrategy selects the CP attention K/V exchange: the blocking
-	// all-gather baseline (zero value, §4), overlap-hidden ring P2P
-	// circulation, or per-document adaptive selection priced by the shared
-	// sim/cost model (§7.2, Fig 13). Every strategy is bitwise identical to
-	// the baseline per row; only exchange traffic and overlap move.
-	CPStrategy cp.Strategy
-
-	// CPCost overrides the cost model the adaptive strategy prices documents
-	// with (nil uses the calibrated cost.Default()). Tests and experiments
-	// move the Fig 13 crossover to their own scale with it; xval's
-	// predictions read the same field, so chooser and predictor never
-	// disagree.
-	CPCost *cost.Model
 }
-
-// cpCostModel resolves the CP pricing model (CPCost or the calibrated
-// default).
-func (c Config) cpCostModel() cost.Model {
-	if c.CPCost != nil {
-		return *c.CPCost
-	}
-	return cpCost
-}
-
-// CPCostModel is the exported face of cpCostModel, shared with xval's
-// closed-form predictions and the planner.
-func (c Config) CPCostModel() cost.Model { return c.cpCostModel() }
 
 // OverlapConfig enables comm–compute overlap in the functional layer. Each
 // knob moves one class of collectives from blocking to handle-based issue;
@@ -140,20 +107,6 @@ func (c Config) Validate() error {
 	}
 	if c.Topo.CP > 1 && c.Seq%(2*c.Topo.CP) != 0 {
 		return fmt.Errorf("core: seq %d not divisible by 2*cp", c.Seq)
-	}
-	if c.CPStrategy < cp.StrategyAllGather || c.CPStrategy > cp.StrategyAdaptive {
-		return fmt.Errorf("core: unknown CP strategy %v", c.CPStrategy)
-	}
-	if c.Topo.CP > 1 && c.CPStrategy != cp.StrategyAllGather {
-		// One exchange per owned layer, replayed once under recomputation;
-		// a rank owns at most every layer.
-		exchanges := c.Model.NLayers
-		if c.Recompute != model.RecomputeNone {
-			exchanges *= 2
-		}
-		if err := cp.CheckRingTags(c.Topo.CP, exchanges); err != nil {
-			return err
-		}
 	}
 	if c.Topo.TP > 1 && (c.Model.NHeads%c.Topo.TP != 0 || c.Model.NKVHeads%c.Topo.TP != 0) {
 		return fmt.Errorf("core: heads not divisible by tp %d", c.Topo.TP)
@@ -380,17 +333,13 @@ func (r *Rank) buildMicrobatches(src data.Batcher, step int64) []*pp.Microbatch 
 			totalValid := validTargets(full.Targets)
 
 			if cfg.Topo.CP > 1 {
-				// Every CP rank derives the same layout, per-document plan and
-				// tag slot from the sample and its schedule position, so the
-				// exchange needs no coordination.
+				// Every CP rank derives the same layout from the sample, so
+				// the exchange needs no coordination.
 				var layout cp.Layout = r.cpShard
 				if cfg.ShardPlanner != nil {
 					layout = cp.NewRaggedSharding(cfg.Seq, cfg.ShardPlanner(full, cfg.Topo.CP))
 				}
-				plan := cp.PlanFor(cfg.CPStrategy, cfg.cpCostModel(), r.Groups.CP.Ranks(), cfg.Seq,
-					full.DocIDs, cfg.UseDocMask,
-					cfg.Model.NHeads/cfg.Topo.TP, cfg.Model.NKVHeads/cfg.Topo.TP, cfg.Model.HeadDim())
-				env := cp.NewKV(layout, plan, r.Groups.CP, r.ID, i*mbsSamples+j).Env(mask)
+				env := cp.Env(layout, mask, r.Groups.CP, r.ID)
 				local := cp.LocalSample(layout, full, r.Groups.CP.LocalRank(r.ID))
 				localValid := validTargets(local.Targets)
 				env.Rec = rec
@@ -485,6 +434,7 @@ func (cl *Cluster) TryStep(src data.Batcher, step int64) (float64, error) {
 		contrib := tensor.FromSlice([]float32{float32(local)}, 1)
 		total := r.Groups.World.AllReduce(id, contrib)
 		losses[id] = float64(total.Data[0]) / float64(cl.Cfg.Topo.TP) / float64(cl.Cfg.GBS)
+		tensor.Put(total)
 	})
 	if err != nil {
 		return 0, err
@@ -516,6 +466,7 @@ func (cl *Cluster) TryEvalLoss(src data.Batcher, step int64) (float64, error) {
 		contrib := tensor.FromSlice([]float32{float32(local)}, 1)
 		total := r.Groups.World.AllReduce(id, contrib)
 		losses[id] = float64(total.Data[0]) / float64(cl.Cfg.Topo.TP) / float64(cl.Cfg.GBS)
+		tensor.Put(total)
 	})
 	if err != nil {
 		return 0, err

@@ -4,15 +4,13 @@
 // global coordinates — which is what makes irregular document masks work
 // where ring-style tiling is error-prone.
 //
-// The package is one algorithm in three parts. A Layout says which global
-// rows each local rank owns: Sharding is the paper's load-balancing scheme
-// (the sequence is split into 2×cp chunks and rank i owns chunks i and
-// 2×cp−i−1, equalising causal attention work across ranks), RaggedSharding
-// an arbitrary planned partition. A Plan says, per document, whether its
-// K/V rows move in the grouped all-gather of §4 (fully exposed
-// communication, by design) or circulate the ring of §7.2 behind the
-// attention compute; PlanFor derives it from a Strategy. KV is the one
-// exchanger: it runs a Plan over a Layout and implements model.KVComm.
+// The package is one algorithm in two parts. A Layout says which global rows
+// each local rank owns: Sharding is the paper's load-balancing scheme (the
+// sequence is split into 2×cp chunks and rank i owns chunks i and 2×cp−i−1,
+// equalising causal attention work across ranks), RaggedSharding an
+// arbitrary planned partition. KV is the exchanger: it all-gathers K and V
+// over a Layout (fully exposed communication, by design) and implements
+// model.KVComm; Env is its one constructor.
 package cp
 
 import (

@@ -114,7 +114,7 @@ func TestGatherKVGlobalOrder(t *testing.T) {
 	fullV := tensor.RandN(rng, 1, seq, 3)
 	results := make([]*tensor.Tensor, cpSize)
 	if err := w.RunSPMD(func(rank int) {
-		kv := NewKV(s, Plan{}, g, rank, 0)
+		kv := Env(s, attention.Causal{}, g, rank).KV
 		gk, gv := kv.GatherKV(LocalRows(s, fullK, rank), LocalRows(s, fullV, rank))
 		if !tensor.BitwiseEqual(gv, fullV) {
 			panic("gathered V out of order")
@@ -235,61 +235,19 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 	}
 }
 
-// ringPlan routes the whole sequence, as one document, through the ring.
-func ringPlan(seq int) Plan { return Plan{Seq: seq, DocStarts: []int{0}, Ring: []bool{true}} }
-
-// attendVia runs one rank's single-head CP attention through the exchanger:
-// K/V exchanged by kv's plan, one dense masked kernel over the assembled
+// attendVia runs one rank's single-head CP attention through env's
+// exchanger: K/V all-gathered, one masked kernel over the assembled
 // sequence, and the full-sequence dK/dV reduced back to the rank's rows.
 // dO may be nil (forward only).
-func attendVia(kv *KV, q, k, v, dO *tensor.Tensor, mask attention.Mask) (o, dq, dk, dv *tensor.Tensor) {
-	qPos := kv.pos[kv.group.LocalRank(kv.rank)]
-	fullK, fullV := kv.GatherKV(k, v)
-	out := attention.Forward(q, fullK, fullV, mask, qPos, 0)
+func attendVia(env *model.Env, q, k, v, dO *tensor.Tensor) (o, dq, dk, dv *tensor.Tensor) {
+	fullK, fullV := env.KV.GatherKV(k, v)
+	out := attention.Forward(q, fullK, fullV, env.Mask, env.QPos, 0)
 	if dO == nil {
 		return out.O, nil, nil, nil
 	}
-	dq, dKFull, dVFull := attention.Backward(q, fullK, fullV, out.P, dO, mask, qPos, 0)
-	dk, dv = kv.ReduceKVGrad(dKFull, dVFull)
+	dq, dKFull, dVFull := attention.Backward(q, fullK, fullV, out.P, dO, env.Mask, env.QPos, 0)
+	dk, dv = env.KV.ReduceKVGrad(dKFull, dVFull)
 	return out.O, dq, dk, dv
-}
-
-func TestRingMatchesAllGatherAndSequential(t *testing.T) {
-	// The all-ring plan (the §7.2 comparator) must agree with the all-gather
-	// plan bit for bit, and both with the sequential oracle, on a single head.
-	seq, d := 24, 8
-	rng := rand.New(rand.NewSource(6))
-	q := tensor.RandN(rng, 0.5, seq, d)
-	k := tensor.RandN(rng, 0.5, seq, d)
-	v := tensor.RandN(rng, 0.5, seq, d)
-	masks := map[string]attention.Mask{
-		"causal": attention.Causal{},
-		"doc":    attention.Document{DocID: attention.DocIDsFromLengths([]int{7, 9, 8}, seq)},
-	}
-	for name, mask := range masks {
-		want := attention.Forward(q, k, v, mask, attention.Iota(seq), 0).O
-		for _, cpSize := range []int{2, 3} {
-			s := NewSharding(seq, cpSize)
-			w, g := newCPWorld(cpSize)
-			ringOuts := make([]*tensor.Tensor, cpSize)
-			agOuts := make([]*tensor.Tensor, cpSize)
-			if err := w.RunSPMD(func(rank int) {
-				ql, kl, vl := LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank)
-				ringOuts[rank], _, _, _ = attendVia(NewKV(s, ringPlan(seq), g, rank, 0), ql, kl, vl, nil, mask)
-				agOuts[rank], _, _, _ = attendVia(NewKV(s, Plan{}, g, rank, 0), ql, kl, vl, nil, mask)
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < cpSize; r++ {
-				if !tensor.BitwiseEqual(ringOuts[r], agOuts[r]) {
-					t.Fatalf("%s cp=%d rank %d: ring plan differs from all-gather plan", name, cpSize, r)
-				}
-				if dd := tensor.MaxDiff(agOuts[r], LocalRows(s, want, r)); dd > 1e-4 {
-					t.Fatalf("%s cp=%d rank %d diff vs sequential %v", name, cpSize, r, dd)
-				}
-			}
-		}
-	}
 }
 
 func TestLocalSampleKeepsFullDocIDs(t *testing.T) {
@@ -387,7 +345,7 @@ func TestShardingValidation(t *testing.T) {
 	NewSharding(10, 4)
 }
 
-func benchmarkCPAttention(b *testing.B, plan Plan) {
+func BenchmarkAllGatherCPAttention(b *testing.B) {
 	seq, d, cpSize := 128, 32, 4
 	s := NewSharding(seq, cpSize)
 	w, g := newCPWorld(cpSize)
@@ -398,21 +356,58 @@ func benchmarkCPAttention(b *testing.B, plan Plan) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.RunSPMD(func(rank int) {
-			attendVia(NewKV(s, plan, g, rank, 0), LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), nil, attention.Causal{})
+			attendVia(Env(s, attention.Causal{}, g, rank), LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), nil)
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkAllGatherCPAttention(b *testing.B) { benchmarkCPAttention(b, Plan{}) }
-
-func BenchmarkRingCPAttention(b *testing.B) { benchmarkCPAttention(b, ringPlan(128)) }
+func TestRingMatchesAllGatherAndSequential(t *testing.T) {
+	// The name is kept from when a ring exchange ran beside the all-gather;
+	// the ring is now only priced (cost.CPRingTime). One head's forward
+	// through the all-gather exchanger must equal, bit for bit, the kernel
+	// run on the rank's queries against the full K/V, and agree with the
+	// sequential oracle, for causal and document masks.
+	seq, d := 24, 8
+	rng := rand.New(rand.NewSource(6))
+	q := tensor.RandN(rng, 0.5, seq, d)
+	k := tensor.RandN(rng, 0.5, seq, d)
+	v := tensor.RandN(rng, 0.5, seq, d)
+	masks := map[string]attention.Mask{
+		"causal": attention.Causal{},
+		"doc":    attention.Document{DocID: attention.DocIDsFromLengths([]int{7, 9, 8}, seq)},
+	}
+	for name, mask := range masks {
+		want := attention.Forward(q, k, v, mask, attention.Iota(seq), 0).O
+		for _, cpSize := range []int{2, 3} {
+			s := NewSharding(seq, cpSize)
+			w, g := newCPWorld(cpSize)
+			outs := make([]*tensor.Tensor, cpSize)
+			if err := w.RunSPMD(func(rank int) {
+				outs[rank], _, _, _ = attendVia(Env(s, mask, g, rank),
+					LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), nil)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < cpSize; r++ {
+				direct := attention.Forward(LocalRows(s, q, r), k, v, mask, s.LocalPositions(r), 0).O
+				if !tensor.BitwiseEqual(outs[r], direct) {
+					t.Fatalf("%s cp=%d rank %d: all-gather differs from the kernel on the full K/V", name, cpSize, r)
+				}
+				if dd := tensor.MaxDiff(outs[r], LocalRows(s, want, r)); dd > 1e-4 {
+					t.Fatalf("%s cp=%d rank %d diff vs sequential %v", name, cpSize, r, dd)
+				}
+			}
+		}
+	}
+}
 
 func TestRingBackwardMatchesOracle(t *testing.T) {
-	// The all-ring plan's backward (local dQ, all-reduced dK/dV selected at
-	// the rank's rows) must produce the same gradients as the naive oracle on
-	// the full sequence, for causal and document masks.
+	// The name is kept from when a ring exchange ran beside the all-gather.
+	// One head through the exchanger — forward output, local dQ and the
+	// all-reduced dK/dV selected at the rank's rows — must match the kernel
+	// on the full sequence, for causal and document masks.
 	seq, d := 24, 8
 	rng := rand.New(rand.NewSource(16))
 	q := tensor.RandN(rng, 0.5, seq, d)
@@ -431,16 +426,20 @@ func TestRingBackwardMatchesOracle(t *testing.T) {
 		for _, cpSize := range []int{2, 3} {
 			s := NewSharding(seq, cpSize)
 			w, g := newCPWorld(cpSize)
+			fwd := make([]*tensor.Tensor, cpSize)
 			dqs := make([]*tensor.Tensor, cpSize)
 			dks := make([]*tensor.Tensor, cpSize)
 			dvs := make([]*tensor.Tensor, cpSize)
 			if err := w.RunSPMD(func(rank int) {
-				_, dqs[rank], dks[rank], dvs[rank] = attendVia(NewKV(s, ringPlan(seq), g, rank, 0),
-					LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), LocalRows(s, dO, rank), mask)
+				fwd[rank], dqs[rank], dks[rank], dvs[rank] = attendVia(Env(s, mask, g, rank),
+					LocalRows(s, q, rank), LocalRows(s, k, rank), LocalRows(s, v, rank), LocalRows(s, dO, rank))
 			}); err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < cpSize; r++ {
+				if dd := tensor.MaxDiff(fwd[r], LocalRows(s, out.O, r)); dd > 1e-4 {
+					t.Fatalf("%s cp=%d rank %d forward diff %v", name, cpSize, r, dd)
+				}
 				if dd := tensor.MaxDiff(dqs[r], LocalRows(s, wantDQ, r)); dd > 1e-4 {
 					t.Fatalf("%s cp=%d rank %d dQ diff %v", name, cpSize, r, dd)
 				}

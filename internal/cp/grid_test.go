@@ -13,13 +13,14 @@ import (
 	"llama4d/internal/tensor"
 )
 
-// The adaptive-CP bitwise property grid. For every strategy (all-gather
-// baseline, pure ring, mixed per-document plan) × shard layout (even zigzag,
-// contiguous ragged, planned ragged) × mask (causal, document) × CP size:
+// The CP bitwise property grid: one transformer block run under the
+// all-gather exchanger for every shard layout (even zigzag, its ZigzagRagged
+// form, contiguous ragged with unequal shards, strided ragged) × mask
+// (causal, document) × CP size × recompute mode (none, selective, full):
 //
 //   - forward output rows are Float32bits-equal to the dense full-sequence
-//     oracle at the rank's positions (row independence: the streamed blocked
-//     kernel computes every score element with the dense rounding sequence);
+//     oracle at the rank's positions (row independence: every score element
+//     and every projection row has the dense rounding sequence);
 //   - the per-rank dK/dV contributions entering ReduceKVGrad are
 //     Float32bits-equal to the dense oracle run with dY zeroed outside the
 //     rank's rows (the backward kernels skip exact-zero coefficients, so the
@@ -28,23 +29,18 @@ import (
 //   - the reduced local dK/dV equal the pinned left-fold (ascending local
 //     rank) of those dense per-rank contributions — combineSum's documented
 //     order — selected at the rank's rows;
-//   - dx (which folds dQ, dK, dV through the projections) is
-//     Float32bits-equal across every strategy for a fixed layout, so the
-//     exchange schedule is bitwise invisible end to end;
-//   - under the pure all-gather plan the zigzag Sharding and its
-//     ZigzagRagged form assemble identical K/V bits and issue identical
-//     per-(group, op) bytes and message counts: the exchanger has no
-//     per-layout-type path left to diverge on.
+//   - dx is Float32bits-equal across recompute modes for a fixed layout, so
+//     the replayed exchange is bitwise invisible end to end;
+//   - the zigzag Sharding and its ZigzagRagged form assemble identical K/V
+//     bits and issue identical per-(group, op) bytes and message counts: the
+//     exchanger has no per-layout-type path left to diverge on.
 
-const (
-	gridHeads   = 4
-	gridKVHeads = 2
-	gridHeadDim = 8
-	gridDim     = gridHeads * gridHeadDim
-)
+var gridCfg = model.Config{Dim: 32, Hidden: 48, NHeads: 4, NKVHeads: 2, RopeBase: 10000}
 
-func newGridAttn() *model.Attention {
-	return model.NewAttention("attn", gridDim, gridHeads, gridKVHeads, gridHeadDim, 10000, rand.New(rand.NewSource(11)))
+func newGridBlock(rec model.RecomputeMode) *model.Block {
+	b := model.NewBlock("blk", gridCfg, rand.New(rand.NewSource(11)))
+	b.Recompute = rec
+	return b
 }
 
 // identityKV captures the dense oracle's pre-reduction dK/dV at the KV seam
@@ -62,26 +58,18 @@ func (c *identityKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tenso
 	return dK.Clone(), dV.Clone()
 }
 
-// captureKV wraps the CP exchanger and records what crosses the seam. It
-// forwards the streaming interface, so the attention layer makes the same
-// fused-vs-streamed choice it would make on the bare exchanger.
+// captureKV wraps the CP exchanger and records what crosses the seam: the
+// last assembled K/V (a replay under recomputation assembles them again) and
+// the one gradient reduction.
 type captureKV struct {
-	inner            *KV
+	inner            model.KVComm
 	fullK, fullV     *tensor.Tensor // assembled full-sequence K/V
 	dK, dV           *tensor.Tensor // pre-reduce contributions
 	localDK, localDV *tensor.Tensor // post-reduce local rows
 }
 
 func (c *captureKV) GatherKV(k, v *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return c.StreamKV(k, v, nil)
-}
-
-func (c *captureKV) Streams() bool { return c.inner.Streams() }
-
-func (c *captureKV) SeqLen() int { return c.inner.SeqLen() }
-
-func (c *captureKV) StreamKV(k, v *tensor.Tensor, onBlock func(kBlk, vBlk *tensor.Tensor, runs []model.PosRun)) (*tensor.Tensor, *tensor.Tensor) {
-	fk, fv := c.inner.StreamKV(k, v, onBlock)
+	fk, fv := c.inner.GatherKV(k, v)
 	c.fullK, c.fullV = fk.Clone(), fv.Clone()
 	return fk, fv
 }
@@ -93,9 +81,9 @@ func (c *captureKV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor
 	return lk, lv
 }
 
-// denseOracle runs the dense full-sequence layer once per CP rank with dY
-// zeroed outside that rank's rows, returning per-rank y (shared), dx rows,
-// and per-rank dK/dV contributions.
+// denseOracle runs the dense full-sequence block once per CP rank with dY
+// zeroed outside that rank's rows, returning y (shared) and the per-rank
+// dK/dV contributions.
 type denseOracle struct {
 	y        *tensor.Tensor
 	dKs, dVs []*tensor.Tensor // per local rank contribution, full-sequence
@@ -104,16 +92,16 @@ type denseOracle struct {
 func buildDenseOracle(seq int, mask attention.Mask, x, dY *tensor.Tensor, pos [][]int) *denseOracle {
 	o := &denseOracle{}
 	for lr := range pos {
-		attn := newGridAttn()
+		blk := newGridBlock(model.RecomputeNone)
 		env := model.SeqEnv(seq, mask)
 		id := &identityKV{}
 		env.KV = id
-		y, ctx := attn.Forward(x, env)
-		masked := tensor.New(seq, gridDim)
+		y, ctx := blk.Forward(x.Clone(), env)
+		masked := tensor.New(seq, gridCfg.Dim)
 		for _, p := range pos[lr] {
 			copy(masked.Row(p), dY.Row(p))
 		}
-		attn.Backward(ctx, masked)
+		blk.Backward(ctx, masked)
 		o.dKs = append(o.dKs, id.dK)
 		o.dVs = append(o.dVs, id.dV)
 		if lr == 0 {
@@ -149,63 +137,38 @@ func docIDsOf(docs []int, seq int) []int {
 	return ids
 }
 
-func allRing(starts []int) []bool {
-	r := make([]bool, len(starts))
-	for i := range r {
-		r[i] = true
+// gridLayouts returns the grid's shard layouts of seq rows over cpSize ranks.
+func gridLayouts(seq, cpSize int) map[string]Layout {
+	m := map[string]Layout{
+		"zigzag":        NewSharding(seq, cpSize),
+		"zigzag-ragged": ZigzagRagged(NewSharding(seq, cpSize)),
 	}
-	return r
+	// Contiguous ragged with unequal shard sizes.
+	var parts [][]int
+	off := 0
+	for i := 0; i < cpSize; i++ {
+		n := seq/cpSize + (i+1)*2
+		if i == cpSize-1 {
+			n = seq - off
+		}
+		parts = append(parts, iotaFrom(off, n))
+		off += n
+	}
+	m["ragged"] = NewRaggedSharding(seq, parts)
+	// Strided ragged: rank r owns rows ≡ r (mod cp) — maximally fragmented.
+	var strided [][]int
+	for r := 0; r < cpSize; r++ {
+		var p []int
+		for i := r; i < seq; i += cpSize {
+			p = append(p, i)
+		}
+		strided = append(strided, p)
+	}
+	m["strided"] = NewRaggedSharding(seq, strided)
+	return m
 }
 
-func noRing(starts []int) []bool { return make([]bool, len(starts)) }
-
-func alternate(starts []int) []bool {
-	r := make([]bool, len(starts))
-	for i := range r {
-		r[i] = i%2 == 0
-	}
-	return r
-}
-
-func TestStrategyBitwisePropertyGrid(t *testing.T) {
-	layouts := func(seq, cpSize int) map[string]Layout {
-		m := map[string]Layout{
-			"zigzag":        NewSharding(seq, cpSize),
-			"zigzag-ragged": ZigzagRagged(NewSharding(seq, cpSize)),
-		}
-		// Contiguous ragged with unequal shard sizes.
-		sizes := make([]int, cpSize)
-		rest := seq
-		for i := 0; i < cpSize-1; i++ {
-			sizes[i] = seq/cpSize + (i+1)*2
-			rest -= sizes[i]
-		}
-		sizes[cpSize-1] = rest
-		var parts [][]int
-		off := 0
-		for _, n := range sizes {
-			p := make([]int, n)
-			for i := range p {
-				p[i] = off + i
-			}
-			parts = append(parts, p)
-			off += n
-		}
-		m["ragged"] = NewRaggedSharding(seq, parts)
-		// Strided ragged: rank r owns rows ≡ r (mod cp) — maximally
-		// fragmented runs, the worst case for the run decomposition.
-		var strided [][]int
-		for r := 0; r < cpSize; r++ {
-			var p []int
-			for i := r; i < seq; i += cpSize {
-				p = append(p, i)
-			}
-			strided = append(strided, p)
-		}
-		m["strided"] = NewRaggedSharding(seq, strided)
-		return m
-	}
-
+func TestAllGatherBitwisePropertyGrid(t *testing.T) {
 	cases := []struct {
 		seq, cpSize int
 		docs        []int
@@ -215,78 +178,67 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 		{256, 2, []int{100, 60, 96}}, // crosses 64×64 tile boundaries
 		{256, 4, nil},
 	}
-	plans := []struct {
-		name   string
-		mkPlan func([]int) []bool
+	recomputes := []struct {
+		name string
+		mode model.RecomputeMode
 	}{
-		{"allgather", noRing}, // must run first: it is the cross-strategy baseline
-		{"ring", allRing},
-		{"mixed", alternate},
+		{"none", model.RecomputeNone}, // must run first: it is the cross-mode baseline
+		{"selective", model.RecomputeSelective},
+		{"full", model.RecomputeFull},
 	}
 
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(tc.seq*31 + tc.cpSize)))
-		x := tensor.RandN(rng, 1, tc.seq, gridDim)
-		dY := tensor.RandN(rng, 1, tc.seq, gridDim)
+		x := tensor.RandN(rng, 1, tc.seq, gridCfg.Dim)
+		dY := tensor.RandN(rng, 1, tc.seq, gridCfg.Dim)
 		docIDs := docIDsOf(tc.docs, tc.seq)
 		var mask attention.Mask = attention.Causal{}
 		if docIDs != nil {
 			mask = attention.Document{DocID: docIDs}
 		}
-		starts := []int{0}
-		if docIDs != nil {
-			starts = DocBounds(docIDs, tc.seq)
-		}
-		// What the pure all-gather plan assembled and issued, per layout.
+		// What the exchanger assembled and issued without recomputation,
+		// per layout.
 		type agRun struct {
 			fullK, fullV []*tensor.Tensor
 			perOp        map[comm.OpKey][2]int64
 		}
 		agRuns := map[string]agRun{}
-		for layoutName, layout := range layouts(tc.seq, tc.cpSize) {
+		for layoutName, layout := range gridLayouts(tc.seq, tc.cpSize) {
 			pos := make([][]int, tc.cpSize)
 			for lr := range pos {
 				pos[lr] = layout.LocalPositions(lr)
 			}
 			oracle := buildDenseOracle(tc.seq, mask, x, dY, pos)
 
-			// Per-layout baseline dx for the cross-strategy assertion.
 			var baseDX []*tensor.Tensor
-			for _, pl := range plans {
-				planName, mkPlan := pl.name, pl.mkPlan
-				name := fmt.Sprintf("seq%d_cp%d_%s_%s", tc.seq, tc.cpSize, layoutName, planName)
+			for _, rc := range recomputes {
+				name := fmt.Sprintf("seq%d_cp%d_%s_%s", tc.seq, tc.cpSize, layoutName, rc.name)
 				world, group := newCPWorld(tc.cpSize)
 				meter := &opMeter{perOp: map[comm.OpKey][2]int64{}}
 				world.Meter = meter
 				dxs := make([]*tensor.Tensor, tc.cpSize)
 				caps := make([]*captureKV, tc.cpSize)
 				err := world.RunSPMD(func(rank int) {
-					attn := newGridAttn()
-					plan := Plan{Seq: tc.seq, DocStarts: starts, Ring: mkPlan(starts)}
-					cap := &captureKV{inner: NewKV(layout, plan, group, rank, 0)}
-					env := cap.inner.Env(mask)
+					blk := newGridBlock(rc.mode)
+					env := Env(layout, mask, group, rank)
+					cap := &captureKV{inner: env.KV}
 					env.KV = cap
 					caps[rank] = cap
-					xl := packRows(x, pos[rank])
-					dyl := packRows(dY, pos[rank])
-					y, ctx := attn.Forward(xl, env)
+					y, ctx := blk.Forward(packRows(x, pos[rank]), env)
 					for i, p := range pos[rank] {
-						for j := 0; j < gridDim; j++ {
+						for j := 0; j < gridCfg.Dim; j++ {
 							if y.At(i, j) != oracle.y.At(p, j) {
 								panic(fmt.Sprintf("rank %d: y[%d][%d] differs from dense oracle", rank, i, j))
 							}
 						}
 					}
-					dxs[rank] = attn.Backward(ctx, dyl)
+					dxs[rank] = blk.Backward(ctx, packRows(dY, pos[rank]))
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for rank := 0; rank < tc.cpSize; rank++ {
 					cap := caps[rank]
-					if cap.Streams() != (planName != "allgather") {
-						t.Fatalf("%s rank %d: Streams() = %v; only a plan with a ring document streams", name, rank, cap.Streams())
-					}
 					if !tensor.BitwiseEqual(cap.dK, oracle.dKs[rank]) || !tensor.BitwiseEqual(cap.dV, oracle.dVs[rank]) {
 						t.Fatalf("%s rank %d: pre-reduce dK/dV differ from masked-dY dense oracle", name, rank)
 					}
@@ -296,18 +248,18 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 						t.Fatalf("%s rank %d: reduced dK/dV differ from pinned-fold dense oracle", name, rank)
 					}
 				}
-				if planName == "allgather" {
+				if rc.mode == model.RecomputeNone {
 					baseDX = dxs
 					run := agRun{perOp: meter.perOp}
 					for _, cap := range caps {
 						run.fullK, run.fullV = append(run.fullK, cap.fullK), append(run.fullV, cap.fullV)
 					}
 					agRuns[layoutName] = run
-				} else {
-					for rank := 0; rank < tc.cpSize; rank++ {
-						if !tensor.BitwiseEqual(dxs[rank], baseDX[rank]) {
-							t.Fatalf("%s rank %d: dx differs from all-gather baseline", name, rank)
-						}
+					continue
+				}
+				for rank := 0; rank < tc.cpSize; rank++ {
+					if !tensor.BitwiseEqual(dxs[rank], baseDX[rank]) {
+						t.Fatalf("%s rank %d: dx differs from the run without recomputation", name, rank)
 					}
 				}
 			}

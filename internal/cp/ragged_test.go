@@ -59,7 +59,7 @@ func TestRaggedGatherReassembles(t *testing.T) {
 	}
 	w, group := newCPWorld(cpSize)
 	if err := w.RunSPMD(func(rank int) {
-		kv := NewKV(rs, Plan{}, group, rank, 0)
+		kv := Env(rs, attention.Causal{}, group, rank).KV
 		local := LocalRows(rs, full, rank)
 		gk, gv := kv.GatherKV(local, local)
 		for _, g := range []*tensor.Tensor{gk, gv} {

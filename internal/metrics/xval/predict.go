@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"llama4d/internal/core"
-	"llama4d/internal/cp"
 	"llama4d/internal/fsdp"
 	"llama4d/internal/metrics"
 	"llama4d/internal/model"
@@ -194,47 +193,9 @@ func predictRank(cfg core.Config, counts []int, rv rankView, steadyState bool) *
 	}
 	ppPeer := func(g int) int { return rv.ppRanks[g%len(rv.ppRanks)] }
 
-	// CP exchange plan. A plan with a ring document replaces the forward K/V
-	// all-gather with cp.KV's block circulation, metered under "cp.ring".
-	// Without a document mask every sample is one causal document, so the
-	// per-sample plan is config-derivable and this branch is exact;
-	// per-document plans under UseDocMask are data-dependent —
-	// the conformance test's PredictCPPerRank covers those from the sample
-	// stream.
-	cpRing := cpN > 1 && cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), rv.cp.ranks, cfg.Seq,
-		nil, false, int(nHl), int(nKVl), int(hd)).HasRing()
-	ringNext, ringPrev := rv.id, rv.id
-	if cpRing {
-		lr := 0
-		for i, r := range rv.cp.ranks {
-			if r == rv.id {
-				lr = i
-			}
-		}
-		ringNext = rv.cp.ranks[(lr+1)%len(rv.cp.ranks)]
-		ringPrev = rv.cp.ranks[(lr-1+len(rv.cp.ranks))%len(rv.cp.ranks)]
-	}
-	// cpGather predicts `ex` forward (or replayed) K/V exchanges. A ring
-	// exchange circulates 2(cp−1) messages each way (a K and a V block per
-	// hop) of one zigzag-even block; every transfer is handle-based — issued
-	// nonblocking, waited by the exchange — so the identical volume lands in
-	// the overlapped breakdown, and the tier split books sends on the
-	// next-neighbour link, receives on the previous. Otherwise K and V are
+	// cpGather predicts `ex` forward (or replayed) K/V exchanges: K and V
 	// all-gathered.
-	cpGather := func(ex int64) {
-		if !cpRing {
-			addC(&rv.cp, "allgather", R*nKVl*hd, 2*ex)
-			return
-		}
-		msgs := 2 * (cpN - 1) * ex
-		blk := 4 * R * nKVl * hd
-		for _, dst := range []map[string]metrics.OpVolume{rp.Comm, rp.Overlapped} {
-			addTo(dst, cp.RingLabel, "send", blk, msgs)
-			addTo(dst, cp.RingLabel, "recv", blk, msgs)
-		}
-		tier(cross(rv.id, ringNext), blk*msgs)
-		tier(cross(rv.id, ringPrev), blk*msgs)
-	}
+	cpGather := func(ex int64) { addC(&rv.cp, "allgather", R*nKVl*hd, 2*ex) }
 
 	for vs := 0; vs < cfg.V; vs++ {
 		g := vs*topo.PP + rv.pp

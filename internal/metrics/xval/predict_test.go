@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"llama4d/internal/core"
-	"llama4d/internal/cp"
 	"llama4d/internal/fsdp"
 	"llama4d/internal/metrics"
 	"llama4d/internal/model"
@@ -212,42 +211,6 @@ func predictRankPerOp(cfg core.Config, sched *pp.Schedule, counts []int, rv rank
 	}
 	ppPeer := func(g int) int { return rv.ppRanks[g%len(rv.ppRanks)] }
 
-	// CP exchange plan. A plan with a ring document replaces the forward K/V
-	// all-gather with cp.KV's block circulation, metered under "cp.ring".
-	// Without a document mask every sample is one causal document, so the
-	// per-sample plan is config-derivable and this branch is exact;
-	// per-document plans under UseDocMask are data-dependent —
-	// PredictCPPerRank covers those from the sample stream.
-	cpRing := cpN > 1 && cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), rv.cp.ranks, cfg.Seq,
-		nil, false, int(nHl), int(nKVl), int(hd)).HasRing()
-	ringNext, ringPrev := rv.id, rv.id
-	if cpRing {
-		lr := 0
-		for i, r := range rv.cp.ranks {
-			if r == rv.id {
-				lr = i
-			}
-		}
-		ringNext = rv.cp.ranks[(lr+1)%len(rv.cp.ranks)]
-		ringPrev = rv.cp.ranks[(lr-1+len(rv.cp.ranks))%len(rv.cp.ranks)]
-	}
-	// addRing predicts `ex` ring K/V exchanges: each circulates 2(cp−1)
-	// messages each way (a K and a V block per hop) of one zigzag-even block.
-	// Every transfer is handle-based — issued nonblocking, waited by the
-	// exchange — so the identical volume lands in the overlapped breakdown,
-	// and the tier split books sends on the next-neighbour link, receives on
-	// the previous.
-	addRing := func(ex int64) {
-		msgs := 2 * (cpN - 1) * ex
-		blk := 4 * R * nKVl * hd
-		addTo(rp.Comm, cp.RingLabel, "send", blk, msgs)
-		addTo(rp.Overlapped, cp.RingLabel, "send", blk, msgs)
-		addTo(rp.Comm, cp.RingLabel, "recv", blk, msgs)
-		addTo(rp.Overlapped, cp.RingLabel, "recv", blk, msgs)
-		tier([]int{rv.id, ringNext}, blk*msgs)
-		tier([]int{rv.id, ringPrev}, blk*msgs)
-	}
-
 	lr := rv.pp
 	for _, op := range sched.Ranks[lr] {
 		g := sched.GlobalStage(lr, op.Stage)
@@ -268,11 +231,7 @@ func predictRankPerOp(cfg core.Config, sched *pp.Schedule, counts []int, rv rank
 				}
 			}
 			if cpN > 1 {
-				if cpRing {
-					addRing(L * mbs) // circulate K and V, one exchange per layer
-				} else {
-					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs) // gather K and V
-				}
+				addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs) // gather K and V
 			}
 			if g > 0 {
 				addP2P("recv", ppPeer(g-1))
@@ -303,22 +262,14 @@ func predictRankPerOp(cfg core.Config, sched *pp.Schedule, counts []int, rv rank
 					addC(&rv.tp, "allreduce", R*dim, 2*L*mbs)
 				}
 				if cpN > 1 {
-					if cpRing {
-						addRing(L * mbs)
-					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
-					}
+					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
 				}
 			case model.RecomputeSelective:
 				if tp > 1 {
 					addC(&rv.tp, "allreduce", R*dim, L*mbs)
 				}
 				if cpN > 1 {
-					if cpRing {
-						addRing(L * mbs)
-					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
-					}
+					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
 				}
 			}
 			if g < lastG {
@@ -375,7 +326,7 @@ func predictRankPerOp(cfg core.Config, sched *pp.Schedule, counts []int, rv rank
 // ragged final round (nmb % nc ≠ 0), with nc < pp (all-forward-all-backward
 // degenerate), with nc > pp, and the wave-ordered all-forward-all-backward —
 // for every rank, both step regimes, and configurations that reach every
-// branch (TP, CP all-gather and ring, ZeRO-2/3 with and without overlap,
+// branch (TP, CP, ZeRO-2/3 with and without overlap,
 // both recompute modes, tiered and flat hosts): Comm, Overlapped, the tier
 // split and FLOPs must be identical.
 func TestPredictRankMatchesPerOpWalk(t *testing.T) {
@@ -396,19 +347,18 @@ func TestPredictRankMatchesPerOpWalk(t *testing.T) {
 		rec  model.RecomputeMode
 		host int
 		ov   core.OverlapConfig
-		cps  cp.Strategy
 	}{
-		{"tp2_cp2_host4_zero2", 2, 2, 1, fsdp.ZeRO2, model.RecomputeSelective, 4, core.OverlapConfig{}, cp.StrategyAllGather},
-		{"tp2_dp2_host2_zero3_overlap", 2, 1, 2, fsdp.ZeRO3, model.RecomputeFull, 2, ovAll, cp.StrategyAllGather},
-		{"cp2_ring_dp2_zero2_overlap", 1, 2, 2, fsdp.ZeRO2, model.RecomputeFull, 3, ovAll, cp.StrategyRing},
-		{"tp2_flat_zero1", 2, 1, 1, fsdp.ZeRO1, model.RecomputeNone, 0, core.OverlapConfig{P2P: 1}, cp.StrategyAllGather},
+		{"tp2_cp2_host4_zero2", 2, 2, 1, fsdp.ZeRO2, model.RecomputeSelective, 4, core.OverlapConfig{}},
+		{"tp2_dp2_host2_zero3_overlap", 2, 1, 2, fsdp.ZeRO3, model.RecomputeFull, 2, ovAll},
+		{"cp2_dp2_zero2_overlap", 1, 2, 2, fsdp.ZeRO2, model.RecomputeFull, 3, ovAll},
+		{"tp2_flat_zero1", 2, 1, 1, fsdp.ZeRO1, model.RecomputeNone, 0, core.OverlapConfig{P2P: 1}},
 	}
 	for _, sh := range shapes {
 		for _, va := range variants {
 			cfg := core.Config{
 				Model: sweepModel(), Topo: core.Topology{TP: va.tp, CP: va.cp, PP: sh.pp, DP: va.dp},
 				V: sh.v, NMB: sh.nmb, NC: sh.nc, ZeRO: va.zero, Recompute: va.rec, Balanced: true,
-				HostSize: va.host, Overlap: va.ov, CPStrategy: va.cps,
+				HostSize: va.host, Overlap: va.ov,
 				Seq: 16, GBS: 2 * sh.nmb * va.dp, LR: 0.01, Seed: 1,
 			}
 			if err := cfg.Validate(); err != nil {

@@ -47,13 +47,6 @@ type attnCtx struct {
 	probs                  []*tensor.Tensor // per local head
 }
 
-// headCols copies the column block of head h (width hd) out of t.
-func headCols(t *tensor.Tensor, h, hd int) *tensor.Tensor {
-	out := tensor.GetUninit(t.Rows(), hd)
-	headColsInto(out, t, h, hd)
-	return out
-}
-
 // headColsInto copies the column block of head h (width hd) of t into dst.
 func headColsInto(dst, t *tensor.Tensor, h, hd int) {
 	w, src := t.Cols(), t.Data[h*hd:]
@@ -225,13 +218,6 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 	ctx.qRot = q
 
 	if env.KV != nil {
-		if ks, ok := env.KV.(KVStreamer); ok && ks.Streams() {
-			// The exchange rings at least one document: stream score
-			// columns as K/V blocks arrive, hiding each block's transfer
-			// behind the previous block's compute. Bitwise identical to
-			// gather-then-attend (attention.StreamScores/StreamFinish).
-			return a.forwardStreamed(x, q, k, v, ks, env, ctx)
-		}
 		// Context parallelism: all-gather the full-sequence K/V (§4).
 		ctx.kFull, ctx.vFull = env.KV.GatherKV(k, v)
 		tensor.Put(k, v) // local chunks are dead once gathered
@@ -241,57 +227,6 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 
 	ctx.probs = make([]*tensor.Tensor, a.NHeads)
 	ctx.concat = MultiHead(q, ctx.kFull, ctx.vFull, a.NHeads, env.Mask, env.QPos, env.Rec, ctx.probs)
-	y, oCtx := a.Wo.Forward(ctx.concat, env)
-	ctx.oCtx = oCtx
-	return y, ctx
-}
-
-// forwardStreamed is the KVStreamer fast path of Forward: one tile grid is
-// built for the full sequence, each head's score plane fills incrementally
-// from the exchange callback (only non-empty tiles are swept), and the
-// blocked softmax + P·V finish once assembly completes, heads split as in
-// MultiHead. Per-head planes, outputs, FLOP counts and the tile census are
-// identical to the gather-then-attend path's, so Backward is oblivious to
-// how K/V arrived.
-func (a *Attention) forwardStreamed(x, q, k, v *tensor.Tensor, ks KVStreamer, env *Env, ctx *attnCtx) (*tensor.Tensor, any) {
-	seq := ks.SeqLen()
-	sq, nH, hd := x.Rows(), a.NHeads, a.HeadDim
-	g := attention.BuildGrid(env.Mask, env.QPos, 0, seq)
-	group := nH / a.NKVHeads
-	ctx.probs = make([]*tensor.Tensor, nH)
-	qhs := make([]*tensor.Tensor, nH)
-	for h := range qhs {
-		qhs[h] = headCols(q, h, hd)
-		ctx.probs[h] = tensor.GetUninit(sq, seq)
-	}
-	ctx.kFull, ctx.vFull = ks.StreamKV(k, v, func(kBlk, _ *tensor.Tensor, runs []PosRun) {
-		for h := 0; h < nH; h++ {
-			kvOff := (h / group) * hd
-			for _, run := range runs {
-				attention.StreamScores(ctx.probs[h], qhs[h], kBlk, kvOff, run.Off, run.Start, run.Rows, g)
-			}
-		}
-	})
-	tensor.Put(k, v) // local chunks are dead once circulated
-
-	outs, recs := make([]*attention.Output, nH), make([]attention.Recorder, nH)
-	tensor.ParallelRows(nH, headWorkers(g, nH, 1, hd), func(lo, hi int) {
-		vh := tensor.GetUninit(seq, hd)
-		for h := lo; h < hi; h++ {
-			if h == lo || h%group == 0 {
-				headColsInto(vh, ctx.vFull, h/group, hd)
-			}
-			outs[h] = attention.StreamFinish(ctx.probs[h], vh, env.Mask, env.QPos, g, &recs[h])
-		}
-		tensor.Put(vh)
-	})
-	ctx.concat = tensor.Get(sq, nH*hd)
-	for h, out := range outs {
-		env.Rec.Add(&recs[h])
-		addHeadCols(ctx.concat, out.O, h, hd) // out.P aliases ctx.probs[h]
-		tensor.Put(out.O, qhs[h])
-	}
-
 	y, oCtx := a.Wo.Forward(ctx.concat, env)
 	ctx.oCtx = oCtx
 	return y, ctx

@@ -58,38 +58,6 @@ type KVComm interface {
 	ReduceKVGrad(dK, dV *tensor.Tensor) (localDK, localDV *tensor.Tensor)
 }
 
-// PosRun is one contiguous run of global sequence positions inside a
-// streamed K/V block: block rows [Off, Off+Rows) hold the keys/values of
-// global positions [Start, Start+Rows).
-type PosRun struct {
-	Start int // first global position of the run
-	Rows  int // run length
-	Off   int // row offset of the run within the block tensor
-}
-
-// KVStreamer extends KVComm with incremental delivery: StreamKV circulates
-// the key/value exchange and invokes onBlock as each block of the full
-// sequence becomes locally available (ring CP hides each block's transfer
-// behind the previous block's attention compute this way). The attention
-// layer streams each block's score columns immediately and finishes the
-// softmax once the full plane is assembled; because every score element is
-// an independent dot product, the result is bitwise identical to gathering
-// first (see attention.StreamScores). Implementations must invoke onBlock
-// with runs that exactly cover the sequence across all calls.
-type KVStreamer interface {
-	KVComm
-	// Streams reports whether this exchange delivers blocks over time (it
-	// routes something through a ring). When it does not, the full K/V
-	// arrive at once and the fused gather-then-attend kernel is the cheaper
-	// path; the attention layer picks between the two from this alone.
-	Streams() bool
-	// SeqLen returns the full sequence length the exchange assembles.
-	SeqLen() int
-	// StreamKV performs the exchange, calling onBlock (which may be nil) as
-	// blocks arrive, and returns the assembled full-sequence K and V.
-	StreamKV(k, v *tensor.Tensor, onBlock func(kBlk, vBlk *tensor.Tensor, runs []PosRun)) (fullK, fullV *tensor.Tensor)
-}
-
 // Env carries the per-micro-batch attention environment: the mask, the
 // global positions of the rows this rank owns, and the optional CP hook.
 // Aux carries auxiliary cross-attention context (the multimodal image

@@ -1,17 +1,12 @@
 package planner
 
-import (
-	"testing"
-
-	"llama4d/internal/cp"
-)
+import "testing"
 
 // TestPlanCPRingAnnotation pins the planner's CP-exchange annotation to the
-// runtime chooser: for every CP>1 plan, Plan.CPRing must equal the route
-// cp.PlanFor picks for the same group, sequence, and cost model with no
-// document mask — both sides call the same cost.CPRingWins, and this test
-// keeps it that way. The two per-document prices must be positive and ordered
-// consistently with the decision.
+// Fig 13 model: for every CP>1 plan, Plan.CPRing must equal
+// cost.CPRingWins for the same group, sequence and cost model, one
+// full-sequence causal document. The two per-document prices must be
+// positive and ordered consistently with the decision.
 func TestPlanCPRingAnnotation(t *testing.T) {
 	req := Production405B(131072) // cp = 16 territory
 	req.HBMBudgetGiB = 1 << 20    // the annotation, not feasibility, is under test
@@ -38,11 +33,9 @@ func TestPlanCPRingAnnotation(t *testing.T) {
 		}
 		qh := req.Model.NHeads / tc.tp
 		kvh := req.Model.NKVHeads / tc.tp
-		chooser := cp.PlanFor(cp.StrategyAdaptive, req.Cost, g, req.Seq,
-			nil, false, qh, kvh, req.Model.HeadDim())
-		if p.CPRing != chooser.HasRing() {
-			t.Fatalf("cp=%d: planner annotation %v disagrees with runtime chooser %v",
-				tc.cpSize, p.CPRing, chooser.HasRing())
+		if wins := req.Cost.CPRingWins(g, req.Seq, qh, kvh, req.Model.HeadDim()); p.CPRing != wins {
+			t.Fatalf("cp=%d: planner annotation %v disagrees with cost.CPRingWins %v",
+				tc.cpSize, p.CPRing, wins)
 		}
 	}
 

@@ -109,12 +109,12 @@ type Plan struct {
 	// for the cross-host RoCE fabric.
 	CollInterBytesPerRank int64
 
-	// CPRing annotates the K/V exchange route the adaptive per-document
-	// chooser would take for this plan's full-sequence causal document:
-	// true when the overlap-hidden ring prices strictly below the grouped
-	// all-gather (cost.CPRingWins — the same Fig 13 model internal/cp's
-	// chooser runs, so planner and runtime can never disagree). Always
-	// false when CP == 1. CPRingSec and CPAllGatherSec are the two modeled
+	// CPRing annotates which K/V exchange the Fig 13 model prices cheaper
+	// for this plan's full-sequence causal document: true when
+	// TransformerEngine's overlap-hidden ring prices strictly below the
+	// paper's grouped all-gather (cost.CPRingWins). The functional layer
+	// runs the all-gather only; the annotation says where the ring would
+	// pay. Always false when CP == 1. CPRingSec and CPAllGatherSec are the two modeled
 	// per-document prices behind the decision.
 	CPRing                    bool
 	CPRingSec, CPAllGatherSec float64

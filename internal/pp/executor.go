@@ -137,8 +137,9 @@ func bwdTag(stages, g, mb int) int { return ppTagBase + 2*(mb*stages+g) + 1 }
 
 // mbState holds the in-flight state of one micro-batch on one stage.
 type mbState struct {
-	inputs   []*tensor.Tensor // per-sample stage inputs (for re-chunking dx)
-	layerCtx [][]any          // [sample][layer]
+	inputs   []*tensor.Tensor   // per-sample stage inputs (for re-chunking dx)
+	outs     [][]*tensor.Tensor // [sample][layer] outputs, released by Bwd
+	layerCtx [][]any            // [sample][layer]
 	headCtx  []any
 	embCtx   []any
 	mb       *Microbatch
@@ -229,9 +230,11 @@ func (e *Executor) RunStep(mbs []*Microbatch) (lossSum float64, nSamples int) {
 				packed := recvPacked(idx, e.Group.GlobalRank(prevRank), fwdTag(stages, g, op.MB))
 				p2pWait += time.Since(t0).Seconds()
 				xs = unpackRows(packed, len(mb.Samples))
+				tensor.Put(packed)
 			}
 			st.inputs = xs
 			outs := make([]*tensor.Tensor, len(xs))
+			st.outs = make([][]*tensor.Tensor, len(xs))
 			st.layerCtx = make([][]any, len(xs))
 			for i, x := range xs {
 				cur := x
@@ -242,6 +245,7 @@ func (e *Executor) RunStep(mbs []*Microbatch) (lossSum float64, nSamples int) {
 					var c any
 					cur, c = l.Forward(cur, mb.Envs[i])
 					st.layerCtx[i] = append(st.layerCtx[i], c)
+					st.outs[i] = append(st.outs[i], cur)
 				}
 				outs[i] = cur
 			}
@@ -264,7 +268,9 @@ func (e *Executor) RunStep(mbs []*Microbatch) (lossSum float64, nSamples int) {
 				}
 			} else {
 				nextRank, _ := e.Sched.StageOwner(g + 1)
-				send(e.Group.GlobalRank(nextRank), fwdTag(stages, g+1, op.MB), packRows(outs))
+				packed := packRows(outs)
+				send(e.Group.GlobalRank(nextRank), fwdTag(stages, g+1, op.MB), packed)
+				tensor.Put(packed) // the send cloned it
 			}
 			live[keyID] = st
 			if len(live) > e.PeakLiveContexts {
@@ -287,13 +293,23 @@ func (e *Executor) RunStep(mbs []*Microbatch) (lossSum float64, nSamples int) {
 				packed := recvPacked(idx, e.Group.GlobalRank(nextRank), bwdTag(stages, g, op.MB))
 				p2pWait += time.Since(t0).Seconds()
 				dys = unpackRows(packed, len(mb.Samples))
+				tensor.Put(packed)
 			}
+			// Each buffer of the residual stream goes back to the pool at its
+			// last use. A layer's incoming gradient is dead once that layer's
+			// backward ran, and so is its output: the next layer (or the
+			// head), which saved it as input, ran its backward first, and a
+			// block's own context aliases it (the saved input of its second
+			// norm). The stage input outlives the first layer's backward.
 			dxs := make([]*tensor.Tensor, len(dys))
 			for i, dy := range dys {
 				cur := dy
 				for li := len(stage.Layers) - 1; li >= 0; li-- {
-					cur = stage.Layers[li].Backward(st.layerCtx[i][li], cur)
+					dx := stage.Layers[li].Backward(st.layerCtx[i][li], cur)
+					tensor.Put(cur, st.outs[i][li])
+					cur = dx
 				}
+				tensor.Put(st.inputs[i])
 				dxs[i] = cur
 			}
 			if g == 0 {
@@ -302,8 +318,11 @@ func (e *Executor) RunStep(mbs []*Microbatch) (lossSum float64, nSamples int) {
 				}
 			} else {
 				prevRank, _ := e.Sched.StageOwner(g - 1)
-				send(e.Group.GlobalRank(prevRank), bwdTag(stages, g-1, op.MB), packRows(dxs))
+				packed := packRows(dxs)
+				send(e.Group.GlobalRank(prevRank), bwdTag(stages, g-1, op.MB), packed)
+				tensor.Put(packed)
 			}
+			tensor.Put(dxs...)
 			delete(live, keyID) // release activation memory (§6.3)
 			if e.OnBackward != nil {
 				e.OnBackward(op.Stage, op.MB)

@@ -110,3 +110,91 @@ func BenchmarkGEMMCost(b *testing.B) {
 		m.GEMM(8192, 16384, 2048)
 	}
 }
+
+// toyCPCost returns a cost model whose Fig 13 crossover falls inside toy
+// document lengths: compute is made so slow every ring transfer hides
+// (exposed time 0), the link so slow the all-gather's byte term dominates,
+// and the launch tax sized so ring wins documents longer than ~10 tokens.
+func toyCPCost() Model {
+	m := Default()
+	m.AttnMFU = 1e-12
+	m.KernelLaunchUs = 800
+	m.Cluster.Net.NVLinkGBs = 1e-4
+	m.Cluster.Net.RoCEGBs = 1e-4
+	m.Cluster.Net.NVLinkLatencyUs = 0
+	m.Cluster.Net.RoCELatencyUs = 0
+	return m
+}
+
+// TestCPExchangePriceOrdering pins the Fig 13 ordering of the CP exchange
+// prices on three document-length corpora (toy cost, so the crossover sits
+// near 10-token documents): priced per document, ring is cheaper than
+// all-gather on full-sequence documents, all-gather cheaper than ring on
+// 4-token ones, and on a corpus mixing both the per-document minimum — the
+// CPRingWins rule — is strictly below either exchange used throughout.
+func TestCPExchangePriceOrdering(t *testing.T) {
+	m := toyCPCost()
+	const qh, kvh, hd = 4, 2, 8
+	ranks := []int{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name string
+		docs []int
+	}{
+		{"short", []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}},
+		{"mixed", []int{4, 4, 4, 4, 48}},
+		{"long", []int{64}},
+	} {
+		var ag, ring, best float64
+		for _, n := range tc.docs {
+			a, r := m.CPAllGatherTime(ranks, n, kvh, hd), m.CPRingTime(ranks, n, qh, kvh, hd)
+			if m.CPRingWins(ranks, n, qh, kvh, hd) != (r < a) {
+				t.Fatalf("%s: CPRingWins(%d) disagrees with the prices %g, %g", tc.name, n, r, a)
+			}
+			ag, ring, best = ag+a, ring+r, best+min(a, r)
+		}
+		switch tc.name {
+		case "long":
+			if ring >= ag {
+				t.Errorf("long docs: ring %gs not below all-gather %gs", ring, ag)
+			}
+		case "short":
+			if ag >= ring {
+				t.Errorf("short docs: all-gather %gs not below ring %gs", ag, ring)
+			}
+		case "mixed":
+			if best >= min(ag, ring) {
+				t.Errorf("mixed docs: per-document minimum %gs not strictly below all-gather %gs and ring %gs", best, ag, ring)
+			}
+		}
+	}
+}
+
+// TestCPRingCrossoverAboveFunctionalLengths pins why the functional layer
+// exchanges K/V by all-gather only: under the calibrated model, at the head
+// shapes of the CP bench cells (4 query and 2 K/V heads of 16 and of 8
+// dims), the ring first prices below all-gather at 131,072 and 262,144
+// tokens inside a host and at 16,384 and 32,768 across hosts — far above
+// the 2,048 tokens the functional layer runs.
+func TestCPRingCrossoverAboveFunctionalLengths(t *testing.T) {
+	m := Default()
+	for _, tc := range []struct {
+		hd           int
+		ranks        []int
+		firstRingWin int
+	}{
+		{16, []int{0, 1}, 131072},
+		{16, []int{0, 8}, 16384},
+		{8, []int{0, 1}, 262144},
+		{8, []int{0, 8}, 32768},
+	} {
+		first := 0
+		for n := 1; n <= 1<<22 && first == 0; n *= 2 {
+			if m.CPRingWins(tc.ranks, n, 4, 2, tc.hd) {
+				first = n
+			}
+		}
+		if first != tc.firstRingWin {
+			t.Errorf("hd %d ranks %v: first ring win at %d tokens, want %d", tc.hd, tc.ranks, first, tc.firstRingWin)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package cost
 
-// CP strategy pricing (§7.2, Fig 13). The two context-parallel K/V exchange
-// strategies differ only in how the full-sequence K/V reaches each rank:
+// CP exchange pricing (§7.2, Fig 13). The paper's all-gather and
+// TransformerEngine's ring, its comparator, differ only in how the
+// full-sequence K/V reaches each rank:
 //
 //   - all-gather: one blocking collective before attention — fully exposed
 //     α-β time, but a single fused attention kernel afterwards;
@@ -14,10 +15,11 @@ package cost
 // Short documents therefore favour all-gather (the collective is cheap, the
 // launch tax is not) and long documents favour ring (compute grows
 // quadratically and swallows the linear transfer) — the Fig 13 crossover.
-// Both prices are per document and additive, so a per-document chooser and a
-// whole-sample planner can share them; internal/cp's chooser, the planner's
-// full-space search and the Figs 11-13 sweeps (sim/engine) all call these
-// two functions and nothing else.
+// Both prices are per document and additive. The planner's CP annotation
+// and the Figs 11-13 sweeps (sim/engine) call these two functions and
+// nothing else. Only the all-gather runs in the functional layer: at its
+// head shapes the ring first prices below it at 16,384 tokens (cost_test.go
+// pins the crossovers), far above the lengths it trains.
 
 // CPKVBytes returns the size of one document's K and V rows as the CP
 // exchange moves them: fp32, kvHeads·hd columns, dlen rows each.
@@ -26,7 +28,7 @@ func CPKVBytes(dlen, kvHeads, hd int) float64 {
 }
 
 // CPAllGatherTime returns the modeled exposed exchange time one causal
-// document of dlen tokens contributes under the all-gather strategy: the
+// document of dlen tokens contributes under the all-gather exchange: the
 // ring all-gather of its K and V rows (CPKVBytes) across the CP group.
 func (m Model) CPAllGatherTime(ranks []int, dlen, kvHeads, hd int) float64 {
 	if len(ranks) <= 1 || dlen == 0 {
@@ -36,7 +38,7 @@ func (m Model) CPAllGatherTime(ranks []int, dlen, kvHeads, hd int) float64 {
 }
 
 // CPRingTime returns the modeled cost one causal document of dlen tokens
-// contributes under the overlap-hidden ring strategy: per ring step, the
+// contributes under the overlap-hidden ring exchange: per ring step, the
 // part of the next block's K/V transfer the current block's attention
 // compute cannot hide, plus the per-head streamed-score launch overhead of
 // splitting one fused kernel into n blocks.
@@ -61,9 +63,8 @@ func (m Model) CPRingTime(ranks []int, dlen, qHeads, kvHeads, hd int) float64 {
 	return steps * (exposed + launch)
 }
 
-// CPRingWins reports whether the ring strategy prices strictly below
-// all-gather for one document — the per-document decision rule of the
-// adaptive strategy.
+// CPRingWins reports whether the ring prices strictly below all-gather for
+// one document — the Fig 13 winner and the planner's CPRing annotation.
 func (m Model) CPRingWins(ranks []int, dlen, qHeads, kvHeads, hd int) bool {
 	return m.CPRingTime(ranks, dlen, qHeads, kvHeads, hd) <
 		m.CPAllGatherTime(ranks, dlen, kvHeads, hd)

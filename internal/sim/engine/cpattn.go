@@ -75,8 +75,8 @@ func rankGrids(seq, cpSize int, docStarts []int) []*attention.Grid {
 
 // CPAttention evaluates one Fig 11-13 sweep point over a sequence with the
 // given document starts: the single-GPU flash attention time, and the slowest
-// CP rank's fused kernel plus the K/V exchange priced by the runtime
-// chooser's own functions — cost.CPRingTime when ring is set (the
+// CP rank's fused kernel plus the K/V exchange priced per document —
+// cost.CPRingTime when ring is set (the
 // TransformerEngine-style comparator of Fig 13: per-block kernel launches
 // and the transfer its compute cannot hide), cost.CPAllGatherTime otherwise
 // (the paper's §4 all-gather, fully exposed by design). The CP group

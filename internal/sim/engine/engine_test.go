@@ -176,8 +176,9 @@ func TestFig13AllGatherVsRing(t *testing.T) {
 }
 
 // TestCPSweepUsesChooserPrices: the Fig 11-13 figures price the K/V exchange
-// with the runtime chooser's own functions, bit for bit, and Fig 13's winner
-// at every point is the one cost.CPRingWins picks.
+// with the per-document functions cost.CPAllGatherTime and cost.CPRingTime,
+// bit for bit, and Fig 13's winner at every point is the one
+// cost.CPRingWins picks.
 func TestCPSweepUsesChooserPrices(t *testing.T) {
 	shape := Llama405BTP8()
 	price := func(m cost.Model, r CPAttnResult) float64 {
@@ -190,7 +191,7 @@ func TestCPSweepUsesChooserPrices(t *testing.T) {
 	hbm2e := cost.Default().WithGPU(cluster.H100HBM2e())
 	for _, r := range Fig11(cost.Default()) {
 		if r.CommTime != price(hbm2e, r) {
-			t.Fatalf("Fig 11 %s cp=%d seq=%d doc=%v: comm %v, chooser prices %v",
+			t.Fatalf("Fig 11 %s cp=%d seq=%d doc=%v: comm %v, priced %v",
 				r.Method, r.CP, r.Seq, r.DocMask, r.CommTime, price(hbm2e, r))
 		}
 	}
@@ -200,7 +201,7 @@ func TestCPSweepUsesChooserPrices(t *testing.T) {
 		ag, ring := fig13[i], fig13[i+1]
 		for _, r := range []CPAttnResult{ag, ring} {
 			if r.CommTime != price(m, r) {
-				t.Fatalf("Fig 13 %s cp=%d seq=%d: comm %v, chooser prices %v", r.Method, r.CP, r.Seq, r.CommTime, price(m, r))
+				t.Fatalf("Fig 13 %s cp=%d seq=%d: comm %v, priced %v", r.Method, r.CP, r.Seq, r.CommTime, price(m, r))
 			}
 		}
 		ranks := cluster.RanksOfGroup(0, ag.CP, 1)
